@@ -49,13 +49,11 @@ _DEFAULTS = {
     "max_displacement": midi_ik.DEFAULT_MAX_DISPLACEMENT,
     "window_len": retrieval.DEFAULT_WINDOW_LEN,
     "stride": retrieval.DEFAULT_STRIDE,
-    "method": "scan",
     "energy_sign": -1.0,
     "skip_vacuous": False,
 }
 
 _CONFIG_CHOICES = {"mode": ("constant", "decaying"),
-                   "method": ("scan", "matmul"),
                    "energy_sign": (-1.0, 1.0)}
 
 
@@ -310,14 +308,18 @@ def cmd_refine(args, cfg):
     matrix = _load_key_matrix(args.midi, clip.fps)
     if args.dry_run:
         return 0
-    result, before, after = midi_ik.refine_to_midi(
-        clip, skeletons, geom, matrix,
-        activation_depth=_get(args, cfg, "activation_depth"),
-        smoothness=_get(args, cfg, "smoothness"),
-        epochs=int(_get(args, cfg, "epochs")),
-        exit_clearance=_get(args, cfg, "exit_clearance"),
-        press_margin=_get(args, cfg, "press_margin"),
-        max_displacement=_get(args, cfg, "max_displacement"))
+    try:
+        result, before, after = midi_ik.refine_to_midi(
+            clip, skeletons, geom, matrix,
+            activation_depth=_get(args, cfg, "activation_depth"),
+            smoothness=_get(args, cfg, "smoothness"),
+            epochs=int(_get(args, cfg, "epochs")),
+            exit_clearance=_get(args, cfg, "exit_clearance"),
+            press_margin=_get(args, cfg, "press_margin"),
+            max_displacement=_get(args, cfg, "max_displacement"))
+    except (RuntimeError, FloatingPointError) as exc:
+        # The displacement guard and a non-finite loss.
+        raise CliError("refinement failed: %s" % exc)
     _emit(args, result.clip.to_json() + "\n")
     if args.report:
         report = result.report_obj()
@@ -390,11 +392,13 @@ def cmd_retrieve(args, cfg):
         index = retrieval.WindowIndex.load(args.index)
     except (OSError, zipfile.BadZipFile) as exc:
         raise CliIoError("cannot read index %s: %s" % (args.index, exc))
+    except (KeyError, ValueError) as exc:
+        raise CliError("index %s is not a frame index (%s); rebuild it with "
+                       "`pianomotion index`" % (args.index, exc))
     query = _load_key_matrix(args.query, _get(args, cfg, "fps"))
     if args.dry_run:
         return 0
-    result = retrieval.retrieve(index, query,
-                                method=_get(args, cfg, "method"))
+    result = retrieval.retrieve(index, query)
     segments = retrieval.merge_segments(result, index)
     payload = {
         "window_len": index.window_len,
@@ -566,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--fps", type=float)
-    p.add_argument("--method", choices=("scan", "matmul"))
     p.add_argument("--full", action="store_true",
                    help="include per-window matches and distances")
     _add_common(p)

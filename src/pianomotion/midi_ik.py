@@ -341,9 +341,8 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     f0, _ = loss_and_grad(x0)
     curve = [f0]
 
-    def on_epoch(xk):
-        fk, _ = loss_and_grad(xk)
-        curve.append(fk)
+    def on_epoch(intermediate_result):
+        curve.append(float(intermediate_result.fun))
 
     res = scipy.optimize.minimize(
         loss_and_grad, x0, jac=True, method="L-BFGS-B", callback=on_epoch,

@@ -17,7 +17,6 @@ import json
 import warnings
 
 import numpy as np
-import scipy.signal
 from scipy.spatial.transform import Rotation
 
 from .hand import (HandPose, HandSkeleton, MotionClip, PARAMS_PER_HAND,
@@ -422,6 +421,9 @@ def butterworth_filter(series, cutoff_hz: float, fps: float,
         warnings.warn("series of length %d too short for order-%d filtering; "
                       "returned unfiltered" % (n, order))
         return series.copy()
+    # Imported here: scipy.signal roughly doubles the package import time.
+    import scipy.signal
+
     b, a = scipy.signal.butter(order, cutoff_hz / (fps / 2.0))
     padlen = min(3 * (order + 1), n - 1)
     return scipy.signal.filtfilt(b, a, series, axis=0, padtype="even",

@@ -6,6 +6,13 @@ query window is matched to the dataset window minimizing squared L2
 distance, which on binary matrices is simply the number of disagreeing
 cells.  Runs of query windows whose matches advance in lockstep through a
 single dataset clip are merged into longer reference segments.
+
+The index stores each dataset frame once, not each window: a window's
+distance is the sum, along one diagonal, of per-frame Hamming distances.
+The search computes those per-frame distances for a block of dataset
+frames against a block of query frames with one matrix product, then adds
+``window_len`` shifted slices of it.  On disk the frames are bit-packed,
+11 bytes per frame.
 """
 
 from __future__ import annotations
@@ -21,38 +28,61 @@ from .midi import NUM_KEYS, KeyMatrix
 DEFAULT_WINDOW_LEN = 30
 DEFAULT_STRIDE = 1
 
-# Window rows processed per block during the distance scan; bounds peak
-# memory at block_size * window_len * 88 bytes without changing results.
-_BLOCK = 4096
+# Dataset frames and query windows per search block.  They bound the
+# per-block arrays (a few MB) without changing results.
+_FRAME_BLOCK = 2048
+_QUERY_BLOCK = 256
 
 
 @dataclasses.dataclass(eq=False)
 class WindowIndex:
-    """All windows of a dataset plus the provenance of each window."""
+    """The frames of a dataset, clip by clip, and the windows they hold.
+
+    Windows are numbered clip by clip, then start by start at ``stride``;
+    ``window_clip`` and ``window_start`` give each window's provenance and
+    are derived from the per-clip frame counts.
+    """
 
     window_len: int
     stride: int
-    windows: np.ndarray        # (n_windows, window_len, 88) uint8
+    frames: np.ndarray         # (n_frames, 88) uint8, clips concatenated
     clip_ids: list             # clip id strings
-    window_clip: np.ndarray    # (n_windows,) index into clip_ids
-    window_start: np.ndarray   # (n_windows,) start frame within the clip
+    clip_frames: np.ndarray    # (n_clips,) frame count of each clip
 
     def __post_init__(self) -> None:
         if self.window_len < 1 or self.stride < 1:
             raise ValueError("window_len and stride must be >= 1")
-        self.windows = np.ascontiguousarray(self.windows, dtype=np.uint8)
-        if self.windows.ndim != 3 or self.windows.shape[1:] != (self.window_len,
-                                                                NUM_KEYS):
-            raise ValueError("windows must have shape (n, window_len, 88)")
-        self.window_clip = np.asarray(self.window_clip, dtype=np.int64)
-        self.window_start = np.asarray(self.window_start, dtype=np.int64)
-        n = self.windows.shape[0]
-        if self.window_clip.shape != (n,) or self.window_start.shape != (n,):
-            raise ValueError("provenance arrays must have one row per window")
+        self.frames = np.ascontiguousarray(self.frames, dtype=np.uint8)
+        if self.frames.ndim != 2 or self.frames.shape[1] != NUM_KEYS:
+            raise ValueError("frames must have shape (n_frames, 88)")
+        self.clip_frames = np.asarray(self.clip_frames, dtype=np.int64)
+        if not self.clip_ids:
+            raise ValueError("an index needs at least one clip")
+        if self.clip_frames.shape != (len(self.clip_ids),):
+            raise ValueError("need one frame count per clip id")
+        if np.any(self.clip_frames < self.window_len):
+            raise ValueError("every clip must hold at least one window")
+        if int(self.clip_frames.sum()) != self.frames.shape[0]:
+            raise ValueError("clip frame counts must sum to the frame count")
+        offsets = np.cumsum(self.clip_frames) - self.clip_frames
+        starts = [_window_starts(n, self.window_len, self.stride)
+                  for n in self.clip_frames]
+        self.window_clip = np.repeat(np.arange(len(starts), dtype=np.int64),
+                                     [len(s) for s in starts])
+        self.window_start = np.concatenate(starts)
+        # Start of each window in `frames`; ascending with the window index.
+        self._window_frame = offsets[self.window_clip] + self.window_start
 
     @property
     def n_windows(self) -> int:
-        return self.windows.shape[0]
+        return len(self.window_clip)
+
+    @property
+    def windows(self) -> np.ndarray:
+        """Materialised (n_windows, window_len, 88) copy, for reference use."""
+        view = np.lib.stride_tricks.sliding_window_view(
+            self.frames, self.window_len, axis=0)
+        return np.ascontiguousarray(view[self._window_frame].transpose(0, 2, 1))
 
     def provenance(self, window_idx: int):
         """(clip id, start frame) of a dataset window."""
@@ -63,17 +93,21 @@ class WindowIndex:
         np.savez(path,
                  window_len=np.int64(self.window_len),
                  stride=np.int64(self.stride),
-                 windows=self.windows,
+                 frames=np.packbits(self.frames, axis=1),
                  clip_ids=np.array(self.clip_ids, dtype=np.str_),
-                 window_clip=self.window_clip,
-                 window_start=self.window_start)
+                 clip_frames=self.clip_frames)
 
     @classmethod
     def load(cls, path: str) -> "WindowIndex":
-        with np.load(path) as data:
-            return cls(int(data["window_len"]), int(data["stride"]),
-                       data["windows"], [str(s) for s in data["clip_ids"]],
-                       data["window_clip"], data["window_start"])
+        """Read a saved index; a missing array raises KeyError."""
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            frames = np.unpackbits(data["frames"], axis=1, count=NUM_KEYS)
+            return cls(int(data["window_len"]), int(data["stride"]), frames,
+                       [str(s) for s in data["clip_ids"]],
+                       data["clip_frames"])
 
 
 def _window_starts(n_frames: int, window_len: int, stride: int) -> np.ndarray:
@@ -82,7 +116,7 @@ def _window_starts(n_frames: int, window_len: int, stride: int) -> np.ndarray:
 
 def build_index(dataset, window_len: int = DEFAULT_WINDOW_LEN,
                 stride: int = DEFAULT_STRIDE) -> WindowIndex:
-    """Enumerate all windows of a dataset of (clip id, KeyMatrix) pairs.
+    """Index all windows of a dataset of (clip id, KeyMatrix) pairs.
 
     Clips shorter than window_len are skipped with a warning; windows never
     span clip boundaries.
@@ -91,28 +125,18 @@ def build_index(dataset, window_len: int = DEFAULT_WINDOW_LEN,
     if not dataset:
         raise ValueError("cannot index an empty dataset")
     chunks = []
-    clips = []
-    starts = []
     clip_ids = []
     for clip_id, matrix in dataset:
         if matrix.n_frames < window_len:
             warnings.warn("clip %r has %d frames < window length %d; skipped"
                           % (clip_id, matrix.n_frames, window_len))
             continue
-        ci = len(clip_ids)
         clip_ids.append(str(clip_id))
-        ws = _window_starts(matrix.n_frames, window_len, stride)
-        for s in ws:
-            chunks.append(matrix.data[s:s + window_len])
-        clips.append(np.full(len(ws), ci, dtype=np.int64))
-        starts.append(ws)
+        chunks.append(matrix.data)
     if not chunks:
         raise ValueError("no clip is long enough to produce a window")
-    return WindowIndex(window_len, stride,
-                       np.stack(chunks).astype(np.uint8),
-                       clip_ids,
-                       np.concatenate(clips),
-                       np.concatenate(starts))
+    return WindowIndex(window_len, stride, np.concatenate(chunks), clip_ids,
+                       [len(c) for c in chunks])
 
 
 @dataclasses.dataclass(eq=False)
@@ -126,55 +150,57 @@ class RetrievalResult:
     distances: np.ndarray      # (n_query_windows,) squared L2 distances
 
 
-def _distances_block(block: np.ndarray, q: np.ndarray,
-                     method: str) -> np.ndarray:
-    """Squared L2 distances from one query window to a block of windows.
-
-    Both methods produce exactly the same float64 values: all quantities
-    are small integers, so the inner products in the matmul variant are
-    exact.
-    """
-    if method == "scan":
-        return np.sum(block != q, axis=(1, 2)).astype(np.float64)
-    if method == "matmul":
-        bf = block.reshape(block.shape[0], -1).astype(np.float64)
-        qf = q.reshape(-1).astype(np.float64)
-        return bf.sum(axis=1) + qf.sum() - 2.0 * (bf @ qf)
-    raise ValueError("unknown distance method %r" % (method,))
-
-
-def retrieve(index: WindowIndex, query: KeyMatrix,
-             method: str = "scan") -> RetrievalResult:
+def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
     """Match every query window to its nearest dataset window.
 
     Exact exhaustive search; ties resolve to the lowest dataset window
-    index.  method selects between the direct elementwise scan and a
-    matmul formulation; both are exact and return identical results.
+    index.  Per-frame Hamming distances |f| + |q| - 2 f.q are small
+    integers, so the float32 products and sums are exact and the result
+    does not depend on the BLAS or its thread count.
     """
-    if query.n_frames < index.window_len:
+    w, s = index.window_len, index.stride
+    if query.n_frames < w:
         raise ValueError("query has %d frames, need at least %d"
-                         % (query.n_frames, index.window_len))
-    q_starts = _window_starts(query.n_frames, index.window_len, index.stride)
+                         % (query.n_frames, w))
+    q_starts = _window_starts(query.n_frames, w, s)
     n_q = len(q_starts)
-    matches = np.empty(n_q, dtype=np.int64)
-    dists = np.empty(n_q, dtype=np.float64)
-    qdata = query.data.astype(np.uint8)
-    for qi, qs in enumerate(q_starts):
-        q = qdata[qs:qs + index.window_len]
-        best_d = np.inf
-        best_i = -1
-        for lo in range(0, index.n_windows, _BLOCK):
-            block = index.windows[lo:lo + _BLOCK]
-            d = _distances_block(block, q, method)
-            i = int(np.argmin(d))
-            # Strict < keeps the earliest window on cross-block ties.
-            if d[i] < best_d:
-                best_d = float(d[i])
-                best_i = lo + i
-        matches[qi] = best_i
-        dists[qi] = best_d
-    return RetrievalResult(index.window_len, index.stride, q_starts,
-                           matches, dists)
+    matches = np.full(n_q, -1, dtype=np.int64)
+    dists = np.full(n_q, np.inf)
+    wf = index._window_frame
+    lo = 0
+    while lo < index.n_windows:
+        # Dataset windows starting within _FRAME_BLOCK frames of window lo.
+        hi = int(np.searchsorted(wf, wf[lo] + _FRAME_BLOCK))
+        base = int(wf[lo])
+        n_pos = int(wf[hi - 1]) - base + 1
+        # Keys-major, so the product below runs at full BLAS speed.
+        f = np.ascontiguousarray(index.frames[base:base + n_pos + w - 1].T,
+                                 dtype=np.float32)
+        f_count = f.sum(axis=0)
+        cols = wf[lo:hi] - base
+        for qlo in range(0, n_q, _QUERY_BLOCK):
+            nqb = min(_QUERY_BLOCK, n_q - qlo)
+            qs = int(q_starts[qlo])
+            q = query.data[qs:qs + (nqb - 1) * s + w].astype(np.float32)
+            # ham[t, i]: Hamming distance of query frame t to dataset frame i.
+            ham = q @ f
+            ham *= -2.0
+            ham += f_count
+            ham += q.sum(axis=1)[:, None]
+            # Window sums reach 88 * window_len, exact in float32 up to
+            # window_len 190650; ham alone would then need over 100 GB.
+            acc = ham[0:nqb * s:s, 0:n_pos].copy()
+            for k in range(1, w):
+                acc += ham[k:k + nqb * s:s, k:k + n_pos]
+            d = acc[:, cols]
+            best = np.argmin(d, axis=1)
+            best_d = d[np.arange(nqb), best]
+            # Strict < keeps the earlier block's window on ties.
+            better = best_d < dists[qlo:qlo + nqb]
+            dists[qlo:qlo + nqb][better] = best_d[better]
+            matches[qlo:qlo + nqb][better] = lo + best[better]
+        lo = hi
+    return RetrievalResult(w, s, q_starts, matches, dists)
 
 
 @dataclasses.dataclass(frozen=True)

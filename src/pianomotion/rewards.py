@@ -19,8 +19,8 @@ from scipy.spatial.transform import Rotation
 
 from . import keyboard as kb
 from .hand import (DofLayout, MotionClip, SkeletonPair, clip_fingertips,
-                   finite_diff_velocities, fk_with_orientations,
-                   matrix_to_quat)
+                   fingertip_positions, finite_diff_velocities,
+                   fk_with_orientations, matrix_to_quat)
 from .keyboard import KeyboardGeometry, KeyState
 from .midi import NUM_KEYS, KeyMatrix
 
@@ -232,7 +232,9 @@ def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
     gate: a reference hovering far from the key still yields its nearest
     fingertip.
     """
-    tips = clip_fingertips(reference, skeletons)[frame]      # (10, 3)
+    left, right = reference.frames[frame]
+    tips = np.vstack([fingertip_positions(skeletons.left, left),
+                      fingertip_positions(skeletons.right, right)])
     target = kb.key_target_position(geom, key)
     d = np.linalg.norm(tips - target, axis=1)
     return int(np.argmin(d)) + 1

@@ -347,26 +347,24 @@ def test_retrieval_matches_brute_force_and_merges_span(rng):
     q = (rng.random((70, 88)) < 0.35).astype(np.uint8)
     q[5:65] = mats["beta"][10:70]
     query = midi.KeyMatrix(60.0, q)
-    res_scan = retrieval.retrieve(index, query, method="scan")
-    res_mm = retrieval.retrieve(index, query, method="matmul")
+    res = retrieval.retrieve(index, query)
+    windows = index.windows
     n_pairs = 0
-    for qi, qs in enumerate(res_scan.query_starts):
+    for qi, qs in enumerate(res.query_starts):
         window = q[qs:qs + index.window_len]
         best_d = None
         best_i = -1
         for wi in range(index.n_windows):
-            d = int(np.sum(window != index.windows[wi]))
+            d = int(np.sum(window != windows[wi]))
             n_pairs += 1
             if best_d is None or d < best_d:
                 best_d = d
                 best_i = wi
-        for res_m, label in ((res_scan, "scan"), (res_mm, "matmul")):
-            if (int(res_m.matches[qi]) != best_i
-                    or float(res_m.distances[qi]) != float(best_d)):
-                problems.append(
-                    "window %d (%s): got (%d, %r), brute force (%d, %r)"
-                    % (qi, label, res_m.matches[qi], res_m.distances[qi],
-                       best_i, best_d))
+        if (int(res.matches[qi]) != best_i
+                or float(res.distances[qi]) != float(best_d)):
+            problems.append(
+                "window %d: got (%d, %r), brute force (%d, %r)"
+                % (qi, res.matches[qi], res.distances[qi], best_i, best_d))
         if len(problems) > 4:
             break
     _check(problems, n_pairs <= 10_000, "%d window pairs" % n_pairs)

@@ -1,6 +1,9 @@
 """End-to-end subcommand tests driving the console entry point in-process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +152,28 @@ def test_refine_via_cli(tmp_path, geom, skeletons):
     assert report["errors_after"] == 0
 
 
+@pytest.mark.parametrize("error", [
+    RuntimeError("an IK subject fingertip moved 0.0500 m, over the budget"),
+    FloatingPointError("refinement loss became non-finite"),
+])
+def test_refine_failure_is_validation_error(tmp_path, capsys, monkeypatch,
+                                            error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.midi_ik, "refine_to_midi", fail)
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, MotionClip(60.0, [(parked, parked)] * 2))
+    matrix_path = tmp_path / "score.json"
+    write_matrix(matrix_path, [{40}, {40}])
+    out = tmp_path / "refined.json"
+    assert run(["refine", "--clip", clip_path, "--midi", matrix_path,
+                "-o", out]) == 1
+    assert "refinement failed: %s" % error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     parked = _synth.parked_pose(0)
@@ -202,6 +227,37 @@ def test_index_and_retrieve(tmp_path, capsys, rng):
     assert len(payload["matches"]) == 3
     assert payload["segments"][0]["clip_id"] == "alpha"
     assert payload["segments"][0]["start"] == 5
+
+
+@pytest.mark.parametrize("layout", ["windows", "npy"])
+def test_retrieve_rejects_index_without_frames(tmp_path, capsys, layout):
+    index_path = tmp_path / "old.npz"
+    if layout == "windows":
+        # The window-per-row layout of earlier releases has no frames.
+        np.savez(index_path, window_len=np.int64(30), stride=np.int64(1),
+                 windows=np.zeros((1, 30, 88), dtype=np.uint8),
+                 clip_ids=np.array(["a"]), window_clip=np.zeros(1, np.int64),
+                 window_start=np.zeros(1, np.int64))
+    else:
+        with open(index_path, "wb") as fh:
+            np.save(fh, np.zeros((30, 88), dtype=np.uint8))
+    query_path = tmp_path / "query.json"
+    write_matrix(query_path, [set()] * 30)
+    assert run(["retrieve", "--index", index_path, "--query", query_path,
+                "--fps", 60]) == 1
+    assert "rebuild it with `pianomotion index`" in capsys.readouterr().err
+
+
+def test_retrieve_method_option_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "scan"}))
+    argv = ["retrieve", "--index", tmp_path / "i.npz",
+            "--query", tmp_path / "q.json"]
+    assert run(argv + ["--config", cfg]) == 1
+    assert "unknown field 'method'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--method", "scan"])
+    assert exc.value.code == 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +375,20 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
                 "-o", out, "--dry-run"]) == 0
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is only needed by the trajectory filter and roughly
+    # doubles the start-up import time of every subcommand.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pianomotion.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -16,12 +16,13 @@ def random_matrix(rng, n_frames, density=0.1, fps=60.0):
 def brute_force_nearest(index, query):
     """Independent reference search: python loops, first minimum wins."""
     starts = range(0, query.n_frames - index.window_len + 1, index.stride)
+    windows = index.windows
     out = []
     for qs in starts:
         q = query.data[qs:qs + index.window_len].astype(np.int64)
         best = None
         for wi in range(index.n_windows):
-            d = int(np.sum(np.abs(index.windows[wi].astype(np.int64) - q)))
+            d = int(np.sum(np.abs(windows[wi].astype(np.int64) - q)))
             if best is None or d < best[1]:
                 best = (wi, d)
         out.append(best)
@@ -36,10 +37,11 @@ def test_build_index_window_count_and_content(rng):
     assert index.clip_ids == ["a", "b"]
     # Every window must reproduce the slice its provenance points to.
     source = {"a": a, "b": b}
+    windows = index.windows
     for wi in range(index.n_windows):
         clip_id, start = index.provenance(wi)
         want = source[clip_id].data[start:start + 30]
-        assert np.array_equal(index.windows[wi], want)
+        assert np.array_equal(windows[wi], want)
 
 
 def test_build_index_skips_short_clips(rng):
@@ -77,8 +79,9 @@ def test_distance_counts_mismatched_cells(rng):
     result = retrieval.retrieve(index, base)
     assert result.matches.tolist() == [0]
     assert result.distances.tolist() == [0.0]
-    d = retrieval._distances_block(index.windows[1:2],
-                                   base.data.astype(np.uint8), "scan")
+    alt_only = retrieval.build_index([("alt", KeyMatrix(60.0, altered))],
+                                     window_len=30)
+    d = retrieval.retrieve(alt_only, base).distances
     assert d.tolist() == [float(len(flip))]
 
 
@@ -93,14 +96,55 @@ def test_retrieve_matches_brute_force(rng):
     assert result.distances.tolist() == [float(d) for _, d in expect]
 
 
-def test_scan_and_matmul_are_identical(rng):
-    dataset = [(f"clip{i}", random_matrix(rng, 50)) for i in range(4)]
-    index = retrieval.build_index(dataset, window_len=30)
-    query = random_matrix(rng, 60)
-    scan = retrieval.retrieve(index, query, method="scan")
-    matmul = retrieval.retrieve(index, query, method="matmul")
-    assert np.array_equal(scan.matches, matmul.matches)
-    assert np.array_equal(scan.distances, matmul.distances)
+@pytest.mark.parametrize("stride", [2, 3])
+def test_retrieve_matches_brute_force_at_stride(rng, stride):
+    dataset = [(f"clip{i}", random_matrix(rng, int(rng.integers(30, 60))))
+               for i in range(4)]
+    index = retrieval.build_index(dataset, window_len=12, stride=stride)
+    query = random_matrix(rng, 47)
+    result = retrieval.retrieve(index, query)
+    expect = brute_force_nearest(index, query)
+    assert result.query_starts.tolist() == list(range(0, 47 - 12 + 1, stride))
+    assert result.matches.tolist() == [wi for wi, _ in expect]
+    assert result.distances.tolist() == [float(d) for _, d in expect]
+
+
+@pytest.mark.parametrize("frame_block,query_block", [(7, 2), (1, 1), (40, 5)])
+def test_retrieve_is_independent_of_block_sizes(rng, monkeypatch,
+                                                frame_block, query_block):
+    # Small blocks make windows run past the frames of their block and the
+    # query span several query blocks; a skipped short clip sits between
+    # two indexed ones.
+    monkeypatch.setattr(retrieval, "_FRAME_BLOCK", frame_block)
+    monkeypatch.setattr(retrieval, "_QUERY_BLOCK", query_block)
+    dataset = [("a", random_matrix(rng, 41)),
+               ("short", random_matrix(rng, 9)),
+               ("b", random_matrix(rng, 37)),
+               ("c", random_matrix(rng, 30))]
+    with pytest.warns(UserWarning, match="skipped"):
+        index = retrieval.build_index(dataset, window_len=10, stride=2)
+    assert index.clip_ids == ["a", "b", "c"]
+    query = random_matrix(rng, 33)
+    result = retrieval.retrieve(index, query)
+    expect = brute_force_nearest(index, query)
+    assert result.matches.tolist() == [wi for wi, _ in expect]
+    assert result.distances.tolist() == [float(d) for _, d in expect]
+
+
+@pytest.mark.parametrize("frame_block", [4096, 3])
+def test_retrieve_exact_tie_across_clips_takes_lowest_index(
+        rng, monkeypatch, frame_block):
+    # Clip "c" repeats clip "a", so every query window copied from "a"
+    # ties at distance 0 between the two, within one block or across
+    # blocks.
+    monkeypatch.setattr(retrieval, "_FRAME_BLOCK", frame_block)
+    a = random_matrix(rng, 20)
+    index = retrieval.build_index(
+        [("a", a), ("b", random_matrix(rng, 20)), ("c", a)], window_len=6)
+    result = retrieval.retrieve(index, KeyMatrix(60.0, a.data[4:16]))
+    assert result.distances.tolist() == [0.0] * 7
+    assert [index.provenance(m) for m in result.matches] == [
+        ("a", 4 + j) for j in range(7)]
 
 
 def test_retrieve_tie_takes_lowest_index():
@@ -120,13 +164,6 @@ def test_retrieve_rejects_short_query(rng):
         retrieval.retrieve(index, random_matrix(rng, 29))
 
 
-def test_retrieve_rejects_unknown_method(rng):
-    index = retrieval.build_index([("a", random_matrix(rng, 30))],
-                                  window_len=30)
-    with pytest.raises(ValueError, match="method"):
-        retrieval.retrieve(index, random_matrix(rng, 30), method="cosine")
-
-
 def test_index_npz_round_trip(rng, tmp_path):
     index = retrieval.build_index([("a", random_matrix(rng, 35))],
                                   window_len=30)
@@ -136,8 +173,19 @@ def test_index_npz_round_trip(rng, tmp_path):
     assert back.window_len == index.window_len
     assert back.stride == index.stride
     assert back.clip_ids == index.clip_ids
+    assert np.array_equal(back.frames, index.frames)
     assert np.array_equal(back.windows, index.windows)
     assert np.array_equal(back.window_start, index.window_start)
+
+
+def test_saved_index_packs_each_frame_into_11_bytes(rng, tmp_path):
+    dataset = [(f"clip{i}", random_matrix(rng, 400)) for i in range(5)]
+    index = retrieval.build_index(dataset, window_len=30)
+    path = tmp_path / "index.npz"
+    index.save(str(path))
+    # Bit-packed frames, plus the fixed npz headers and a few bytes per
+    # clip for its id and frame count.
+    assert path.stat().st_size <= 11 * 2000 + 2048 + 64 * 5
 
 
 def test_merge_segments_coalesces_advancing_runs(rng):
