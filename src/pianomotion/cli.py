@@ -10,6 +10,7 @@ same inputs always produce byte-identical outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -380,10 +381,9 @@ def cmd_index(args, cfg):
                                   stride=int(_get(args, cfg, "stride")))
     if args.dry_run:
         return 0
-    try:
-        index.save(args.output)
-    except OSError as exc:
-        raise CliIoError("cannot write %s: %s" % (args.output, exc))
+    archive = io.BytesIO()
+    index.save(archive)
+    _atomic_write(args.output, archive.getvalue())
     return 0
 
 

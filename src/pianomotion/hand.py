@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
-from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 NUM_JOINTS = 21
 NUM_ROT_JOINTS = 16  # wrist + 15 finger joints
@@ -124,68 +123,105 @@ def _as_unit_quat(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValueError("quaternion must have shape (4,), got %s" % (q.shape,))
+    if not np.isfinite(q).all():
+        raise ValueError("quaternion must be finite")
     n = float(np.linalg.norm(q))
     if abs(n - 1.0) > 1e-9:
         raise ValueError("quaternion norm %.12f is not 1 within 1e-9" % n)
     return q
 
 
+# The rotation maps below work on stacked arrays (..., 4), (..., 3, 3) and
+# (..., 3).  They evaluate the same closed forms, in the same order, as
+# scipy's Rotation class, so their results equal scipy's bit for bit.
+# Quaternions are (w, x, y, z); norms are summed in (x, y, z, w) order.
+
+# libm's atan2: numpy's SIMD arctan2 differs from it in the last bit on some
+# inputs, which would change every output derived from a rotation vector.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _normalized(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return q / np.sqrt(x * x + y * y + z * z + w * w)[..., None]
+
+
+def _unit_quat_matrix(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    m = np.stack([x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
+                  2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw),
+                  2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2], axis=-1)
+    return m.reshape(q.shape[:-1] + (3, 3))
+
+
+def _unit_quat_rotvec(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    # Canonical sign: w > 0, ties broken by the first nonzero of x, y, z.
+    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & (
+        (y < 0) | ((y == 0) & (z < 0))))))
+    q = np.where(flip[..., None], -q, q)
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    angle = 2 * np.asarray(_atan2(np.sqrt(x * x + y * y + z * z), w),
+                           dtype=np.float64)
+    small = angle <= 1e-3
+    a2 = angle * angle
+    scale = np.where(small, 2 + a2 / 12 + 7 * a2 * a2 / 2880,
+                     angle / np.where(small, 1.0, np.sin(angle / 2)))
+    return q[..., 1:] * scale[..., None]
+
+
 def quat_to_matrix(q_wxyz: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a (w, x, y, z) unit quaternion."""
-    w, x, y, z = q_wxyz
-    return Rotation.from_quat([x, y, z, w]).as_matrix()
+    """Rotation matrices (..., 3, 3) from (w, x, y, z) quaternions (..., 4)."""
+    return _unit_quat_matrix(_normalized(np.asarray(q_wxyz, dtype=np.float64)))
 
 
 def matrix_to_quat(mat: np.ndarray) -> np.ndarray:
-    """(w, x, y, z) quaternion for a rotation matrix, w >= 0."""
-    x, y, z, w = Rotation.from_matrix(mat).as_quat()
-    q = np.array([w, x, y, z])
-    if q[0] < 0:
-        q = -q
-    return q
+    """(w, x, y, z) quaternions (..., 4), w >= 0, of rotation matrices."""
+    m = np.asarray(mat, dtype=np.float64)
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    trace = m00 + m11 + m22
+    t = 1 - trace
+    d0 = m[..., 2, 1] - m[..., 1, 2]
+    d1 = m[..., 0, 2] - m[..., 2, 0]
+    d2 = m[..., 1, 0] - m[..., 0, 1]
+    s01 = m[..., 1, 0] + m[..., 0, 1]
+    s02 = m[..., 2, 0] + m[..., 0, 2]
+    s12 = m[..., 2, 1] + m[..., 1, 2]
+    # One candidate per largest of (m00, m11, m22, trace), the first on ties.
+    candidates = np.stack([np.stack([d0, t + 2 * m00, s01, s02], axis=-1),
+                           np.stack([d1, s01, t + 2 * m11, s12], axis=-1),
+                           np.stack([d2, s02, s12, t + 2 * m22], axis=-1),
+                           np.stack([1 + trace, d0, d1, d2], axis=-1)], axis=-2)
+    choice = np.argmax(np.stack([m00, m11, m22, trace], axis=-1), axis=-1)
+    q = np.take_along_axis(candidates, choice[..., None, None], axis=-2)[..., 0, :]
+    q = _normalized(q)
+    return np.where(q[..., :1] < 0, -q, q)
+
+
+def matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
+    """Rotation vectors (..., 3) of rotation matrices (..., 3, 3)."""
+    return _unit_quat_rotvec(matrix_to_quat(mat))
 
 
 def quat_to_rotvec(q_wxyz: np.ndarray) -> np.ndarray:
-    w, x, y, z = q_wxyz
-    return Rotation.from_quat([x, y, z, w]).as_rotvec()
+    """Rotation vectors (..., 3), angle in [0, pi], of quaternions (..., 4)."""
+    return _unit_quat_rotvec(_normalized(np.asarray(q_wxyz, dtype=np.float64)))
 
 
 def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
-    x, y, z, w = Rotation.from_rotvec(np.asarray(v, dtype=np.float64)).as_quat()
-    q = np.array([w, x, y, z])
-    if q[0] < 0:
-        q = -q
-    return q
-
-
-def _hat(v: np.ndarray) -> np.ndarray:
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def _rotvec_matrix_and_grads(w: np.ndarray):
-    """Rotation matrix for rotvec w and its derivative wrt each component.
-
-    Uses the closed form d exp([w]x)/dw_k = (w_k [w]x + [w x (I - R) e_k]x)
-    / |w|^2 . R, falling back to [e_k]x at w = 0.
-    """
-    R = Rotation.from_rotvec(w).as_matrix()
-    grads = np.empty((3, 3, 3))
-    n2 = float(w @ w)
-    if n2 < 1e-16:
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
-            grads[k] = _hat(e)
-        return R, grads
-    IR = np.eye(3) - R
-    hw = _hat(w)
-    for k in range(3):
-        grads[k] = (w[k] * hw + _hat(np.cross(w, IR[:, k]))) / n2 @ R
-    return R, grads
+    """(w, x, y, z) quaternions (..., 4), w >= 0, of rotation vectors."""
+    v = np.asarray(v, dtype=np.float64)
+    x, y, z = np.moveaxis(v, -1, 0)
+    angle = np.sqrt(x * x + y * y + z * z)
+    small = angle <= 1e-3
+    a2 = angle * angle
+    scale = np.where(small, 0.5 - a2 / 48 + a2 * a2 / 3840,
+                     np.sin(angle / 2) / np.where(small, 1.0, angle))
+    q = np.concatenate([np.cos(angle / 2)[..., None], v * scale[..., None]],
+                       axis=-1)
+    return np.where(q[..., :1] < 0, -q, q)
 
 
 @dataclasses.dataclass(eq=False)
@@ -200,11 +236,15 @@ class HandPose:
         self.root_t = np.asarray(self.root_t, dtype=np.float64)
         if self.root_t.shape != (3,):
             raise ValueError("root_t must have shape (3,)")
+        if not np.isfinite(self.root_t).all():
+            raise ValueError("root_t must be finite")
         self.root_q = _as_unit_quat(self.root_q)
         self.joint_rotations = np.asarray(self.joint_rotations, dtype=np.float64)
         if self.joint_rotations.shape != (NUM_FINGER_JOINTS, 3):
             raise ValueError("joint_rotations must have shape (15, 3), got %s"
                              % (self.joint_rotations.shape,))
+        if not np.isfinite(self.joint_rotations).all():
+            raise ValueError("joint_rotations must be finite")
 
     @classmethod
     def identity(cls, root_t=(0.0, 0.0, 0.0)) -> "HandPose":
@@ -243,9 +283,14 @@ class HandPose:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HandPose":
-        return cls(np.array(obj["root_t"], dtype=np.float64),
-                   np.array(obj["root_q"], dtype=np.float64),
-                   np.array(obj["joint_rotations"], dtype=np.float64))
+        if not isinstance(obj, dict):
+            raise ValueError("a hand pose must be a JSON object")
+        try:
+            return cls(np.array(obj["root_t"], dtype=np.float64),
+                       np.array(obj["root_q"], dtype=np.float64),
+                       np.array(obj["joint_rotations"], dtype=np.float64))
+        except TypeError as exc:
+            raise ValueError("hand pose values must be numbers: %s" % exc)
 
 
 @dataclasses.dataclass(eq=False)
@@ -321,6 +366,11 @@ class SkeletonPair:
     def __getitem__(self, hand: int) -> HandSkeleton:
         return (self.left, self.right)[hand]
 
+    @property
+    def bone_offsets(self) -> np.ndarray:
+        """(2, 21, 3) bone offsets, left hand first."""
+        return np.stack([self.left.bone_offsets, self.right.bone_offsets])
+
     @classmethod
     def default(cls) -> "SkeletonPair":
         path = os.path.join(os.path.dirname(__file__), "data",
@@ -341,99 +391,79 @@ class SkeletonPair:
                    HandSkeleton.from_json_obj(obj["right"]))
 
 
-def _fk_core(skeleton: HandSkeleton, root_t: np.ndarray,
-             rotvecs: np.ndarray):
-    """Positions (21, 3) and global rotations (16, 3, 3) of every joint.
+def forward_kinematics(skeleton, vecs: np.ndarray):
+    """Joint positions and global joint rotations of pose vectors.
 
-    rotvecs holds the root orientation in row 0 followed by the 15 finger
-    joint rotations.
+    vecs is (..., 51) in the pose vector layout.  skeleton is a HandSkeleton,
+    or a SkeletonPair when the second-to-last axis of vecs is the hand
+    (left, right).  Returns (positions (..., 21, 3), global rotations
+    (..., 16, 3, 3)).  Every product is taken per pose in a fixed order, so
+    a batch gives the same bits as one call per pose.
     """
-    p = np.empty((NUM_JOINTS, 3))
-    G = np.empty((NUM_ROT_JOINTS, 3, 3))
-    locals_ = Rotation.from_rotvec(rotvecs).as_matrix()
-    p[0] = root_t
-    G[0] = locals_[0]
+    vecs = np.asarray(vecs, dtype=np.float64)
+    batch = vecs.shape[:-1]
+    offsets = skeleton.bone_offsets[..., None]
+    locals_ = _unit_quat_matrix(rotvec_to_quat(
+        vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))))
+    p = np.empty(batch + (NUM_JOINTS, 3))
+    G = np.empty(batch + (NUM_ROT_JOINTS, 3, 3))
+    p[..., 0, :] = vecs[..., :3]
+    G[..., 0, :, :] = locals_[..., 0, :, :]
     for j in range(1, NUM_JOINTS):
         par = PARENTS[j]
-        p[j] = p[par] + G[par] @ skeleton.bone_offsets[j]
+        p[..., j, :] = p[..., par, :] + (G[..., par, :, :]
+                                         @ offsets[..., j, :, :])[..., 0]
         if j < NUM_ROT_JOINTS:
-            G[j] = G[par] @ locals_[j]
+            G[..., j, :, :] = G[..., par, :, :] @ locals_[..., j, :, :]
     return p, G
 
 
-def forward_kinematics(skeleton: HandSkeleton, pose: HandPose) -> np.ndarray:
-    """World positions of all 21 joints, shape (21, 3)."""
-    rotvecs = np.vstack([quat_to_rotvec(pose.root_q), pose.joint_rotations])
-    p, _ = _fk_core(skeleton, pose.root_t, rotvecs)
-    return p
+# d exp([w]x)/dw_k at w = 0: the cross-product matrix [e_k]x.
+_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
-def fk_with_orientations(skeleton: HandSkeleton, pose: HandPose):
-    """(positions (21, 3), global rotations (16, 3, 3)) for one pose."""
-    rotvecs = np.vstack([quat_to_rotvec(pose.root_q), pose.joint_rotations])
-    return _fk_core(skeleton, pose.root_t, rotvecs)
+def fk_jacobian(skeleton, vecs: np.ndarray):
+    """FK positions and their Jacobian wrt the 51-dim pose vector.
 
-
-def fingertip_positions(skeleton: HandSkeleton, pose: HandPose) -> np.ndarray:
-    """World positions of the five fingertips, thumb first, shape (5, 3)."""
-    return forward_kinematics(skeleton, pose)[TIP_JOINTS]
-
-
-def fk_from_vector(skeleton: HandSkeleton, vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    rotvecs = vec[3:].reshape(NUM_ROT_JOINTS, 3)
-    p, _ = _fk_core(skeleton, vec[:3], rotvecs)
-    return p
-
-
-def fk_jacobian(skeleton: HandSkeleton, vec: np.ndarray):
-    """FK positions and their Jacobian wrt the 51-dim parameter vector.
-
-    Returns (positions (21, 3), J (21, 3, 51)).  Columns follow the vector
-    layout: 0..2 root translation, 3..5 root rotation vector, 6.. the 15
-    joint rotation vectors in joint order.
+    Takes the arguments of forward_kinematics.  Returns (positions
+    (..., 21, 3), J (..., 21, 3, 51)).  Columns follow the vector layout:
+    0..2 root translation, 3..5 root rotation vector, 6.. the 15 joint
+    rotation vectors in joint order.
     """
-    vec = np.asarray(vec, dtype=np.float64)
-    rotvecs = vec[3:].reshape(NUM_ROT_JOINTS, 3)
+    vecs = np.asarray(vecs, dtype=np.float64)
+    batch = vecs.shape[:-1]
+    p, G = forward_kinematics(skeleton, vecs)
+    w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
+    R = _unit_quat_matrix(rotvec_to_quat(w))
 
-    p = np.empty((NUM_JOINTS, 3))
-    G = np.empty((NUM_ROT_JOINTS, 3, 3))
-    locals_ = np.empty((NUM_ROT_JOINTS, 3, 3))
-    dlocals = np.empty((NUM_ROT_JOINTS, 3, 3, 3))
-    for i in range(NUM_ROT_JOINTS):
-        locals_[i], dlocals[i] = _rotvec_matrix_and_grads(rotvecs[i])
+    # Local rotation derivatives dR[..., i, k] by the closed form
+    # d exp([w]x)/dw_k = [w_k w + w x (I - R) e_k]x / |w|^2 . R.
+    n2 = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    small = n2 < 1e-16
+    u = (w[..., :, None] * w[..., None, :]
+         + np.cross(w[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2)))
+    x, y, z = np.moveaxis(u, -1, 0)
+    zero = np.zeros_like(x)
+    cross_u = np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
+                       axis=-1).reshape(u.shape + (3,))
+    dR = (cross_u / np.where(small, 1.0, n2)[..., None, None, None]
+          @ R[..., None, :, :])
+    dR = np.where(small[..., None, None, None], _GENERATORS, dR)
 
-    p[0] = vec[:3]
-    G[0] = locals_[0]
-    for j in range(1, NUM_JOINTS):
-        par = PARENTS[j]
-        p[j] = p[par] + G[par] @ skeleton.bone_offsets[j]
-        if j < NUM_ROT_JOINTS:
-            G[j] = G[par] @ locals_[j]
-
-    J = np.zeros((NUM_JOINTS, 3, PARAMS_PER_HAND))
-    J[:, 0, 0] = 1.0
-    J[:, 1, 1] = 1.0
-    J[:, 2, 2] = 1.0
+    J = np.zeros(batch + (NUM_JOINTS, 3, PARAMS_PER_HAND))
+    J[..., [0, 1, 2], [0, 1, 2]] = 1.0
     for i in range(NUM_ROT_JOINTS):
         affected = np.nonzero(_AFFECTED[i])[0]
-        if affected.size == 0:
-            continue
-        Gp = np.eye(3) if i == 0 else G[PARENTS[i]]
+        Gp = np.eye(3) if i == 0 else G[..., PARENTS[i], :, :]
         # s holds the moved points in joint i's frame; rotating the local
         # rotvec moves them by Gp . dR . s.
-        s = (p[affected] - p[i]) @ G[i]          # rows are G[i].T @ (p_j - p_i)
-        base = 3 + 3 * i
-        for k in range(3):
-            cols = (Gp @ dlocals[i, k] @ s.T).T
-            J[affected, :, base + k] = cols
+        s = (p[..., affected, :] - p[..., i, None, :]) @ G[..., i, :, :]
+        cols = (Gp[..., None, :, :] @ dR[..., i, :, :, :]
+                @ np.swapaxes(s, -1, -2)[..., None, :, :])
+        J[..., affected, :, 3 + 3 * i:6 + 3 * i] = np.swapaxes(cols, -1, -3)
     return p, J
-
-
-def tip_jacobian(skeleton: HandSkeleton, vec: np.ndarray):
-    """Fingertip positions (5, 3) and their Jacobian (5, 3, 51)."""
-    p, J = fk_jacobian(skeleton, vec)
-    return p[TIP_JOINTS], J[TIP_JOINTS]
 
 
 @dataclasses.dataclass(eq=False)
@@ -444,8 +474,8 @@ class MotionClip:
     frames: list                       # list of (HandPose, HandPose)
 
     def __post_init__(self) -> None:
-        if not (self.fps > 0.0):
-            raise ValueError("fps must be positive")
+        if not (0.0 < self.fps < math.inf):
+            raise ValueError("fps must be positive and finite")
         for fr in self.frames:
             if len(fr) != 2:
                 raise ValueError("each frame must hold exactly two hand poses")
@@ -472,11 +502,18 @@ class MotionClip:
     @classmethod
     def from_json(cls, text: str) -> "MotionClip":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a motion clip must be a JSON object")
         if obj.get("hands", ["left", "right"]) != ["left", "right"]:
             raise ValueError("clip hand order must be [left, right]")
-        frames = [(HandPose.from_json_obj(l), HandPose.from_json_obj(r))
-                  for l, r in obj["frames"]]
-        return cls(float(obj["fps"]), frames)
+        fps, frames = obj["fps"], obj["frames"]
+        if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+            raise ValueError("fps must be a number")
+        if not isinstance(frames, list) or not all(
+                isinstance(fr, list) and len(fr) == 2 for fr in frames):
+            raise ValueError("frames must be a list of [left, right] pose pairs")
+        return cls(float(fps), [(HandPose.from_json_obj(l), HandPose.from_json_obj(r))
+                                for l, r in frames])
 
     def to_arrays(self):
         n = self.n_frames
@@ -514,13 +551,19 @@ class MotionClip:
                                    data["root_q"], data["joint_rotations"])
 
 
+def clip_vectors(clip: MotionClip) -> np.ndarray:
+    """Pose vectors of every frame and hand, shape (F, 2, 51)."""
+    root_t, root_q, joint_rotations = clip.to_arrays()
+    return np.concatenate([
+        root_t,
+        quat_to_rotvec(root_q),
+        joint_rotations.reshape(clip.n_frames, 2, 3 * NUM_FINGER_JOINTS),
+    ], axis=-1)
+
+
 def clip_positions(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:
     """FK joint positions for every frame and hand, shape (F, 2, 21, 3)."""
-    out = np.empty((clip.n_frames, 2, NUM_JOINTS, 3))
-    for f, (left, right) in enumerate(clip.frames):
-        out[f, 0] = forward_kinematics(skeletons.left, left)
-        out[f, 1] = forward_kinematics(skeletons.right, right)
-    return out
+    return forward_kinematics(skeletons, clip_vectors(clip))[0]
 
 
 def clip_fingertips(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:
@@ -564,31 +607,14 @@ def finite_diff_velocities(clip: MotionClip,
     before differencing, so pure rigid translation of a hand produces zero
     local fingertip velocity.
     """
-    n = clip.n_frames
     pos = clip_positions(clip, skeletons)
     wrist_p = pos[:, :, 0, :]
     tips_w = pos[:, :, TIP_JOINTS, :]
-
-    tips_l = np.empty_like(tips_w)
-    for f, (left, right) in enumerate(clip.frames):
-        for h, pose in enumerate((left, right)):
-            Rw = quat_to_matrix(pose.root_q)
-            tips_l[f, h] = (tips_w[f, h] - wrist_p[f, h]) @ Rw
+    tips_l = ((tips_w - wrist_p[:, :, None, :])
+              @ quat_to_matrix(clip.to_arrays()[1]))
     return ClipVelocities(
         wrist=_finite_diff(wrist_p, clip.fps),
         fingertips_world=_finite_diff(tips_w, clip.fps),
         fingertips_local=_finite_diff(tips_l, clip.fps),
     )
 
-
-def link_states(skeleton: HandSkeleton, pose: HandPose):
-    """Positions (16, 3) and orientations (16, 4) wxyz of the rigid links.
-
-    Link i is the body rooted at rotational joint i: the palm (wrist) plus
-    the fifteen phalanges.  Orientation is the joint's global rotation.
-    """
-    p, G = fk_with_orientations(skeleton, pose)
-    quats = np.empty((NUM_ROT_JOINTS, 4))
-    for i in range(NUM_ROT_JOINTS):
-        quats[i] = matrix_to_quat(G[i])
-    return p[:NUM_ROT_JOINTS], quats

@@ -17,11 +17,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.optimize
 
 from . import keyboard as kb
 from .hand import (HandPose, MotionClip, PARAMS_PER_HAND, SkeletonPair,
-                   clip_fingertips, tip_jacobian)
+                   TIP_JOINTS, clip_fingertips, clip_vectors, fk_jacobian)
 from .keyboard import KeyboardGeometry
 from .midi import KeyMatrix
 
@@ -259,15 +258,6 @@ class RefineResult:
         }
 
 
-def _clip_params(clip: MotionClip) -> np.ndarray:
-    """(F, 102) stacked left+right pose vectors."""
-    out = np.empty((clip.n_frames, 2 * PARAMS_PER_HAND))
-    for f, (l, r) in enumerate(clip.frames):
-        out[f, :PARAMS_PER_HAND] = l.to_vector()
-        out[f, PARAMS_PER_HAND:] = r.to_vector()
-    return out
-
-
 def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     """Solve the whole-clip refinement and return the edited clip.
 
@@ -277,6 +267,10 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     smoothness only frames holding targets enter the optimization, so
     untouched frames come back bit-identical.
     """
+    # Imported here: scipy.optimize alone takes most of the package's
+    # import time.
+    import scipy.optimize
+
     clip = problem.clip
     N = clip.n_frames
     mask = problem.targets.mask
@@ -287,11 +281,11 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
         return RefineResult(clip.copy(), [], 0.0, 0.0, 0,
                             problem.targets.n_invalidated)
 
-    theta0 = _clip_params(clip)
-    if lam > 0.0:
-        opt_frames = np.arange(N)
-    else:
-        opt_frames = np.nonzero(mask.any(axis=1))[0]
+    theta0 = clip_vectors(clip).reshape(N, 2 * PARAMS_PER_HAND)
+    target_frames = np.nonzero(mask.any(axis=1))[0]
+    target_mask = mask[target_frames]
+    n_targets = target_mask.sum(axis=1)
+    opt_frames = np.arange(N) if lam > 0.0 else target_frames
     frame_pos = {int(f): i for i, f in enumerate(opt_frames)}
     n_opt = len(opt_frames)
     n_free = len(_FREE_COLS)
@@ -307,24 +301,18 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     def loss_and_grad(x):
         theta = unpack(x)
         grad_theta = np.zeros_like(theta)
+        p, J = fk_jacobian(skeletons, theta[target_frames].reshape(
+            -1, 2, PARAMS_PER_HAND))
+        resid = p[:, :, TIP_JOINTS].reshape(-1, 10, 3) - tgts[target_frames]
+        resid[~target_mask] = 0.0
+        # Per-frame losses, accumulated in frame order.
         ik_sum = 0.0
-        for f in np.nonzero(mask.any(axis=1))[0]:
-            m = mask[f]
-            k = int(m.sum())
-            tips = np.empty((10, 3))
-            jacs = [None, None]
-            for h in range(2):
-                vec = theta[f, h * PARAMS_PER_HAND:(h + 1) * PARAMS_PER_HAND]
-                tp, tj = tip_jacobian(skeletons[h], vec)
-                tips[5 * h:5 * h + 5] = tp
-                jacs[h] = tj
-            resid = tips - tgts[f]
-            resid[~m] = 0.0
-            ik_sum += float(np.sum(resid ** 2)) / k
-            for h in range(2):
-                sl = slice(5 * h, 5 * h + 5)
-                g = 2.0 / k * np.einsum("ik,ikc->c", resid[sl], jacs[h])
-                grad_theta[f, h * PARAMS_PER_HAND:(h + 1) * PARAMS_PER_HAND] += g
+        for loss in np.sum(resid.reshape(-1, 30) ** 2, axis=1) / n_targets:
+            ik_sum += float(loss)
+        g = np.einsum("fhik,fhikc->fhc", resid.reshape(-1, 2, 5, 3),
+                      J[:, :, TIP_JOINTS])
+        grad_theta[target_frames] += ((2.0 / n_targets)[:, None, None]
+                                      * g).reshape(-1, 2 * PARAMS_PER_HAND)
         total = ik_sum / N
         if lam > 0.0 and N > 1:
             diff = theta[:-1] - theta[1:]

@@ -17,10 +17,10 @@ import json
 import warnings
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .hand import (HandPose, HandSkeleton, MotionClip, PARAMS_PER_HAND,
-                   SkeletonPair, fk_from_vector, fk_jacobian)
+                   SkeletonPair, fk_jacobian, forward_kinematics,
+                   matrix_to_rotvec)
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
 DEFAULT_REPROJ_THRESHOLD = 8.0     # px
@@ -521,7 +521,7 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
 def _rigid_init(skeleton: HandSkeleton, y: np.ndarray,
                 mask: np.ndarray) -> np.ndarray:
     """Pose vector from rigidly aligning the rest pose to observed joints."""
-    rest = fk_from_vector(skeleton, np.zeros(PARAMS_PER_HAND))
+    rest, _ = forward_kinematics(skeleton, np.zeros(PARAMS_PER_HAND))
     vec = np.zeros(PARAMS_PER_HAND)
     idx = np.nonzero(mask)[0]
     if len(idx) >= 3:
@@ -532,7 +532,7 @@ def _rigid_init(skeleton: HandSkeleton, y: np.ndarray,
         U, _, Vt = np.linalg.svd(Xc.T @ Yc)
         d = np.sign(np.linalg.det(Vt.T @ U.T))
         R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-        vec[3:6] = Rotation.from_matrix(R).as_rotvec()
+        vec[3:6] = matrix_to_rotvec(R)
         vec[:3] = Y.mean(axis=0) - R @ X.mean(axis=0)
     elif mask[0]:
         vec[:3] = y[0]
@@ -609,7 +609,7 @@ def _fit_frame(skeleton: HandSkeleton, y: np.ndarray, mask: np.ndarray,
     hi = skeleton.joint_limits[:, :, 1].reshape(-1)
     vec, _ = _lm_polish(skeleton, y, idx, x0, soft_limit_weight, lo, hi,
                         iters=max_iter)
-    p = fk_from_vector(skeleton, vec)
+    p, _ = forward_kinematics(skeleton, vec)
     rms = float(np.sqrt(np.mean(np.sum((p[idx] - y[idx]) ** 2, axis=1))))
     return vec, rms
 

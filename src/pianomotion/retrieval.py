@@ -89,8 +89,10 @@ class WindowIndex:
         return (self.clip_ids[int(self.window_clip[window_idx])],
                 int(self.window_start[window_idx]))
 
-    def save(self, path: str) -> None:
-        np.savez(path,
+    def save(self, file) -> None:
+        """Write the index as an .npz archive to a binary file object (or a
+        path, to which numpy appends `.npz` when it lacks that suffix)."""
+        np.savez(file,
                  window_len=np.int64(self.window_len),
                  stride=np.int64(self.stride),
                  frames=np.packbits(self.frames, axis=1),

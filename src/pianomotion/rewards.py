@@ -15,12 +15,11 @@ import math
 
 import numpy as np
 
-from scipy.spatial.transform import Rotation
-
 from . import keyboard as kb
-from .hand import (DofLayout, MotionClip, SkeletonPair, clip_fingertips,
-                   fingertip_positions, finite_diff_velocities,
-                   fk_with_orientations, matrix_to_quat)
+from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, DofLayout, MotionClip,
+                   SkeletonPair, clip_fingertips, clip_vectors,
+                   finite_diff_velocities, forward_kinematics,
+                   matrix_to_quat, matrix_to_rotvec)
 from .keyboard import KeyboardGeometry, KeyState
 from .midi import NUM_KEYS, KeyMatrix
 
@@ -162,17 +161,6 @@ class PoseState:
             raise ValueError("link orientation quaternions must be unit norm")
 
 
-def _link_snapshot(clip: MotionClip, skeletons: SkeletonPair, frame: int):
-    """(positions (2, links, 3), rotations (2, links, 3, 3)) at one frame."""
-    pos = np.empty((2, 16, 3))
-    rot = np.empty((2, 16, 3, 3))
-    for h in range(2):
-        p, G = fk_with_orientations(skeletons[h], clip.pose(frame, h))
-        pos[h] = p[:16]
-        rot[h] = G
-    return pos, rot
-
-
 def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
                layout: DofLayout | None = None) -> PoseState:
     """Link positions, orientations and velocities at frames (t-1, t).
@@ -193,33 +181,24 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
         raise ValueError("frame %d outside clip of %d frames"
                          % (current_frame, clip.n_frames))
 
-    def velocity_pair(f: int):
-        if f >= 1:
-            a, b = f - 1, f
-        else:
-            a, b = 0, 1
-        pa, ra = _link_snapshot(clip, skeletons, a)
-        pb, rb = _link_snapshot(clip, skeletons, b)
-        lin = (pb - pa) * clip.fps
-        ang = np.empty_like(lin)
-        for h in range(2):
-            for l in range(16):
-                rel = rb[h, l] @ ra[h, l].T
-                ang[h, l] = Rotation.from_matrix(rel).as_rotvec() * clip.fps
-        return lin, ang
-
-    out = np.empty((2, 2, layout.links_per_hand * 13))
-    for slot, f in enumerate((current_frame - 1, current_frame)):
-        pos, rot = _link_snapshot(clip, skeletons, f)
-        lin, ang = velocity_pair(f)
-        for h in range(2):
-            rows = np.empty((16, 13))
-            rows[:, 0:3] = pos[h]
-            for l in range(16):
-                rows[l, 3:7] = matrix_to_quat(rot[h, l])
-            rows[:, 7:10] = lin[h]
-            rows[:, 10:13] = ang[h]
-            out[h, slot] = rows.reshape(-1)
+    # One FK over the frames involved: the two history frames and, for
+    # each, the frame pair of its velocity.
+    slots = np.array([current_frame - 1, current_frame])
+    before = np.where(slots >= 1, slots - 1, 0)
+    after = np.where(slots >= 1, slots, 1)
+    frames, at = np.unique(np.concatenate([slots, before, after]),
+                           return_inverse=True)
+    sub = MotionClip(clip.fps, [clip.frames[f] for f in frames])
+    p, G = forward_kinematics(skeletons, clip_vectors(sub))
+    p = p[:, :, :NUM_ROT_JOINTS]
+    at_slot, at_before, at_after = at[:2], at[2:4], at[4:]
+    lin = (p[at_after] - p[at_before]) * clip.fps
+    rel = G[at_after] @ np.swapaxes(G[at_before], -1, -2)
+    ang = matrix_to_rotvec(rel) * clip.fps
+    rows = np.concatenate([p[at_slot], matrix_to_quat(G[at_slot]), lin, ang],
+                          axis=-1)
+    # (slot, hand, link, 13) -> (hand, slot, link * 13)
+    out = np.swapaxes(rows, 0, 1).reshape(2, 2, layout.links_per_hand * 13)
     return PoseState(out, layout.links_per_hand)
 
 
@@ -232,9 +211,9 @@ def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
     gate: a reference hovering far from the key still yields its nearest
     fingertip.
     """
-    left, right = reference.frames[frame]
-    tips = np.vstack([fingertip_positions(skeletons.left, left),
-                      fingertip_positions(skeletons.right, right)])
+    onset = MotionClip(reference.fps, [reference.frames[frame]])
+    p, _ = forward_kinematics(skeletons, clip_vectors(onset)[0])
+    tips = p[:, TIP_JOINTS].reshape(10, 3)
     target = kb.key_target_position(geom, key)
     d = np.linalg.norm(tips - target, axis=1)
     return int(np.argmin(d)) + 1

@@ -39,6 +39,11 @@ def yaw_quat(yaw):
     return np.array([np.cos(yaw / 2.0), 0.0, 0.0, np.sin(yaw / 2.0)])
 
 
+def fingertips(skeleton, pose):
+    """Fingertip positions (5, 3) of one pose, thumb first."""
+    return hand.forward_kinematics(skeleton, pose.to_vector())[0][hand.TIP_JOINTS]
+
+
 def hover_pose(geom, hand_idx, center_key, hover=HOVER_HEIGHT):
     """A hand hovering palm-down over a key, fingers toward the fallboard.
 
@@ -47,7 +52,7 @@ def hover_pose(geom, hand_idx, center_key, hover=HOVER_HEIGHT):
     target = kb.key_target_position(geom, center_key)
     pose = hand.HandPose(np.zeros(3), yaw_quat(np.pi), _REST_CURL.copy())
     skel = hand.SkeletonPair.default()[hand_idx]
-    middle = hand.fingertip_positions(skel, pose)[2]
+    middle = fingertips(skel, pose)[2]
     root_t = np.array([target[0] - middle[0], target[1] - middle[1],
                        hover - middle[2]])
     return hand.HandPose(root_t, yaw_quat(np.pi), pose.joint_rotations.copy())
@@ -65,14 +70,15 @@ def solve_tip_targets(skeleton, pose, targets, mask, iters=300, prior=1e-8):
     idx = np.nonzero(mask)[0]
 
     def cost(v):
-        tips = hand.fk_from_vector(skeleton, v)[hand.TIP_JOINTS]
+        tips = hand.forward_kinematics(skeleton, v)[0][hand.TIP_JOINTS]
         r = (tips[idx] - targets[idx]).reshape(-1)
         return float(r @ r) + prior * float(np.sum((v[free] - x0[free]) ** 2))
 
     lam = 1e-3
     c = cost(vec)
     for _ in range(iters):
-        tips, J = hand.tip_jacobian(skeleton, vec)
+        p, J = hand.fk_jacobian(skeleton, vec)
+        tips, J = p[hand.TIP_JOINTS], J[hand.TIP_JOINTS]
         r = (tips[idx] - targets[idx]).reshape(-1)
         A = J[idx][:, :, free].reshape(len(idx) * 3, len(free))
         g = A.T @ r + prior * (vec[free] - x0[free])
@@ -123,7 +129,7 @@ def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
         return _POSE_CACHE[cache_key].copy()
     pose = hover_pose(geom, hand_idx, center_key, hover)
     skel = skeletons[hand_idx]
-    tips0 = hand.fingertip_positions(skel, pose)
+    tips0 = fingertips(skel, pose)
     targets = tips0.copy()
     strict = np.zeros(5, dtype=bool)
     for tip, key in presses.items():
@@ -153,7 +159,7 @@ def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
     # them into neighbouring keys while it articulates the pressing ones.
     mask = np.ones(5, dtype=bool)
     solved = solve_tip_targets(skel, pose, targets, mask)
-    tips = hand.fingertip_positions(skel, solved)
+    tips = fingertips(skel, solved)
     # The fixture's contract is semantic: exactly the requested keys are
     # activated, press depths land within a millimeter of the request, and
     # every other finger stays clear of the key surfaces.
@@ -264,14 +270,12 @@ def project_clip(clip, skeletons, rig):
     """
     F = clip.n_frames
     uv = np.zeros((F, rig.n_views, 2, 21, 2))
-    joints = np.zeros((F, 2, 21, 3))
+    joints = hand.clip_positions(clip, skeletons)
     for f in range(F):
         for h in range(2):
-            p = hand.forward_kinematics(skeletons[h], clip.pose(f, h))
-            joints[f, h] = p
             for v in range(rig.n_views):
                 for j in range(21):
-                    uv[f, v, h, j] = rig.project(v, p[j])
+                    uv[f, v, h, j] = rig.project(v, joints[f, h, j])
     conf = np.ones((F, rig.n_views, 2, 21))
     valid = np.ones((F, rig.n_views, 2, 21), dtype=bool)
     return uv, conf, valid, joints

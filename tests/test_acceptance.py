@@ -221,14 +221,14 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
         h = i % 2
         skel = skeletons[h]
         pose = _random_pose(skel, rng)
-        target = hand.forward_kinematics(skel, pose)
+        target, _ = hand.forward_kinematics(skel, pose.to_vector())
         positions = np.zeros((1, 2, 21, 3))
         valid = np.zeros((1, 2, 21), dtype=bool)
         positions[0, h] = target
         valid[0, h] = True
         traj = rec.JointTrajectory(60.0, positions, valid)
         fit = rec.fit_skeleton(traj, skeletons, max_iter=100)
-        refit = hand.forward_kinematics(skel, fit.clip.pose(0, h))
+        refit, _ = hand.forward_kinematics(skel, fit.clip.pose(0, h).to_vector())
         err = float(np.max(np.linalg.norm(refit - target, axis=1)))
         worst_fit = max(worst_fit, err)
         if err > 1e-4 and len(problems) < 3:
@@ -249,9 +249,8 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
                 up[k] += step
                 down = vec.copy()
                 down[k] -= step
-                fd = (hand.forward_kinematics(skel, hand.HandPose.from_vector(up))
-                      - hand.forward_kinematics(skel,
-                                                hand.HandPose.from_vector(down)))
+                fd = (hand.forward_kinematics(skel, up)[0]
+                      - hand.forward_kinematics(skel, down)[0])
                 J_fd[:, :, k] = fd / (2.0 * step)
             rel = (np.linalg.norm((J - J_fd).ravel())
                    / max(1.0, np.linalg.norm(J.ravel())))

@@ -121,9 +121,8 @@ def test_triangulate_and_fit_chain(tmp_path, capsys, geom, skeletons):
     assert run(["fit", "--trajectory", traj_path, "-o", clip_path,
                 "--report", report_path]) == 0
     clip = MotionClip.from_json(clip_path.read_text())
-    for h in range(2):
-        p = hand.forward_kinematics(skeletons[h], clip.pose(0, h))
-        assert np.linalg.norm(p - joints[0, h], axis=1).max() < 1e-4
+    p = hand.clip_positions(clip, skeletons)
+    assert np.linalg.norm(p[0] - joints[0], axis=-1).max() < 1e-4
     report = json.loads(report_path.read_text())
     assert report["n_frames"] == 1
     assert report["copied_frames"] == 0
@@ -172,6 +171,38 @@ def test_refine_failure_is_validation_error(tmp_path, capsys, monkeypatch,
                 "-o", out]) == 1
     assert "refinement failed: %s" % error in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("stage", ["eval", "reward", "refine", "extract-press"])
+def test_non_finite_pose_is_validation_error(tmp_path, capsys, stage, bad):
+    parked = _synth.parked_pose(0)
+    obj = json.loads(MotionClip(60.0, [(parked, parked)] * 2).to_json())
+    obj["frames"][1][0]["root_q"][0] = bad
+    clip_path = tmp_path / "clip.json"
+    clip_path.write_text(json.dumps(obj))
+    matrix_path = tmp_path / "score.json"
+    write_matrix(matrix_path, [{40}, {40}])
+    argv = {"eval": ["--midi", matrix_path],
+            "reward": ["--midi", matrix_path, "--reference", clip_path],
+            "refine": ["--midi", matrix_path],
+            "extract-press": []}[stage]
+    assert run([stage, "--clip", clip_path] + argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"fps": null, "frames": []}',
+    '{"fps": Infinity, "frames": []}',
+    '{"fps": 60.0, "frames": 5}',
+    '{"fps": 60.0, "frames": [[[0, 0, 0], [0, 0, 0]]]}',
+    '[60.0, []]',
+])
+def test_malformed_clip_json_is_validation_error(tmp_path, capsys, text):
+    clip_path = tmp_path / "clip.json"
+    clip_path.write_text(text)
+    assert run(["extract-press", "--clip", clip_path]) == 1
+    assert "error: motion clip" in capsys.readouterr().err
 
 
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):
@@ -227,6 +258,22 @@ def test_index_and_retrieve(tmp_path, capsys, rng):
     assert len(payload["matches"]) == 3
     assert payload["segments"][0]["clip_id"] == "alpha"
     assert payload["segments"][0]["start"] == 5
+
+
+def test_index_writes_exactly_the_output_path(tmp_path, capsys):
+    # numpy appends .npz to a path without that suffix; the CLI must not.
+    dataset = tmp_path / "alpha.json"
+    write_matrix(dataset, [{40 + f % 5} for f in range(40)])
+    index_path = tmp_path / "idx.bin"
+    assert run(["index", "--dataset", dataset, "--fps", 60,
+                "-o", index_path]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alpha.json",
+                                                          "idx.bin"]
+    query_path = tmp_path / "query.json"
+    write_matrix(query_path, [{40 + f % 5} for f in range(30)])
+    assert run(["retrieve", "--index", index_path, "--query", query_path,
+                "--fps", 60]) == 0
+    assert json.loads(capsys.readouterr().out)["segments"][0]["clip_id"] == "alpha"
 
 
 @pytest.mark.parametrize("layout", ["windows", "npy"])
@@ -378,17 +425,19 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is only needed by the trajectory filter and roughly
-    # doubles the start-up import time of every subcommand.
+    # scipy is only needed by the trajectory filter (scipy.signal) and by
+    # refine (scipy.optimize, which loads scipy.spatial); importing either
+    # roughly doubles the start-up time of every subcommand.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, pianomotion.cli; print('scipy.signal' in sys.modules)"],
+         "import sys, pianomotion.cli; print([m for m in ('scipy.signal', "
+         "'scipy.spatial', 'scipy.optimize') if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from pianomotion import hand
+from pianomotion import hand, rewards
 from pianomotion.hand import HandPose, HandSkeleton, MotionClip, SkeletonPair
+
+
+def fk(skeleton, pose):
+    """Joint positions (21, 3) of one pose."""
+    return hand.forward_kinematics(skeleton, pose.to_vector())[0]
 
 
 def random_pose(rng, scale=0.4):
@@ -72,13 +77,84 @@ def test_rotvec_round_trip(rng):
     assert np.allclose(hand.rotvec_to_quat(np.zeros(3)), [1, 0, 0, 0])
 
 
+# The closed-form maps must equal scipy's Rotation bit for bit, so that
+# replacing it changed no output.  Inputs cover the small-angle series
+# branches (|w| <= 1e-3, including w = 0), angles near pi, quaternions with
+# w < 0 or w = 0, and matrices off orthogonal by rounding only.
+
+def _scipy_quat(xyzw):
+    """scipy (x, y, z, w) quaternions as (w, x, y, z) with w >= 0."""
+    q = np.concatenate([xyzw[..., 3:], xyzw[..., :3]], axis=-1)
+    return np.where(q[..., :1] < 0, -q, q)
+
+
+def _random_rotvecs(rng, n):
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([
+        rng.uniform(0.0, 1e-3, n // 4),                    # series branch
+        np.pi - rng.uniform(0.0, 1e-6, n // 4),            # near pi
+        rng.uniform(0.0, 2 * np.pi, n - n // 2 - 8),       # up to 2 pi
+        np.zeros(8),
+    ])
+    return axes * angles[:, None]
+
+
+def _random_quats(rng, n):
+    """(w, x, y, z) quaternions of both signs of w, a quarter of them
+    rotating by under 1e-3 rad, off unit norm by up to 1e-10, followed by
+    half turns (w = 0) whose canonical sign falls to x, y or z."""
+    q = rng.normal(size=(n, 4))
+    q[: n // 4, 1:] *= 1e-4
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    q *= 1 + rng.uniform(-1e-10, 1e-10, (n, 1))
+    half_turns = [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.6, 0.8],
+                  [0.0, 0.6, 0.0, -0.8], [-1.0, 0.0, 0.0, 0.0]]
+    return np.concatenate([q, half_turns])
+
+
+def test_rotation_maps_equal_scipy_bit_for_bit(rng):
+    n = 20000
+    v = _random_rotvecs(rng, n)
+    from_v = Rotation.from_rotvec(v)
+    assert np.array_equal(hand.rotvec_to_quat(v), _scipy_quat(from_v.as_quat()))
+
+    q = _random_quats(rng, n)
+    from_q = Rotation.from_quat(np.concatenate([q[:, 1:], q[:, :1]], axis=1))
+    assert np.array_equal(hand.quat_to_matrix(q), from_q.as_matrix())
+    assert np.array_equal(hand.quat_to_rotvec(q), from_q.as_rotvec())
+
+    # Products of rotations: orthogonal up to rounding, like FK's globals.
+    m = from_v.as_matrix() @ from_q.as_matrix()[:n]
+    from_m = Rotation.from_matrix(m)
+    assert np.array_equal(hand.matrix_to_quat(m), _scipy_quat(from_m.as_quat()))
+    assert np.array_equal(hand.matrix_to_rotvec(m), from_m.as_rotvec())
+    # Rotations by exactly pi: w = 0, where the canonical sign falls to x.
+    half_turns = Rotation.from_rotvec(np.pi * np.eye(3)).as_matrix()
+    assert np.array_equal(hand.matrix_to_rotvec(half_turns),
+                          Rotation.from_matrix(half_turns).as_rotvec())
+
+
+def test_rotation_maps_take_single_and_stacked_inputs(rng):
+    v = _random_rotvecs(rng, 24).reshape(2, 3, 4, 3)
+    q = hand.rotvec_to_quat(v)
+    assert q.shape == (2, 3, 4, 4)
+    assert np.array_equal(hand.rotvec_to_quat(v[1, 2, 3]), q[1, 2, 3])
+    m = hand.quat_to_matrix(q)
+    assert m.shape == (2, 3, 4, 3, 3)
+    assert np.array_equal(hand.quat_to_matrix(q[0, 1, 2]), m[0, 1, 2])
+    assert np.array_equal(hand.matrix_to_rotvec(m[1, 0, 3]),
+                          hand.matrix_to_rotvec(m)[1, 0, 3])
+
+
 # ---------------------------------------------------------------------------
 # Forward kinematics
 
 
 def test_fk_identity_accumulates_offsets(skeletons):
     pose = HandPose.identity()
-    p = hand.forward_kinematics(skeletons.right, pose)
+    p = fk(skeletons.right, pose)
     # Independent accumulation along the parent chain.
     expect = np.zeros((21, 3))
     for j in range(1, 21):
@@ -89,16 +165,16 @@ def test_fk_identity_accumulates_offsets(skeletons):
 def test_fk_index_tip_at_identity(skeletons):
     # Index chain offsets sum: (-0.022, 0.088) + (0, 0.042) + (0, 0.025)
     # + (0, 0.022) in the right-hand rest pose.
-    p = hand.forward_kinematics(skeletons.right, HandPose.identity())
+    p = fk(skeletons.right, HandPose.identity())
     assert np.allclose(p[17], (-0.022, 0.177, 0.0), atol=1e-12)
 
 
 def test_fk_root_translation_is_rigid(skeletons, rng):
     pose = random_pose(rng)
-    p0 = hand.forward_kinematics(skeletons.left, pose)
+    p0 = fk(skeletons.left, pose)
     shifted = HandPose(pose.root_t + (0.1, -0.2, 0.3), pose.root_q,
                        pose.joint_rotations)
-    p1 = hand.forward_kinematics(skeletons.left, shifted)
+    p1 = fk(skeletons.left, shifted)
     assert np.allclose(p1 - p0, (0.1, -0.2, 0.3), atol=1e-12)
 
 
@@ -109,8 +185,8 @@ def test_fk_root_rotation_rotates_about_wrist(skeletons, rng):
     base = HandPose(np.zeros(3), [1, 0, 0, 0], rotations)
     rotated = HandPose(np.zeros(3), q, rotations)
     R = hand.quat_to_matrix(q)
-    p0 = hand.forward_kinematics(skeletons.right, base)
-    p1 = hand.forward_kinematics(skeletons.right, rotated)
+    p0 = fk(skeletons.right, base)
+    p1 = fk(skeletons.right, rotated)
     assert np.allclose(p1, p0 @ R.T, atol=1e-12)
 
 
@@ -119,29 +195,43 @@ def test_fk_single_joint_quarter_turn(skeletons):
     # about x sends the next segment from +y to -z.
     rotations = np.zeros((15, 3))
     rotations[3] = (-np.pi / 2, 0.0, 0.0)
-    p = hand.forward_kinematics(skeletons.right,
-                                HandPose(np.zeros(3), [1, 0, 0, 0], rotations))
+    p = fk(skeletons.right, HandPose(np.zeros(3), [1, 0, 0, 0], rotations))
     assert np.allclose(p[4], (-0.022, 0.088, 0.0), atol=1e-12)
     assert np.allclose(p[5], (-0.022, 0.088, -0.042), atol=1e-12)
 
 
 def test_fk_with_orientations_identity(skeletons):
-    _, G = hand.fk_with_orientations(skeletons.right, HandPose.identity())
+    _, G = hand.forward_kinematics(skeletons.right, np.zeros(51))
+    assert G.shape == (16, 3, 3)
     assert np.allclose(G, np.eye(3)[None], atol=1e-15)
 
 
 def test_fingertips_are_tip_rows(skeletons, rng):
     pose = random_pose(rng)
-    p = hand.forward_kinematics(skeletons.right, pose)
-    tips = hand.fingertip_positions(skeletons.right, pose)
-    assert np.allclose(tips, p[16:21], atol=0)
+    clip = MotionClip(60.0, [(HandPose.identity(), pose)])
+    tips = hand.clip_fingertips(clip, skeletons)[0, 5:]
+    assert np.array_equal(tips, fk(skeletons.right, pose)[hand.TIP_JOINTS])
 
 
-def test_fk_from_vector_matches_pose_fk(skeletons, rng):
-    pose = random_pose(rng)
-    p0 = hand.forward_kinematics(skeletons.left, pose)
-    p1 = hand.fk_from_vector(skeletons.left, pose.to_vector())
-    assert np.allclose(p0, p1, atol=1e-12)
+def test_fk_batch_equals_per_pose_calls(skeletons, rng):
+    # An (F, 2, 51) batch with a SkeletonPair gives, bit for bit, what one
+    # call per pose gives; zero rotation vectors take the Jacobian's
+    # small-angle branch.
+    vecs = rng.normal(size=(40, 2, 51)) * rng.choice(
+        [1e-9, 1e-3, 0.4, 1.5], size=(40, 2, 1))
+    vecs[:4, :, 3:] = 0.0
+    vecs[4:8, :, 9:15] = 0.0
+    p, G = hand.forward_kinematics(skeletons, vecs)
+    pj, J = hand.fk_jacobian(skeletons, vecs)
+    assert p.shape == (40, 2, 21, 3) and G.shape == (40, 2, 16, 3, 3)
+    assert J.shape == (40, 2, 21, 3, 51)
+    assert np.array_equal(pj, p)
+    for f in range(40):
+        for h in range(2):
+            p1, G1 = hand.forward_kinematics(skeletons[h], vecs[f, h])
+            p2, J1 = hand.fk_jacobian(skeletons[h], vecs[f, h])
+            assert np.array_equal(p1, p[f, h]) and np.array_equal(G1, G[f, h])
+            assert np.array_equal(p2, p[f, h]) and np.array_equal(J1, J[f, h])
 
 
 def test_left_skeleton_mirrors_right(skeletons):
@@ -161,8 +251,8 @@ def finite_diff_jacobian(skeleton, vec, eps=1e-6):
         lo = vec.copy()
         hi[c] += eps
         lo[c] -= eps
-        J[:, :, c] = (hand.fk_from_vector(skeleton, hi)
-                      - hand.fk_from_vector(skeleton, lo)) / (2 * eps)
+        J[:, :, c] = (hand.forward_kinematics(skeleton, hi)[0]
+                      - hand.forward_kinematics(skeleton, lo)[0]) / (2 * eps)
     return J
 
 
@@ -170,7 +260,7 @@ def test_fk_jacobian_matches_finite_differences(skeletons, rng):
     for _ in range(3):
         vec = random_pose(rng).to_vector()
         p, J = hand.fk_jacobian(skeletons.right, vec)
-        assert np.allclose(p, hand.fk_from_vector(skeletons.right, vec),
+        assert np.allclose(p, hand.forward_kinematics(skeletons.right, vec)[0],
                            atol=1e-12)
         J_num = finite_diff_jacobian(skeletons.right, vec)
         assert np.max(np.abs(J - J_num)) < 1e-5
@@ -183,14 +273,6 @@ def test_fk_jacobian_at_zero_rotvecs(skeletons):
     _, J = hand.fk_jacobian(skeletons.left, vec)
     J_num = finite_diff_jacobian(skeletons.left, vec)
     assert np.max(np.abs(J - J_num)) < 1e-5
-
-
-def test_tip_jacobian_selects_tip_rows(skeletons, rng):
-    vec = random_pose(rng).to_vector()
-    p, J = hand.fk_jacobian(skeletons.right, vec)
-    tips, J_tips = hand.tip_jacobian(skeletons.right, vec)
-    assert np.allclose(tips, p[16:21], atol=0)
-    assert np.allclose(J_tips, J[16:21], atol=0)
 
 
 def test_jacobian_locality(skeletons, rng):
@@ -230,6 +312,17 @@ def test_pose_validation():
         HandPose(np.zeros(3), [1, 0, 0, 0], np.zeros((14, 3)))
     with pytest.raises(ValueError):
         HandPose(np.zeros(3), [2, 0, 0, 0], np.zeros((15, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["root_t", "root_q", "joint_rotations"])
+def test_pose_rejects_non_finite_values(field, bad):
+    # A NaN quaternion used to pass the unit-norm check (NaN compares False).
+    values = {"root_t": np.zeros(3), "root_q": np.array([1.0, 0, 0, 0]),
+              "joint_rotations": np.zeros((15, 3))}
+    values[field].flat[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        HandPose(**values)
 
 
 def test_skeleton_validation(skeletons):
@@ -318,6 +411,8 @@ def test_clip_arrays_round_trip(rng):
 def test_clip_validation(rng):
     with pytest.raises(ValueError):
         MotionClip(0.0, [])
+    with pytest.raises(ValueError, match="finite"):
+        MotionClip(np.inf, [])
     with pytest.raises(ValueError):
         MotionClip(60.0, [(HandPose.identity(),)])
 
@@ -326,8 +421,8 @@ def test_clip_fingertips_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=2)
     tips = hand.clip_fingertips(clip, skeletons)
     assert tips.shape == (2, 10, 3)
-    left = hand.fingertip_positions(skeletons.left, clip.pose(0, 0))
-    right = hand.fingertip_positions(skeletons.right, clip.pose(0, 1))
+    left = fk(skeletons.left, clip.pose(0, 0))[hand.TIP_JOINTS]
+    right = fk(skeletons.right, clip.pose(0, 1))[hand.TIP_JOINTS]
     assert np.allclose(tips[0, :5], left, atol=0)
     assert np.allclose(tips[0, 5:], right, atol=0)
 
@@ -336,7 +431,7 @@ def test_clip_positions_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=3)
     p = hand.clip_positions(clip, skeletons)
     assert p.shape == (3, 2, 21, 3)
-    want = hand.forward_kinematics(skeletons.right, clip.pose(1, 1))
+    want = fk(skeletons.right, clip.pose(1, 1))
     assert np.allclose(p[1, 1], want, atol=0)
 
 
@@ -387,23 +482,31 @@ def test_velocities_rotation_spins_tips(skeletons):
                        HandPose(np.zeros(3), q, np.zeros((15, 3)))))
     clip = MotionClip(fps, frames)
     vel = hand.finite_diff_velocities(clip, skeletons)
-    tips = hand.fingertip_positions(skeletons.right, clip.pose(3, 1))
+    tips = fk(skeletons.right, clip.pose(3, 1))[hand.TIP_JOINTS]
     expect = np.cross([0.0, 0.0, omega], tips)
     assert np.allclose(vel.fingertips_world[3, 1], expect, atol=1e-3)
     assert np.allclose(vel.fingertips_local[3, 1], 0.0, atol=1e-3)
 
 
+def link_states(skeletons, pose):
+    """Right-hand link positions (16, 3) and quaternions (16, 4) of the
+    pose state of a still two-frame clip."""
+    clip = MotionClip(60.0, [(HandPose.identity(), pose)] * 2)
+    rows = rewards.pose_state(clip, skeletons, 1).array[1, 1].reshape(16, 13)
+    return rows[:, 0:3], rows[:, 3:7]
+
+
 def test_link_states_identity(skeletons):
-    p, q = hand.link_states(skeletons.right, HandPose.identity())
+    p, q = link_states(skeletons, HandPose.identity())
     assert p.shape == (16, 3)
     assert q.shape == (16, 4)
     assert np.allclose(q, [[1.0, 0.0, 0.0, 0.0]] * 16, atol=1e-12)
-    full = hand.forward_kinematics(skeletons.right, HandPose.identity())
+    full = fk(skeletons.right, HandPose.identity())
     assert np.allclose(p, full[:16], atol=0)
 
 
 def test_link_states_quats_follow_root(skeletons):
     q_root = np.array([np.cos(0.5), 0.0, 0.0, np.sin(0.5)])
     pose = HandPose(np.zeros(3), q_root, np.zeros((15, 3)))
-    _, q = hand.link_states(skeletons.right, pose)
+    _, q = link_states(skeletons, pose)
     assert np.allclose(q, np.tile(q_root, (16, 1)), atol=1e-12)

@@ -121,13 +121,13 @@ def test_ik_targets_wrong_press_picks_deepest_tip(geom, skeletons):
     # wrong-press subject is the deeper middle fingertip.
     base = _synth.hover_pose(geom, 1, 40)
     skel = skeletons.right
-    tips0 = hand.fingertip_positions(skel, base)
+    tips0 = _synth.fingertips(skel, base)
     targets = tips0.copy()
     targets[2] = (tips0[2][0], tips0[2][1], -0.006)
     targets[3] = (tips0[2][0] - 0.008, tips0[3][1], -0.001)
     solved = _synth.solve_tip_targets(skel, base, targets,
                                       np.ones(5, dtype=bool))
-    tips = hand.fingertip_positions(skel, solved)
+    tips = _synth.fingertips(skel, solved)
     assert kb.key_for_point(geom, tips[2]) == 40
     assert kb.key_for_point(geom, tips[3]) == 40
     clip = MotionClip(60.0, [(_synth.parked_pose(0), solved)])

@@ -439,24 +439,14 @@ def wiggled_clip(geom, n=3):
     return MotionClip(60.0, frames)
 
 
-def clip_joints(clip, skeletons):
-    F = clip.n_frames
-    joints = np.zeros((F, 2, 21, 3))
-    for f in range(F):
-        for h in range(2):
-            joints[f, h] = hand.forward_kinematics(skeletons[h],
-                                                   clip.pose(f, h))
-    return joints
-
-
 def test_fit_skeleton_round_trip(geom, skeletons):
     clip = wiggled_clip(geom)
-    joints = clip_joints(clip, skeletons)
+    joints = hand.clip_positions(clip, skeletons)
     traj = rec.JointTrajectory(
         60.0, joints, np.ones((clip.n_frames, 2, 21), dtype=bool))
     result = rec.fit_skeleton(traj, skeletons)
     assert not result.copied.any()
-    refit = clip_joints(result.clip, skeletons)
+    refit = hand.clip_positions(result.clip, skeletons)
     err = np.linalg.norm(refit - joints, axis=-1)
     assert err.max() < 1e-4
     assert np.nanmax(result.residual_rms) < 1e-4
@@ -464,7 +454,7 @@ def test_fit_skeleton_round_trip(geom, skeletons):
 
 def test_fit_skeleton_starting_at_optimum_stays(geom, skeletons):
     clip = wiggled_clip(geom, n=1)
-    joints = clip_joints(clip, skeletons)
+    joints = hand.clip_positions(clip, skeletons)
     traj = rec.JointTrajectory(60.0, joints, np.ones((1, 2, 21), dtype=bool))
     result = rec.fit_skeleton(traj, skeletons, init=clip)
     assert np.nanmax(result.residual_rms) < 1e-7
@@ -472,7 +462,7 @@ def test_fit_skeleton_starting_at_optimum_stays(geom, skeletons):
 
 def test_fit_skeleton_copies_empty_frames(geom, skeletons):
     clip = wiggled_clip(geom, n=3)
-    joints = clip_joints(clip, skeletons)
+    joints = hand.clip_positions(clip, skeletons)
     valid = np.ones((3, 2, 21), dtype=bool)
     valid[1, 1] = False                   # right hand unobserved at frame 1
     traj = rec.JointTrajectory(60.0, joints, valid)
@@ -486,7 +476,7 @@ def test_fit_skeleton_copies_empty_frames(geom, skeletons):
 
 def test_fit_skeleton_empty_first_frame_uses_init(geom, skeletons):
     clip = wiggled_clip(geom, n=2)
-    joints = clip_joints(clip, skeletons)
+    joints = hand.clip_positions(clip, skeletons)
     valid = np.ones((2, 2, 21), dtype=bool)
     valid[0, 1] = False
     traj = rec.JointTrajectory(60.0, joints, valid)
@@ -500,10 +490,10 @@ def test_fit_skeleton_soft_limits_keep_round_trip(geom, skeletons):
     # Ground truth inside the joint limits: the penalty is inactive and
     # the fit still lands on it.
     clip = wiggled_clip(geom, n=1)
-    joints = clip_joints(clip, skeletons)
+    joints = hand.clip_positions(clip, skeletons)
     traj = rec.JointTrajectory(60.0, joints, np.ones((1, 2, 21), dtype=bool))
     result = rec.fit_skeleton(traj, skeletons, soft_limit_weight=10.0)
-    refit = clip_joints(result.clip, skeletons)
+    refit = hand.clip_positions(result.clip, skeletons)
     assert np.linalg.norm(refit - joints, axis=-1).max() < 1e-4
 
 

@@ -106,10 +106,10 @@ def test_pose_state_layout_and_positions(skeletons):
     state = rewards.pose_state(clip, skeletons, 2)
     arr = state.array.reshape(2, 2, 16, 13)
     # History slot 0 is frame 1, slot 1 is frame 2.
+    p = hand.clip_positions(clip, skeletons)
     for slot, f in ((0, 1), (1, 2)):
         for h in range(2):
-            p, _ = hand.fk_with_orientations(skeletons[h], clip.pose(f, h))
-            assert np.allclose(arr[h, slot, :, 0:3], p[:16], atol=1e-12)
+            assert np.allclose(arr[h, slot, :, 0:3], p[f, h, :16], atol=1e-12)
     # Unit quaternions everywhere.
     norms = np.linalg.norm(arr[..., 3:7], axis=-1)
     assert np.allclose(norms, 1.0, atol=1e-12)
@@ -146,6 +146,37 @@ def test_pose_state_angular_velocity(skeletons):
     arr = state.array.reshape(2, 2, 16, 13)
     assert np.allclose(arr[1, :, :, 10:13], [[0.0, 0.0, omega]], atol=1e-9)
     assert np.allclose(arr[0, :, :, 10:13], 0.0, atol=1e-9)
+
+
+def test_pose_state_matches_per_link_reference(skeletons, rng):
+    # The batched state equals, bit for bit, one built hand by hand and
+    # link by link from single-pose FK and scipy's Rotation.
+    from scipy.spatial.transform import Rotation
+
+    clip = MotionClip(60.0, [
+        tuple(HandPose.from_vector(rng.normal(size=51) * 0.5) for _ in range(2))
+        for _ in range(4)])
+
+    def fk(f, h):
+        p, G = hand.forward_kinematics(skeletons[h], clip.pose(f, h).to_vector())
+        return p[:16], G
+
+    for t in (1, 2, 3):
+        arr = rewards.pose_state(clip, skeletons, t).array.reshape(2, 2, 16, 13)
+        for slot, f in enumerate((t - 1, t)):
+            a, b = (f - 1, f) if f >= 1 else (0, 1)
+            for h in range(2):
+                (p, G), (pa, Ga), (pb, Gb) = fk(f, h), fk(a, h), fk(b, h)
+                want = np.empty((16, 13))
+                want[:, 0:3] = p
+                want[:, 7:10] = (pb - pa) * clip.fps
+                for link in range(16):
+                    x, y, z, w = Rotation.from_matrix(G[link]).as_quat()
+                    q = np.array([w, x, y, z])
+                    want[link, 3:7] = -q if w < 0 else q
+                    rel = Gb[link] @ Ga[link].T
+                    want[link, 10:13] = Rotation.from_matrix(rel).as_rotvec() * clip.fps
+                assert np.array_equal(arr[h, slot], want)
 
 
 def test_pose_state_frame_errors(skeletons):
