@@ -141,6 +141,14 @@ def _get(args, cfg: dict, key: str):
     return cfg[key] if value is None else value
 
 
+def _get_fps(args, cfg: dict):
+    fps = _get(args, cfg, "fps")
+    if (isinstance(fps, bool) or not isinstance(fps, (int, float))
+            or not 0 < fps < np.inf):
+        raise CliError("fps must be a finite positive number, got %r" % (fps,))
+    return fps
+
+
 def _load_keyboard(args, cfg) -> keyboard.KeyboardGeometry:
     path = _get(args, cfg, "keyboard")
     if path is None:
@@ -210,7 +218,7 @@ def _dump(obj) -> str:
 
 
 def cmd_quantize(args, cfg):
-    fps = _get(args, cfg, "fps")
+    fps = _get_fps(args, cfg)
     notes = _load_notes(args.midi)
     n_frames = args.frames or max(1, int(np.ceil(notes.duration() * fps)))
     matrix = midi.quantize(notes, fps, n_frames)
@@ -224,7 +232,7 @@ def cmd_quantize(args, cfg):
 
 
 def cmd_condition(args, cfg):
-    fps = _get(args, cfg, "fps")
+    fps = _get_fps(args, cfg)
     mode = _get(args, cfg, "mode")
     notes = _load_notes(args.midi)
     n_frames = args.frames or max(1, int(np.ceil(notes.duration() * fps)))
@@ -259,20 +267,32 @@ def cmd_triangulate(args, cfg):
             obs = reconstruction.KeypointObservations.from_json(text)
     except (ValueError, KeyError) as exc:
         raise CliError("keypoints %s: %s" % (args.keypoints, exc))
+    fps = _get_fps(args, cfg)
     if args.dry_run:
         return 0
-    fps = _get(args, cfg, "fps")
-    traj = reconstruction.triangulate_observations(
+    result = reconstruction.triangulate_observations(
         obs, rig, fps,
         reproj_threshold=_get(args, cfg, "reproj_threshold"),
         max_iters=_get(args, cfg, "ransac_iters"),
         seed=_get(args, cfg, "seed"))
+    traj = result.trajectory
     if not args.no_filter:
         traj = reconstruction.smooth_trajectory(
             traj, cutoff_hz=_get(args, cfg, "cutoff"),
             order=_get(args, cfg, "order"),
             max_gap=_get(args, cfg, "max_gap"))
     _emit(args, traj.to_json() + "\n")
+    if args.report:
+        res = result.ransac
+        rejected = obs.valid.sum(axis=1) - res.inliers.sum(axis=-1)
+        shown = res.valid & np.isfinite(res.residual)
+        _atomic_write(args.report, _dump({
+            "n_frames": obs.n_frames,
+            "valid_points": int(res.valid.sum()),
+            "views_rejected": int(rejected[res.valid].sum()),
+            "ambiguous": int(res.ambiguous.sum()),
+            "residual_px": np.where(shown, res.residual, None).tolist(),
+        }))
     return 0
 
 
@@ -370,7 +390,7 @@ def cmd_eval(args, cfg):
 
 
 def cmd_index(args, cfg):
-    fps = _get(args, cfg, "fps")
+    fps = _get_fps(args, cfg)
     dataset = []
     for path in args.dataset:
         name = os.path.splitext(os.path.basename(path))[0]
@@ -395,7 +415,7 @@ def cmd_retrieve(args, cfg):
     except (KeyError, ValueError) as exc:
         raise CliError("index %s is not a frame index (%s); rebuild it with "
                        "`pianomotion index`" % (args.index, exc))
-    query = _load_key_matrix(args.query, _get(args, cfg, "fps"))
+    query = _load_key_matrix(args.query, _get_fps(args, cfg))
     if args.dry_run:
         return 0
     result = retrieval.retrieve(index, query)
@@ -414,7 +434,7 @@ def cmd_retrieve(args, cfg):
 
 
 def cmd_goalstate(args, cfg):
-    fps = _get(args, cfg, "fps")
+    fps = _get_fps(args, cfg)
     matrix = _load_key_matrix(args.midi, fps)
     if args.dry_run:
         return 0
@@ -507,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int)
     p.add_argument("--max-gap", dest="max_gap", type=int)
     p.add_argument("--no-filter", action="store_true")
+    p.add_argument("--report", help="write a triangulation report JSON")
     _add_common(p)
     p.set_defaults(func=cmd_triangulate)
 

@@ -349,6 +349,8 @@ class HandSkeleton:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "HandSkeleton":
+        if not isinstance(obj, dict):
+            raise ValueError("a hand skeleton must be a JSON object")
         return cls(obj["handedness"],
                    np.array(obj["bone_offsets"], dtype=np.float64),
                    np.array(obj["joint_limits"], dtype=np.float64))
@@ -387,6 +389,8 @@ class SkeletonPair:
     @classmethod
     def from_json(cls, text: str) -> "SkeletonPair":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a skeleton pair must be a JSON object")
         return cls(HandSkeleton.from_json_obj(obj["left"]),
                    HandSkeleton.from_json_obj(obj["right"]))
 

@@ -65,6 +65,8 @@ class KeyboardConfig:
     @staticmethod
     def from_json(text: str) -> "KeyboardConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("a keyboard config must be a JSON object")
         if "position" in payload:
             payload["position"] = tuple(payload["position"])
         return KeyboardConfig(**payload)

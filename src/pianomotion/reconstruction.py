@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import warnings
 
@@ -29,6 +28,11 @@ DEFAULT_MAX_GAP = 5                # frames
 DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_FILTER_ORDER = 4
 DEFAULT_FIT_ITERS = 200
+
+# Points per batched RANSAC call in `triangulate_observations`.  It bounds
+# the stacked pair, reprojection and polish arrays (peak 12 MB with 5 views,
+# 25 MB with 8) without changing results.
+_POINT_BLOCK = 2048
 
 
 @dataclasses.dataclass(eq=False)
@@ -96,7 +100,7 @@ class KeypointObservations:
 
     uv is (frames, views, 2, 21, 2) pixels, conf (frames, views, 2, 21) in
     [0, 1], valid a boolean mask of the same shape.  Pixel coordinates must
-    be inside the image bounds wherever valid.
+    be finite and inside the image bounds wherever valid.
     """
 
     uv: np.ndarray
@@ -114,8 +118,10 @@ class KeypointObservations:
             raise ValueError("conf must have shape (F, V, 2, 21)")
         if self.valid.shape != self.conf.shape:
             raise ValueError("valid must have shape (F, V, 2, 21)")
-        if np.any((self.conf < 0) | (self.conf > 1)):
-            raise ValueError("confidences must lie in [0, 1]")
+        if not np.all((self.conf >= 0) & (self.conf <= 1)):
+            raise ValueError("confidences must be finite and lie in [0, 1]")
+        if not np.all(np.isfinite(self.uv[self.valid])):
+            raise ValueError("valid keypoints must be finite")
         w, h = self.image_size
         u = self.uv[..., 0][self.valid]
         v = self.uv[..., 1][self.valid]
@@ -222,6 +228,29 @@ class TriangulationResult:
     degenerate: bool
 
 
+def _dlt(uv, projections, weights=None):
+    """Homogeneous DLT of stacked points.
+
+    uv is (..., n, 2), projections (..., n, 3, 4) and weights (..., n).
+    Returns the points (..., 3), NaN where the solution lies at infinity,
+    and the degenerate flags (...).
+    """
+    A = uv[..., None] * projections[..., 2:3, :] - projections[..., :2, :]
+    if weights is not None:
+        A = A * weights[..., None, None]
+    _, s, vt = np.linalg.svd(A.reshape(A.shape[:-3] + (-1, 4)))
+    x = vt[..., -1, :]
+    # sqrt(vecdot) is np.linalg.norm's own arithmetic, to the bit.
+    at_infinity = np.abs(x[..., 3]) < 1e-12 * np.sqrt(
+        np.vecdot(x[..., :3], x[..., :3]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = x[..., :3] / x[..., 3:]
+    point[at_infinity] = np.nan
+    # Rank deficiency beyond the expected 1D nullspace means the views do
+    # not pin down a unique point.
+    return point, (s[..., 2] <= 1e-9 * s[..., 0]) | at_infinity
+
+
 def triangulate_point(uv, projections, weights=None) -> TriangulationResult:
     """Homogeneous DLT triangulation from >= 2 views.
 
@@ -230,93 +259,223 @@ def triangulate_point(uv, projections, weights=None) -> TriangulationResult:
     the right singular vector of the stacked system with the smallest
     singular value.  Rows are scaled by per-view weights when given.  Rigs
     whose rays are near-parallel (or duplicated) produce a result flagged
-    degenerate rather than an error.
+    degenerate rather than an error.  Leading batch axes on uv (and
+    weights) triangulate a stack of points at once.
     """
     uv = np.asarray(uv, dtype=np.float64)
     projections = np.asarray(projections, dtype=np.float64)
-    n = uv.shape[0]
+    n = uv.shape[-2]
     if n < 2:
         raise TriangulationError("triangulation needs >= 2 views, got %d" % n)
-    A = np.empty((2 * n, 4))
-    for i in range(n):
-        P = projections[i]
-        A[2 * i] = uv[i, 0] * P[2] - P[0]
-        A[2 * i + 1] = uv[i, 1] * P[2] - P[1]
-        if weights is not None:
-            A[2 * i:2 * i + 2] *= weights[i]
-    _, s, vt = np.linalg.svd(A)
-    x = vt[-1]
-    # Rank deficiency beyond the expected 1D nullspace means the views do
-    # not pin down a unique point.
-    degenerate = bool(s[2] <= 1e-9 * s[0])
-    if abs(x[3]) < 1e-12 * np.linalg.norm(x[:3]):
-        return TriangulationResult(np.full(3, np.nan), True)
-    return TriangulationResult(x[:3] / x[3], degenerate)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    point, degenerate = _dlt(uv, projections, weights)
+    return TriangulationResult(
+        point, degenerate.item() if degenerate.ndim == 0 else degenerate)
 
 
-def _reprojection_errors(point, uv, projections) -> np.ndarray:
-    """Per-view pixel distance between observation and projected point."""
-    n = uv.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        ph = projections[i] @ np.append(point, 1.0)
-        if abs(ph[2]) < 1e-12:
-            out[i] = np.inf
-            continue
-        out[i] = np.linalg.norm(ph[:2] / ph[2] - uv[i])
-    return out
+def _reprojection_errors(points, uv, projections) -> np.ndarray:
+    """Pixel distance between each observation and its projected point.
+
+    points (..., 3), uv (..., n, 2), projections (..., n, 3, 4) -> (..., n),
+    inf where the point lies in a camera's focal plane.
+    """
+    xh = np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
+    # A stack of (3, 4) @ (4, 1) products: the same BLAS call, and so the
+    # same bits, as projecting one point.
+    ph = (projections @ xh[..., None, :, None])[..., 0]
+    depth = ph[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = ph[..., :2] / depth[..., None] - uv
+    err = np.sqrt(np.vecdot(d, d))
+    err[np.abs(depth) < 1e-12] = np.inf
+    return err
 
 
-def _weighted_sse(point, uv, projections, weights) -> float:
-    err = _reprojection_errors(point, uv, projections)
-    return float(np.sum(weights * err ** 2))
+def _weighted_sse(points, uv, projections, weights) -> np.ndarray:
+    err = _reprojection_errors(points, uv, projections)
+    # Summed along the contiguous view axis: the same pairwise sum, and so
+    # the same bits, as one point's 1-D sum.
+    return np.sum(weights * err ** 2, axis=-1)
 
 
-def _gauss_newton_polish(point, uv, projections, weights, iters: int = 10):
-    """Refine a triangulated point by damped Gauss-Newton on reprojection."""
-    x = np.array(point, dtype=np.float64)
+def _solve(H, g):
+    """np.linalg.solve on stacked systems; also flags the singular ones."""
+    try:
+        return np.linalg.solve(H, g), np.zeros(len(H), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.full(g.shape, np.nan), np.ones(1, dtype=bool)
+    half = len(H) // 2
+    lo, lo_bad = _solve(H[:half], g[:half])
+    hi, hi_bad = _solve(H[half:], g[half:])
+    return np.concatenate([lo, hi]), np.concatenate([lo_bad, hi_bad])
+
+
+def _gauss_newton_polish(points, uv, projections, weights, iters: int = 10):
+    """Refine triangulated points by damped Gauss-Newton on reprojection.
+
+    points (M, 3), uv (M, n, 2), projections (M, n, 3, 4), weights (M, n).
+    The points step in lockstep, each with its own damping; a point stops
+    when a camera sees it at zero depth, its system is singular, or its
+    damping exceeds 1e3.
+    """
+    x = np.array(points, dtype=np.float64)
     best = _weighted_sse(x, uv, projections, weights)
-    lam = 1e-6
+    lam = np.full(len(x), 1e-6)
+    # The live points' rows of every per-point array, compacted as they stop.
+    live = np.arange(len(x))
+    lx, lbest, llam = x, best, lam
+    luv, lP, lw, lsw = uv, projections, weights, np.sqrt(weights)
     for _ in range(iters):
-        J = []
-        r = []
-        for i in range(uv.shape[0]):
-            P = projections[i]
-            ph = P @ np.append(x, 1.0)
-            if abs(ph[2]) < 1e-12:
-                return x
-            w = np.sqrt(weights[i])
-            proj = ph[:2] / ph[2]
-            r.extend(w * (proj - uv[i]))
-            # d(proj)/dx = (P[:2, :3] - proj x P[2, :3]) / depth
-            Ji = (P[:2, :3] - np.outer(proj, P[2, :3])) / ph[2]
-            J.append(w * Ji)
-        J = np.vstack(J)
-        r = np.asarray(r)
-        H = J.T @ J + lam * np.eye(3)
-        try:
-            step = np.linalg.solve(H, J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        cand = x - step
-        sse = _weighted_sse(cand, uv, projections, weights)
-        if sse < best:
-            x, best = cand, sse
-            lam = max(lam * 0.5, 1e-9)
-        else:
-            lam *= 10.0
-            if lam > 1e3:
+        xh = np.concatenate([lx, np.ones((len(lx), 1))], axis=-1)
+        ph = (lP @ xh[:, None, :, None])[..., 0]
+        depth = ph[..., 2]
+        keep = ~np.any(np.abs(depth) < 1e-12, axis=1)
+        if not keep.all():
+            live, lx, lbest, llam, luv, lP, lw, lsw, ph, depth = (
+                a[keep] for a in (live, lx, lbest, llam, luv, lP, lw, lsw,
+                                  ph, depth))
+            if not len(live):
                 break
+        proj = ph[..., :2] / depth[..., None]
+        r = (lsw[..., None] * (proj - luv)).reshape(len(live), -1)
+        # d(proj)/dx = (P[:2, :3] - proj x P[2, :3]) / depth
+        Ji = (lP[..., :2, :3] - proj[..., :, None] * lP[..., None, 2, :3]
+              ) / depth[..., None, None]
+        J = (lsw[..., None, None] * Ji).reshape(len(live), -1, 3)
+        Jt = J.swapaxes(-1, -2)
+        step, singular = _solve(Jt @ J + llam[:, None, None] * np.eye(3),
+                                Jt @ r[..., None])
+        cand = lx - step[..., 0]
+        sse = _weighted_sse(cand, luv, lP, lw)
+        better = sse < lbest
+        lx = np.where(better[:, None], cand, lx)
+        lbest = np.where(better, sse, lbest)
+        llam = np.where(better, np.maximum(llam * 0.5, 1e-9), llam * 10.0)
+        x[live] = lx
+        keep = ~singular & (better | (llam <= 1e3))
+        if not keep.all():
+            live, lx, lbest, llam, luv, lP, lw, lsw = (
+                a[keep] for a in (live, lx, lbest, llam, luv, lP, lw, lsw))
     return x
 
 
 @dataclasses.dataclass(eq=False)
 class RansacResult:
-    point: np.ndarray
-    inliers: np.ndarray            # (V,) bool over the rig's views
-    valid: bool
-    ambiguous: bool
+    point: np.ndarray              # (..., 3)
+    inliers: np.ndarray            # (..., V) bool over the rig's views
+    valid: bool                    # bool, or a (...) bool array
+    ambiguous: bool                # bool, or a (...) bool array
     residual: float                # weighted RMS px over the inlier views
+
+    def reshape(self, shape: tuple) -> "RansacResult":
+        """The result with its point axis reshaped; () gives Python scalars
+        for valid, ambiguous and residual."""
+        def per_point(a):
+            a = a.reshape(shape)
+            return a.item() if a.ndim == 0 else a
+
+        return RansacResult(self.point.reshape(shape + (3,)),
+                            self.inliers.reshape(shape + (-1,)),
+                            per_point(self.valid), per_point(self.ambiguous),
+                            per_point(self.residual))
+
+
+def _view_pairs(view_ids: np.ndarray, max_iters: int, seed: int) -> np.ndarray:
+    """(K, 2) view pairs to try: all of them, or a seeded sorted sample."""
+    # Upper-triangle order is itertools.combinations order.
+    all_pairs = view_ids[np.stack(np.triu_indices(len(view_ids), 1), axis=1)]
+    if len(all_pairs) <= max_iters:
+        return all_pairs
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(all_pairs), size=max_iters, replace=False)
+    return all_pairs[np.sort(picks)]
+
+
+def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
+            seed) -> RansacResult:
+    """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V).
+
+    Points that share a valid-view pattern share their view pairs, so the
+    pair stage runs once per pattern; the refit and polish run once per
+    inlier count, so every SVD sees the compact (2n, 4) system of its
+    point's n inlier views.
+    """
+    N, V = valid.shape
+    point = np.full((N, 3), np.nan)
+    inliers = np.zeros((N, V), dtype=bool)
+    ambiguous = np.zeros(N, dtype=bool)
+    residual = np.full(N, np.inf)
+    patterns, group = np.unique(valid, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    pairs = [_view_pairs(np.flatnonzero(p), max_iters, seed)
+             if p.sum() >= 2 else np.zeros((0, 2), dtype=int)
+             for p in patterns]
+    # Every finite pair solution is a final candidate, in pair order.
+    K = max((len(p) for p in pairs), default=0)
+    pair_points = np.full((N, K, 3), np.nan)
+    pair_ok = np.zeros((N, K), dtype=bool)
+    for g, pattern in enumerate(patterns):
+        if not len(pairs[g]):
+            continue
+        rows = np.flatnonzero(group == g)
+        view_ids = np.flatnonzero(pattern)
+        k = len(pairs[g])
+        group_uv = uv[rows]
+        pts, _ = _dlt(group_uv[:, pairs[g]], projections[pairs[g]])
+        ok = np.all(np.isfinite(pts), axis=-1)
+        errs = _reprojection_errors(pts, group_uv[:, None, view_ids],
+                                    projections[view_ids])
+        inl = errs <= reproj_threshold
+        count = np.where(ok, inl.sum(axis=-1), -1)
+        # The first pair with the most inliers wins; a later pair with as
+        # many but a different inlier set makes the point ambiguous.
+        m = np.arange(len(rows))
+        first = np.argmax(count, axis=1)
+        top = count[m, first]
+        best = inl[m, first]
+        tied = ((np.arange(k) > first[:, None]) & (count == top[:, None])
+                & np.any(inl != best[:, None], axis=-1))
+        good = top >= 2
+        rows, best = rows[good], best[good]
+        inliers[rows[:, None], view_ids] = best
+        ambiguous[rows] = tied[good].any(axis=1)
+        pair_points[rows, :k] = pts[good]
+        pair_ok[rows, :k] = ok[good]
+
+    counts = inliers.sum(axis=1)
+    for n in np.unique(counts[counts >= 2]):
+        rows = np.flatnonzero(counts == n)
+        views = np.nonzero(inliers[rows])[1].reshape(-1, n)
+        in_uv = uv[rows[:, None], views]
+        in_P = projections[views]
+        in_w = conf[rows[:, None], views]
+        in_w = np.where(np.all(in_w <= 0, axis=1, keepdims=True), 1.0, in_w)
+        refit, _ = _dlt(in_uv, in_P, in_w)
+        refit_ok = np.all(np.isfinite(refit), axis=-1)
+        polished = refit.copy()
+        polished[refit_ok] = _gauss_newton_polish(
+            refit[refit_ok], in_uv[refit_ok], in_P[refit_ok], in_w[refit_ok])
+        cands = np.concatenate([pair_points[rows], refit[:, None],
+                                polished[:, None]], axis=1)
+        ok = np.concatenate([pair_ok[rows], refit_ok[:, None],
+                             refit_ok[:, None]], axis=1)
+        scores = np.where(ok, _weighted_sse(cands, in_uv[:, None],
+                                            in_P[:, None], in_w[:, None]),
+                          np.inf)
+        # np.argmin over the candidates in order: the first lowest score,
+        # or the first NaN; the residual takes Python's min, which keeps a
+        # leading NaN and skips later ones.
+        m = np.arange(len(rows))
+        first_ok = np.argmax(ok, axis=1)
+        pick = np.argmin(scores, axis=1)
+        pick = np.where(scores[m, pick] == np.inf, first_ok, pick)
+        lowest = np.where(np.isnan(scores[m, first_ok]), np.nan,
+                          np.fmin.reduce(scores, axis=1))
+        point[rows] = cands[m, pick]
+        residual[rows] = np.sqrt(lowest / np.sum(in_w, axis=1))
+    return RansacResult(point, inliers, counts >= 2, ambiguous, residual)
 
 
 def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
@@ -332,74 +491,20 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
     a confidence-weighted DLT refit plus a Gauss-Newton polish, and the
     candidate with the lowest weighted reprojection SSE on that set is
     returned, so the result is never worse than any sampled pair's own
-    solution there.
+    solution there.  Leading batch axes on uv (and valid, conf)
+    triangulate a stack of points; each gives the same result as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)
-    n = rig.n_views
-    if valid is None:
-        valid = np.ones(n, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-    if conf is None:
-        conf = np.ones(n)
-    else:
-        conf = np.asarray(conf, dtype=np.float64)
-    view_ids = np.nonzero(valid)[0]
-    if len(view_ids) < 2:
-        return RansacResult(np.full(3, np.nan), np.zeros(n, dtype=bool),
-                            False, False, np.inf)
-
-    all_pairs = list(itertools.combinations(view_ids.tolist(), 2))
-    if len(all_pairs) <= max_iters:
-        pairs = all_pairs
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(all_pairs), size=max_iters, replace=False)
-        pairs = [all_pairs[i] for i in sorted(picks)]
-
-    best_count = 0
-    best_inliers = None
-    ambiguous = False
-    pair_solutions = []
-    for a, b in pairs:
-        res = triangulate_point(uv[[a, b]], rig.projections[[a, b]])
-        if not np.all(np.isfinite(res.point)):
-            continue
-        errs = _reprojection_errors(res.point, uv[view_ids],
-                                    rig.projections[view_ids])
-        inl = errs <= reproj_threshold
-        pair_solutions.append((res.point, inl))
-        count = int(inl.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inl
-            ambiguous = False
-        elif count == best_count and best_inliers is not None:
-            if not np.array_equal(inl, best_inliers):
-                ambiguous = True
-    if best_count < 2:
-        return RansacResult(np.full(3, np.nan), np.zeros(n, dtype=bool),
-                            False, False, np.inf)
-
-    inlier_views = view_ids[best_inliers]
-    in_uv = uv[inlier_views]
-    in_P = rig.projections[inlier_views]
-    in_w = conf[inlier_views]
-    if np.all(in_w <= 0):
-        in_w = np.ones_like(in_w)
-
-    candidates = [p for p, _ in pair_solutions]
-    refit = triangulate_point(in_uv, in_P, weights=in_w)
-    if np.all(np.isfinite(refit.point)):
-        candidates.append(refit.point)
-        candidates.append(_gauss_newton_polish(refit.point, in_uv, in_P, in_w))
-    scores = [_weighted_sse(p, in_uv, in_P, in_w) for p in candidates]
-    best = candidates[int(np.argmin(scores))]
-
-    inliers_full = np.zeros(n, dtype=bool)
-    inliers_full[inlier_views] = True
-    rms = float(np.sqrt(min(scores) / np.sum(in_w)))
-    return RansacResult(np.array(best), inliers_full, True, ambiguous, rms)
+    shape = uv.shape[:-2] + (rig.n_views,)
+    valid = np.broadcast_to(True if valid is None else
+                            np.asarray(valid, dtype=bool), shape)
+    conf = np.broadcast_to(1.0 if conf is None else
+                           np.asarray(conf, dtype=np.float64), shape)
+    res = _ransac(uv.reshape(-1, rig.n_views, 2), rig.projections,
+                  valid.reshape(-1, rig.n_views),
+                  conf.reshape(-1, rig.n_views), reproj_threshold,
+                  max_iters, seed)
+    return res.reshape(shape[:-1])
 
 
 def butterworth_filter(series, cutoff_hz: float, fps: float,
@@ -493,29 +598,36 @@ def smooth_trajectory(traj: JointTrajectory,
     return JointTrajectory(traj.fps, pos, traj.valid.copy())
 
 
+@dataclasses.dataclass(eq=False)
+class Triangulation:
+    trajectory: JointTrajectory
+    ransac: RansacResult           # fields over (F, 2, 21[, ...])
+
+
 def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
                              fps: float,
                              reproj_threshold: float = DEFAULT_REPROJ_THRESHOLD,
                              max_iters: int = DEFAULT_RANSAC_ITERS,
-                             seed: int = 0) -> JointTrajectory:
-    """RANSAC-triangulate every (frame, hand, joint) into a 3D trajectory."""
-    F = obs.n_frames
-    pos = np.zeros((F, 2, 21, 3))
-    val = np.zeros((F, 2, 21), dtype=bool)
-    for f in range(F):
-        for h in range(2):
-            for j in range(21):
-                res = ransac_triangulate(
-                    obs.uv[f, :, h, j], rig,
-                    valid=obs.valid[f, :, h, j],
-                    conf=obs.conf[f, :, h, j],
-                    reproj_threshold=reproj_threshold,
-                    max_iters=max_iters,
-                    seed=seed)
-                if res.valid:
-                    pos[f, h, j] = res.point
-                    val[f, h, j] = True
-    return JointTrajectory(fps, pos, val)
+                             seed: int = 0) -> Triangulation:
+    """RANSAC-triangulate every (frame, hand, joint) into a 3D trajectory.
+
+    The points go through the batched kernel _POINT_BLOCK at a time; every
+    point's result is the one `ransac_triangulate` gives it alone.  The
+    per-point RANSAC arrays come back with the trajectory.
+    """
+    F, V = obs.n_frames, obs.n_views
+    uv = obs.uv.transpose(0, 2, 3, 1, 4).reshape(-1, V, 2)
+    valid = obs.valid.transpose(0, 2, 3, 1).reshape(-1, V)
+    conf = obs.conf.transpose(0, 2, 3, 1).reshape(-1, V)
+    blocks = [_ransac(uv[i:i + _POINT_BLOCK], rig.projections,
+                      valid[i:i + _POINT_BLOCK], conf[i:i + _POINT_BLOCK],
+                      reproj_threshold, max_iters, seed)
+              for i in range(0, max(len(uv), 1), _POINT_BLOCK)]
+    res = RansacResult(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                         for f in dataclasses.fields(RansacResult))
+                       ).reshape((F, 2, 21))
+    pos = np.where(res.valid[..., None], res.point, 0.0)
+    return Triangulation(JointTrajectory(fps, pos, res.valid), res)
 
 
 def _rigid_init(skeleton: HandSkeleton, y: np.ndarray,

@@ -129,6 +129,71 @@ def test_triangulate_and_fit_chain(tmp_path, capsys, geom, skeletons):
     assert max(max(row) for row in report["residual_rms"]) < 1e-4
 
 
+def test_triangulate_report_counts_and_leaves_trajectory_bytes(
+        tmp_path, capsys, geom, skeletons):
+    rig = _synth.five_camera_rig()
+    clip = MotionClip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                              _synth.hover_pose(geom, 1, 40))] * 2)
+    uv, conf, valid, _ = _synth.project_clip(clip, skeletons, rig)
+    uv[1, 2, 1, 8] += (90.0, 0.0)      # one outlier view
+    valid[0, :4, 0, 5] = False          # one view left: not triangulable
+    obs = cli.reconstruction.KeypointObservations(uv, conf, valid)
+    cam, kp = tmp_path / "cameras.json", tmp_path / "keypoints.json"
+    cam.write_text(rig.to_json())
+    kp.write_text(obs.to_json())
+    plain, reported = tmp_path / "plain.json", tmp_path / "reported.json"
+    report_path = tmp_path / "report.json"
+    common = ["triangulate", "--keypoints", kp, "--cameras", cam,
+              "--fps", 60, "--no-filter"]
+    assert run(common + ["-o", plain]) == 0
+    assert run(common + ["-o", reported, "--report", report_path]) == 0
+    assert plain.read_bytes() == reported.read_bytes()
+    report = json.loads(report_path.read_text())
+    assert report["n_frames"] == 2
+    assert report["valid_points"] == 2 * 42 - 1
+    assert report["views_rejected"] == 1
+    assert report["ambiguous"] == 0
+    residual = report["residual_px"]
+    assert np.shape(residual) == (2, 2, 21)
+    assert residual[0][0][5] is None
+    assert max(r for frame in residual for row in frame for r in row
+               if r is not None) < 1e-6
+
+
+@pytest.mark.parametrize("field", ["uv", "conf"])
+def test_nan_keypoint_is_validation_error(tmp_path, capsys, geom, skeletons,
+                                          field):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    obj = json.loads(kp.read_text())
+    if field == "uv":
+        obj["uv"][0][1][1][8][0] = float("nan")
+    else:
+        obj["conf"][0][1][1][8] = float("nan")
+    kp.write_text(json.dumps(obj))
+    out = tmp_path / "traj.json"
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam,
+                "--fps", 60, "-o", out]) == 1
+    assert "error: keypoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "0"])
+@pytest.mark.parametrize("stage", ["quantize", "condition", "triangulate"])
+def test_non_finite_fps_is_validation_error(tmp_path, capsys, geom, skeletons,
+                                            stage, bad):
+    if stage == "triangulate":
+        cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+        argv = ["--keypoints", kp, "--cameras", cam]
+    else:
+        mid = tmp_path / "song.mid"
+        write_midi(mid, [(40, 0, 2)])
+        argv = ["--midi", mid]
+    out = tmp_path / "out.json"
+    assert run([stage, "--fps", bad, "-o", out] + argv) == 1
+    assert "fps must be a finite positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_refine_via_cli(tmp_path, geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
@@ -203,6 +268,18 @@ def test_malformed_clip_json_is_validation_error(tmp_path, capsys, text):
     clip_path.write_text(text)
     assert run(["extract-press", "--clip", clip_path]) == 1
     assert "error: motion clip" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,label", [("--skeleton", "skeleton config"),
+                                        ("--keyboard", "keyboard config")])
+def test_array_config_file_is_validation_error(tmp_path, capsys, flag, label):
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, MotionClip(60.0, [(parked, parked)]))
+    config = tmp_path / "arr.json"
+    config.write_text("[1, 2]")
+    assert run(["extract-press", "--clip", clip_path, flag, config]) == 1
+    assert "error: %s" % label in capsys.readouterr().err
 
 
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):

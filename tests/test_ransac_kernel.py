@@ -1,0 +1,188 @@
+"""The batched RANSAC kernel against the per-point scalar oracle, bit for bit."""
+
+import numpy as np
+import pytest
+
+import _scalar_ransac as scalar
+import _synth
+from pianomotion import reconstruction as rec
+from pianomotion.hand import MotionClip
+
+
+def arc_rig(n_views):
+    center = np.asarray((0.25, 0.1, 0.0))
+    eyes = [center + (0.9 * np.cos(a), 0.9 * np.sin(a), 1.1 + 0.05 * i)
+            for i, a in enumerate(np.linspace(0.3, 2.8, n_views))]
+    return np.stack([_synth.look_at_camera(e, center) for e in eyes])
+
+
+def project(projections, points):
+    """(N, V, 2) exact pixel coordinates of world points."""
+    ph = np.einsum("vij,nj->nvi", projections[:, :, :3], points)
+    ph += projections[:, :, 3]
+    return ph[..., :2] / ph[..., 2:]
+
+
+def corrupt(rng, uv, noise=0.4, outliers=0.15, dropped=0.15):
+    """Noisy copy of uv with outlier views, plus a valid mask with drops."""
+    uv = uv + rng.normal(0.0, noise, uv.shape)
+    bad = rng.random(uv.shape[:2]) < outliers
+    uv[bad] += rng.normal(0.0, 60.0, (int(bad.sum()), 2))
+    valid = rng.random(uv.shape[:2]) >= dropped
+    return uv, valid
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def assert_matches_oracle(uv, projections, valid, conf, threshold=8.0,
+                          max_iters=20, seed=0):
+    rig = rec.CameraRig(projections)
+    with np.errstate(all="ignore"):
+        got = rec.ransac_triangulate(uv, rig, valid=valid, conf=conf,
+                                     reproj_threshold=threshold,
+                                     max_iters=max_iters, seed=seed)
+    for i in range(len(uv)):
+        with np.errstate(all="ignore"):
+            point, inliers, ok, ambiguous, residual = scalar.ransac_triangulate(
+                uv[i], projections, valid[i], conf[i], threshold, max_iters,
+                seed)
+        assert bits(got.point[i]) == bits(point), i
+        assert np.array_equal(got.inliers[i], inliers), i
+        assert bool(got.valid[i]) == ok, i
+        assert bool(got.ambiguous[i]) == ambiguous, i
+        assert bits(got.residual[i]) == bits(residual), i
+    return got
+
+
+def test_kernel_matches_oracle_on_noisy_hands(geom, skeletons):
+    rng = np.random.default_rng(3)
+    rig = _synth.five_camera_rig()
+    frames = [(_synth.parked_pose(0, x=-0.1), _synth.hover_pose(geom, 1, k))
+              for k in (38, 40, 42)]
+    uv, conf, valid, _ = _synth.project_clip(MotionClip(60.0, frames),
+                                             skeletons, rig)
+    uv = uv.transpose(0, 2, 3, 1, 4).reshape(-1, rig.n_views, 2)
+    conf = rng.uniform(0.2, 1.0, (len(uv), rig.n_views))
+    uv, valid = corrupt(rng, uv)
+    valid[:4] = [True, False, False, False, False]       # one view
+    valid[4] = False                                       # none
+    got = assert_matches_oracle(uv, rig.projections, valid, conf)
+    assert (~got.valid).any() and got.valid.sum() > 100
+    assert (got.inliers.sum(axis=1) < valid.sum(axis=1))[got.valid].any()
+
+
+@pytest.mark.parametrize("n_views", [3, 4, 5, 6, 7, 8])
+def test_kernel_matches_oracle_on_sampled_pairs(n_views):
+    rng = np.random.default_rng(n_views)
+    projections = arc_rig(n_views)
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (40, 3))
+    uv, valid = corrupt(rng, project(projections, points))
+    conf = rng.uniform(0.0, 1.0, valid.shape)
+    # 6 < 10 pairs from 5 views on: those points draw a seeded sample.
+    got = assert_matches_oracle(uv, projections, valid, conf, max_iters=6,
+                                seed=n_views)
+    assert got.valid.any()
+
+
+def test_kernel_matches_oracle_with_zero_confidences():
+    rng = np.random.default_rng(7)
+    projections = arc_rig(5)
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (60, 3))
+    uv, valid = corrupt(rng, project(projections, points))
+    conf = rng.uniform(0.0, 1.0, valid.shape)
+    conf[:20] = 0.0                                   # all non-positive
+    conf[20:40][rng.random((20, 5)) < 0.5] = 0.0      # some zero
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert got.valid[:20].all()
+
+
+def test_kernel_matches_oracle_with_duplicated_views():
+    rng = np.random.default_rng(11)
+    projections = arc_rig(5)
+    projections[1] = projections[0]
+    projections[4] = projections[3]
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (40, 3))
+    uv, valid = corrupt(rng, project(projections, points), outliers=0.1)
+    uv[:, 1] = uv[:, 0]
+    uv[:20, 4] = uv[:20, 3]
+    conf = rng.uniform(0.0, 1.0, valid.shape)
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert got.valid.any()
+
+
+def test_kernel_matches_oracle_on_ambiguous_splits():
+    # Each pair of cameras sees its own point: no inlier set beats size two
+    # and different size-two sets tie.
+    rng = np.random.default_rng(5)
+    projections = arc_rig(6)
+    a = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (30, 3))
+    b = a + rng.uniform(0.05, 0.1, (30, 3))
+    c = a - rng.uniform(0.05, 0.1, (30, 3))
+    uv = project(projections, a)
+    uv[:, 2:4] = project(projections, b)[:, 2:4]
+    uv[:15, 4:] = project(projections, c)[:15, 4:]
+    valid = np.ones(uv.shape[:2], dtype=bool)
+    conf = np.ones(uv.shape[:2])
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert got.ambiguous[:15].sum() >= 10 and not got.ambiguous[15:].any()
+
+
+def test_single_point_call_returns_scalars():
+    projections = arc_rig(5)
+    uv = project(projections, np.array([[0.3, 0.1, 0.02]]))
+    batch = assert_matches_oracle(uv, projections, np.ones((1, 5), bool),
+                                  np.ones((1, 5)))
+    one = rec.ransac_triangulate(uv[0], rec.CameraRig(projections))
+    assert type(one.valid) is bool and type(one.ambiguous) is bool
+    assert type(one.residual) is float
+    assert bits(one.point) == bits(batch.point[0])
+    assert bits(one.residual) == bits(batch.residual[0])
+
+
+def test_batched_triangulate_point_equals_each_point():
+    rng = np.random.default_rng(2)
+    projections = arc_rig(4)
+    uv = project(projections, rng.uniform(0.0, 0.3, (25, 3)))
+    uv += rng.normal(0.0, 2.0, uv.shape)
+    weights = rng.uniform(0.0, 1.0, (25, 4))
+    stacked = rec.triangulate_point(uv, projections, weights=weights)
+    for i in range(len(uv)):
+        point, degenerate = scalar.triangulate_point(uv[i], projections,
+                                                     weights[i])
+        assert bits(stacked.point[i]) == bits(point)
+        assert stacked.degenerate[i] == degenerate
+
+
+def test_solve_flags_only_the_singular_systems():
+    H = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    g = np.ones((3, 3, 1))
+    step, singular = rec._solve(H, g)
+    assert singular.tolist() == [False, True, False]
+    assert np.array_equal(step[0], g[0]) and np.array_equal(step[2], g[2] / 2)
+
+
+@pytest.mark.parametrize("block", [1, 5, 42, 100])
+def test_triangulation_does_not_depend_on_block_size(geom, skeletons,
+                                                     monkeypatch, block):
+    rng = np.random.default_rng(13)
+    rig = _synth.five_camera_rig()
+    frames = [(_synth.parked_pose(0, x=-0.1), _synth.hover_pose(geom, 1, k))
+              for k in (39, 41, 43)]
+    uv, conf, valid, _ = _synth.project_clip(MotionClip(60.0, frames),
+                                             skeletons, rig)
+    uv = uv + rng.normal(0.0, 0.4, uv.shape)
+    uv[rng.random(valid.shape) < 0.15] += (70.0, -40.0)
+    valid &= rng.random(valid.shape) >= 0.15
+    obs = rec.KeypointObservations(np.clip(uv, 0.0, 2000.0),
+                                   rng.uniform(0.2, 1.0, conf.shape), valid)
+    with np.errstate(all="ignore"):
+        want = rec.triangulate_observations(obs, rig, 60.0)
+        monkeypatch.setattr(rec, "_POINT_BLOCK", block)
+        got = rec.triangulate_observations(obs, rig, 60.0)
+    assert got.trajectory.to_json() == want.trajectory.to_json()
+    for field in ("point", "inliers", "valid", "ambiguous", "residual"):
+        assert (getattr(got.ransac, field).tobytes()
+                == getattr(want.ransac, field).tobytes()), field
+    assert got.ransac.point.shape == (3, 2, 21, 3)

@@ -403,7 +403,7 @@ def test_triangulate_observations_recovers_joints(geom, skeletons):
     uv[0, 1, 1, 8] += (90.0, 0.0)
     valid[1, 3, 0, 4] = False
     obs = rec.KeypointObservations(uv, conf, valid)
-    traj = rec.triangulate_observations(obs, rig, fps=60.0)
+    traj = rec.triangulate_observations(obs, rig, fps=60.0).trajectory
     assert traj.valid.all()
     err = np.linalg.norm(traj.positions - joints, axis=-1)
     assert err.max() < 1e-6
@@ -417,7 +417,7 @@ def test_triangulate_observations_marks_underviewed_invalid(geom, skeletons):
     valid[0, :4, 1, 3] = False         # one view left: not enough
     obs = rec.KeypointObservations(uv, conf, valid)
     with np.errstate(all="ignore"):
-        traj = rec.triangulate_observations(obs, rig, fps=60.0)
+        traj = rec.triangulate_observations(obs, rig, fps=60.0).trajectory
     assert not traj.valid[0, 0, 7]
     assert not traj.valid[0, 1, 3]
     assert traj.valid[1].all()
