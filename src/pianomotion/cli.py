@@ -257,7 +257,11 @@ def cmd_sync(args, cfg):
 
 
 def cmd_triangulate(args, cfg):
-    rig = reconstruction.CameraRig.from_json(_read_text(args.cameras))
+    text = _read_text(args.cameras)
+    try:
+        rig = reconstruction.CameraRig.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError("cameras %s: %s" % (args.cameras, exc))
     text = _read_text(args.keypoints)
     try:
         if args.keypoints.endswith(".csv"):
@@ -265,7 +269,7 @@ def cmd_triangulate(args, cfg):
                 text, rig.image_size)
         else:
             obs = reconstruction.KeypointObservations.from_json(text)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError("keypoints %s: %s" % (args.keypoints, exc))
     fps = _get_fps(args, cfg)
     if args.dry_run:
@@ -300,7 +304,7 @@ def cmd_fit(args, cfg):
     try:
         traj = reconstruction.JointTrajectory.from_json(
             _read_text(args.trajectory))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError("trajectory %s: %s" % (args.trajectory, exc))
     skeletons = _load_skeletons(args, cfg)
     init = _load_clip(args.init) if args.init else None
@@ -318,6 +322,9 @@ def cmd_fit(args, cfg):
             "n_frames": result.clip.n_frames,
             "copied_frames": int(result.copied.sum()),
             "residual_rms": rms,
+            "iterations": np.where(result.copied, None,
+                                   result.iterations).tolist(),
+            "stop": result.stop.tolist(),
         }))
     return 0
 

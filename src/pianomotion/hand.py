@@ -399,10 +399,12 @@ def forward_kinematics(skeleton, vecs: np.ndarray):
     """Joint positions and global joint rotations of pose vectors.
 
     vecs is (..., 51) in the pose vector layout.  skeleton is a HandSkeleton,
-    or a SkeletonPair when the second-to-last axis of vecs is the hand
-    (left, right).  Returns (positions (..., 21, 3), global rotations
-    (..., 16, 3, 3)).  Every product is taken per pose in a fixed order, so
-    a batch gives the same bits as one call per pose.
+    a SkeletonPair when the second-to-last axis of vecs is the hand (left,
+    right), or any object whose `bone_offsets` (..., 21, 3) broadcasts
+    against the batch axes of vecs, such as one skeleton per pose.  Returns
+    (positions (..., 21, 3), global rotations (..., 16, 3, 3)).  Every
+    product is taken per pose in a fixed order, so a batch gives the same
+    bits as one call per pose.
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
@@ -431,10 +433,10 @@ _GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
 def fk_jacobian(skeleton, vecs: np.ndarray):
     """FK positions and their Jacobian wrt the 51-dim pose vector.
 
-    Takes the arguments of forward_kinematics.  Returns (positions
-    (..., 21, 3), J (..., 21, 3, 51)).  Columns follow the vector layout:
-    0..2 root translation, 3..5 root rotation vector, 6.. the 15 joint
-    rotation vectors in joint order.
+    Takes the arguments of forward_kinematics, per-pose bone offsets
+    included.  Returns (positions (..., 21, 3), J (..., 21, 3, 51)).
+    Columns follow the vector layout: 0..2 root translation, 3..5 root
+    rotation vector, 6.. the 15 joint rotation vectors in joint order.
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]

@@ -2,9 +2,9 @@
 
 Pipeline: per-joint DLT triangulation with RANSAC view rejection, linear
 interpolation across short invalid gaps, zero-phase low-pass filtering of
-the joint tracks, then per-frame fitting of the articulated hand skeleton
-to the 3D joints by damped least-squares (Levenberg-Marquardt) minimization
-of the mean squared error.
+the joint tracks, then a batched, twist-pinned fit of the articulated hand
+skeleton to the 3D joints of every hand-frame by damped least-squares
+(Levenberg-Marquardt) minimization of the mean squared error.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import csv
 import dataclasses
 import io
 import json
+import types
 import warnings
 
 import numpy as np
 
-from .hand import (HandPose, HandSkeleton, MotionClip, PARAMS_PER_HAND,
-                   SkeletonPair, fk_jacobian, forward_kinematics,
-                   matrix_to_rotvec)
+from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, HandPose,
+                   MotionClip, SkeletonPair, clip_vectors, fk_jacobian,
+                   forward_kinematics, matrix_to_rotvec)
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
 DEFAULT_REPROJ_THRESHOLD = 8.0     # px
@@ -33,6 +34,11 @@ DEFAULT_FIT_ITERS = 200
 # the stacked pair, reprojection and polish arrays (peak 12 MB with 5 views,
 # 25 MB with 8) without changing results.
 _POINT_BLOCK = 2048
+
+# Hand-frames per batched LM block in `fit_skeleton`.  It bounds the
+# stacked Jacobians (fk_jacobian's temporaries take about 0.17 MB per
+# hand-frame) without changing results.
+_POSE_BLOCK = 256
 
 
 @dataclasses.dataclass(eq=False)
@@ -50,6 +56,8 @@ class CameraRig:
         if self.n_views < 2:
             raise ValueError("a rig needs at least 2 cameras")
         for i, P in enumerate(self.projections):
+            if not np.isfinite(P).all():
+                raise ValueError("camera %d projection must be finite" % i)
             if np.linalg.matrix_rank(P) != 3:
                 raise ValueError("camera %d projection is rank-deficient" % i)
         w, h = self.image_size
@@ -76,6 +84,8 @@ class CameraRig:
     @classmethod
     def from_json(cls, text: str) -> "CameraRig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a camera rig must be a JSON object")
         mats = []
         for i, cam in enumerate(obj["cameras"]):
             P = np.array(cam["P"], dtype=np.float64)
@@ -148,6 +158,8 @@ class KeypointObservations:
     @classmethod
     def from_json(cls, text: str) -> "KeypointObservations":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("keypoints must be a JSON object")
         return cls(np.array(obj["uv"], dtype=np.float64),
                    np.array(obj["conf"], dtype=np.float64),
                    np.array(obj["valid"], dtype=bool),
@@ -213,6 +225,8 @@ class JointTrajectory:
     @classmethod
     def from_json(cls, text: str) -> "JointTrajectory":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a joint trajectory must be a JSON object")
         return cls(float(obj["fps"]),
                    np.array(obj["positions"], dtype=np.float64),
                    np.array(obj["valid"], dtype=bool))
@@ -630,25 +644,12 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
     return Triangulation(JointTrajectory(fps, pos, res.valid), res)
 
 
-def _rigid_init(skeleton: HandSkeleton, y: np.ndarray,
-                mask: np.ndarray) -> np.ndarray:
-    """Pose vector from rigidly aligning the rest pose to observed joints."""
-    rest, _ = forward_kinematics(skeleton, np.zeros(PARAMS_PER_HAND))
-    vec = np.zeros(PARAMS_PER_HAND)
-    idx = np.nonzero(mask)[0]
-    if len(idx) >= 3:
-        X = rest[idx]
-        Y = y[idx]
-        Xc = X - X.mean(axis=0)
-        Yc = Y - Y.mean(axis=0)
-        U, _, Vt = np.linalg.svd(Xc.T @ Yc)
-        d = np.sign(np.linalg.det(Vt.T @ U.T))
-        R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
-        vec[3:6] = matrix_to_rotvec(R)
-        vec[:3] = Y.mean(axis=0) - R @ X.mean(axis=0)
-    elif mask[0]:
-        vec[:3] = y[0]
-    return vec
+# Root joints that move rigidly with the wrist: the wrist and the five MCPs.
+_PALM = np.array([0, 1, 4, 7, 10, 13])
+_MCPS = np.array([1, 4, 7, 10, 13])
+# Each finger joint's child: the next joint, or the tip after a DIP.
+_CHILD = np.array([np.flatnonzero(PARENTS == j)[0] for j in range(1, 16)])
+_TWIST_FREE_DIMS = 6 + 2 * NUM_FINGER_JOINTS
 
 
 @dataclasses.dataclass(eq=False)
@@ -656,126 +657,203 @@ class FitResult:
     clip: MotionClip
     copied: np.ndarray             # (F, 2) True where a frame was propagated
     residual_rms: np.ndarray       # (F, 2) meters, NaN where copied
+    iterations: np.ndarray         # (F, 2) LM iterations run, 0 where copied
+    stop: np.ndarray               # (F, 2) "converged", "stalled", "max_iter"
+                                   # or None where copied
 
 
-def _residual_system(skeleton, y, idx, vec, soft_limit_weight, lo, hi):
-    """Stacked residuals and Jacobian whose SSE equals the fit objective."""
-    p, J = fk_jacobian(skeleton, vec)
-    scale = 1.0 / np.sqrt(len(idx))
-    r = scale * (p[idx] - y[idx]).reshape(-1)
-    Jr = scale * J[idx].reshape(3 * len(idx), PARAMS_PER_HAND)
-    if soft_limit_weight > 0.0:
-        th = vec[6:]
-        under = np.minimum(th - lo, 0.0)
-        over = np.maximum(th - hi, 0.0)
-        w = np.sqrt(soft_limit_weight)
-        r = np.concatenate([r, w * (under + over)])
-        Jp = np.zeros((len(th), PARAMS_PER_HAND))
-        Jp[np.arange(len(th)), 6 + np.arange(len(th))] = w * (
-            (under < 0.0) | (over > 0.0))
-        Jr = np.vstack([Jr, Jp])
-    return r, Jr
+def _twist_free_basis(offsets: np.ndarray) -> np.ndarray:
+    """(..., 51, 36) orthonormal basis of the pose steps that keep every
+    finger joint's rotation-vector component along its rest child bone:
+    the 6 root columns, then two spanning the plane perpendicular to that
+    bone for each finger joint."""
+    _, _, vt = np.linalg.svd(offsets[..., _CHILD, None, :])
+    planes = np.swapaxes(vt[..., 1:, :], -1, -2)           # (..., 15, 3, 2)
+    E = np.zeros(offsets.shape[:-2] + (PARAMS_PER_HAND, _TWIST_FREE_DIMS))
+    E[..., np.arange(6), np.arange(6)] = 1.0
+    k = np.arange(NUM_FINGER_JOINTS)[:, None, None]
+    E[..., 6 + 3 * k + np.arange(3)[:, None], 6 + 2 * k + np.arange(2)] = planes
+    return E
 
 
-def _lm_polish(skeleton, y, idx, x0, soft_limit_weight, lo, hi,
-               iters: int):
-    """Damped least-squares (Levenberg-Marquardt) minimization of the fit
-    objective from `x0`, for at most `iters` iterations.
+def _swing_init(bones, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Start pose vectors (B, 51) for hand-frames observed at y (B, 21, 3).
 
-    Each step solves (J^T J + lam I) d = J^T r, so it lies in the row space
-    of J: directions the observed joints cannot see (a finger bone's twist
-    about itself) keep their starting value instead of following the
-    solver's path.  Monotone by construction: steps that raise the
-    objective are rejected.
+    The root comes from a Kabsch fit of the rest pose's palm joints onto
+    the observed ones (all observed joints when fewer than 3 palm joints
+    are).  Then, level by level, each finger joint takes the minimal
+    rotation that turns its rest child bone onto the observed bone, in its
+    parent's frame, and zero where either end of that bone is unobserved.
+    Minimal rotations have no twist about the bone.
     """
-    vec = x0.copy()
-    r, J = _residual_system(skeleton, y, idx, vec, soft_limit_weight, lo, hi)
-    f = float(r @ r)
-    lam = 1e-6
-    eye = np.eye(PARAMS_PER_HAND)
-    for _ in range(iters):
-        try:
-            step = np.linalg.solve(J.T @ J + lam * eye, J.T @ r)
-        except np.linalg.LinAlgError:
+    x = np.zeros((len(y), PARAMS_PER_HAND))
+    rest, _ = forward_kinematics(bones, x)
+    w = np.zeros_like(mask)
+    w[:, _PALM] = mask[:, _PALM]
+    w = np.where((w.sum(axis=1) >= 3)[:, None], w, mask)[..., None]
+    rest_c = np.sum(w * rest, axis=1) / w.sum(axis=1)
+    obs_c = np.sum(w * y, axis=1) / w.sum(axis=1)
+    U, _, Vt = np.linalg.svd(
+        np.swapaxes(w * (rest - rest_c[:, None]), 1, 2) @ (y - obs_c[:, None]))
+    Vt[:, 2] *= np.sign(np.linalg.det(U @ Vt))[:, None]
+    R = np.swapaxes(U @ Vt, 1, 2)
+    x[:, :3] = obs_c - (R @ rest_c[..., None])[..., 0]
+    x[:, 3:6] = matrix_to_rotvec(R)
+    for joints in (_MCPS, _MCPS + 1, _MCPS + 2):
+        _, G = forward_kinematics(bones, x)
+        children = _CHILD[joints - 1]
+        seen = (y[:, children] - y[:, joints])[..., None]
+        target = (np.swapaxes(G[:, PARENTS[joints]], -1, -2) @ seen)[..., 0]
+        bone = bones.bone_offsets[:, children]
+        axis = np.cross(bone, target)
+        sin = np.sqrt(np.vecdot(axis, axis))
+        ok = mask[:, joints] & mask[:, children] & (sin > 0)
+        angle = np.arctan2(sin, np.vecdot(bone, target))
+        x[:, 3 + 3 * joints[:, None] + np.arange(3)] = np.where(
+            ok[..., None], axis * (angle / np.where(ok, sin, 1.0))[..., None],
+            0.0)
+    return x
+
+
+def _lm_fit(bones, basis, y, weight, x0, lo, hi, limit_weight: float,
+            max_iter: int):
+    """Guarded damped least squares (Levenberg-Marquardt) on B hand-frame
+    problems in lockstep, each with its own damping and stop.
+
+    Problem b minimizes |weight_b (FK(x) - y_b)|^2 plus the soft-limit
+    penalty, stepping x -= basis_b d.  Damping starts at 1e-6, halves
+    (down to 1e-12) on an accepted step and grows 10x on a rejected one.
+    A problem stops as "converged" when its objective falls below 1e-24,
+    "stalled" when its damping exceeds 1e8 or its system is singular, or
+    "max_iter".  Trial steps are scored by FK alone; only accepted ones
+    get a new Jacobian.  Returns the poses (B, 51), the iterations run and
+    the stop reasons.
+    """
+    B = len(x0)
+    sqrt_lw = np.sqrt(limit_weight)
+
+    def residuals(i, x, p):
+        r = (weight[i, :, None] * (p - y[i])).reshape(len(i), -1)
+        if limit_weight > 0.0:
+            th = x[:, 6:]
+            r = np.concatenate([r, sqrt_lw * (np.minimum(th - lo[i], 0.0)
+                                              + np.maximum(th - hi[i], 0.0))],
+                               axis=1)
+        return r
+
+    def objective(i, x):
+        p, _ = forward_kinematics(
+            types.SimpleNamespace(bone_offsets=bones.bone_offsets[i]), x)
+        r = residuals(i, x, p)
+        return np.sum(r * r, axis=1)
+
+    def normal_equations(i, x):
+        """J^T J and J^T r of problems i at x, in their twist-free bases."""
+        p, J = fk_jacobian(
+            types.SimpleNamespace(bone_offsets=bones.bone_offsets[i]), x)
+        Jr = (weight[i, :, None, None] * J).reshape(len(i), -1,
+                                                    PARAMS_PER_HAND) @ basis[i]
+        if limit_weight > 0.0:
+            active = (x[:, 6:] < lo[i]) | (x[:, 6:] > hi[i])
+            Jr = np.concatenate(
+                [Jr, sqrt_lw * active[..., None] * basis[i, 6:]], axis=1)
+        Jt = np.swapaxes(Jr, 1, 2)
+        return Jt @ Jr, Jt @ residuals(i, x, p)[..., None]
+
+    x = x0.copy()
+    f = objective(np.arange(B), x)
+    A, g = normal_equations(np.arange(B), x)
+    lam = np.full(B, 1e-6)
+    iterations = np.zeros(B, dtype=np.int64)
+    stop = np.full(B, "max_iter", dtype=object)
+    live = np.arange(B)
+    for _ in range(max_iter):
+        if not len(live):
             break
-        cand = vec - step
-        rc, Jc = _residual_system(skeleton, y, idx, cand, soft_limit_weight,
-                                  lo, hi)
-        fc = float(rc @ rc)
-        if fc < f:
-            vec, f, r, J = cand, fc, rc, Jc
-            lam = max(lam * 0.5, 1e-12)
-            if f < 1e-24:
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e8:
-                break
-    return vec, f
-
-
-def _fit_frame(skeleton: HandSkeleton, y: np.ndarray, mask: np.ndarray,
-               x0: np.ndarray, max_iter: int, soft_limit_weight: float):
-    idx = np.nonzero(mask)[0]
-    lo = skeleton.joint_limits[:, :, 0].reshape(-1)
-    hi = skeleton.joint_limits[:, :, 1].reshape(-1)
-    vec, _ = _lm_polish(skeleton, y, idx, x0, soft_limit_weight, lo, hi,
-                        iters=max_iter)
-    p, _ = forward_kinematics(skeleton, vec)
-    rms = float(np.sqrt(np.mean(np.sum((p[idx] - y[idx]) ** 2, axis=1))))
-    return vec, rms
+        iterations[live] += 1
+        step, singular = _solve(
+            A[live] + lam[live, None, None] * np.eye(_TWIST_FREE_DIMS),
+            g[live])
+        step[singular] = 0.0
+        cand = x[live] - (basis[live] @ step)[..., 0]
+        fc = objective(live, cand)
+        better = fc < f[live]
+        accepted = live[better]
+        if len(accepted):
+            x[accepted], f[accepted] = cand[better], fc[better]
+            A[accepted], g[accepted] = normal_equations(accepted,
+                                                        x[accepted])
+        lam[live] = np.where(better, np.maximum(lam[live] * 0.5, 1e-12),
+                             lam[live] * 10.0)
+        converged = better & (f[live] < 1e-24)
+        stalled = singular | (lam[live] > 1e8)
+        stop[live[converged]] = "converged"
+        stop[live[stalled]] = "stalled"
+        live = live[~(converged | stalled)]
+    return x, iterations, stop
 
 
 def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
                  init: MotionClip | None = None,
                  max_iter: int = DEFAULT_FIT_ITERS,
                  soft_limit_weight: float = 0.0) -> FitResult:
-    """Fit hand poses to a joint trajectory, frame by frame.
+    """Fit hand poses to a joint trajectory, every hand-frame independently.
 
-    Each frame minimizes the mean squared distance between FK joints and
-    the valid trajectory joints over the root transform and 15 joint
-    rotations, warm-started from the previous frame's fit (frame 0 from
-    `init` or a rigid alignment of the rest pose), with at most `max_iter`
-    Levenberg-Marquardt iterations.  The steps are guarded, so the fitted
-    MSE never exceeds the starting point's, and stay in the row space of
-    the joint Jacobian, so the finger twists the joints cannot observe keep
-    their warm-start values and the fit is a stable function of its
-    inputs.  Frames with no valid joints copy the previous pose and are
-    flagged.
+    Each hand-frame with an observed joint minimizes the mean squared
+    distance between FK joints and its observed joints over the root
+    transform and 15 joint rotations, by at most `max_iter` guarded
+    Levenberg-Marquardt iterations (`_lm_fit`; the fitted MSE never exceeds
+    the start's).  The start is `init`'s pose at that frame, or else a
+    closed-form swing init (`_swing_init`): a Kabsch fit of the palm for
+    the root, then for each finger joint the minimal rotation onto the
+    observed bone, and zero where either end of that bone is unobserved.
+    Steps are confined to the plane perpendicular to each finger joint's
+    rest child bone, so every twist about a bone, which no joint position
+    can observe, keeps its start value exactly: 0 without `init`.  For the
+    same reason a joint none of whose descendants is observed keeps its
+    start rotation, which is zero in the swing init.
+
+    Hand-frames with no observed joint are flagged `copied` and take the
+    latest earlier fitted pose of that hand, or before the first one
+    `init`'s first frame (the rest pose without `init`).  Both hands' poses
+    go through the LM together, _POSE_BLOCK at a time; a pose's fit
+    depends on neither the block nor the other frames.
     """
     F = traj.n_frames
     if F == 0:
         raise ValueError("empty trajectory")
-    copied = np.zeros((F, 2), dtype=bool)
+    if init is not None and init.n_frames != F:
+        raise ValueError("init clip has %d frames, the trajectory %d"
+                         % (init.n_frames, F))
+    solved = traj.valid.any(axis=2)
+    frame, side = np.nonzero(solved)
+    positions = np.where(traj.valid[..., None], traj.positions, 0.0)
+    bases = _twist_free_basis(skeletons.bone_offsets)
+    limits = np.stack([skeletons.left.joint_limits.reshape(-1, 2),
+                       skeletons.right.joint_limits.reshape(-1, 2)])
+    starts = None if init is None else clip_vectors(init)
+    vecs = np.zeros((F, 2, PARAMS_PER_HAND))
+    iters = np.zeros((F, 2), dtype=np.int64)
+    stop = np.full((F, 2), None, dtype=object)
     rms = np.full((F, 2), np.nan)
-    frames = []
-    prev_vecs = [None, None]
-    for f in range(F):
-        poses = []
-        for h in range(2):
-            skeleton = skeletons[h]
-            y = traj.positions[f, h]
-            mask = traj.valid[f, h]
-            if mask.sum() == 0:
-                copied[f, h] = True
-                if prev_vecs[h] is not None:
-                    vec = prev_vecs[h].copy()
-                elif init is not None:
-                    vec = init.pose(f, h).to_vector()
-                else:
-                    vec = np.zeros(PARAMS_PER_HAND)
-                poses.append(HandPose.from_vector(vec))
-                prev_vecs[h] = vec
-                continue
-            if prev_vecs[h] is not None:
-                x0 = prev_vecs[h].copy()
-            elif init is not None:
-                x0 = init.pose(f, h).to_vector()
-            else:
-                x0 = _rigid_init(skeleton, y, mask)
-            vec, rms[f, h] = _fit_frame(skeleton, y, mask, x0, max_iter,
-                                        soft_limit_weight)
-            prev_vecs[h] = vec
-            poses.append(HandPose.from_vector(vec))
-        frames.append((poses[0], poses[1]))
-    return FitResult(MotionClip(traj.fps, frames), copied, rms)
+    for i in range(0, len(frame), _POSE_BLOCK):
+        f, h = frame[i:i + _POSE_BLOCK], side[i:i + _POSE_BLOCK]
+        y, mask = positions[f, h], traj.valid[f, h]
+        n = mask.sum(axis=1)
+        bones = types.SimpleNamespace(bone_offsets=skeletons.bone_offsets[h])
+        vecs[f, h], iters[f, h], stop[f, h] = _lm_fit(
+            bones, bases[h], y, mask / np.sqrt(n)[:, None],
+            _swing_init(bones, y, mask) if init is None else starts[f, h],
+            limits[h, :, 0], limits[h, :, 1], soft_limit_weight, max_iter)
+        p, _ = forward_kinematics(bones, vecs[f, h])
+        d2 = np.where(mask, np.vecdot(p - y, p - y), 0.0)
+        rms[f, h] = np.sqrt(np.sum(d2, axis=1) / n)
+
+    # Copied hand-frames: a forward fill of the results.
+    src = np.maximum.accumulate(np.where(solved, np.arange(F)[:, None], -1),
+                                axis=0)
+    vecs = np.where((src >= 0)[..., None], vecs[src, [0, 1]],
+                    0.0 if init is None else starts[0])
+    clip = MotionClip(traj.fps, [(HandPose.from_vector(v[0]),
+                                  HandPose.from_vector(v[1])) for v in vecs])
+    return FitResult(clip, ~solved, rms, iters, stop)

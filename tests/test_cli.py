@@ -129,6 +129,100 @@ def test_triangulate_and_fit_chain(tmp_path, capsys, geom, skeletons):
     assert max(max(row) for row in report["residual_rms"]) < 1e-4
 
 
+def fit_trajectory_file(tmp_path, geom, skeletons, n_frames=3):
+    """A trajectory of exact FK joints whose right hand is unobserved at
+    frame 1."""
+    clip = MotionClip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                              _synth.hover_pose(geom, 1, 40 + f))
+                             for f in range(n_frames)])
+    valid = np.ones((n_frames, 2, 21), dtype=bool)
+    valid[1, 1] = False
+    traj = cli.reconstruction.JointTrajectory(
+        60.0, hand.clip_positions(clip, skeletons), valid)
+    path = tmp_path / "traj.json"
+    path.write_text(traj.to_json())
+    return path, clip
+
+
+def test_fit_report_lm_diagnostics_leave_clip_bytes(tmp_path, capsys, geom,
+                                                    skeletons):
+    traj_path, _ = fit_trajectory_file(tmp_path, geom, skeletons)
+    plain, reported = tmp_path / "plain.json", tmp_path / "reported.json"
+    report_path = tmp_path / "fit_report.json"
+    assert run(["fit", "--trajectory", traj_path, "-o", plain]) == 0
+    assert run(["fit", "--trajectory", traj_path, "-o", reported,
+                "--report", report_path]) == 0
+    assert plain.read_bytes() == reported.read_bytes()
+    report = json.loads(report_path.read_text())
+    assert report["copied_frames"] == 1
+    assert report["iterations"][1][1] is None
+    assert report["stop"][1][1] is None
+    for f, h in [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1)]:
+        assert 1 <= report["iterations"][f][h] <= 200
+        assert report["stop"][f][h] in ("converged", "stalled", "max_iter")
+    assert run(["fit", "--trajectory", traj_path, "--max-iter", 1,
+                "--report", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["iterations"][1][1] is None
+    assert all(n == 1 for row in report["iterations"] for n in row
+               if n is not None)
+
+
+def test_fit_init_with_another_frame_count_is_validation_error(
+        tmp_path, capsys, geom, skeletons):
+    traj_path, clip = fit_trajectory_file(tmp_path, geom, skeletons)
+    init_path = tmp_path / "init.json"
+    write_clip(init_path, MotionClip(60.0, clip.frames[:2]))
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--trajectory", traj_path, "--init", init_path,
+                "-o", out]) == 1
+    assert "init clip has 2 frames, the trajectory 3" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    write_clip(init_path, clip)
+    assert run(["fit", "--trajectory", traj_path, "--init", init_path,
+                "-o", out]) == 0
+
+
+@pytest.mark.parametrize("stage,flag,text,label", [
+    ("triangulate", "--cameras", "{}", "cameras"),
+    ("triangulate", "--cameras", '{"cameras": 5}', "cameras"),
+    ("triangulate", "--keypoints", "[1, 2]", "keypoints"),
+    ("triangulate", "--keypoints",
+     '{"uv": [], "conf": [], "valid": [], "image_size": 5}', "keypoints"),
+    ("fit", "--trajectory", "[1, 2]", "trajectory"),
+    ("fit", "--trajectory", '{"fps": [60], "positions": [], "valid": []}',
+     "trajectory"),
+])
+def test_malformed_reconstruction_input_is_validation_error(
+        tmp_path, capsys, geom, skeletons, stage, flag, text, label):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    inputs = {"triangulate": {"--cameras": cam, "--keypoints": kp},
+              "fit": {}}[stage]
+    inputs[flag] = bad
+    out = tmp_path / "out.json"
+    argv = [stage, "-o", out] + [a for kv in inputs.items() for a in kv]
+    assert run(argv) == 1
+    assert "error: %s %s" % (label, bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_camera_matrix_is_validation_error(tmp_path, capsys, geom,
+                                                      skeletons):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    obj = json.loads(cam.read_text())
+    obj["cameras"][2]["P"][1][3] = float("nan")
+    cam.write_text(json.dumps(obj))
+    out = tmp_path / "traj.json"
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam,
+                "--fps", 60, "-o", out]) == 1
+    assert ("error: cameras %s: camera 2 projection must be finite" % cam
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_triangulate_report_counts_and_leaves_trajectory_bytes(
         tmp_path, capsys, geom, skeletons):
     rig = _synth.five_camera_rig()

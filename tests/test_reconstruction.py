@@ -528,3 +528,128 @@ def test_fit_skeleton_is_stable_under_tiny_input_noise(skeletons):
             q_err = min(np.abs(a.root_q - b.root_q).max(),
                         np.abs(a.root_q + b.root_q).max())
             assert q_err < 1e-8
+
+
+# Each finger joint's child joint: its twist is the rotation-vector
+# component along the rest offset of that child's bone.
+CHILD = np.array([np.flatnonzero(hand.PARENTS == j)[0] for j in range(1, 16)])
+
+
+def twists(clip, skeletons):
+    """(F, 2, 15) rotation-vector components along each rest child bone."""
+    bones = skeletons.bone_offsets[:, CHILD]
+    axes = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
+    rot = hand.clip_vectors(clip)[..., 6:].reshape(clip.n_frames, 2, 15, 3)
+    return np.sum(rot * axes, axis=-1)
+
+
+def golden_trajectory():
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    return rec.JointTrajectory.from_json(
+        (golden / "expected" / "trajectory.json").read_text())
+
+
+def test_fit_skeleton_pins_twists(geom, skeletons):
+    traj = golden_trajectory()
+    result = rec.fit_skeleton(traj, skeletons)
+    assert np.abs(twists(result.clip, skeletons)).max() <= 1e-15
+    # With init, every twist keeps init's value, here up to 0.3 rad.
+    init = wiggled_clip(geom, n=traj.n_frames)
+    vecs = hand.clip_vectors(init)
+    bones = skeletons.bone_offsets[:, CHILD]
+    axes = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
+    turn = np.random.default_rng(3).uniform(-0.3, 0.3, size=(3, 2, 15, 1))
+    vecs[..., 6:] += (turn * axes).reshape(3, 2, 45)
+    init = MotionClip(60.0, [tuple(HandPose.from_vector(v) for v in fr)
+                             for fr in vecs])
+    result = rec.fit_skeleton(traj, skeletons, init=init)
+    assert np.abs(twists(result.clip, skeletons)
+                  - twists(init, skeletons)).max() <= 1e-15
+    assert np.nanmax(result.residual_rms) < 1e-4
+
+
+def test_fit_skeleton_rejects_init_of_another_length(geom, skeletons):
+    clip = wiggled_clip(geom, n=3)
+    traj = rec.JointTrajectory(60.0, hand.clip_positions(clip, skeletons),
+                               np.ones((3, 2, 21), dtype=bool))
+    with pytest.raises(ValueError, match="init clip has 2 frames"):
+        rec.fit_skeleton(traj, skeletons, init=wiggled_clip(geom, n=2))
+
+
+def gappy_trajectory(geom, skeletons, n=12):
+    """Noisy joints with copied hand-frames and unobserved joints."""
+    clip = wiggled_clip(geom, n=n)
+    rng = np.random.default_rng(11)
+    joints = hand.clip_positions(clip, skeletons)
+    joints = joints + rng.normal(scale=2e-4, size=joints.shape)
+    valid = rng.uniform(size=(n, 2, 21)) > 0.1
+    valid[2, 0] = False
+    valid[5:7, 1] = False
+    return rec.JointTrajectory(60.0, joints, valid)
+
+
+@pytest.mark.parametrize("block", [1, 5, 7])
+def test_fit_skeleton_bytes_do_not_depend_on_block_size(
+        geom, skeletons, monkeypatch, block):
+    traj = gappy_trajectory(geom, skeletons)
+    whole = rec.fit_skeleton(traj, skeletons)
+    monkeypatch.setattr(rec, "_POSE_BLOCK", block)
+    blocked = rec.fit_skeleton(traj, skeletons)
+    assert blocked.clip.to_json() == whole.clip.to_json()
+    assert np.array_equal(blocked.residual_rms, whole.residual_rms,
+                          equal_nan=True)
+    assert np.array_equal(blocked.iterations, whole.iterations)
+    assert np.array_equal(blocked.stop, whole.stop)
+
+
+def test_fit_skeleton_frames_do_not_depend_on_each_other(geom, skeletons):
+    traj = gappy_trajectory(geom, skeletons)
+    whole = rec.fit_skeleton(traj, skeletons)
+    a, b = 7, 11                          # no copied hand-frame in [7, 11)
+    part = rec.fit_skeleton(
+        rec.JointTrajectory(traj.fps, traj.positions[a:b], traj.valid[a:b]),
+        skeletons)
+    assert part.clip.to_json() == MotionClip(
+        traj.fps, whole.clip.frames[a:b]).to_json()
+    assert np.array_equal(part.residual_rms, whole.residual_rms[a:b])
+
+
+def test_fit_skeleton_round_trip_of_twist_free_poses_is_exact(skeletons):
+    rng = np.random.default_rng(5)
+    bones = skeletons.bone_offsets[:, CHILD]
+    axes = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
+    vecs = np.zeros((20, 2, 51))
+    vecs[..., :3] = rng.uniform(-0.2, 0.2, size=(20, 2, 3))
+    vecs[..., 3:6] = rng.uniform(-1.5, 1.5, size=(20, 2, 3))
+    rot = rng.uniform(-0.6, 0.6, size=(20, 2, 15, 3))
+    rot -= np.sum(rot * axes, axis=-1, keepdims=True) * axes
+    vecs[..., 6:] = rot.reshape(20, 2, 45)
+    joints, _ = hand.forward_kinematics(skeletons, vecs)
+    traj = rec.JointTrajectory(60.0, joints, np.ones((20, 2, 21), dtype=bool))
+    result = rec.fit_skeleton(traj, skeletons)
+    refit = hand.clip_positions(result.clip, skeletons)
+    assert np.linalg.norm(refit - joints, axis=-1).max() <= 1e-12
+
+
+def test_fit_skeleton_round_trip_with_unobserved_children(geom, skeletons):
+    # The rule from the docstring: a bone with an unobserved end starts
+    # at zero rotation, a joint with no observed descendant keeps it, and
+    # every observed joint still fits.
+    clip = wiggled_clip(geom)
+    joints = hand.clip_positions(clip, skeletons)
+    valid = np.ones((clip.n_frames, 2, 21), dtype=bool)
+    valid[:, 1, [3, 17, 18]] = False       # thumb dip, index and middle tips
+    valid[1, 0, [10, 11, 12, 19]] = False  # a whole ring finger
+    traj = rec.JointTrajectory(60.0, joints, valid)
+    result = rec.fit_skeleton(traj, skeletons)
+    refit = hand.clip_positions(result.clip, skeletons)
+    err = np.linalg.norm(refit - joints, axis=-1)
+    assert err[valid].max() < 1e-4
+    assert np.nanmax(result.residual_rms) < 1e-4
+    vecs = hand.clip_vectors(result.clip)
+    # No observed joint moves with the index and middle dips (joints 6, 9)
+    # or, at frame 1, the left ring mcp, pip and dip (joints 10-12).
+    for j in (6, 9):
+        assert not vecs[:, 1, 3 + 3 * j:6 + 3 * j].any()
+    for j in (10, 11, 12):
+        assert not vecs[1, 0, 3 + 3 * j:6 + 3 * j].any()
