@@ -346,7 +346,7 @@ def cmd_refine(args, cfg):
             press_margin=_get(args, cfg, "press_margin"),
             max_displacement=_get(args, cfg, "max_displacement"))
     except (RuntimeError, FloatingPointError) as exc:
-        # The displacement guard and a non-finite loss.
+        # The displacement guard, and numpy errors where np.seterr raises.
         raise CliError("refinement failed: %s" % exc)
     _emit(args, result.clip.to_json() + "\n")
     if args.report:

@@ -7,24 +7,29 @@ above the key's rest surface.  Score keys no fingertip presses are
 "omitted": the fingertip closest to its projection onto the key surface is
 targeted onto the key at activation depth.  Targets demanding more than
 1 cm of fingertip travel are discarded.  The surviving targets drive one
-whole-clip optimization over joint rotations and wrist orientations (root
-translations stay fixed) with a smoothness term tying consecutive frames
-together.
+damped least-squares solve that edits only the joint rotations of the
+fingers holding a target; both wrists and every other finger keep their
+input values bit for bit.  A smoothness term ties each frame's edit to
+its neighbours' edits.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 
 from . import keyboard as kb
-from .hand import (HandPose, MotionClip, PARAMS_PER_HAND, SkeletonPair,
-                   TIP_JOINTS, clip_fingertips, clip_vectors, fk_jacobian)
+from .hand import (MotionClip, NUM_FINGERS, SkeletonPair, TIP_JOINTS,
+                   clip_fingertips, clip_vectors, fk_jacobian,
+                   forward_kinematics)
 from .keyboard import KeyboardGeometry
+from .lsq import block_tridiagonal_solve, levenberg_marquardt
 from .midi import KeyMatrix
+from .reconstruction import twist_free_basis
 
-DEFAULT_SMOOTHNESS = 0.0005
+DEFAULT_SMOOTHNESS = 0.00005
 DEFAULT_EPOCHS = 100
 DEFAULT_MAX_DISPLACEMENT = 0.01    # m; targets farther than this are dropped
 DISPLACEMENT_ASSERT = 0.012        # m; optimizer slack over the 1 cm budget
@@ -34,10 +39,15 @@ DEFAULT_PRESS_MARGIN = 0.001       # m beyond activation depth for omissions
 WRONG_PRESS = "wrong_press"
 OMITTED = "omitted"
 
-# Columns of the per-frame 102-dim two-hand parameter vector that stay
-# frozen during refinement: both root translations.
-_FROZEN_COLS = np.array([0, 1, 2, 51, 52, 53])
-_FREE_COLS = np.setdiff1d(np.arange(2 * PARAMS_PER_HAND), _FROZEN_COLS)
+# Each finger's MCP, PIP and DIP rotation vectors in the pose vector, and
+# its 6 columns of the twist-free basis (two per joint).
+_FINGER_COLS = 6 + 9 * np.arange(NUM_FINGERS)[:, None] + np.arange(9)
+_FINGER_DIMS = 6 + 6 * np.arange(NUM_FINGERS)[:, None] + np.arange(6)
+# Target poses per fk_jacobian call; it bounds the stacked Jacobians.
+_POSE_BLOCK = 256
+# An LM step that lowers a finger's objective by at most this fraction of
+# it ends that finger's solve.
+_RTOL = 1e-6
 
 
 @dataclasses.dataclass(eq=False)
@@ -241,11 +251,13 @@ class IkProblem:
 @dataclasses.dataclass(eq=False)
 class RefineResult:
     clip: MotionClip
-    loss_curve: list               # objective value per optimizer epoch
+    loss_curve: list               # objective at the start and per LM step
     initial_loss: float
     final_loss: float
     n_targets: int
     n_invalidated: int
+    iterations: np.ndarray         # (2, 5) LM iterations per hand and finger
+    stop: np.ndarray               # (2, 5) stop reason, None where unedited
 
     def report_obj(self) -> dict:
         return {
@@ -255,110 +267,131 @@ class RefineResult:
             "n_invalidated": self.n_invalidated,
             "epochs_run": max(0, len(self.loss_curve) - 1),
             "loss_curve": self.loss_curve,
+            "iterations": np.where(self.stop.astype(bool), self.iterations,
+                                   None).tolist(),
+            "stop": self.stop.tolist(),
         }
 
 
 def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     """Solve the whole-clip refinement and return the edited clip.
 
-    Minimizes mean masked fingertip-to-target squared distance plus
-    smoothness * mean squared parameter change between consecutive frames,
-    over all joint rotations and wrist orientations at once.  With zero
-    smoothness only frames holding targets enter the optimization, so
-    untouched frames come back bit-identical.
+    Minimizes the mean over frames of the mean masked fingertip-to-target
+    squared distance plus smoothness * the mean squared difference between
+    consecutive frames' edits (changes from the input), which is zero on
+    the input.  Only the joint rotations of fingers that miss a target are
+    edited, each joint in the plane perpendicular to its rest child bone
+    (`twist_free_basis`); wrists, twists and all other fingers keep their
+    input bits.  Each such (hand, finger) is its own problem, with normal
+    equations block tridiagonal in time; all of them run in one
+    `levenberg_marquardt` batch of at most `epochs` iterations.  With zero
+    smoothness only frames holding targets enter, and other frames come
+    back bit-identical.
     """
-    # Imported here: scipy.optimize alone takes most of the package's
-    # import time.
-    import scipy.optimize
-
     clip = problem.clip
     N = clip.n_frames
-    mask = problem.targets.mask
-    tgts = problem.targets.targets
-    lam = problem.smoothness
-
-    if problem.targets.n_valid == 0:
-        return RefineResult(clip.copy(), [], 0.0, 0.0, 0,
-                            problem.targets.n_invalidated)
-
-    theta0 = clip_vectors(clip).reshape(N, 2 * PARAMS_PER_HAND)
-    target_frames = np.nonzero(mask.any(axis=1))[0]
-    target_mask = mask[target_frames]
-    n_targets = target_mask.sum(axis=1)
-    opt_frames = np.arange(N) if lam > 0.0 else target_frames
-    frame_pos = {int(f): i for i, f in enumerate(opt_frames)}
-    n_opt = len(opt_frames)
-    n_free = len(_FREE_COLS)
-
+    targets = problem.targets
+    mask = targets.mask.reshape(N, 2, NUM_FINGERS)
+    goal = targets.targets.reshape(N, 2, NUM_FINGERS, 3)
     pre_tips = clip_fingertips(clip, skeletons)
+    missed = mask & np.any(pre_tips.reshape(goal.shape) != goal, axis=-1)
+    hands, fingers = np.nonzero(missed.any(axis=0))
+    iterations = np.zeros((2, NUM_FINGERS), dtype=np.int64)
+    stop = np.full((2, NUM_FINGERS), None, dtype=object)
+    if not len(hands):
+        return RefineResult(clip.copy(), [], 0.0, 0.0, targets.n_valid,
+                            targets.n_invalidated, iterations, stop)
 
-    def unpack(x):
-        theta = theta0.copy()
-        theta[opt_frames[:, None], _FREE_COLS[None, :]] = \
-            x.reshape(n_opt, n_free)
-        return theta
+    # Problem p edits finger fingers[p] of hand hands[p] on frames[f] by
+    # x[p, f] (6 twist-free coordinates); it has a target where aimed[p, f].
+    aimed = mask[:, hands, fingers].T
+    frames = (np.arange(N) if problem.smoothness > 0.0
+              else np.flatnonzero(aimed.any(axis=0)))
+    aimed = aimed[:, frames]
+    goal = goal[frames][:, hands, fingers].swapaxes(0, 1)
+    theta0 = clip_vectors(clip)[frames][:, hands].swapaxes(0, 1)
+    cols = _FINGER_COLS[fingers]
+    E = twist_free_basis(skeletons.bone_offsets)[
+        hands[:, None, None], cols[:, :, None], _FINGER_DIMS[fingers, None]]
+    tips = TIP_JOINTS[fingers]
+    weight = 1.0 / (N * np.maximum(targets.mask.sum(axis=1), 1)[frames])
+    c = problem.smoothness / (N - 1) if N > 1 else 0.0
+    P, n = aimed.shape
+    # Each frame's edit is tied to its neighbours': c times their number on
+    # the diagonal blocks, -c I off it.
+    degree = np.zeros(n)
+    degree[1:] += 1.0
+    degree[:-1] += 1.0
+    lower = np.broadcast_to(-c * np.eye(6), (P, n, 6, 6)).copy()
+    upper = lower.copy()
+    lower[:, 0] = upper[:, -1] = 0.0
 
-    def loss_and_grad(x):
-        theta = unpack(x)
-        grad_theta = np.zeros_like(theta)
-        p, J = fk_jacobian(skeletons, theta[target_frames].reshape(
-            -1, 2, PARAMS_PER_HAND))
-        resid = p[:, :, TIP_JOINTS].reshape(-1, 10, 3) - tgts[target_frames]
-        resid[~target_mask] = 0.0
-        # Per-frame losses, accumulated in frame order.
-        ik_sum = 0.0
-        for loss in np.sum(resid.reshape(-1, 30) ** 2, axis=1) / n_targets:
-            ik_sum += float(loss)
-        g = np.einsum("fhik,fhikc->fhc", resid.reshape(-1, 2, 5, 3),
-                      J[:, :, TIP_JOINTS])
-        grad_theta[target_frames] += ((2.0 / n_targets)[:, None, None]
-                                      * g).reshape(-1, 2 * PARAMS_PER_HAND)
-        total = ik_sum / N
-        if lam > 0.0 and N > 1:
-            diff = theta[:-1] - theta[1:]
-            total += lam * float(np.sum(diff ** 2)) / (N - 1)
-            coeff = 2.0 * lam / (N - 1)
-            grad_theta[:-1] += coeff * diff
-            grad_theta[1:] -= coeff * diff
-        g = grad_theta[opt_frames[:, None], _FREE_COLS[None, :]].reshape(-1)
-        if not np.isfinite(total):
-            raise FloatingPointError("refinement loss became non-finite")
-        return total, g
+    def poses(i, x):
+        """Edited pose vectors at the target pairs (p, f) of problems i."""
+        p, f = np.nonzero(aimed[i])
+        th = theta0[i[p], f]
+        th[np.arange(len(p))[:, None], cols[i[p]]] += (
+            E[i[p]] @ x[p, f, :, None])[..., 0]
+        return p, f, th
 
-    x0 = theta0[opt_frames[:, None], _FREE_COLS[None, :]].reshape(-1)
-    f0, _ = loss_and_grad(x0)
-    curve = [f0]
+    def objective(i, x):
+        p, f, th = poses(i, x)
+        pos, _ = forward_kinematics(types.SimpleNamespace(
+            bone_offsets=skeletons.bone_offsets[hands[i[p]]]), th)
+        r = pos[np.arange(len(p)), tips[i[p]]] - goal[i[p], f]
+        d = x[:, 1:] - x[:, :-1]
+        return (np.bincount(p, weights=weight[f] * np.sum(r * r, axis=1),
+                            minlength=len(i))
+                + c * np.sum(d * d, axis=(1, 2)))
 
-    def on_epoch(intermediate_result):
-        curve.append(float(intermediate_result.fun))
+    def normal_equations(i, x):
+        p, f, th = poses(i, x)
+        A = np.zeros(x.shape + (6,))
+        g = c * degree[:, None] * x
+        g[:, 1:] -= c * x[:, :-1]
+        g[:, :-1] -= c * x[:, 1:]
+        for s in range(0, len(p), _POSE_BLOCK):
+            b = slice(s, s + _POSE_BLOCK)
+            q, k = i[p[b]], np.arange(len(p[b]))
+            pos, J = fk_jacobian(types.SimpleNamespace(
+                bone_offsets=skeletons.bone_offsets[hands[q]]), th[b])
+            Jt = np.take_along_axis(J[k, tips[q]], cols[q, None],
+                                    axis=2) @ E[q]
+            JtW = weight[f[b], None, None] * np.swapaxes(Jt, 1, 2)
+            A[p[b], f[b]] = JtW @ Jt
+            g[p[b], f[b]] += (JtW @ (pos[k, tips[q]]
+                                     - goal[q, f[b]])[..., None])[..., 0]
+        return A + c * degree[:, None, None] * np.eye(6), g
 
-    res = scipy.optimize.minimize(
-        loss_and_grad, x0, jac=True, method="L-BFGS-B", callback=on_epoch,
-        options={"maxiter": problem.epochs, "gtol": 1e-8, "ftol": 0.0})
-    x_best = res.x if res.fun <= f0 else x0
-    final_loss = min(float(res.fun), f0)
+    def solve(i, system, damping):
+        A, g = system
+        step, singular = block_tridiagonal_solve(
+            A + damping[:, None, None, None] * np.eye(6), lower[i], upper[i],
+            g[..., None])
+        return step[..., 0], singular
 
-    theta = unpack(x_best)
-    frames = []
-    for f in range(N):
-        if f in frame_pos and not np.array_equal(theta[f], theta0[f]):
-            frames.append((HandPose.from_vector(theta[f, :PARAMS_PER_HAND]),
-                           HandPose.from_vector(theta[f, PARAMS_PER_HAND:])))
-        else:
-            l, r = clip.frames[f]
-            frames.append((l.copy(), r.copy()))
-    out = MotionClip(clip.fps, frames)
+    x, iters, stops, curve = levenberg_marquardt(
+        np.zeros((P, n, 6)), objective, normal_equations, solve,
+        problem.epochs, _RTOL)
+    iterations[hands, fingers] = iters
+    stop[hands, fingers] = stops
 
-    post_tips = clip_fingertips(out, skeletons)
-    moved = np.linalg.norm(post_tips - pre_tips, axis=2)
-    worst = float(moved[mask].max()) if mask.any() else 0.0
+    out = clip.copy()
+    p, f = np.nonzero(np.any(x != 0.0, axis=-1))
+    rows = (theta0[p[:, None], f[:, None], cols[p]]
+            + (E[p] @ x[p, f, :, None])[..., 0]).reshape(-1, 3, 3)
+    for pi, fi, row in zip(p, f, rows):
+        joints = out.frames[frames[fi]][hands[pi]].joint_rotations
+        joints[3 * fingers[pi]:3 * fingers[pi] + 3] = row
+
+    moved = np.linalg.norm(clip_fingertips(out, skeletons) - pre_tips, axis=2)
+    worst = float(moved[targets.mask].max())
     if worst > DISPLACEMENT_ASSERT:
         raise RuntimeError(
             "an IK subject fingertip moved %.4f m, over the %.3f m budget"
             % (worst, DISPLACEMENT_ASSERT))
-    return RefineResult(out, curve, f0, final_loss,
-                        problem.targets.n_valid,
-                        problem.targets.n_invalidated)
+    return RefineResult(out, curve, curve[0], curve[-1], targets.n_valid,
+                        targets.n_invalidated, iterations, stop)
 
 
 def _anchor_consistent_presses(targets: IkTargets, clip: MotionClip,

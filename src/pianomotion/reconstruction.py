@@ -21,6 +21,7 @@ import numpy as np
 from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, HandPose,
                    MotionClip, SkeletonPair, clip_vectors, fk_jacobian,
                    forward_kinematics, matrix_to_rotvec)
+from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
 DEFAULT_REPROJ_THRESHOLD = 8.0     # px
@@ -313,19 +314,6 @@ def _weighted_sse(points, uv, projections, weights) -> np.ndarray:
     return np.sum(weights * err ** 2, axis=-1)
 
 
-def _solve(H, g):
-    """np.linalg.solve on stacked systems; also flags the singular ones."""
-    try:
-        return np.linalg.solve(H, g), np.zeros(len(H), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(H) == 1:
-            return np.full(g.shape, np.nan), np.ones(1, dtype=bool)
-    half = len(H) // 2
-    lo, lo_bad = _solve(H[:half], g[:half])
-    hi, hi_bad = _solve(H[half:], g[half:])
-    return np.concatenate([lo, hi]), np.concatenate([lo_bad, hi_bad])
-
-
 def _gauss_newton_polish(points, uv, projections, weights, iters: int = 10):
     """Refine triangulated points by damped Gauss-Newton on reprojection.
 
@@ -359,8 +347,8 @@ def _gauss_newton_polish(points, uv, projections, weights, iters: int = 10):
               ) / depth[..., None, None]
         J = (lsw[..., None, None] * Ji).reshape(len(live), -1, 3)
         Jt = J.swapaxes(-1, -2)
-        step, singular = _solve(Jt @ J + llam[:, None, None] * np.eye(3),
-                                Jt @ r[..., None])
+        step, singular = solve_stacked(
+            Jt @ J + llam[:, None, None] * np.eye(3), Jt @ r[..., None])
         cand = lx - step[..., 0]
         sse = _weighted_sse(cand, luv, lP, lw)
         better = sse < lbest
@@ -662,7 +650,7 @@ class FitResult:
                                    # or None where copied
 
 
-def _twist_free_basis(offsets: np.ndarray) -> np.ndarray:
+def twist_free_basis(offsets: np.ndarray) -> np.ndarray:
     """(..., 51, 36) orthonormal basis of the pose steps that keep every
     finger joint's rotation-vector component along its rest child bone:
     the 6 root columns, then two spanning the plane perpendicular to that
@@ -717,19 +705,13 @@ def _swing_init(bones, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _lm_fit(bones, basis, y, weight, x0, lo, hi, limit_weight: float,
             max_iter: int):
-    """Guarded damped least squares (Levenberg-Marquardt) on B hand-frame
-    problems in lockstep, each with its own damping and stop.
+    """Fit B hand-frame problems by `levenberg_marquardt`.
 
     Problem b minimizes |weight_b (FK(x) - y_b)|^2 plus the soft-limit
-    penalty, stepping x -= basis_b d.  Damping starts at 1e-6, halves
-    (down to 1e-12) on an accepted step and grows 10x on a rejected one.
-    A problem stops as "converged" when its objective falls below 1e-24,
-    "stalled" when its damping exceeds 1e8 or its system is singular, or
-    "max_iter".  Trial steps are scored by FK alone; only accepted ones
-    get a new Jacobian.  Returns the poses (B, 51), the iterations run and
-    the stop reasons.
+    penalty, stepping x -= basis_b d.  Trial steps are scored by FK alone;
+    only accepted ones get a new Jacobian.  Returns the poses (B, 51), the
+    iterations run and the stop reasons.
     """
-    B = len(x0)
     sqrt_lw = np.sqrt(limit_weight)
 
     def residuals(i, x, p):
@@ -760,36 +742,14 @@ def _lm_fit(bones, basis, y, weight, x0, lo, hi, limit_weight: float,
         Jt = np.swapaxes(Jr, 1, 2)
         return Jt @ Jr, Jt @ residuals(i, x, p)[..., None]
 
-    x = x0.copy()
-    f = objective(np.arange(B), x)
-    A, g = normal_equations(np.arange(B), x)
-    lam = np.full(B, 1e-6)
-    iterations = np.zeros(B, dtype=np.int64)
-    stop = np.full(B, "max_iter", dtype=object)
-    live = np.arange(B)
-    for _ in range(max_iter):
-        if not len(live):
-            break
-        iterations[live] += 1
-        step, singular = _solve(
-            A[live] + lam[live, None, None] * np.eye(_TWIST_FREE_DIMS),
-            g[live])
-        step[singular] = 0.0
-        cand = x[live] - (basis[live] @ step)[..., 0]
-        fc = objective(live, cand)
-        better = fc < f[live]
-        accepted = live[better]
-        if len(accepted):
-            x[accepted], f[accepted] = cand[better], fc[better]
-            A[accepted], g[accepted] = normal_equations(accepted,
-                                                        x[accepted])
-        lam[live] = np.where(better, np.maximum(lam[live] * 0.5, 1e-12),
-                             lam[live] * 10.0)
-        converged = better & (f[live] < 1e-24)
-        stalled = singular | (lam[live] > 1e8)
-        stop[live[converged]] = "converged"
-        stop[live[stalled]] = "stalled"
-        live = live[~(converged | stalled)]
+    def solve(i, system, lam):
+        A, g = system
+        step, singular = solve_stacked(
+            A + lam[:, None, None] * np.eye(_TWIST_FREE_DIMS), g)
+        return (basis[i] @ step)[..., 0], singular
+
+    x, iterations, stop, _ = levenberg_marquardt(
+        x0, objective, normal_equations, solve, max_iter)
     return x, iterations, stop
 
 
@@ -828,7 +788,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     solved = traj.valid.any(axis=2)
     frame, side = np.nonzero(solved)
     positions = np.where(traj.valid[..., None], traj.positions, 0.0)
-    bases = _twist_free_basis(skeletons.bone_offsets)
+    bases = twist_free_basis(skeletons.bone_offsets)
     limits = np.stack([skeletons.left.joint_limits.reshape(-1, 2),
                        skeletons.right.joint_limits.reshape(-1, 2)])
     starts = None if init is None else clip_vectors(init)

@@ -265,31 +265,46 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
 # 6. MIDI-consistency refinement on clips with injected press errors.
 
 
+_ERROR_KEYS = (30, 33, 35, 40, 44)
+
+
+def _error_group(geom, skeletons, rng, key, poses):
+    """Four frames of one key: two correct presses, one omitted press (a
+    touch short of activation) and one wrong press, in shuffled order.
+    `poses` caches the press and touch poses per key.  Returns the frames
+    and the score's keys per frame."""
+    if key not in poses:
+        poses[key] = (
+            _synth.pressing_pose(geom, skeletons, {7: key}),
+            _synth.pressing_pose(geom, skeletons, {}, center_key=key,
+                                 lift={7: -0.002}))
+    press, touch = poses[key]
+    left = _synth.parked_pose(0, x=-0.1)
+    kinds = ["ok", "omit", "wrong", "ok"]
+    rng.shuffle(kinds)
+    frames = []
+    score = []
+    for kind in kinds:
+        if kind == "ok":
+            frames.append((left, press))
+            score.append({key})
+        elif kind == "omit":
+            frames.append((left, touch))
+            score.append({key})
+        else:
+            frames.append((left, press))
+            score.append(set())
+    return frames, score
+
+
 def test_refinement_repairs_injected_errors(geom, skeletons, rng):
     t0 = time.monotonic()
     problems = []
-    centers = (30, 33, 35, 40, 44)
     n_fixed = 0
+    poses = {}
     for c in range(20):
-        key = centers[c % len(centers)]
-        press = _synth.pressing_pose(geom, skeletons, {7: key})
-        touch = _synth.pressing_pose(geom, skeletons, {}, center_key=key,
-                                     lift={7: -0.002})
-        left = _synth.parked_pose(0, x=-0.1)
-        kinds = ["ok", "omit", "wrong", "ok"]
-        rng.shuffle(kinds)
-        frames = []
-        score = []
-        for kind in kinds:
-            if kind == "ok":
-                frames.append((left, press))
-                score.append({key})
-            elif kind == "omit":
-                frames.append((left, touch))
-                score.append({key})
-            else:
-                frames.append((left, press))
-                score.append(set())
+        frames, score = _error_group(geom, skeletons, rng,
+                                     _ERROR_KEYS[c % len(_ERROR_KEYS)], poses)
         clip = MotionClip(60.0, frames)
         matrix = _synth.matrix_from_frames(score, fps=60.0)
 
@@ -319,6 +334,37 @@ def test_refinement_repairs_injected_errors(geom, skeletons, rng):
     _check(problems, n_fixed == 20, "repaired %d/20 clips" % n_fixed)
     _finish("press-error refinement", problems, t0, 300.0,
             "%d/20 clips repaired" % n_fixed)
+
+
+def test_refinement_repairs_a_long_clip(geom, skeletons, rng):
+    # 300 of the groups above back to back, 20 s at 60 fps: 600 errors.
+    poses = {}
+    frames, score = [], []
+    for c in range(300):
+        group = _error_group(geom, skeletons, rng,
+                             _ERROR_KEYS[c % len(_ERROR_KEYS)], poses)
+        frames += group[0]
+        score += group[1]
+    clip = MotionClip(60.0, frames)
+    matrix = _synth.matrix_from_frames(score, fps=60.0)
+    t0 = time.monotonic()
+    problems = []
+    result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
+                                                   matrix)
+    _check(problems, len(before) == 600, "%d errors before" % len(before))
+    _check(problems, after == [], "%d errors after" % len(after))
+    _check(problems, result.stop[1, 2] == "converged",
+           "LM stopped %r" % result.stop[1, 2])
+    tips_in = hand.clip_fingertips(clip, skeletons)
+    moved = np.linalg.norm(hand.clip_fingertips(result.clip, skeletons)
+                           - tips_in, axis=-1)
+    _check(problems, not moved[:, np.r_[0:7, 8:10]].any(),
+           "a fingertip without targets moved")
+    _check(problems, moved.max() <= 0.012,
+           "fingertip moved %.3g m" % moved.max())
+    _finish("long-clip refinement", problems, t0, 30.0,
+            "1200 frames, %d -> %d errors, %d LM iterations"
+            % (len(before), len(after), result.iterations.max()))
 
 
 # ---------------------------------------------------------------------------

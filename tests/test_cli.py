@@ -310,6 +310,65 @@ def test_refine_via_cli(tmp_path, geom, skeletons):
     assert report["errors_after"] == 0
 
 
+def refine_inputs(tmp_path, geom, skeletons):
+    press = _synth.pressing_pose(geom, skeletons, {7: 40})
+    touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
+                                 lift={7: -0.002})
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, MotionClip(60.0, [(parked, press), (parked, touch),
+                                            (parked, press)]))
+    matrix_path = tmp_path / "score.json"
+    write_matrix(matrix_path, [{40}, {40}, {40}])
+    return clip_path, matrix_path
+
+
+def test_refine_report_lm_diagnostics_leave_clip_bytes(tmp_path, geom,
+                                                       skeletons):
+    clip_path, matrix_path = refine_inputs(tmp_path, geom, skeletons)
+    plain, reported = tmp_path / "plain.json", tmp_path / "reported.json"
+    report_path = tmp_path / "report.json"
+    base = ["refine", "--clip", clip_path, "--midi", matrix_path]
+    assert run(base + ["-o", plain]) == 0
+    assert run(base + ["-o", reported, "--report", report_path]) == 0
+    assert plain.read_bytes() == reported.read_bytes()
+    report = json.loads(report_path.read_text())
+    assert report["errors_before"] == 1 and report["errors_after"] == 0
+    # Only the right middle finger is edited.
+    assert report["stop"] == [[None] * 5, [None, None, "converged", None,
+                                           None]]
+    n = report["iterations"][1][2]
+    assert report["iterations"] == [[None] * 5, [None, None, n, None, None]]
+    curve = report["loss_curve"]
+    assert 1 <= report["epochs_run"] == len(curve) - 1 <= n
+    assert all(b <= a for a, b in zip(curve, curve[1:]))
+    assert run(base + ["-o", plain, "--epochs", 1,
+                       "--report", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["iterations"][1][2] == 1
+    assert report["stop"][1][2] in ("max_iter", "converged")
+
+
+def test_refine_loads_no_scipy(tmp_path, geom, skeletons):
+    clip_path, matrix_path = refine_inputs(tmp_path, geom, skeletons)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "refined.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from pianomotion import cli; "
+         "rc = cli.main(sys.argv[1:]); "
+         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] "
+         "== 'scipy'))",
+         "refine", "--clip", str(clip_path), "--midi", str(matrix_path),
+         "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "0 []"
+    assert out.exists()
+
+
 @pytest.mark.parametrize("error", [
     RuntimeError("an IK subject fingertip moved 0.0500 m, over the budget"),
     FloatingPointError("refinement loss became non-finite"),
@@ -596,8 +655,7 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy is only needed by the trajectory filter (scipy.signal) and by
-    # refine (scipy.optimize, which loads scipy.spatial); importing either
+    # scipy is only needed by the trajectory filter (scipy.signal), which
     # roughly doubles the start-up time of every subcommand.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)

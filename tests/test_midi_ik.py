@@ -282,3 +282,73 @@ def test_refine_report_obj(geom, skeletons):
     assert obj["n_invalidated"] == 0
     assert obj["epochs_run"] == len(result.loss_curve) - 1
     assert obj["loss_curve"][0] == obj["initial_loss"]
+
+
+def omission_clip(geom, skeletons, left_poses):
+    """Right middle fingertip touching key 40 short of activation on the
+    middle frame, pressing it on the others; the score holds key 40."""
+    press = _synth.pressing_pose(geom, skeletons, {7: 40})
+    touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
+                                 lift={7: -0.002})
+    right = [press, touch, press][:len(left_poses)]
+    clip = MotionClip(60.0, list(zip(left_poses, right)))
+    return clip, _synth.matrix_from_frames([{40}] * clip.n_frames, fps=60.0)
+
+
+def test_refine_keeps_parked_hand_at_half_turn(geom, skeletons):
+    # Left wrist yawed just either side of pi: its stored rotation vector
+    # flips sign from frame to frame although the hand barely turns.
+    parked = _synth.parked_pose(0, x=-0.1)
+    lefts = [hand.HandPose(parked.root_t, _synth.yaw_quat(np.pi + d),
+                           parked.joint_rotations)
+             for d in (-1e-3, 1e-3, -1e-3)]
+    clip, matrix = omission_clip(geom, skeletons, lefts)
+    vecs = hand.clip_vectors(clip)
+    assert vecs[0, 0, 5] > 3.0 and vecs[1, 0, 5] < -3.0
+    result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
+                                                   matrix)
+    assert len(before) == 1 and after == []
+    for f in range(3):
+        out, orig = result.clip.frames[f][0], clip.frames[f][0]
+        assert np.array_equal(out.root_t, orig.root_t)
+        assert np.array_equal(out.root_q, orig.root_q)
+        assert np.array_equal(out.joint_rotations, orig.joint_rotations)
+
+
+@pytest.mark.parametrize("smoothness", [0.0, midi_ik.DEFAULT_SMOOTHNESS])
+def test_refine_edits_only_fingers_with_targets(geom, skeletons, smoothness):
+    parked = _synth.parked_pose(0, x=-0.1)
+    clip, matrix = omission_clip(geom, skeletons, [parked] * 3)
+    result, _, after = midi_ik.refine_to_midi(clip, skeletons, geom, matrix,
+                                              smoothness=smoothness)
+    assert after == []
+    # Only the right middle finger (joints 6-8) holds a target.
+    middle = np.zeros(15, dtype=bool)
+    middle[6:9] = True
+    for f in range(3):
+        for h in range(2):
+            out, orig = result.clip.frames[f][h], clip.frames[f][h]
+            assert np.array_equal(out.root_t, orig.root_t)
+            assert np.array_equal(out.root_q, orig.root_q)
+            assert np.array_equal(out.joint_rotations[~middle],
+                                  orig.joint_rotations[~middle])
+    same = [np.array_equal(result.clip.frames[f][1].joint_rotations,
+                           clip.frames[f][1].joint_rotations)
+            for f in range(3)]
+    # Zero smoothness leaves untouched frames as they were; a positive one
+    # spreads the edit to its neighbours.
+    assert same == ([True, False, True] if smoothness == 0.0
+                    else [False, False, False])
+    assert result.stop[1, 2] == "converged"
+    assert result.iterations[1, 2] >= 1
+    assert (result.stop == None).sum() == 9  # noqa: E711
+    assert result.iterations.sum() == result.iterations[1, 2]
+
+
+def test_refine_epochs_cap_lm_iterations(geom, skeletons):
+    parked = _synth.parked_pose(0, x=-0.1)
+    clip, matrix = omission_clip(geom, skeletons, [parked] * 3)
+    result, _, _ = midi_ik.refine_to_midi(clip, skeletons, geom, matrix,
+                                          epochs=2)
+    assert result.iterations[1, 2] == 2 and result.stop[1, 2] == "max_iter"
+    assert len(result.loss_curve) <= 3

@@ -6,6 +6,7 @@ import pytest
 import _scalar_ransac as scalar
 import _synth
 from pianomotion import reconstruction as rec
+from pianomotion.lsq import solve_stacked
 from pianomotion.hand import MotionClip
 
 
@@ -158,7 +159,7 @@ def test_batched_triangulate_point_equals_each_point():
 def test_solve_flags_only_the_singular_systems():
     H = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
     g = np.ones((3, 3, 1))
-    step, singular = rec._solve(H, g)
+    step, singular = solve_stacked(H, g)
     assert singular.tolist() == [False, True, False]
     assert np.array_equal(step[0], g[0]) and np.array_equal(step[2], g[2] / 2)
 
