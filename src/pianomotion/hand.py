@@ -1,4 +1,4 @@
-"""Articulated hand model: skeleton, poses, forward kinematics, velocities.
+"""Hand model: skeleton, poses, motion clips, forward kinematics, velocities.
 
 Each hand is a 21-joint tree.  Joint 0 is the wrist; joints 1..15 are the
 rotational finger joints in the order
@@ -21,9 +21,11 @@ used by the fitting and refinement optimizers is
     [root_t (3), root rotvec (3), joint rotvecs (45)]        -> 51 per hand
 
 Anatomically a hand has 27 degrees of freedom (wrist 6, thumb mcp 3, other
-mcps 2, pips and dips 1 each); the optimizers work in the redundant 51-dim
-parameterization and rely on regularization rather than hard-coding the
-reduced axes.
+mcps 2, pips and dips 1 each).  The fit steps in the 36 columns of
+`reconstruction.twist_free_basis`: the root's 6 and, for each finger joint,
+the 2 perpendicular to its rest child bone; refine steps in the 6 of one
+finger.  So each finger twist about its bone, which no joint position
+observes, keeps its start value.
 """
 
 from __future__ import annotations
@@ -119,18 +121,6 @@ class DofLayout:
         return names
 
 
-def _as_unit_quat(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
-        raise ValueError("quaternion must have shape (4,), got %s" % (q.shape,))
-    if not np.isfinite(q).all():
-        raise ValueError("quaternion must be finite")
-    n = float(np.linalg.norm(q))
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError("quaternion norm %.12f is not 1 within 1e-9" % n)
-    return q
-
-
 # The rotation maps below work on stacked arrays (..., 4), (..., 3, 3) and
 # (..., 3).  They evaluate the same closed forms, in the same order, as
 # scipy's Rotation class, so their results equal scipy's bit for bit.
@@ -224,6 +214,31 @@ def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
     return np.where(q[..., :1] < 0, -q, q)
 
 
+# The arrays of a pose and their shapes.
+_POSE_FIELDS = {"root_t": (3,), "root_q": (4,),
+                "joint_rotations": (NUM_FINGER_JOINTS, 3)}
+
+
+def _check_pose_arrays(obj, lead: tuple) -> None:
+    """Make obj's pose arrays float64 of shape lead + the pose's, and check
+    that they are finite and every root_q a unit quaternion within 1e-9."""
+    for name, shape in _POSE_FIELDS.items():
+        a = np.asarray(getattr(obj, name), dtype=np.float64)
+        if a.shape != lead + shape:
+            raise ValueError("%s must have shape %s, got %s"
+                             % (name, lead + shape, a.shape))
+        if not np.isfinite(a).all():
+            raise ValueError("%s must be finite" % name)
+        setattr(obj, name, a)
+    with np.errstate(over="ignore"):          # a huge entry gives norm inf
+        norm = np.sqrt(np.vecdot(obj.root_q, obj.root_q))
+    off = np.abs(norm - 1.0) > 1e-9
+    if off.any():
+        at = tuple(np.argwhere(off)[0])
+        raise ValueError("root_q%s norm %.12f is not 1 within 1e-9"
+                         % ("".join("[%d]" % i for i in at), norm[at]))
+
+
 @dataclasses.dataclass(eq=False)
 class HandPose:
     """One hand's configuration: root transform plus finger joint rotations."""
@@ -233,18 +248,7 @@ class HandPose:
     joint_rotations: np.ndarray
 
     def __post_init__(self) -> None:
-        self.root_t = np.asarray(self.root_t, dtype=np.float64)
-        if self.root_t.shape != (3,):
-            raise ValueError("root_t must have shape (3,)")
-        if not np.isfinite(self.root_t).all():
-            raise ValueError("root_t must be finite")
-        self.root_q = _as_unit_quat(self.root_q)
-        self.joint_rotations = np.asarray(self.joint_rotations, dtype=np.float64)
-        if self.joint_rotations.shape != (NUM_FINGER_JOINTS, 3):
-            raise ValueError("joint_rotations must have shape (15, 3), got %s"
-                             % (self.joint_rotations.shape,))
-        if not np.isfinite(self.joint_rotations).all():
-            raise ValueError("joint_rotations must be finite")
+        _check_pose_arrays(self, ())
 
     @classmethod
     def identity(cls, root_t=(0.0, 0.0, 0.0)) -> "HandPose":
@@ -273,25 +277,6 @@ class HandPose:
         return cls(vec[:3].copy(), rotvec_to_quat(vec[3:6]),
                    vec[6:].reshape(NUM_FINGER_JOINTS, 3).copy())
 
-    def to_json_obj(self) -> dict:
-        return {
-            "root_t": [float(v) for v in self.root_t],
-            "root_q": [float(v) for v in self.root_q],
-            "joint_rotations": [[float(v) for v in row]
-                                for row in self.joint_rotations],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "HandPose":
-        if not isinstance(obj, dict):
-            raise ValueError("a hand pose must be a JSON object")
-        try:
-            return cls(np.array(obj["root_t"], dtype=np.float64),
-                       np.array(obj["root_q"], dtype=np.float64),
-                       np.array(obj["joint_rotations"], dtype=np.float64))
-        except TypeError as exc:
-            raise ValueError("hand pose values must be numbers: %s" % exc)
-
 
 @dataclasses.dataclass(eq=False)
 class HandSkeleton:
@@ -319,11 +304,6 @@ class HandSkeleton:
             raise ValueError("joint_limits must have shape (15, 3, 2)")
         if np.any(self.joint_limits[:, :, 0] > self.joint_limits[:, :, 1]):
             raise ValueError("joint limit lower bounds must not exceed uppers")
-
-    @property
-    def bone_lengths(self) -> np.ndarray:
-        """(20,) length of the bone ending at joints 1..20."""
-        return np.linalg.norm(self.bone_offsets[1:], axis=1)
 
     def clamp(self, pose: HandPose) -> HandPose:
         """Return a copy of pose with joint rotations clipped to the limits."""
@@ -474,96 +454,98 @@ def fk_jacobian(skeleton, vecs: np.ndarray):
 
 @dataclasses.dataclass(eq=False)
 class MotionClip:
-    """A fixed-rate sequence of two-hand poses, left hand first."""
+    """A fixed-rate sequence of two-hand poses, held as three arrays.
+
+    Axis 0 is the frame and axis 1 the hand, left (0) then right (1):
+
+        root_t           (F, 2, 3)       root translation, meters
+        root_q           (F, 2, 4)       unit root quaternion (w, x, y, z)
+        joint_rotations  (F, 2, 15, 3)   finger joint rotation vectors
+
+    Construction validates the arrays once, by the rules HandPose applies
+    to one pose, and keeps float64 arrays without copying them.
+    """
 
     fps: float
-    frames: list                       # list of (HandPose, HandPose)
+    root_t: np.ndarray
+    root_q: np.ndarray
+    joint_rotations: np.ndarray
 
     def __post_init__(self) -> None:
         if not (0.0 < self.fps < math.inf):
             raise ValueError("fps must be positive and finite")
-        for fr in self.frames:
-            if len(fr) != 2:
-                raise ValueError("each frame must hold exactly two hand poses")
+        _check_pose_arrays(self, np.shape(self.root_t)[:1] + (2,))
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.root_t.shape[0]
+
+    def __getitem__(self, frames) -> "MotionClip":
+        """The clip of `frames`, a slice or an index array, in new arrays."""
+        return MotionClip(self.fps, self.root_t[frames].copy(),
+                          self.root_q[frames].copy(),
+                          self.joint_rotations[frames].copy())
 
     def copy(self) -> "MotionClip":
-        return MotionClip(self.fps, [(l.copy(), r.copy()) for l, r in self.frames])
+        return self[:]
 
     def pose(self, frame: int, hand: int) -> HandPose:
-        return self.frames[frame][hand]
+        """One hand's pose over views of the clip's arrays."""
+        return HandPose(self.root_t[frame, hand], self.root_q[frame, hand],
+                        self.joint_rotations[frame, hand])
 
     def to_json(self) -> str:
+        t, q, r = (a.tolist() for a in
+                   (self.root_t, self.root_q, self.joint_rotations))
         obj = {
             "fps": self.fps,
             "hands": ["left", "right"],
-            "frames": [[l.to_json_obj(), r.to_json_obj()]
-                       for l, r in self.frames],
+            "frames": [[{"joint_rotations": rf[h], "root_q": qf[h],
+                         "root_t": tf[h]} for h in (0, 1)]
+                       for tf, qf, rf in zip(t, q, r)],
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "MotionClip":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("a motion clip must be a JSON object")
+        # Integers parse as floats, so one too large for a float reads inf.
+        obj = json.loads(text, parse_int=float)
+        if not isinstance(obj, dict) or not {"fps", "frames"} <= obj.keys():
+            raise ValueError("a motion clip must be a JSON object with fps "
+                             "and frames")
         if obj.get("hands", ["left", "right"]) != ["left", "right"]:
             raise ValueError("clip hand order must be [left, right]")
         fps, frames = obj["fps"], obj["frames"]
-        if isinstance(fps, bool) or not isinstance(fps, (int, float)):
+        if type(fps) is not float:
             raise ValueError("fps must be a number")
         if not isinstance(frames, list) or not all(
-                isinstance(fr, list) and len(fr) == 2 for fr in frames):
-            raise ValueError("frames must be a list of [left, right] pose pairs")
-        return cls(float(fps), [(HandPose.from_json_obj(l), HandPose.from_json_obj(r))
-                                for l, r in frames])
-
-    def to_arrays(self):
-        n = self.n_frames
-        root_t = np.empty((n, 2, 3))
-        root_q = np.empty((n, 2, 4))
-        joint_rotations = np.empty((n, 2, NUM_FINGER_JOINTS, 3))
-        for f, (l, r) in enumerate(self.frames):
-            for h, pose in enumerate((l, r)):
-                root_t[f, h] = pose.root_t
-                root_q[f, h] = pose.root_q
-                joint_rotations[f, h] = pose.joint_rotations
-        return root_t, root_q, joint_rotations
-
-    @classmethod
-    def from_arrays(cls, fps: float, root_t, root_q, joint_rotations) -> "MotionClip":
-        root_t = np.asarray(root_t, dtype=np.float64)
-        root_q = np.asarray(root_q, dtype=np.float64)
-        joint_rotations = np.asarray(joint_rotations, dtype=np.float64)
-        n = root_t.shape[0]
-        frames = []
-        for f in range(n):
-            frames.append((HandPose(root_t[f, 0], root_q[f, 0], joint_rotations[f, 0]),
-                           HandPose(root_t[f, 1], root_q[f, 1], joint_rotations[f, 1])))
-        return cls(fps, frames)
-
-    def save_npz(self, path: str) -> None:
-        root_t, root_q, joint_rotations = self.to_arrays()
-        np.savez(path, fps=np.float64(self.fps), root_t=root_t,
-                 root_q=root_q, joint_rotations=joint_rotations)
-
-    @classmethod
-    def load_npz(cls, path: str) -> "MotionClip":
-        with np.load(path) as data:
-            return cls.from_arrays(float(data["fps"]), data["root_t"],
-                                   data["root_q"], data["joint_rotations"])
+                isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(pose, dict) and pose.keys() >= _POSE_FIELDS.keys()
+                    for pose in pair) for pair in frames):
+            raise ValueError("frames must be a list of [left, right] pose pairs, "
+                             "each pose an object of %s" % ", ".join(_POSE_FIELDS))
+        return cls(fps, *(_json_floats([[l[name], r[name]] for l, r in frames],
+                                       name, (len(frames), 2) + shape)
+                          for name, shape in _POSE_FIELDS.items()))
 
 
-def clip_vectors(clip: MotionClip) -> np.ndarray:
-    """Pose vectors of every frame and hand, shape (F, 2, 51)."""
-    root_t, root_q, joint_rotations = clip.to_arrays()
+def _json_floats(value, name: str, shape: tuple) -> np.ndarray:
+    """Parsed JSON floats as an array of `shape`, strings and bools refused."""
+    values = np.array(value, dtype=object)
+    if values.size == 0 == math.prod(shape):
+        values = values.reshape(shape)            # [] has shape (0,)
+    if values.shape != shape or set(map(type, values.ravel().tolist())) - {float}:
+        raise ValueError("%s must be numbers in shape %s" % (name, shape))
+    return values.astype(np.float64)
+
+
+def clip_vectors(clip: MotionClip, frames=slice(None)) -> np.ndarray:
+    """Pose vectors of `frames` (a slice or an index array; every frame by
+    default) and both hands, shape (n, 2, 51)."""
     return np.concatenate([
-        root_t,
-        quat_to_rotvec(root_q),
-        joint_rotations.reshape(clip.n_frames, 2, 3 * NUM_FINGER_JOINTS),
+        clip.root_t[frames],
+        quat_to_rotvec(clip.root_q[frames]),
+        clip.joint_rotations[frames].reshape(-1, 2, 3 * NUM_FINGER_JOINTS),
     ], axis=-1)
 
 
@@ -617,7 +599,7 @@ def finite_diff_velocities(clip: MotionClip,
     wrist_p = pos[:, :, 0, :]
     tips_w = pos[:, :, TIP_JOINTS, :]
     tips_l = ((tips_w - wrist_p[:, :, None, :])
-              @ quat_to_matrix(clip.to_arrays()[1]))
+              @ quat_to_matrix(clip.root_q))
     return ClipVelocities(
         wrist=_finite_diff(wrist_p, clip.fps),
         fingertips_world=_finite_diff(tips_w, clip.fps),

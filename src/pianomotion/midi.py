@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import bisect
 import json
+import numbers
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,6 +38,13 @@ class MidiParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _check_fps(fps) -> None:
+    """Raise ValueError unless fps is a positive number within float range."""
+    if (isinstance(fps, bool) or not isinstance(fps, numbers.Real)
+            or not 0 < fps <= sys.float_info.max):
+        raise ValueError(f"fps must be a positive finite number, got {reprlib.repr(fps)}")
 
 
 class MidiWarning(UserWarning):
@@ -100,8 +110,7 @@ class KeyMatrix:
     data: np.ndarray  # (n_frames, 88) of {0,1}
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        _check_fps(self.fps)
         self.data = np.asarray(self.data, dtype=np.uint8)
         if self.data.ndim != 2 or self.data.shape[1] != NUM_KEYS:
             raise ValueError(f"data must be (n_frames, 88), got {self.data.shape}")
@@ -125,8 +134,7 @@ class ConditionMatrix:
     data: np.ndarray  # (n_frames, 88) float
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        _check_fps(self.fps)
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2 or self.data.shape[1] != NUM_KEYS:
             raise ValueError(f"data must be (n_frames, 88), got {self.data.shape}")
@@ -613,22 +621,35 @@ def matrix_to_json(matrix: KeyMatrix | ConditionMatrix) -> str:
 
 
 def matrix_from_json(text: str) -> KeyMatrix | ConditionMatrix:
+    """Parse `matrix_to_json` output, rejecting anything it cannot write."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("a matrix must be a JSON object")
     kind = payload.get("type")
     if kind not in ("key_matrix", "condition_matrix"):
         raise ValueError(f"unknown matrix type {kind!r}")
+    _check_fps(payload.get("fps"))
+    n_frames, columns = payload.get("n_frames"), payload.get("columns")
+    if type(n_frames) is not int or n_frames < 0:
+        raise ValueError(f"n_frames must be a non-negative integer, got {n_frames!r}")
+    if not isinstance(columns, dict):
+        raise ValueError("columns must be an object of key -> runs")
     binary = kind == "key_matrix"
-    dtype = np.uint8 if binary else np.float64
-    data = np.zeros((payload["n_frames"], NUM_KEYS), dtype=dtype)
-    for key_str, runs in payload["columns"].items():
-        key = int(key_str) - 1
+    form = "[start, end]" if binary else "[start, end, value in (0, 1]]"
+    data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8 if binary else np.float64)
+    for key_str, runs in columns.items():
+        key = int(key_str) if key_str.isdecimal() else 0
+        if not 1 <= key <= NUM_KEYS or not isinstance(runs, list):
+            raise ValueError(f"column {key_str!r} must be a key in 1..{NUM_KEYS} "
+                             "holding a list of runs")
         for run in runs:
-            if binary:
-                start, end = run
-                data[start:end, key] = 1
-            else:
-                start, end, value = run
-                data[start:end, key] = value
+            if not (isinstance(run, list) and len(run) == (2 if binary else 3)
+                    and type(run[0]) is int and type(run[1]) is int
+                    and 0 <= run[0] <= run[1] <= n_frames
+                    and (binary or type(run[2]) in (int, float) and 0 < run[2] <= 1)):
+                raise ValueError(f"column {key_str!r}: run {run!r} is not {form} "
+                                 f"with 0 <= start <= end <= {n_frames}")
+            data[run[0]:run[1], key - 1] = 1 if binary else run[2]
     cls = KeyMatrix if binary else ConditionMatrix
     return cls(payload["fps"], data)
 

@@ -309,7 +309,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
               else np.flatnonzero(aimed.any(axis=0)))
     aimed = aimed[:, frames]
     goal = goal[frames][:, hands, fingers].swapaxes(0, 1)
-    theta0 = clip_vectors(clip)[frames][:, hands].swapaxes(0, 1)
+    theta0 = clip_vectors(clip, frames)[:, hands].swapaxes(0, 1)
     cols = _FINGER_COLS[fingers]
     E = twist_free_basis(skeletons.bone_offsets)[
         hands[:, None, None], cols[:, :, None], _FINGER_DIMS[fingers, None]]
@@ -380,9 +380,8 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     p, f = np.nonzero(np.any(x != 0.0, axis=-1))
     rows = (theta0[p[:, None], f[:, None], cols[p]]
             + (E[p] @ x[p, f, :, None])[..., 0]).reshape(-1, 3, 3)
-    for pi, fi, row in zip(p, f, rows):
-        joints = out.frames[frames[fi]][hands[pi]].joint_rotations
-        joints[3 * fingers[pi]:3 * fingers[pi] + 3] = row
+    out.joint_rotations[frames[f, None], hands[p, None],
+                        3 * fingers[p, None] + np.arange(3)] = rows
 
     moved = np.linalg.norm(clip_fingertips(out, skeletons) - pre_tips, axis=2)
     worst = float(moved[targets.mask].max())

@@ -18,9 +18,9 @@ import warnings
 
 import numpy as np
 
-from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, HandPose,
-                   MotionClip, SkeletonPair, clip_vectors, fk_jacobian,
-                   forward_kinematics, matrix_to_rotvec)
+from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, MotionClip,
+                   SkeletonPair, clip_vectors, fk_jacobian, forward_kinematics,
+                   matrix_to_rotvec, rotvec_to_quat)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -199,8 +199,8 @@ class JointTrajectory:
     valid: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.fps > 0):
-            raise ValueError("fps must be positive")
+        if not (0.0 < self.fps < np.inf):
+            raise ValueError("fps must be positive and finite")
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.valid = np.asarray(self.valid, dtype=bool)
         if self.positions.ndim != 4 or self.positions.shape[1:] != (2, 21, 3):
@@ -225,7 +225,8 @@ class JointTrajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "JointTrajectory":
-        obj = json.loads(text)
+        # Integers parse as floats, so one too large for a float reads inf.
+        obj = json.loads(text, parse_int=float)
         if not isinstance(obj, dict):
             raise ValueError("a joint trajectory must be a JSON object")
         return cls(float(obj["fps"]),
@@ -814,6 +815,6 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
                                 axis=0)
     vecs = np.where((src >= 0)[..., None], vecs[src, [0, 1]],
                     0.0 if init is None else starts[0])
-    clip = MotionClip(traj.fps, [(HandPose.from_vector(v[0]),
-                                  HandPose.from_vector(v[1])) for v in vecs])
+    clip = MotionClip(traj.fps, vecs[..., :3], rotvec_to_quat(vecs[..., 3:6]),
+                      vecs[..., 6:].reshape(F, 2, NUM_FINGER_JOINTS, 3))
     return FitResult(clip, ~solved, rms, iters, stop)

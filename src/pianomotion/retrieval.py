@@ -22,7 +22,6 @@ import warnings
 
 import numpy as np
 
-from .hand import MotionClip
 from .midi import NUM_KEYS, KeyMatrix
 
 DEFAULT_WINDOW_LEN = 30
@@ -267,7 +266,5 @@ def segments_to_motions(segments, motions: dict) -> list:
         if seg.start + seg.length > clip.n_frames:
             raise ValueError("segment %s exceeds clip length %d"
                              % (seg, clip.n_frames))
-        frames = [(l.copy(), r.copy())
-                  for l, r in clip.frames[seg.start:seg.start + seg.length]]
-        out.append(MotionClip(clip.fps, frames))
+        out.append(clip[seg.start:seg.start + seg.length])
     return out

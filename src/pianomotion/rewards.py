@@ -188,8 +188,7 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
     after = np.where(slots >= 1, slots, 1)
     frames, at = np.unique(np.concatenate([slots, before, after]),
                            return_inverse=True)
-    sub = MotionClip(clip.fps, [clip.frames[f] for f in frames])
-    p, G = forward_kinematics(skeletons, clip_vectors(sub))
+    p, G = forward_kinematics(skeletons, clip_vectors(clip, frames))
     p = p[:, :, :NUM_ROT_JOINTS]
     at_slot, at_before, at_after = at[:2], at[2:4], at[4:]
     lin = (p[at_after] - p[at_before]) * clip.fps
@@ -211,8 +210,7 @@ def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
     gate: a reference hovering far from the key still yields its nearest
     fingertip.
     """
-    onset = MotionClip(reference.fps, [reference.frames[frame]])
-    p, _ = forward_kinematics(skeletons, clip_vectors(onset)[0])
+    p, _ = forward_kinematics(skeletons, clip_vectors(reference, [frame])[0])
     tips = p[:, TIP_JOINTS].reshape(10, 3)
     target = kb.key_target_position(geom, key)
     d = np.linalg.norm(tips - target, axis=1)

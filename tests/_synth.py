@@ -210,6 +210,17 @@ def two_hand_frame(geom, skeletons, right_presses=None, left_presses=None,
     return left, right
 
 
+def pose_clip(fps, frames):
+    """MotionClip of a sequence of (left, right) HandPose pairs."""
+    poses = [pose for pair in frames for pose in pair]
+
+    def field(name, shape):
+        return np.reshape([getattr(p, name) for p in poses], (-1, 2) + shape)
+
+    return hand.MotionClip(fps, field("root_t", (3,)), field("root_q", (4,)),
+                           field("joint_rotations", (15, 3)))
+
+
 def matrix_from_frames(frame_keys, fps=FPS):
     """KeyMatrix from a per-frame list of pressed-key collections."""
     data = np.zeros((len(frame_keys), midi.NUM_KEYS), dtype=np.uint8)

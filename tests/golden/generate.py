@@ -28,7 +28,7 @@ sys.path.insert(0, str(HERE.parent))
 
 import _synth  # noqa: E402
 from pianomotion import cli, midi  # noqa: E402
-from pianomotion.hand import MotionClip, SkeletonPair  # noqa: E402
+from pianomotion.hand import SkeletonPair  # noqa: E402
 from pianomotion.keyboard import build_keyboard  # noqa: E402
 from pianomotion.reconstruction import KeypointObservations  # noqa: E402
 
@@ -46,7 +46,7 @@ def build_scene():
                                     lift={7: -0.002})),
         (left, _synth.pressing_pose(geom, skeletons, {7: 42})),
     ]
-    clip = MotionClip(FPS, frames)
+    clip = _synth.pose_clip(FPS, frames)
     score = [{40}, {40}, set()]
     return geom, skeletons, clip, score
 

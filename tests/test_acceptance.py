@@ -26,7 +26,6 @@ import _synth
 from pianomotion import hand, keyboard as kb, metrics, midi, midi_ik
 from pianomotion import reconstruction as rec
 from pianomotion import retrieval, rewards
-from pianomotion.hand import MotionClip
 
 
 def _finish(name, problems, t0, budget, detail=""):
@@ -305,7 +304,7 @@ def test_refinement_repairs_injected_errors(geom, skeletons, rng):
     for c in range(20):
         frames, score = _error_group(geom, skeletons, rng,
                                      _ERROR_KEYS[c % len(_ERROR_KEYS)], poses)
-        clip = MotionClip(60.0, frames)
+        clip = _synth.pose_clip(60.0, frames)
         matrix = _synth.matrix_from_frames(score, fps=60.0)
 
         result, before, after = midi_ik.refine_to_midi(
@@ -345,7 +344,7 @@ def test_refinement_repairs_a_long_clip(geom, skeletons, rng):
                              _ERROR_KEYS[c % len(_ERROR_KEYS)], poses)
         frames += group[0]
         score += group[1]
-    clip = MotionClip(60.0, frames)
+    clip = _synth.pose_clip(60.0, frames)
     matrix = _synth.matrix_from_frames(score, fps=60.0)
     t0 = time.monotonic()
     problems = []

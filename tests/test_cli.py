@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import _synth
-from pianomotion import cli, hand, keyboard as kb, metrics, midi, retrieval
+from pianomotion import cli, hand, keyboard as kb, metrics, midi
+from pianomotion import reconstruction, retrieval
 from pianomotion.hand import MotionClip
 
 
@@ -97,7 +98,7 @@ def scene_files(tmp_path, geom, skeletons, n_frames=1):
     rig = _synth.five_camera_rig()
     frames = [( _synth.parked_pose(0, x=-0.1),
                 _synth.hover_pose(geom, 1, 40))] * n_frames
-    clip = MotionClip(60.0, frames)
+    clip = _synth.pose_clip(60.0, frames)
     uv, conf, valid, joints = _synth.project_clip(clip, skeletons, rig)
     obs = cli.reconstruction.KeypointObservations(uv, conf, valid)
     cam_path = tmp_path / "cameras.json"
@@ -132,9 +133,9 @@ def test_triangulate_and_fit_chain(tmp_path, capsys, geom, skeletons):
 def fit_trajectory_file(tmp_path, geom, skeletons, n_frames=3):
     """A trajectory of exact FK joints whose right hand is unobserved at
     frame 1."""
-    clip = MotionClip(60.0, [(_synth.parked_pose(0, x=-0.1),
-                              _synth.hover_pose(geom, 1, 40 + f))
-                             for f in range(n_frames)])
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                                    _synth.hover_pose(geom, 1, 40 + f))
+                                   for f in range(n_frames)])
     valid = np.ones((n_frames, 2, 21), dtype=bool)
     valid[1, 1] = False
     traj = cli.reconstruction.JointTrajectory(
@@ -172,7 +173,7 @@ def test_fit_init_with_another_frame_count_is_validation_error(
         tmp_path, capsys, geom, skeletons):
     traj_path, clip = fit_trajectory_file(tmp_path, geom, skeletons)
     init_path = tmp_path / "init.json"
-    write_clip(init_path, MotionClip(60.0, clip.frames[:2]))
+    write_clip(init_path, clip[:2])
     out = tmp_path / "fit.json"
     assert run(["fit", "--trajectory", traj_path, "--init", init_path,
                 "-o", out]) == 1
@@ -226,8 +227,8 @@ def test_non_finite_camera_matrix_is_validation_error(tmp_path, capsys, geom,
 def test_triangulate_report_counts_and_leaves_trajectory_bytes(
         tmp_path, capsys, geom, skeletons):
     rig = _synth.five_camera_rig()
-    clip = MotionClip(60.0, [(_synth.parked_pose(0, x=-0.1),
-                              _synth.hover_pose(geom, 1, 40))] * 2)
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                                    _synth.hover_pose(geom, 1, 40))] * 2)
     uv, conf, valid, _ = _synth.project_clip(clip, skeletons, rig)
     uv[1, 2, 1, 8] += (90.0, 0.0)      # one outlier view
     valid[0, :4, 0, 5] = False          # one view left: not triangulable
@@ -293,7 +294,7 @@ def test_refine_via_cli(tmp_path, geom, skeletons):
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
                                  lift={7: -0.002})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, touch)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, touch)])
     clip_path = tmp_path / "clip.json"
     write_clip(clip_path, clip)
     matrix_path = tmp_path / "score.json"
@@ -316,8 +317,8 @@ def refine_inputs(tmp_path, geom, skeletons):
                                  lift={7: -0.002})
     parked = _synth.parked_pose(0)
     clip_path = tmp_path / "clip.json"
-    write_clip(clip_path, MotionClip(60.0, [(parked, press), (parked, touch),
-                                            (parked, press)]))
+    write_clip(clip_path, _synth.pose_clip(
+        60.0, [(parked, press), (parked, touch), (parked, press)]))
     matrix_path = tmp_path / "score.json"
     write_matrix(matrix_path, [{40}, {40}, {40}])
     return clip_path, matrix_path
@@ -381,7 +382,7 @@ def test_refine_failure_is_validation_error(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli.midi_ik, "refine_to_midi", fail)
     parked = _synth.parked_pose(0)
     clip_path = tmp_path / "clip.json"
-    write_clip(clip_path, MotionClip(60.0, [(parked, parked)] * 2))
+    write_clip(clip_path, _synth.pose_clip(60.0, [(parked, parked)] * 2))
     matrix_path = tmp_path / "score.json"
     write_matrix(matrix_path, [{40}, {40}])
     out = tmp_path / "refined.json"
@@ -395,7 +396,7 @@ def test_refine_failure_is_validation_error(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("stage", ["eval", "reward", "refine", "extract-press"])
 def test_non_finite_pose_is_validation_error(tmp_path, capsys, stage, bad):
     parked = _synth.parked_pose(0)
-    obj = json.loads(MotionClip(60.0, [(parked, parked)] * 2).to_json())
+    obj = json.loads(_synth.pose_clip(60.0, [(parked, parked)] * 2).to_json())
     obj["frames"][1][0]["root_q"][0] = bad
     clip_path = tmp_path / "clip.json"
     clip_path.write_text(json.dumps(obj))
@@ -423,12 +424,65 @@ def test_malformed_clip_json_is_validation_error(tmp_path, capsys, text):
     assert "error: motion clip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    {"columns": {"0": [[0, 1]]}},
+    {"columns": {"40": [[-2, 3]]}},
+    {"fps": "60"},
+    {"fps": None},
+    {"fps": float("nan")},
+    {"n_frames": "3"},
+    None,
+], ids=["key-0", "negative-start", "str-fps", "null-fps", "nan-fps",
+        "str-n_frames", "array-payload"])
+@pytest.mark.parametrize("stage", ["goalstate", "eval"])
+def test_malformed_matrix_json_is_validation_error(tmp_path, capsys, stage,
+                                                   edit):
+    matrix_path = tmp_path / "score.json"
+    obj = json.loads(midi.matrix_to_json(_synth.matrix_from_frames([{40}] * 3)))
+    matrix_path.write_text(json.dumps([obj] if edit is None else {**obj, **edit}))
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, _synth.pose_clip(60.0, [(parked, parked)] * 3))
+    argv = {"goalstate": ["--fps", 60],
+            "eval": ["--clip", clip_path]}[stage]
+    assert run([stage, "--midi", matrix_path] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % matrix_path)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["extract-press", "fit", "goalstate", "eval"])
+def test_fps_too_large_for_a_float_is_validation_error(tmp_path, capsys,
+                                                       stage):
+    parked = _synth.parked_pose(0)
+    clip = _synth.pose_clip(60.0, [(parked, parked)] * 2)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, clip)
+    traj = reconstruction.JointTrajectory(60.0, np.zeros((2, 2, 21, 3)),
+                                          np.ones((2, 2, 21), dtype=bool))
+    matrix = _synth.matrix_from_frames([{40}] * 2)
+    text, argv = {
+        "extract-press": (clip.to_json(), ["--clip"]),
+        "fit": (traj.to_json(), ["--trajectory"]),
+        "goalstate": (midi.matrix_to_json(matrix), ["--fps", 60, "--midi"]),
+        "eval": (midi.matrix_to_json(matrix), ["--clip", clip_path, "--midi"]),
+    }[stage]
+    obj = json.loads(text)
+    obj["fps"] = 10 ** 400
+    bad_path = tmp_path / "huge_fps.json"
+    bad_path.write_text(json.dumps(obj))
+    assert run([stage] + argv + [bad_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad_path) in err
+    assert "fps must be" in err and "finite" in err
+
+
 @pytest.mark.parametrize("flag,label", [("--skeleton", "skeleton config"),
                                         ("--keyboard", "keyboard config")])
 def test_array_config_file_is_validation_error(tmp_path, capsys, flag, label):
     parked = _synth.parked_pose(0)
     clip_path = tmp_path / "clip.json"
-    write_clip(clip_path, MotionClip(60.0, [(parked, parked)]))
+    write_clip(clip_path, _synth.pose_clip(60.0, [(parked, parked)]))
     config = tmp_path / "arr.json"
     config.write_text("[1, 2]")
     assert run(["extract-press", "--clip", clip_path, flag, config]) == 1
@@ -438,7 +492,7 @@ def test_array_config_file_is_validation_error(tmp_path, capsys, flag, label):
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, press)])
     clip_path = tmp_path / "clip.json"
     write_clip(clip_path, clip)
 
@@ -558,7 +612,7 @@ def test_goalstate_csv(tmp_path, capsys):
 def test_reward_json_lines_deterministic(tmp_path, geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40}, depth={7: 0.0095})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, press)])
     clip_path = tmp_path / "clip.json"
     write_clip(clip_path, clip)
     matrix_path = tmp_path / "score.json"
@@ -635,7 +689,7 @@ def test_corrupt_midi_is_validation_error(tmp_path, capsys):
 def test_eval_fps_mismatch_is_validation_error(tmp_path, capsys, geom,
                                                skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
-    clip = MotionClip(60.0, [(_synth.parked_pose(0), press)] * 2)
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), press)] * 2)
     clip_path = tmp_path / "clip.json"
     write_clip(clip_path, clip)
     matrix_path = tmp_path / "score.json"

@@ -1,9 +1,12 @@
 """Hand skeleton, kinematics, Jacobians, and motion containers."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import _synth
 from pianomotion import hand, rewards
 from pianomotion.hand import HandPose, HandSkeleton, MotionClip, SkeletonPair
 
@@ -208,7 +211,7 @@ def test_fk_with_orientations_identity(skeletons):
 
 def test_fingertips_are_tip_rows(skeletons, rng):
     pose = random_pose(rng)
-    clip = MotionClip(60.0, [(HandPose.identity(), pose)])
+    clip = _synth.pose_clip(60.0, [(HandPose.identity(), pose)])
     tips = hand.clip_fingertips(clip, skeletons)[0, 5:]
     assert np.array_equal(tips, fk(skeletons.right, pose)[hand.TIP_JOINTS])
 
@@ -297,14 +300,6 @@ def test_pose_vector_round_trip(rng):
     assert np.allclose(back.root_q, q, atol=1e-12)
 
 
-def test_pose_json_round_trip(rng):
-    pose = random_pose(rng)
-    back = HandPose.from_json_obj(pose.to_json_obj())
-    assert np.array_equal(back.root_t, pose.root_t)
-    assert np.array_equal(back.root_q, pose.root_q)
-    assert np.array_equal(back.joint_rotations, pose.joint_rotations)
-
-
 def test_pose_validation():
     with pytest.raises(ValueError):
         HandPose(np.zeros(2), [1, 0, 0, 0], np.zeros((15, 3)))
@@ -372,49 +367,134 @@ def test_skeleton_pair_json_round_trip(skeletons):
 
 def make_clip(rng, n_frames=4, fps=60.0):
     frames = [(random_pose(rng), random_pose(rng)) for _ in range(n_frames)]
-    return MotionClip(fps, frames)
+    return _synth.pose_clip(fps, frames)
+
+
+CLIP_FIELDS = ("root_t", "root_q", "joint_rotations")
 
 
 def test_clip_json_round_trip(rng):
     clip = make_clip(rng)
     back = MotionClip.from_json(clip.to_json())
     assert back.fps == clip.fps
-    for a, b in zip(clip.to_arrays(), back.to_arrays()):
-        assert np.array_equal(a, b)
-
-
-def test_clip_npz_round_trip(rng, tmp_path):
-    clip = make_clip(rng)
-    path = str(tmp_path / "clip.npz")
-    clip.save_npz(path)
-    back = MotionClip.load_npz(path)
-    assert back.fps == clip.fps
-    for a, b in zip(clip.to_arrays(), back.to_arrays()):
-        assert np.array_equal(a, b)
+    for name in CLIP_FIELDS:
+        assert np.array_equal(getattr(back, name), getattr(clip, name))
 
 
 def test_clip_arrays_round_trip(rng):
     clip = make_clip(rng)
-    root_t, root_q, rotations = clip.to_arrays()
-    assert root_t.shape == (4, 2, 3)
-    assert root_q.shape == (4, 2, 4)
-    assert rotations.shape == (4, 2, 15, 3)
-    back = MotionClip.from_arrays(clip.fps, root_t, root_q, rotations)
+    assert clip.root_t.shape == (4, 2, 3)
+    assert clip.root_q.shape == (4, 2, 4)
+    assert clip.joint_rotations.shape == (4, 2, 15, 3)
+    back = MotionClip(clip.fps, clip.root_t, clip.root_q, clip.joint_rotations)
+    for name in CLIP_FIELDS:
+        assert getattr(back, name) is getattr(clip, name)
     for f in range(4):
         for h in range(2):
-            assert np.array_equal(back.pose(f, h).root_t,
-                                  clip.pose(f, h).root_t)
-            assert np.array_equal(back.pose(f, h).joint_rotations,
-                                  clip.pose(f, h).joint_rotations)
+            pose = back.pose(f, h)
+            assert np.array_equal(pose.root_t, clip.root_t[f, h])
+            assert np.array_equal(pose.root_q, clip.root_q[f, h])
+            assert np.array_equal(pose.joint_rotations,
+                                  clip.joint_rotations[f, h])
+
+
+def test_clip_pose_edits_write_through(rng):
+    clip = make_clip(rng)
+    pose = clip.pose(2, 1)
+    pose.root_t[0] = 7.0
+    pose.joint_rotations[4] = (0.1, 0.2, 0.3)
+    assert clip.root_t[2, 1, 0] == 7.0
+    assert np.array_equal(clip.joint_rotations[2, 1, 4], (0.1, 0.2, 0.3))
+
+
+def test_clip_frame_indexing_copies(rng):
+    clip = make_clip(rng)
+    for frames in (slice(1, 3), [1, 2], np.array([1, 2])):
+        part = clip[frames]
+        assert part.n_frames == 2 and part.fps == clip.fps
+        for name in CLIP_FIELDS:
+            assert np.array_equal(getattr(part, name), getattr(clip, name)[1:3])
+            assert not np.shares_memory(getattr(part, name), getattr(clip, name))
+    copy = clip.copy()
+    copy.root_t[0, 0, 0] += 1.0
+    assert copy.root_t[0, 0, 0] != clip.root_t[0, 0, 0]
+
+
+def test_clip_vectors_of_some_frames_equal_rows_of_all(rng):
+    clip = make_clip(rng)
+    every = hand.clip_vectors(clip)
+    assert every.shape == (4, 2, 51)
+    for f in range(4):
+        for h in range(2):
+            assert np.array_equal(every[f, h], clip.pose(f, h).to_vector())
+    for frames in (slice(1, 3), [3, 0, 3], np.array([2])):
+        assert np.array_equal(hand.clip_vectors(clip, frames), every[frames])
 
 
 def test_clip_validation(rng):
-    with pytest.raises(ValueError):
-        MotionClip(0.0, [])
+    clip = make_clip(rng)
+    t, q, r = clip.root_t, clip.root_q, clip.joint_rotations
+    with pytest.raises(ValueError, match="fps"):
+        MotionClip(0.0, t, q, r)
     with pytest.raises(ValueError, match="finite"):
-        MotionClip(np.inf, [])
+        MotionClip(np.inf, t, q, r)
+    with pytest.raises(ValueError, match="root_t must have shape"):
+        MotionClip(60.0, t[:, :1], q, r)
+    with pytest.raises(ValueError, match="root_q must have shape"):
+        MotionClip(60.0, t, q[:3], r)
+    with pytest.raises(ValueError, match="joint_rotations must have shape"):
+        MotionClip(60.0, t, q, r[..., :2])
+    bad = r.copy()
+    bad[3, 0, 14, 2] = np.nan
+    with pytest.raises(ValueError, match="joint_rotations must be finite"):
+        MotionClip(60.0, t, q, bad)
+    MotionClip(60.0, t, q * (1 + 5e-10), r)
+    bad = q.copy()
+    bad[2, 1] *= 1 + 2e-9
+    with pytest.raises(ValueError, match=r"root_q\[2\]\[1\] norm"):
+        MotionClip(60.0, t, bad, r)
+    empty = MotionClip(60.0, t[:0], q[:0], r[:0])
+    assert empty.n_frames == 0
+    assert MotionClip.from_json(empty.to_json()).n_frames == 0
+
+
+def _clip_doc(rng, edit):
+    """A valid two-frame clip document with `edit` applied to it."""
+    obj = json.loads(make_clip(rng, n_frames=2).to_json())
+    edit(obj, obj["frames"][1][0])
+    return json.dumps(obj)
+
+
+def _set(key, index, value):
+    def edit(obj, pose):
+        pose[key][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("root_t", 0, "0"),
+    _set("root_q", 1, "0.0"),
+    _set("root_t", 2, True),
+    _set("joint_rotations", 3, [False, 0.0, 0.0]),
+    _set("joint_rotations", 5, [0.0, 0.0]),
+    _set("joint_rotations", 5, [0.0, 0.0, [0.0]]),
+    _set("root_t", 1, None),
+    _set("root_t", 0, float("nan")),
+    _set("joint_rotations", 0, [0.0, float("inf"), 0.0]),
+    _set("root_q", 1, 0.5),
+    lambda obj, pose: pose.pop("root_q"),
+    lambda obj, pose: pose.update(root_t=[0.0, 0.0]),
+    lambda obj, pose: obj["frames"].append([pose]),
+    lambda obj, pose: obj.update(fps="60"),
+    lambda obj, pose: obj.update(fps=10 ** 400),
+    lambda obj, pose: obj.pop("fps"),
+], ids=["str-root_t", "str-root_q", "bool-root_t", "bool-joint",
+        "ragged-joint", "nested-joint", "null-root_t", "nan-root_t",
+        "inf-joint", "non-unit-root_q", "missing-root_q", "short-root_t",
+        "one-pose-pair", "str-fps", "huge-fps", "missing-fps"])
+def test_clip_from_json_rejects_malformed_values(rng, edit):
     with pytest.raises(ValueError):
-        MotionClip(60.0, [(HandPose.identity(),)])
+        MotionClip.from_json(_clip_doc(rng, edit))
 
 
 def test_clip_fingertips_layout(skeletons, rng):
@@ -447,7 +527,7 @@ def test_velocities_linear_translation_is_exact(skeletons):
     for f in range(5):
         pose = HandPose.identity((0.6 * f / fps, 0.0, 0.0))
         frames.append((HandPose.identity((0.0, 0.3, 0.0)), pose))
-    vel = hand.finite_diff_velocities(MotionClip(fps, frames), skeletons)
+    vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
     assert vel.wrist.shape == (5, 2, 3)
     assert np.allclose(vel.wrist[:, 1], [[0.6, 0.0, 0.0]] * 5, atol=1e-9)
     assert np.allclose(vel.wrist[:, 0], 0.0, atol=1e-9)
@@ -464,7 +544,7 @@ def test_velocities_quadratic_translation_is_exact_interior(skeletons):
         t = f / fps
         frames.append((HandPose.identity((t * t, 0.0, 0.0)),
                        HandPose.identity((0.0, 0.2, 0.0))))
-    vel = hand.finite_diff_velocities(MotionClip(fps, frames), skeletons)
+    vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
     times = np.arange(6) / fps
     assert np.allclose(vel.wrist[1:-1, 0, 0], 2.0 * times[1:-1], atol=1e-9)
 
@@ -480,7 +560,7 @@ def test_velocities_rotation_spins_tips(skeletons):
         q = np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
         frames.append((HandPose.identity((0.0, 0.4, 0.0)),
                        HandPose(np.zeros(3), q, np.zeros((15, 3)))))
-    clip = MotionClip(fps, frames)
+    clip = _synth.pose_clip(fps, frames)
     vel = hand.finite_diff_velocities(clip, skeletons)
     tips = fk(skeletons.right, clip.pose(3, 1))[hand.TIP_JOINTS]
     expect = np.cross([0.0, 0.0, omega], tips)
@@ -491,7 +571,7 @@ def test_velocities_rotation_spins_tips(skeletons):
 def link_states(skeletons, pose):
     """Right-hand link positions (16, 3) and quaternions (16, 4) of the
     pose state of a still two-frame clip."""
-    clip = MotionClip(60.0, [(HandPose.identity(), pose)] * 2)
+    clip = _synth.pose_clip(60.0, [(HandPose.identity(), pose)] * 2)
     rows = rewards.pose_state(clip, skeletons, 1).array[1, 1].reshape(16, 13)
     return rows[:, 0:3], rows[:, 3:7]
 

@@ -86,7 +86,7 @@ def test_extracted_presses_reads_fingertips(geom, skeletons):
     chord = _synth.pressing_pose(geom, skeletons, {8: 40, 7: 42, 6: 44},
                                  center_key=42)
     parked = _synth.parked_pose(0)
-    clip = hand.MotionClip(60.0, [(parked, press), (parked, chord)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, chord)])
     sets = metrics.extracted_presses(clip, skeletons, geom)
     assert sets == [{40}, {40, 42, 44}]
 
@@ -95,7 +95,7 @@ def test_clip_metrics_end_to_end(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     hover = _synth.hover_pose(geom, 1, 40)
     parked = _synth.parked_pose(0)
-    clip = hand.MotionClip(60.0, [(parked, press), (parked, hover)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, hover)])
     truth = _synth.matrix_from_frames([{40}, {40}], fps=60.0)
     report = metrics.clip_metrics(clip, skeletons, geom, truth)
     # Frame 0 scores (1, 1, 1); frame 1 misses the held note entirely.
@@ -106,7 +106,7 @@ def test_clip_metrics_end_to_end(geom, skeletons):
 
 def test_clip_metrics_rejects_fps_mismatch(geom, skeletons):
     pose = _synth.hover_pose(geom, 1, 40)
-    clip = hand.MotionClip(60.0, [(pose, pose)])
+    clip = _synth.pose_clip(60.0, [(pose, pose)])
     truth = _synth.matrix_from_frames([set()], fps=59.94)
     with pytest.raises(ValueError, match="fps"):
         metrics.clip_metrics(clip, skeletons, geom, truth)
@@ -116,7 +116,7 @@ def test_clip_metrics_respects_activation_depth(geom, skeletons):
     # A 5 mm press clears a 4 mm activation threshold but not 6 mm.
     press = _synth.pressing_pose(geom, skeletons, {7: 40}, depth={7: 0.005})
     parked = _synth.parked_pose(0)
-    clip = hand.MotionClip(60.0, [(parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press)])
     truth = _synth.matrix_from_frames([{40}], fps=60.0)
     deep = metrics.clip_metrics(clip, skeletons, geom, truth,
                                 activation_depth=0.006)

@@ -1,5 +1,7 @@
 """Score parsing, piano-roll rasterization, and onset alignment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,78 @@ def test_matrix_json_preserves_trailing_empty_frames():
 def test_matrix_from_json_rejects_unknown_type():
     with pytest.raises(ValueError, match="matrix type"):
         midi.matrix_from_json('{"type": "piano", "n_frames": 1, "columns": {}}')
+
+
+def _matrix_doc(drop=(), **fields):
+    """A valid three-frame matrix document with `fields` replaced."""
+    doc = {"type": "key_matrix", "fps": 60.0, "n_frames": 3, "n_keys": 88,
+           "columns": {"40": [[0, 2]]}}
+    doc.update(fields)
+    for key in drop:
+        del doc[key]
+    return json.dumps(doc)
+
+
+def _condition_doc(run):
+    return _matrix_doc(type="condition_matrix", columns={"40": [run]})
+
+
+@pytest.mark.parametrize("text", [
+    _matrix_doc(columns={"0": [[0, 1]]}),
+    _matrix_doc(columns={"89": [[0, 1]]}),
+    _matrix_doc(columns={"C4": [[0, 1]]}),
+    _matrix_doc(columns={"40": [[-2, 3]]}),
+    _matrix_doc(columns={"40": [[2, 1]]}),
+    _matrix_doc(columns={"40": [[0, 4]]}),
+    _matrix_doc(columns={"40": [[0, 1, 1]]}),
+    _matrix_doc(columns={"40": [[0.0, 1]]}),
+    _matrix_doc(columns={"40": [[False, 1]]}),
+    _matrix_doc(columns={"40": [0, 1]}),
+    _matrix_doc(columns={"40": {"0": 1}}),
+    _matrix_doc(columns=[[0, 1]]),
+    "[1, 2]",
+    "null",
+    _matrix_doc(fps="60"),
+    _matrix_doc(fps=None),
+    _matrix_doc(fps=True),
+    _matrix_doc(fps=float("nan")),
+    _matrix_doc(fps=float("inf")),
+    _matrix_doc(fps=0),
+    _matrix_doc(fps=10 ** 400),
+    _matrix_doc(n_frames="3"),
+    _matrix_doc(n_frames=3.0),
+    _matrix_doc(n_frames=-1),
+    _matrix_doc(drop=["n_frames"]),
+    _matrix_doc(drop=["columns"]),
+    _matrix_doc(drop=["fps"]),
+    _condition_doc([0, 1]),
+    _condition_doc([0, 1, 0]),
+    _condition_doc([0, 1, 1.5]),
+    _condition_doc([0, 1, "0.5"]),
+    _condition_doc([0, 1, float("nan")]),
+], ids=["key-0", "key-89", "key-name", "negative-start", "reversed-run",
+        "run-past-end", "binary-run-value", "float-start", "bool-start",
+        "flat-runs", "object-runs", "array-columns", "array-payload",
+        "null-payload", "str-fps", "null-fps", "bool-fps", "nan-fps",
+        "inf-fps", "zero-fps", "huge-fps", "str-n_frames", "float-n_frames",
+        "negative-n_frames", "no-n_frames", "no-columns", "no-fps",
+        "condition-run-width", "condition-zero", "condition-over-one",
+        "condition-str", "condition-nan"])
+def test_matrix_from_json_rejects_malformed_payloads(text):
+    with pytest.raises(ValueError):
+        midi.matrix_from_json(text)
+
+
+def test_matrix_from_json_rejects_fps_too_large_for_a_float():
+    # The message abbreviates the 401-digit number.
+    with pytest.raises(ValueError, match=r"finite number, got 1000+\.\.\.0+$"):
+        midi.matrix_from_json(_matrix_doc(fps=10 ** 400))
+
+
+def test_matrix_from_json_keeps_integer_fps_and_empty_runs():
+    back = midi.matrix_from_json(_matrix_doc(fps=60, columns={"88": [[3, 3]]}))
+    assert back.fps == 60 and isinstance(back.fps, int)
+    assert not back.data.any()
 
 
 def test_matrix_csv_layout():

@@ -5,14 +5,13 @@ import pytest
 
 import _synth
 from pianomotion import hand, keyboard as kb, midi_ik
-from pianomotion.hand import MotionClip
 from pianomotion.midi_ik import OMITTED, WRONG_PRESS, PressError
 
 
 def press_clip(geom, skeletons, n=2, **kw):
     pose = _synth.pressing_pose(geom, skeletons, {7: 40}, **kw)
     parked = _synth.parked_pose(0)
-    return MotionClip(60.0, [(parked, pose)] * n)
+    return _synth.pose_clip(60.0, [(parked, pose)] * n)
 
 
 def touch_clip(geom, skeletons, n=1, lift={7: -0.002}, center=40):
@@ -20,7 +19,7 @@ def touch_clip(geom, skeletons, n=1, lift={7: -0.002}, center=40):
     pose = _synth.pressing_pose(geom, skeletons, {}, center_key=center,
                                 lift=lift)
     parked = _synth.parked_pose(0)
-    return MotionClip(60.0, [(parked, pose)] * n)
+    return _synth.pose_clip(60.0, [(parked, pose)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +49,7 @@ def test_detect_omission(geom, skeletons):
 def test_detect_mixed_frame_sorted(geom, skeletons):
     pose = _synth.pressing_pose(geom, skeletons, {8: 40, 7: 42},
                                 center_key=42)
-    clip = MotionClip(60.0, [(_synth.parked_pose(0), pose)])
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), pose)])
     matrix = _synth.matrix_from_frames([{40, 44}], fps=60.0)
     errors = midi_ik.detect_press_errors(clip, skeletons, geom, matrix)
     assert [(e.key, e.kind) for e in errors] == [(42, WRONG_PRESS),
@@ -130,7 +129,7 @@ def test_ik_targets_wrong_press_picks_deepest_tip(geom, skeletons):
     tips = _synth.fingertips(skel, solved)
     assert kb.key_for_point(geom, tips[2]) == 40
     assert kb.key_for_point(geom, tips[3]) == 40
-    clip = MotionClip(60.0, [(_synth.parked_pose(0), solved)])
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), solved)])
     out = midi_ik.ik_targets([PressError(0, 40, WRONG_PRESS)],
                              clip, skeletons, geom)
     assert out.errors[0].fingertip == 8
@@ -156,7 +155,7 @@ def test_ik_targets_displacement_gate(geom, skeletons):
     # Fingertips hover 12 mm up; reaching 5 mm below rest needs 17 mm of
     # travel, over the 1 cm budget, so the omission is invalidated.
     hover = _synth.hover_pose(geom, 1, 44)
-    clip = MotionClip(60.0, [(_synth.parked_pose(0), hover)])
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), hover)])
     errors = [PressError(0, 44, OMITTED)]
     out = midi_ik.ik_targets(errors, clip, skeletons, geom)
     assert out.errors[0].valid is False
@@ -207,7 +206,9 @@ def test_refine_without_targets_returns_copy(geom, skeletons):
         for h in range(2):
             assert np.array_equal(result.clip.pose(f, h).to_vector(),
                                   clip.pose(f, h).to_vector())
-    assert result.clip.frames[0][0] is not clip.frames[0][0]
+    for name in ("root_t", "root_q", "joint_rotations"):
+        assert not np.shares_memory(getattr(result.clip, name),
+                                    getattr(clip, name))
 
 
 def test_refine_fixes_omission_and_keeps_other_frames(geom, skeletons):
@@ -215,8 +216,8 @@ def test_refine_fixes_omission_and_keeps_other_frames(geom, skeletons):
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
                                  lift={7: -0.002})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, touch),
-                             (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, touch),
+                                   (parked, press)])
     matrix = _synth.matrix_from_frames([{40}] * 3, fps=60.0)
     result, before, after = midi_ik.refine_to_midi(
         clip, skeletons, geom, matrix, smoothness=0.0)
@@ -252,8 +253,8 @@ def test_refine_with_smoothness_still_fixes(geom, skeletons):
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
                                  lift={7: -0.002})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, touch),
-                             (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, touch),
+                                   (parked, press)])
     matrix = _synth.matrix_from_frames([{40}] * 3, fps=60.0)
     result, _, after = midi_ik.refine_to_midi(
         clip, skeletons, geom, matrix, smoothness=midi_ik.DEFAULT_SMOOTHNESS)
@@ -291,7 +292,7 @@ def omission_clip(geom, skeletons, left_poses):
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,
                                  lift={7: -0.002})
     right = [press, touch, press][:len(left_poses)]
-    clip = MotionClip(60.0, list(zip(left_poses, right)))
+    clip = _synth.pose_clip(60.0, list(zip(left_poses, right)))
     return clip, _synth.matrix_from_frames([{40}] * clip.n_frames, fps=60.0)
 
 
@@ -308,11 +309,9 @@ def test_refine_keeps_parked_hand_at_half_turn(geom, skeletons):
     result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
                                                    matrix)
     assert len(before) == 1 and after == []
-    for f in range(3):
-        out, orig = result.clip.frames[f][0], clip.frames[f][0]
-        assert np.array_equal(out.root_t, orig.root_t)
-        assert np.array_equal(out.root_q, orig.root_q)
-        assert np.array_equal(out.joint_rotations, orig.joint_rotations)
+    for name in ("root_t", "root_q", "joint_rotations"):
+        assert np.array_equal(getattr(result.clip, name)[:, 0],
+                              getattr(clip, name)[:, 0])
 
 
 @pytest.mark.parametrize("smoothness", [0.0, midi_ik.DEFAULT_SMOOTHNESS])
@@ -325,15 +324,12 @@ def test_refine_edits_only_fingers_with_targets(geom, skeletons, smoothness):
     # Only the right middle finger (joints 6-8) holds a target.
     middle = np.zeros(15, dtype=bool)
     middle[6:9] = True
-    for f in range(3):
-        for h in range(2):
-            out, orig = result.clip.frames[f][h], clip.frames[f][h]
-            assert np.array_equal(out.root_t, orig.root_t)
-            assert np.array_equal(out.root_q, orig.root_q)
-            assert np.array_equal(out.joint_rotations[~middle],
-                                  orig.joint_rotations[~middle])
-    same = [np.array_equal(result.clip.frames[f][1].joint_rotations,
-                           clip.frames[f][1].joint_rotations)
+    out = result.clip
+    assert np.array_equal(out.root_t, clip.root_t)
+    assert np.array_equal(out.root_q, clip.root_q)
+    assert np.array_equal(out.joint_rotations[:, :, ~middle],
+                          clip.joint_rotations[:, :, ~middle])
+    same = [np.array_equal(out.joint_rotations[f, 1], clip.joint_rotations[f, 1])
             for f in range(3)]
     # Zero smoothness leaves untouched frames as they were; a positive one
     # spreads the edit to its neighbours.

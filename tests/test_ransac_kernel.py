@@ -7,7 +7,6 @@ import _scalar_ransac as scalar
 import _synth
 from pianomotion import reconstruction as rec
 from pianomotion.lsq import solve_stacked
-from pianomotion.hand import MotionClip
 
 
 def arc_rig(n_views):
@@ -62,7 +61,7 @@ def test_kernel_matches_oracle_on_noisy_hands(geom, skeletons):
     rig = _synth.five_camera_rig()
     frames = [(_synth.parked_pose(0, x=-0.1), _synth.hover_pose(geom, 1, k))
               for k in (38, 40, 42)]
-    uv, conf, valid, _ = _synth.project_clip(MotionClip(60.0, frames),
+    uv, conf, valid, _ = _synth.project_clip(_synth.pose_clip(60.0, frames),
                                              skeletons, rig)
     uv = uv.transpose(0, 2, 3, 1, 4).reshape(-1, rig.n_views, 2)
     conf = rng.uniform(0.2, 1.0, (len(uv), rig.n_views))
@@ -171,7 +170,7 @@ def test_triangulation_does_not_depend_on_block_size(geom, skeletons,
     rig = _synth.five_camera_rig()
     frames = [(_synth.parked_pose(0, x=-0.1), _synth.hover_pose(geom, 1, k))
               for k in (39, 41, 43)]
-    uv, conf, valid, _ = _synth.project_clip(MotionClip(60.0, frames),
+    uv, conf, valid, _ = _synth.project_clip(_synth.pose_clip(60.0, frames),
                                              skeletons, rig)
     uv = uv + rng.normal(0.0, 0.4, uv.shape)
     uv[rng.random(valid.shape) < 0.15] += (70.0, -40.0)

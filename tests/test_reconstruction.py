@@ -1,5 +1,6 @@
 """Triangulation, track filtering, and skeleton fitting."""
 
+import json
 import pathlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import _synth
 from pianomotion import hand, reconstruction as rec
-from pianomotion.hand import HandPose, MotionClip
+from pianomotion.hand import HandPose
 
 
 def simple_rig():
@@ -368,6 +369,13 @@ def test_trajectory_json_round_trip():
                        traj.positions[traj.valid], atol=1e-12)
 
 
+def test_trajectory_from_json_rejects_fps_too_large_for_a_float():
+    obj = json.loads(linear_track_traj(n=2).to_json())
+    obj["fps"] = 10 ** 400
+    with pytest.raises(ValueError, match="fps must be positive and finite"):
+        rec.JointTrajectory.from_json(json.dumps(obj))
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError, match="positions"):
         rec.JointTrajectory(60.0, np.zeros((2, 2, 20, 3)),
@@ -388,7 +396,7 @@ def scene_clip(geom):
         left = _synth.parked_pose(0, x=-0.1)
         right = _synth.hover_pose(geom, 1, 40 + 2 * f)
         frames.append((left, right))
-    return MotionClip(60.0, frames)
+    return _synth.pose_clip(60.0, frames)
 
 
 def observe(clip, skeletons, rig):
@@ -436,7 +444,7 @@ def wiggled_clip(geom, n=3):
         right = HandPose(base.root_t + (0.004 * f, 0.002 * f, 0.001 * f),
                          base.root_q, rot)
         frames.append((_synth.parked_pose(0, x=-0.1), right))
-    return MotionClip(60.0, frames)
+    return _synth.pose_clip(60.0, frames)
 
 
 def test_fit_skeleton_round_trip(geom, skeletons):
@@ -560,8 +568,8 @@ def test_fit_skeleton_pins_twists(geom, skeletons):
     axes = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
     turn = np.random.default_rng(3).uniform(-0.3, 0.3, size=(3, 2, 15, 1))
     vecs[..., 6:] += (turn * axes).reshape(3, 2, 45)
-    init = MotionClip(60.0, [tuple(HandPose.from_vector(v) for v in fr)
-                             for fr in vecs])
+    init = _synth.pose_clip(60.0, [tuple(HandPose.from_vector(v) for v in fr)
+                                   for fr in vecs])
     result = rec.fit_skeleton(traj, skeletons, init=init)
     assert np.abs(twists(result.clip, skeletons)
                   - twists(init, skeletons)).max() <= 1e-15
@@ -609,8 +617,7 @@ def test_fit_skeleton_frames_do_not_depend_on_each_other(geom, skeletons):
     part = rec.fit_skeleton(
         rec.JointTrajectory(traj.fps, traj.positions[a:b], traj.valid[a:b]),
         skeletons)
-    assert part.clip.to_json() == MotionClip(
-        traj.fps, whole.clip.frames[a:b]).to_json()
+    assert part.clip.to_json() == whole.clip[a:b].to_json()
     assert np.array_equal(part.residual_rms, whole.residual_rms[a:b])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import _synth
 from pianomotion import hand, retrieval
-from pianomotion.hand import HandPose, MotionClip
+from pianomotion.hand import HandPose
 from pianomotion.midi import KeyMatrix
 
 
@@ -255,7 +255,7 @@ def test_segments_to_motions_slices_frames(geom, skeletons):
     frames = [(parked, HandPose(hover.root_t + (0.001 * f, 0, 0),
                                 hover.root_q, hover.joint_rotations))
               for f in range(50)]
-    motion = MotionClip(60.0, frames)
+    motion = _synth.pose_clip(60.0, frames)
     seg = retrieval.ReferenceSegment("m", 10, 20, 0, 6)
     out = retrieval.segments_to_motions([seg], {"m": motion})
     assert len(out) == 1
@@ -268,7 +268,7 @@ def test_segments_to_motions_slices_frames(geom, skeletons):
 
 def test_segments_to_motions_errors(geom, skeletons):
     pose = _synth.parked_pose(0)
-    motion = MotionClip(60.0, [(pose, pose)] * 10)
+    motion = _synth.pose_clip(60.0, [(pose, pose)] * 10)
     with pytest.raises(KeyError, match="missing"):
         retrieval.segments_to_motions(
             [retrieval.ReferenceSegment("missing", 0, 5, 0, 1)], {"m": motion})

@@ -7,7 +7,7 @@ import pytest
 
 import _synth
 from pianomotion import hand, keyboard as kb, rewards
-from pianomotion.hand import HandPose, MotionClip
+from pianomotion.hand import HandPose
 from pianomotion.keyboard import KeyState
 from pianomotion.midi import KeyMatrix
 
@@ -98,7 +98,7 @@ def linear_clip(fps=50.0, n=5, speed=0.6):
     for f in range(n):
         right = HandPose.identity((speed * f / fps, 0.0, 0.0))
         frames.append((HandPose.identity((0.0, 0.3, 0.0)), right))
-    return MotionClip(fps, frames)
+    return _synth.pose_clip(fps, frames)
 
 
 def test_pose_state_layout_and_positions(skeletons):
@@ -142,7 +142,7 @@ def test_pose_state_angular_velocity(skeletons):
         q = np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
         frames.append((HandPose.identity((0.0, 0.3, 0.0)),
                        HandPose(np.zeros(3), q, np.zeros((15, 3)))))
-    state = rewards.pose_state(MotionClip(fps, frames), skeletons, 2)
+    state = rewards.pose_state(_synth.pose_clip(fps, frames), skeletons, 2)
     arr = state.array.reshape(2, 2, 16, 13)
     assert np.allclose(arr[1, :, :, 10:13], [[0.0, 0.0, omega]], atol=1e-9)
     assert np.allclose(arr[0, :, :, 10:13], 0.0, atol=1e-9)
@@ -153,7 +153,7 @@ def test_pose_state_matches_per_link_reference(skeletons, rng):
     # link by link from single-pose FK and scipy's Rotation.
     from scipy.spatial.transform import Rotation
 
-    clip = MotionClip(60.0, [
+    clip = _synth.pose_clip(60.0, [
         tuple(HandPose.from_vector(rng.normal(size=51) * 0.5) for _ in range(2))
         for _ in range(4)])
 
@@ -201,7 +201,7 @@ def test_pose_state_validation():
 
 def test_assign_fingering_picks_nearest_tip(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
-    clip = MotionClip(60.0, [(_synth.parked_pose(0), press)])
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), press)])
     # Fingertips number 1..5 left thumb..pinky, 6..10 right; the right
     # middle finger is 8.
     assert rewards.assign_fingering(clip, skeletons, geom, 40, 0) == 8
@@ -209,7 +209,7 @@ def test_assign_fingering_picks_nearest_tip(geom, skeletons):
 
 def test_assign_fingering_left_hand(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {2: 20}, hand_idx=0)
-    clip = MotionClip(60.0, [(press, _synth.parked_pose(1, x=1.5))])
+    clip = _synth.pose_clip(60.0, [(press, _synth.parked_pose(1, x=1.5))])
     assert rewards.assign_fingering(clip, skeletons, geom, 20, 0) == 3
 
 
@@ -232,7 +232,7 @@ def test_segment_fingering_sticks_to_onset(geom, skeletons):
     shifted = HandPose(hover.root_t + (0.021, 0.0, 0.0), hover.root_q,
                        hover.joint_rotations)
     parked = _synth.parked_pose(0)
-    reference = MotionClip(
+    reference = _synth.pose_clip(
         60.0, [(parked, hover)] + [(parked, shifted)] * 3)
     rows = [{40}, {40}, {40, 42}, {40, 42}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
@@ -249,7 +249,7 @@ def test_segment_fingering_reassigns_after_release(geom, skeletons):
     shifted = HandPose(hover.root_t + (0.021, 0.0, 0.0), hover.root_q,
                        hover.joint_rotations)
     parked = _synth.parked_pose(0)
-    reference = MotionClip(
+    reference = _synth.pose_clip(
         60.0, [(parked, hover), (parked, hover),
                (parked, shifted), (parked, shifted)])
     rows = [{40}, set(), {40}, {40}]
@@ -363,7 +363,7 @@ def test_evaluate_rewards_perfect_press(geom, skeletons):
     # at rest.  Total is exactly 1 + 0.5 - 0.05.
     press = _synth.pressing_pose(geom, skeletons, {7: 40}, depth={7: 0.0095})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, press)])
     tips = hand.clip_fingertips(clip, skeletons)[0]
     assert kb.key_depths(geom, tips)[39] > 0.009   # fixture reaches sounding
     matrix = _synth.matrix_from_frames([{40}, {40}], fps=60.0)
@@ -383,7 +383,7 @@ def test_evaluate_rewards_wrong_key_penalized(geom, skeletons):
     # the fingertip's distance from key 42.
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, press), (parked, press)])
+    clip = _synth.pose_clip(60.0, [(parked, press), (parked, press)])
     matrix = _synth.matrix_from_frames([{42}, {42}], fps=60.0)
     out = rewards.evaluate_rewards(clip, skeletons, geom, matrix)
     breakdown = out[0]
@@ -404,7 +404,7 @@ def test_evaluate_rewards_wrong_key_penalized(geom, skeletons):
 def test_evaluate_rewards_silence_scores_product_one(geom, skeletons):
     hover = _synth.hover_pose(geom, 1, 40)
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, hover), (parked, hover)])
+    clip = _synth.pose_clip(60.0, [(parked, hover), (parked, hover)])
     matrix = _synth.matrix_from_frames([set(), set()], fps=60.0)
     out = rewards.evaluate_rewards(clip, skeletons, geom, matrix)
     # No targets: empty product 1 and the correctness bonus applies.
@@ -415,7 +415,7 @@ def test_evaluate_rewards_silence_scores_product_one(geom, skeletons):
 def test_evaluate_rewards_validates_inputs(geom, skeletons):
     pose = _synth.hover_pose(geom, 1, 40)
     parked = _synth.parked_pose(0)
-    clip = MotionClip(60.0, [(parked, pose), (parked, pose)])
+    clip = _synth.pose_clip(60.0, [(parked, pose), (parked, pose)])
     with pytest.raises(ValueError, match="frames"):
         rewards.evaluate_rewards(clip, skeletons, geom,
                                  _synth.matrix_from_frames([set()], fps=60.0))
@@ -423,7 +423,7 @@ def test_evaluate_rewards_validates_inputs(geom, skeletons):
         rewards.evaluate_rewards(
             clip, skeletons, geom,
             _synth.matrix_from_frames([set(), set()], fps=59.94))
-    short = MotionClip(60.0, [(parked, pose)])
+    short = _synth.pose_clip(60.0, [(parked, pose)])
     with pytest.raises(ValueError, match="2 frames"):
         rewards.evaluate_rewards(short, skeletons, geom,
                                  _synth.matrix_from_frames([set()], fps=60.0))
