@@ -177,8 +177,10 @@ def _load_clip(path: str) -> hand.MotionClip:
         raise CliError("motion clip %s: %s" % (path, exc))
 
 
-def _load_notes(path: str) -> midi.NoteList:
-    data = _read_bytes(path)
+def _load_notes(path: str, data: bytes | None = None) -> midi.NoteList:
+    """Parse a MIDI file, from its bytes when the caller already read them."""
+    if data is None:
+        data = _read_bytes(path)
     try:
         return midi.parse_midi(data, source=path)
     except midi.MidiParseError as exc:
@@ -193,7 +195,7 @@ def _load_key_matrix(path: str, fps: float) -> midi.KeyMatrix:
     """
     data = _read_bytes(path)
     if data[:4] == b"MThd":
-        notes = _load_notes(path)
+        notes = _load_notes(path, data)
         n_frames = max(1, int(np.ceil(notes.duration() * fps)))
         return midi.quantize(notes, fps, n_frames)
     try:

@@ -524,19 +524,25 @@ class MotionClip:
                     for pose in pair) for pair in frames):
             raise ValueError("frames must be a list of [left, right] pose pairs, "
                              "each pose an object of %s" % ", ".join(_POSE_FIELDS))
-        return cls(fps, *(_json_floats([[l[name], r[name]] for l, r in frames],
+        return cls(fps, *(json_array([[l[name], r[name]] for l, r in frames],
                                        name, (len(frames), 2) + shape)
                           for name, shape in _POSE_FIELDS.items()))
 
 
-def _json_floats(value, name: str, shape: tuple) -> np.ndarray:
-    """Parsed JSON floats as an array of `shape`, strings and bools refused."""
+def json_array(value, name: str, shape: tuple, kinds=(float,),
+               dtype=np.float64) -> np.ndarray:
+    """Parsed JSON values as a `dtype` array of `shape` (None matches any
+    length), refusing any value whose type is not in `kinds`: strings, and
+    bools unless listed."""
     values = np.array(value, dtype=object)
-    if values.size == 0 == math.prod(shape):
+    if values.size == 0 and 0 in shape:
         values = values.reshape(shape)            # [] has shape (0,)
-    if values.shape != shape or set(map(type, values.ravel().tolist())) - {float}:
-        raise ValueError("%s must be numbers in shape %s" % (name, shape))
-    return values.astype(np.float64)
+    if (values.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, values.shape))
+            or set(map(type, values.ravel().tolist())) - set(kinds)):
+        raise ValueError("%s must be numbers in shape %s"
+                         % (name, str(shape).replace("None", "n")))
+    return values.astype(dtype)
 
 
 def clip_vectors(clip: MotionClip, frames=slice(None)) -> np.ndarray:

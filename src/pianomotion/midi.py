@@ -114,7 +114,7 @@ class KeyMatrix:
         self.data = np.asarray(self.data, dtype=np.uint8)
         if self.data.ndim != 2 or self.data.shape[1] != NUM_KEYS:
             raise ValueError(f"data must be (n_frames, 88), got {self.data.shape}")
-        if not np.isin(self.data, (0, 1)).all():
+        if self.data.size and self.data.max() > 1:
             raise ValueError("key matrix entries must be 0 or 1")
 
     @property
@@ -163,93 +163,120 @@ class MatchResult:
 # SMF parsing
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MidiParseError("unexpected end of data", self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.read(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.read(4), "big")
-
-    def varlen(self) -> int:
-        value = 0
-        for _ in range(4):
-            byte = self.u8()
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise MidiParseError("variable-length quantity longer than 4 bytes", self.pos)
+def _take(data, pos: int, n: int):
+    """data[pos:pos + n], raising at pos when the data ends sooner."""
+    if pos + n > len(data):
+        raise MidiParseError("unexpected end of data", pos)
+    return data[pos:pos + n]
 
 
-_CHANNEL_MSG_LEN = {0x80: 2, 0x90: 2, 0xA0: 2, 0xB0: 2, 0xC0: 1, 0xD0: 1, 0xE0: 2}
+def _varlen(data, pos: int):
+    """(value, next position) of the variable-length quantity at data[pos]."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        if pos >= len(data):
+            raise MidiParseError("unexpected end of data", pos)
+        byte = data[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if byte < 0x80:
+            return value, pos + 1
+    raise MidiParseError("variable-length quantity longer than 4 bytes", pos + 1)
 
 
-def _parse_track(reader: _Reader):
-    """One MTrk chunk -> (note on/off events, tempo events), ticks absolute."""
-    notes = []  # (tick, channel, midi_pitch, is_on)
-    tempos = []  # (tick, microseconds per quarter note)
-    header = reader.read(4)
+def _parse_track(data, pos: int):
+    """The MTrk chunk at data[pos] -> (notes, tempos, unterminated, next pos).
+
+    Notes are (onset tick, offset tick, MIDI pitch), ticks absolute, in the
+    order they close: a note-off (or a note-on of velocity 0) closes the
+    oldest open note of its channel and pitch, and notes still open at the
+    end close at the track's last note event, counted in `unterminated`.
+    Tempos are (tick, microseconds per quarter note).  An event may read
+    past the chunk's declared length, up to the end of the data.
+    """
+    header = _take(data, pos, 4)
     if header != b"MTrk":
-        raise MidiParseError(f"expected MTrk chunk, got {header!r}", reader.pos - 4)
-    length = reader.u32()
-    end = reader.pos + length
-    if end > len(reader.data):
-        raise MidiParseError("track length exceeds data size", reader.pos - 4)
-    tick = 0
-    running_status = None
-    while reader.pos < end:
-        tick += reader.varlen()
-        status = reader.u8()
-        if status < 0x80:
-            # Running status: first data byte already consumed.
-            if running_status is None:
-                raise MidiParseError("data byte without running status", reader.pos - 1)
-            data0 = status
-            status = running_status
-            rest = _CHANNEL_MSG_LEN[status & 0xF0] - 1
-            payload = bytes([data0]) + reader.read(rest)
-        elif status < 0xF0:
-            running_status = status
-            payload = reader.read(_CHANNEL_MSG_LEN[status & 0xF0])
-        elif status in (0xF0, 0xF7):  # sysex
-            running_status = None
-            payload = reader.read(reader.varlen())
-            continue
-        elif status == 0xFF:  # meta
-            meta_type = reader.u8()
-            payload = reader.read(reader.varlen())
-            if meta_type == 0x51:
-                if len(payload) != 3:
-                    raise MidiParseError("set-tempo event must carry 3 bytes", reader.pos)
-                tempos.append((tick, int.from_bytes(payload, "big")))
-            if meta_type == 0x2F:  # end of track
-                reader.pos = end
-                break
-            continue
-        else:
-            raise MidiParseError(f"unexpected status byte 0x{status:02x}", reader.pos - 1)
+        raise MidiParseError(f"expected MTrk chunk, got {header!r}", pos)
+    pos += 4
+    end = pos + 4 + int.from_bytes(_take(data, pos, 4), "big")
+    if end > len(data):
+        raise MidiParseError("track length exceeds data size", pos)
+    pos += 4
+    notes = []
+    tempos = []
+    open_notes = {}  # (channel, pitch) -> onset ticks, oldest first
+    tick = last_tick = 0
+    running = None
+    # Each read of a byte past the data raises IndexError while `pos` is
+    # still at the start of that read.
+    try:
+        while pos < end:
+            byte = data[pos]
+            if byte < 0x80:
+                tick += byte
+                pos += 1
+            else:
+                delta, pos = _varlen(data, pos)
+                tick += delta
+            status = data[pos]
+            pos += 1
+            if status < 0x80:  # running status: that was the first data byte
+                if running is None:
+                    raise MidiParseError("data byte without running status", pos - 1)
+                data0, status = status, running
+                if status & 0xE0 != 0xC0:  # all but 0xC0/0xD0 carry two bytes
+                    data1 = data[pos]
+                    pos += 1
+            elif status < 0xF0:
+                running = status
+                if status & 0xE0 == 0xC0:
+                    data0 = data[pos]
+                    pos += 1
+                else:
+                    data0, data1 = data[pos], data[pos + 1]
+                    pos += 2
+            elif status == 0xFF:  # meta
+                meta_type = data[pos]
+                length, pos = _varlen(data, pos + 1)
+                payload = _take(data, pos, length)
+                pos += length
+                if meta_type == 0x51:
+                    if length != 3:
+                        raise MidiParseError("set-tempo event must carry 3 bytes", pos)
+                    tempos.append((tick, int.from_bytes(payload, "big")))
+                elif meta_type == 0x2F:  # end of track
+                    pos = end
+                    break
+                continue
+            elif status == 0xF0 or status == 0xF7:  # sysex
+                running = None
+                length, pos = _varlen(data, pos)
+                _take(data, pos, length)
+                pos += length
+                continue
+            else:
+                raise MidiParseError(f"unexpected status byte 0x{status:02x}", pos - 1)
 
-        kind = status & 0xF0
-        channel = status & 0x0F
-        if kind == 0x90:
-            pitch, velocity = payload[0], payload[1]
-            notes.append((tick, channel, pitch, velocity > 0))
-        elif kind == 0x80:
-            notes.append((tick, channel, payload[0], False))
-    return notes, tempos
+            kind = status & 0xF0
+            if kind == 0x90 or kind == 0x80:
+                last_tick = tick
+                key = (status & 0x0F, data0)
+                if kind == 0x90 and data1:
+                    stack = open_notes.get(key)
+                    if stack is None:
+                        open_notes[key] = [tick]
+                    else:
+                        stack.append(tick)
+                else:
+                    stack = open_notes.get(key)
+                    if stack:
+                        notes.append((stack.pop(0), tick, data0))
+    except IndexError:
+        raise MidiParseError("unexpected end of data", pos) from None
+    unterminated = 0
+    for (_, pitch), stack in open_notes.items():
+        unterminated += len(stack)
+        notes.extend((onset, last_tick, pitch) for onset in stack if last_tick > onset)
+    return notes, tempos, unterminated, pos
 
 
 class _TempoMap:
@@ -285,17 +312,16 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
     Raises:
         MidiParseError: malformed header or chunk, with the byte offset.
     """
-    reader = _Reader(data)
-    header = reader.read(4)
+    header = _take(data, 0, 4)
     if header != b"MThd":
         raise MidiParseError(f"expected MThd header, got {header!r}", 0)
-    header_len = reader.u32()
+    header_len = int.from_bytes(_take(data, 4, 4), "big")
     if header_len < 6:
         raise MidiParseError(f"header length must be >= 6, got {header_len}", 4)
-    fmt = reader.u16()
-    n_tracks = reader.u16()
-    division = reader.u16()
-    reader.read(header_len - 6)
+    fmt = int.from_bytes(_take(data, 8, 2), "big")
+    n_tracks = int.from_bytes(_take(data, 10, 2), "big")
+    division = int.from_bytes(_take(data, 12, 2), "big")
+    _take(data, 14, header_len - 6)
     if fmt not in (0, 1):
         raise MidiParseError(f"unsupported SMF format {fmt}", 8)
     if division & 0x8000:
@@ -303,36 +329,19 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
     if division == 0:
         raise MidiParseError("time division must be positive", 12)
 
-    all_notes = []
+    pos = 8 + header_len
+    events = []
     all_tempos = []
+    unterminated = 0
     for _ in range(n_tracks):
-        notes, tempos = _parse_track(reader)
-        all_notes.append(notes)
+        notes, tempos, open_count, pos = _parse_track(data, pos)
+        events.extend(notes)
         all_tempos.extend(tempos)
+        unterminated += open_count
     tempo_map = _TempoMap(all_tempos, division)
 
-    events = []
-    dropped = 0
-    unterminated = 0
-    for track_notes in all_notes:
-        open_notes: dict[tuple[int, int], list[int]] = {}
-        end_tick = max((t for t, *_ in track_notes), default=0)
-        for tick, channel, midi_pitch, is_on in track_notes:
-            key = (channel, midi_pitch)
-            if is_on:
-                open_notes.setdefault(key, []).append(tick)
-            else:
-                stack = open_notes.get(key)
-                if stack:
-                    onset_tick = stack.pop(0)  # FIFO: close the oldest open note
-                    events.append((onset_tick, tick, midi_pitch))
-        for (channel, midi_pitch), stack in open_notes.items():
-            for onset_tick in stack:
-                unterminated += 1
-                if end_tick > onset_tick:
-                    events.append((onset_tick, end_tick, midi_pitch))
-
     out = []
+    dropped = 0
     for onset_tick, offset_tick, midi_pitch in events:
         if not MIN_MIDI_PITCH <= midi_pitch <= MAX_MIDI_PITCH:
             dropped += 1
@@ -398,15 +407,29 @@ def serialize_midi(notes: NoteList, ppq: int = 480, tempo_uspq: int = 500000) ->
 # Quantization
 
 
-def _note_frames(note: NoteEvent, fps: float, n_frames: int) -> np.ndarray:
-    """Frame indices whose [i/fps, (i+1)/fps) interval intersects the note."""
-    lo = max(0, int(np.floor(note.onset * fps)) - 1)
-    hi = min(n_frames, int(np.ceil(note.offset * fps)) + 1)
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    idx = np.arange(lo, hi)
-    covered = (note.onset < (idx + 1) / fps) & (note.offset > idx / fps)
-    return idx[covered]
+def _note_cells(notes: NoteList, fps: float, n_frames: int):
+    """(note, frame, key) indices of every frame below n_frames that a note
+    overlaps, note by note in list order and frames ascending within a note.
+
+    Frame i spans [i/fps, (i+1)/fps).  Each note tests the frames from one
+    before its onset's frame to one after its offset's, all notes at once
+    with the same float expressions.
+    """
+    onset = np.array([n.onset for n in notes], dtype=np.float64)
+    offset = np.array([n.offset for n in notes], dtype=np.float64)
+    first, stop = np.floor(onset * fps), np.ceil(offset * fps)
+    if not (np.isfinite(first).all() and np.isfinite(stop).all()):
+        raise ValueError("note onsets and offsets must be finite in frames "
+                         "at fps %r" % fps)
+    lo = np.clip(first - 1, 0, n_frames).astype(np.int64)
+    count = np.maximum(np.clip(stop + 1, 0, n_frames).astype(np.int64) - lo, 0)
+    # One ragged arange: note j's candidates are lo[j] .. lo[j] + count[j] - 1.
+    note = np.repeat(np.arange(len(count)), count)
+    frame = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+    covered = (onset[note] < (frame + 1) / fps) & (offset[note] > frame / fps)
+    note, frame = note[covered], frame[covered]
+    key = np.array([n.pitch - 1 for n in notes], dtype=np.int64)[note]
+    return note, frame, key
 
 
 def quantize(notes: NoteList, fps: float, n_frames: int) -> KeyMatrix:
@@ -420,8 +443,8 @@ def quantize(notes: NoteList, fps: float, n_frames: int) -> KeyMatrix:
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
     data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8)
-    for note in notes:
-        data[_note_frames(note, fps, n_frames), note.pitch - 1] = 1
+    _, frame, key = _note_cells(notes, fps, n_frames)
+    data[frame, key] = 1
     return KeyMatrix(fps, data)
 
 
@@ -441,14 +464,18 @@ def condition_matrix(
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
     data = np.zeros((n_frames, NUM_KEYS), dtype=np.float64)
-    for note in notes:  # onset order, so later-starting notes overwrite
-        frames = _note_frames(note, fps, n_frames)
-        if frames.size == 0:
-            continue
-        if mode == "constant":
-            data[frames, note.pitch - 1] = 1.0 / frames.size
-        else:
-            data[frames, note.pitch - 1] = 1.0 / (frames - frames[0] + 1)
+    note, frame, key = _note_cells(notes, fps, n_frames)
+    if mode == "constant":
+        value = 1.0 / np.bincount(note, minlength=len(notes))[note]
+    else:
+        starts = np.ones(len(note), dtype=bool)
+        starts[1:] = note[1:] != note[:-1]
+        value = 1.0 / (frame - frame[starts][np.cumsum(starts) - 1] + 1)
+    # Notes are in onset order, so the later-starting note on a cell is its
+    # last entry here.
+    last = len(note) - 1 - np.unique((frame * NUM_KEYS + key)[::-1],
+                                     return_index=True)[1]
+    data[frame[last], key[last]] = value[last]
     return ConditionMatrix(fps, data)
 
 
@@ -636,7 +663,10 @@ def matrix_from_json(text: str) -> KeyMatrix | ConditionMatrix:
         raise ValueError("columns must be an object of key -> runs")
     binary = kind == "key_matrix"
     form = "[start, end]" if binary else "[start, end, value in (0, 1]]"
-    data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8 if binary else np.float64)
+    try:
+        data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8 if binary else np.float64)
+    except MemoryError:
+        raise ValueError(f"n_frames {n_frames} is too large to hold in memory") from None
     for key_str, runs in columns.items():
         key = int(key_str) if key_str.isdecimal() else 0
         if not 1 <= key <= NUM_KEYS or not isinstance(runs, list):

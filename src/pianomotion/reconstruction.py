@@ -20,7 +20,7 @@ import numpy as np
 
 from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, MotionClip,
                    SkeletonPair, clip_vectors, fk_jacobian, forward_kinematics,
-                   matrix_to_rotvec, rotvec_to_quat)
+                   json_array, matrix_to_rotvec, rotvec_to_quat)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -31,6 +31,10 @@ DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_FILTER_ORDER = 4
 DEFAULT_FIT_ITERS = 200
 
+# JSON values a validity mask may hold: booleans, or 0/1 as written by
+# `to_json` (read as floats).
+_FLAGS = (bool, float)
+
 # Points per batched RANSAC call in `triangulate_observations`.  It bounds
 # the stacked pair, reprojection and polish arrays (peak 12 MB with 5 views,
 # 25 MB with 8) without changing results.
@@ -40,6 +44,13 @@ _POINT_BLOCK = 2048
 # stacked Jacobians (fk_jacobian's temporaries take about 0.17 MB per
 # hand-frame) without changing results.
 _POSE_BLOCK = 256
+
+
+def _image_size(obj: dict) -> tuple:
+    """The (width, height) a camera or keypoint file gives, or the default."""
+    if "image_size" not in obj:
+        return DEFAULT_IMAGE_SIZE
+    return tuple(json_array(obj["image_size"], "image_size", (2,)).tolist())
 
 
 @dataclasses.dataclass(eq=False)
@@ -84,25 +95,23 @@ class CameraRig:
 
     @classmethod
     def from_json(cls, text: str) -> "CameraRig":
-        obj = json.loads(text)
+        # Integers parse as floats, so one too large for a float reads inf.
+        obj = json.loads(text, parse_int=float)
         if not isinstance(obj, dict):
             raise ValueError("a camera rig must be a JSON object")
         mats = []
         for i, cam in enumerate(obj["cameras"]):
-            P = np.array(cam["P"], dtype=np.float64)
-            if P.shape != (3, 4):
-                raise ValueError("camera %d: P must be 3x4" % i)
+            P = json_array(cam["P"], "camera %d: P" % i, (3, 4))
             if "K" in cam or "R" in cam or "t" in cam:
-                K = np.array(cam["K"], dtype=np.float64)
-                R = np.array(cam["R"], dtype=np.float64)
-                t = np.array(cam["t"], dtype=np.float64).reshape(3, 1)
-                composed = K @ np.hstack([R, t])
+                K = json_array(cam["K"], "camera %d: K" % i, (3, 3))
+                R = json_array(cam["R"], "camera %d: R" % i, (3, 3))
+                t = json_array(cam["t"], "camera %d: t" % i, (3,))
+                composed = K @ np.hstack([R, t[:, None]])
                 if not np.allclose(composed, P, atol=1e-6):
                     raise ValueError(
                         "camera %d: K[R|t] disagrees with P beyond 1e-6" % i)
             mats.append(P)
-        size = tuple(obj.get("image_size", DEFAULT_IMAGE_SIZE))
-        return cls(np.stack(mats), size)
+        return cls(np.stack(mats), _image_size(obj))
 
 
 @dataclasses.dataclass(eq=False)
@@ -158,13 +167,15 @@ class KeypointObservations:
 
     @classmethod
     def from_json(cls, text: str) -> "KeypointObservations":
-        obj = json.loads(text)
+        # Integers parse as floats, so one too large for a float reads inf.
+        obj = json.loads(text, parse_int=float)
         if not isinstance(obj, dict):
             raise ValueError("keypoints must be a JSON object")
-        return cls(np.array(obj["uv"], dtype=np.float64),
-                   np.array(obj["conf"], dtype=np.float64),
-                   np.array(obj["valid"], dtype=bool),
-                   tuple(obj.get("image_size", DEFAULT_IMAGE_SIZE)))
+        return cls(json_array(obj["uv"], "uv", (None, None, 2, 21, 2)),
+                   json_array(obj["conf"], "conf", (None, None, 2, 21)),
+                   json_array(obj["valid"], "valid", (None, None, 2, 21),
+                              _FLAGS, bool),
+                   _image_size(obj))
 
     @classmethod
     def from_csv(cls, text: str,
@@ -229,9 +240,12 @@ class JointTrajectory:
         obj = json.loads(text, parse_int=float)
         if not isinstance(obj, dict):
             raise ValueError("a joint trajectory must be a JSON object")
-        return cls(float(obj["fps"]),
-                   np.array(obj["positions"], dtype=np.float64),
-                   np.array(obj["valid"], dtype=bool))
+        if type(obj["fps"]) is not float:
+            raise ValueError("fps must be a number")
+        return cls(obj["fps"],
+                   json_array(obj["positions"], "positions", (None, 2, 21, 3)),
+                   json_array(obj["valid"], "valid", (None, 2, 21), _FLAGS,
+                              bool))
 
 
 class TriangulationError(ValueError):

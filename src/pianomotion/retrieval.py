@@ -10,9 +10,10 @@ single dataset clip are merged into longer reference segments.
 The index stores each dataset frame once, not each window: a window's
 distance is the sum, along one diagonal, of per-frame Hamming distances.
 The search computes those per-frame distances for a block of dataset
-frames against a block of query frames with one matrix product, then adds
-``window_len`` shifted slices of it.  On disk the frames are bit-packed,
-11 bytes per frame.
+frames against a block of query frames with one matrix product, then
+builds diagonal sums of length 1, 2, 4, ... by doubling and adds the ones
+whose lengths make up ``window_len`` in binary (2 + 4 + 8 + 16 at 30).
+On disk the frames are bit-packed, 11 bytes per frame.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
     n_q = len(q_starts)
     matches = np.full(n_q, -1, dtype=np.int64)
     dists = np.full(n_q, np.inf)
+    # ham = [q, 1, |q|] @ [-2 f; |f|; 1] gives every per-frame distance in
+    # one product; each term is a small integer.
+    qa = np.empty((query.n_frames, NUM_KEYS + 2), dtype=np.float32)
+    qa[:, :NUM_KEYS] = query.data
+    qa[:, NUM_KEYS] = 1.0
+    qa[:, NUM_KEYS + 1] = qa[:, :NUM_KEYS].sum(axis=1)
     wf = index._window_frame
     lo = 0
     while lo < index.n_windows:
@@ -175,33 +182,65 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
         base = int(wf[lo])
         n_pos = int(wf[hi - 1]) - base + 1
         # Keys-major, so the product below runs at full BLAS speed.
-        f = np.ascontiguousarray(index.frames[base:base + n_pos + w - 1].T,
-                                 dtype=np.float32)
-        f_count = f.sum(axis=0)
+        fa = np.empty((NUM_KEYS + 2, n_pos + w - 1), dtype=np.float32)
+        fa[:NUM_KEYS] = index.frames[base:base + n_pos + w - 1].T
+        fa[NUM_KEYS] = fa[:NUM_KEYS].sum(axis=0)
+        fa[:NUM_KEYS] *= -2.0
+        fa[NUM_KEYS + 1] = 1.0
         cols = wf[lo:hi] - base
+        # Positions that start no window (across a clip end, or between
+        # strides) never hold the minimum.
+        gaps = np.ones(n_pos, dtype=bool)
+        gaps[cols] = False
+        gaps = np.flatnonzero(gaps)
         for qlo in range(0, n_q, _QUERY_BLOCK):
             nqb = min(_QUERY_BLOCK, n_q - qlo)
             qs = int(q_starts[qlo])
-            q = query.data[qs:qs + (nqb - 1) * s + w].astype(np.float32)
             # ham[t, i]: Hamming distance of query frame t to dataset frame i.
-            ham = q @ f
-            ham *= -2.0
-            ham += f_count
-            ham += q.sum(axis=1)[:, None]
-            # Window sums reach 88 * window_len, exact in float32 up to
-            # window_len 190650; ham alone would then need over 100 GB.
-            acc = ham[0:nqb * s:s, 0:n_pos].copy()
-            for k in range(1, w):
-                acc += ham[k:k + nqb * s:s, k:k + n_pos]
-            d = acc[:, cols]
-            best = np.argmin(d, axis=1)
-            best_d = d[np.arange(nqb), best]
+            ham = qa[qs:qs + (nqb - 1) * s + w] @ fa
+            d = _window_sums(ham, w, s, nqb, n_pos)
+            d[:, gaps] = np.inf
+            best_d = d.min(axis=1)
+            # The first position holding the minimum is the lowest window.
+            best = np.searchsorted(cols, np.argmax(d == best_d[:, None], axis=1))
             # Strict < keeps the earlier block's window on ties.
             better = best_d < dists[qlo:qlo + nqb]
             dists[qlo:qlo + nqb][better] = best_d[better]
             matches[qlo:qlo + nqb][better] = lo + best[better]
         lo = hi
     return RetrievalResult(w, s, q_starts, matches, dists)
+
+
+def _window_sums(ham: np.ndarray, w: int, s: int, n_rows: int,
+                 n_cols: int) -> np.ndarray:
+    """out[j, i] = sum of ham[j*s + k, i + k] over k < w, by doubling.
+
+    Diagonal sums of length 2L come from two of length L,
+    S_2L[t, i] = S_L[t, i] + S_L[t + L, i + L], in one spare buffer the
+    size of ham; each window then adds the sums whose lengths make up w in
+    binary, taking rows at the stride.  Window sums reach 88 * w, exact in
+    float32 (so in any order of adds) up to w = 190650, where ham alone
+    would need over 100 GB.  Overwrites ham.
+    """
+    rows, cols = ham.shape
+    cur, spare = ham, np.empty_like(ham) if w > 1 else None
+    out = None
+    length, done = 1, 0
+    while True:
+        if w & length:
+            piece = cur[done:done + n_rows * s:s, done:done + n_cols]
+            if out is None:
+                out = piece.copy()
+            else:
+                out += piece
+            done += length
+        if 2 * length > w:
+            return out
+        n_t, n_i = rows - 2 * length + 1, cols - 2 * length + 1
+        np.add(cur[:n_t, :n_i], cur[length:length + n_t, length:length + n_i],
+               out=spare[:n_t, :n_i])
+        cur, spare = spare, cur
+        length *= 2
 
 
 @dataclasses.dataclass(frozen=True)

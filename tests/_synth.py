@@ -240,6 +240,61 @@ def notes_on_frames(spans, fps=FPS):
     return midi.NoteList.from_events(events, "synthetic")
 
 
+def smf(track_bodies, fmt=1, division=480):
+    """Standard MIDI file bytes holding the given MTrk bodies."""
+    out = bytearray(b"MThd" + (6).to_bytes(4, "big"))
+    out += fmt.to_bytes(2, "big") + len(track_bodies).to_bytes(2, "big")
+    out += division.to_bytes(2, "big")
+    for body in track_bodies:
+        out += b"MTrk" + len(body).to_bytes(4, "big") + body
+    return bytes(out)
+
+
+def random_track(rng, n_events=40):
+    """An MTrk body exercising every event kind the SMF parser reads.
+
+    It mixes explicit and running status, every channel message length,
+    note-ons of velocity 0, same-pitch overlaps, pitches outside the
+    piano, notes left open, tempo changes, sysex and text events,
+    multi-byte delta times, and sometimes events after an early
+    end-of-track.
+    """
+    body = bytearray()
+    running = None
+    for _ in range(int(rng.integers(0, n_events + 1))):
+        delta = int(rng.choice([0, 0, 1, 7, 127, 128, 300, 20000, 2 ** 21 + 3]))
+        body += midi._varlen_bytes(delta)
+        kind = int(rng.integers(0, 12))
+        if kind < 8:
+            status = int(rng.choice([0x90, 0x90, 0x90, 0x80, 0x80, 0xA0, 0xB0,
+                                     0xC0, 0xD0, 0xE0])) | int(rng.integers(0, 2))
+            if status != running or rng.random() < 0.3:
+                body.append(status)
+            running = status
+            pitch = int(rng.integers(56, 62)) if rng.random() < 0.9 else int(
+                rng.choice([0, 20, 109, 127]))
+            body.append(pitch)
+            if status & 0xE0 != 0xC0:
+                body.append(int(rng.choice([0, 1, 64, 127])))
+        elif kind == 8:
+            body += b"\xff\x51\x03" + int(rng.integers(100000, 1000000)).to_bytes(3, "big")
+        elif kind == 9:
+            body += b"\xff\x01" + midi._varlen_bytes(3) + b"abc"
+        else:
+            running = None
+            body += bytes([0xF0 if kind == 10 else 0xF7]) + midi._varlen_bytes(2) + b"\x01\xf7"
+    body += b"\x00\xff\x2f\x00"
+    if rng.random() < 0.2:
+        body += b"\x00\x90\x3c\x40"
+    return bytes(body)
+
+
+def random_smf(rng):
+    """A format-1 file of one to three `random_track`s."""
+    return smf([random_track(rng) for _ in range(int(rng.integers(1, 4)))],
+               division=int(rng.choice([96, 480, 960])))
+
+
 def look_at_camera(eye, center, up=(0.0, 0.0, 1.0), f=3200.0,
                    image_size=(3840, 2160)):
     """3x4 projection for a pinhole camera at eye looking at center."""

@@ -451,6 +451,74 @@ def test_malformed_matrix_json_is_validation_error(tmp_path, capsys, stage,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage", ["goalstate", "retrieve"])
+def test_matrix_too_large_to_allocate_is_validation_error(tmp_path, capsys,
+                                                          stage):
+    obj = json.loads(midi.matrix_to_json(_synth.matrix_from_frames([{40}] * 30)))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**obj, "n_frames": 10 ** 12}))
+    if stage == "goalstate":
+        argv = ["goalstate", "--midi", huge, "--fps", 60]
+    else:
+        dataset, index = tmp_path / "alpha.json", tmp_path / "index.npz"
+        dataset.write_text(json.dumps(obj))
+        assert run(["index", "--dataset", dataset, "--fps", 60, "-o", index]) == 0
+        argv = ["retrieve", "--index", index, "--query", huge, "--fps", 60]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: n_frames 1000000000000 is too large" % huge)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", True])
+@pytest.mark.parametrize("loader,field", [("trajectory", "positions"),
+                                          ("keypoints", "uv"),
+                                          ("cameras", "P"),
+                                          ("cameras", "image_size")])
+def test_string_or_bool_number_in_reconstruction_input_is_validation_error(
+        tmp_path, capsys, geom, skeletons, loader, field, value):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    if loader == "trajectory":
+        traj = reconstruction.JointTrajectory(60.0, np.zeros((2, 2, 21, 3)),
+                                              np.ones((2, 2, 21), dtype=bool))
+        path = tmp_path / "traj.json"
+        obj = json.loads(traj.to_json())
+        obj["positions"][1][0][4] = [value] * 3
+        argv = ["fit", "--trajectory", path]
+    else:
+        path = {"keypoints": kp, "cameras": cam}[loader]
+        obj = json.loads(path.read_text())
+        if field == "uv":
+            obj["uv"][0][1][1][8][0] = value
+        elif field == "P":
+            obj["cameras"][1]["P"][2][3] = value
+        else:
+            obj["image_size"][0] = value
+        argv = ["triangulate", "--keypoints", kp, "--cameras", cam, "--fps", 60]
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    assert run(argv + ["-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s %s: " % (loader, path))
+    assert "must be numbers" in err
+    assert not out.exists()
+
+
+def test_midi_key_matrix_file_is_read_once(tmp_path, capsys, monkeypatch):
+    midi_path = tmp_path / "score.mid"
+    write_midi(midi_path, [(40, 0, 30)])
+    reads = []
+    read_bytes = cli._read_bytes
+    monkeypatch.setattr(cli, "_read_bytes",
+                        lambda path: reads.append(path) or read_bytes(path))
+    assert run(["goalstate", "--midi", midi_path, "--fps", 60]) == 0
+    assert reads == [str(midi_path)]
+    midi_path.write_bytes(midi_path.read_bytes()[:-3])
+    assert run(["goalstate", "--midi", midi_path, "--fps", 60]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: %s: track length exceeds data size (byte offset 18)" % midi_path)
+
+
 @pytest.mark.parametrize("stage", ["extract-press", "fit", "goalstate", "eval"])
 def test_fps_too_large_for_a_float_is_validation_error(tmp_path, capsys,
                                                        stage):

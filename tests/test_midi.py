@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from _synth import smf
 from pianomotion import midi
 from pianomotion.midi import (
     ConditionMatrix,
@@ -14,16 +15,6 @@ from pianomotion.midi import (
     NoteEvent,
     NoteList,
 )
-
-
-def smf(track_chunks, fmt=1, division=480):
-    out = bytearray(b"MThd" + (6).to_bytes(4, "big"))
-    out += fmt.to_bytes(2, "big")
-    out += len(track_chunks).to_bytes(2, "big")
-    out += division.to_bytes(2, "big")
-    for body in track_chunks:
-        out += b"MTrk" + len(body).to_bytes(4, "big") + body
-    return bytes(out)
 
 
 TEMPO_500K = b"\x00\xff\x51\x03\x07\xa1\x20"  # 500000 us per quarter

@@ -131,6 +131,20 @@ def test_retrieve_is_independent_of_block_sizes(rng, monkeypatch,
     assert result.distances.tolist() == [float(d) for _, d in expect]
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_window_sums_by_doubling_equal_shifted_adds(rng, stride):
+    for w in range(1, 65):
+        n_rows, n_cols = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+        ham = rng.integers(0, 89, ((n_rows - 1) * stride + w, n_cols + w - 1))
+        ham = ham.astype(np.float32)
+        expect = ham[0:n_rows * stride:stride, 0:n_cols].copy()
+        for k in range(1, w):
+            expect += ham[k:k + n_rows * stride:stride, k:k + n_cols]
+        got = retrieval._window_sums(ham, w, stride, n_rows, n_cols)
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes(), w
+
+
 @pytest.mark.parametrize("frame_block", [4096, 3])
 def test_retrieve_exact_tie_across_clips_takes_lowest_index(
         rng, monkeypatch, frame_block):
