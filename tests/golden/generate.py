@@ -6,7 +6,7 @@ note (shallow touch below the activation depth), and one wrong press
 (pressed key absent from the score), projects it into a five-camera rig,
 and runs the full CLI chain
 
-    triangulate -> fit -> refine -> eval
+    triangulate -> fit -> refine -> eval, extract-press, reward
 
 committing both the inputs and every intermediate output.  Tests replay
 the same chain and compare bytes, so this script must only be re-run when
@@ -86,7 +86,12 @@ def main():
          "--midi", HERE / "score.json",
          "--report", out / "refine_report.json", "-o", out / "refined.json"])
     run(["eval", "--clip", out / "refined.json",
-         "--midi", HERE / "score.json", "-o", out / "eval.json"])
+         "--midi", HERE / "score.json", "--per-frame", out / "eval_frames.csv",
+         "-o", out / "eval.json"])
+    run(["extract-press", "--clip", out / "refined.json",
+         "-o", out / "presses.json"])
+    run(["reward", "--clip", out / "refined.json",
+         "--midi", HERE / "score.json", "-o", out / "rewards.jsonl"])
 
     # The fixture is only useful if the refinement actually had work to do
     # and finished it; fail loudly if the scene has drifted.

@@ -541,7 +541,8 @@ def test_reward_terms_match_direct_arithmetic(rng):
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 STAGE_FILES = ("trajectory.json", "fit_report.json", "fitted.json",
-               "refine_report.json", "refined.json", "eval.json")
+               "refine_report.json", "refined.json", "eval.json",
+               "eval_frames.csv", "presses.json", "rewards.jsonl")
 
 
 def _run_pipeline(workdir, threads):
@@ -561,7 +562,13 @@ def _run_pipeline(workdir, threads):
          "--report", workdir / "refine_report.json",
          "-o", workdir / "refined.json"],
         ["eval", "--clip", workdir / "refined.json",
-         "--midi", GOLDEN / "score.json", "-o", workdir / "eval.json"],
+         "--midi", GOLDEN / "score.json",
+         "--per-frame", workdir / "eval_frames.csv",
+         "-o", workdir / "eval.json"],
+        ["extract-press", "--clip", workdir / "refined.json",
+         "-o", workdir / "presses.json"],
+        ["reward", "--clip", workdir / "refined.json",
+         "--midi", GOLDEN / "score.json", "-o", workdir / "rewards.jsonl"],
     ]
     for stage in stages:
         argv = [sys.executable, "-m", "pianomotion"] + [str(a) for a in stage]
