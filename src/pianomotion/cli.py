@@ -367,11 +367,7 @@ def cmd_extract_press(args, cfg):
         return 0
     pressed = metrics.extracted_presses(
         clip, skeletons, geom, _get(args, cfg, "activation_depth"))
-    data = np.zeros((clip.n_frames, midi.NUM_KEYS), dtype=np.uint8)
-    for f, keys in enumerate(pressed):
-        for k in keys:
-            data[f, k - 1] = 1
-    _emit(args, midi.matrix_to_json(midi.KeyMatrix(clip.fps, data)) + "\n")
+    _emit(args, midi.matrix_to_json(pressed) + "\n")
     return 0
 
 

@@ -7,14 +7,18 @@ left to right along the keyboard, y along the key length from the fallboard
 (translation + yaw about z) places the keyboard in the world.
 
 Key presses are modeled as vertical displacement of the key surface; a key
-sounds when pressed past 90% of its travel distance. Key sets are plain
-Python sets of key indices.
+sounds when pressed past 90% of its travel distance. Every press and depth
+query goes through `locate_keys`, which finds the key under a batch of
+world points and their depth below its rest surface.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import numbers
+import reprlib
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +31,11 @@ DEFAULT_ACTIVATION_DEPTH = 0.004
 
 def is_black_key(key: int) -> bool:
     return (key + 20) % 12 in _BLACK_PITCH_CLASSES
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,14 @@ class KeyboardConfig:
     yaw: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "position":
+                if not (isinstance(value, tuple) and len(value) == 3
+                        and all(map(_finite, value))):
+                    raise ValueError(f"position must be 3 finite numbers, got {reprlib.repr(value)}")
+            elif not _finite(value):
+                raise ValueError(f"{field.name} must be a finite number, got {reprlib.repr(value)}")
         for name in (
             "white_key_width",
             "white_key_length",
@@ -64,28 +81,19 @@ class KeyboardConfig:
 
     @staticmethod
     def from_json(text: str) -> "KeyboardConfig":
-        payload = json.loads(text)
+        # Integers parse as floats, so one too large for a float reads inf.
+        payload = json.loads(text, parse_int=float)
         if not isinstance(payload, dict):
             raise ValueError("a keyboard config must be a JSON object")
-        if "position" in payload:
+        unknown = sorted(set(payload) - {field.name for field in fields(KeyboardConfig)})
+        if unknown:
+            raise ValueError(f"unknown fields {reprlib.repr(unknown)}")
+        if isinstance(payload.get("position"), list):
             payload["position"] = tuple(payload["position"])
         return KeyboardConfig(**payload)
 
     def to_json(self) -> str:
-        payload = {
-            "white_key_width": self.white_key_width,
-            "white_key_length": self.white_key_length,
-            "black_key_width": self.black_key_width,
-            "black_key_length": self.black_key_length,
-            "black_key_rise": self.black_key_rise,
-            "octave_span": self.octave_span,
-            "travel": self.travel,
-            "target_length_fraction": self.target_length_fraction,
-            "base_height": self.base_height,
-            "position": list(self.position),
-            "yaw": self.yaw,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,6 @@ class KeyboardGeometry:
     def __init__(self, config: KeyboardConfig):
         self.config = config
         pitch = config.octave_span / 7  # white key spacing, center to center
-        colors = []
         boxes = np.zeros((NUM_KEYS, 4))  # x0, x1, y0, y1
         rest = np.zeros(NUM_KEYS)
         white_slot = 0
@@ -137,14 +144,11 @@ class KeyboardGeometry:
                     config.black_key_length,
                 )
                 rest[key - 1] = config.base_height + config.black_key_rise
-                colors.append("black")
             else:
                 x0 = white_slot * pitch + (pitch - config.white_key_width) / 2
                 boxes[key - 1] = (x0, x0 + config.white_key_width, 0.0, config.white_key_length)
                 rest[key - 1] = config.base_height
-                colors.append("white")
                 white_slot += 1
-        self.colors = tuple(colors)
         self.boxes = boxes
         self.rest_heights = rest
         self.travels = np.full(NUM_KEYS, config.travel)
@@ -154,10 +158,11 @@ class KeyboardGeometry:
         self._origin = np.asarray(config.position, dtype=np.float64)
 
     def to_local(self, point) -> np.ndarray:
+        """Keyboard-local coordinates of world points (..., 3)."""
         p = np.asarray(point, dtype=np.float64) - self._origin
-        return np.array(
-            [self._cos * p[0] + self._sin * p[1], -self._sin * p[0] + self._cos * p[1], p[2]]
-        )
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([self._cos * x + self._sin * y, -self._sin * x + self._cos * y, p[..., 2]],
+                        axis=-1)
 
     def to_world(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=np.float64)
@@ -181,23 +186,36 @@ def build_keyboard(config: KeyboardConfig | None = None) -> KeyboardGeometry:
     return KeyboardGeometry(config or KeyboardConfig())
 
 
-def key_for_point(geom: KeyboardGeometry, point) -> int | None:
-    """Key whose footprint contains the point's horizontal projection.
+def locate_keys(geom: KeyboardGeometry, points) -> tuple[np.ndarray, np.ndarray]:
+    """Key under each world point, and the point's depth below its rest surface.
 
-    Black keys win over the white key beneath them; returns None outside all
-    footprints. Accepts world coordinates.
+    `points` is (..., 3).  Returns keys (...) in 1..88, 0 where the point's
+    horizontal projection lies outside every footprint, and depths (...),
+    the key's rest height minus the point's local z (-inf off the keys).
+    Footprint edges are inclusive, a black key wins over the white key
+    beneath it, and of two keys of one colour sharing the point the lower
+    wins.
     """
-    local = geom.to_local(point)
-    x, y = local[0], local[1]
-    boxes = geom.boxes
-    inside = (boxes[:, 0] <= x) & (x <= boxes[:, 1]) & (boxes[:, 2] <= y) & (y <= boxes[:, 3])
-    black_hits = np.flatnonzero(inside & geom._black)
-    if black_hits.size:
-        return int(black_hits[0]) + 1
-    white_hits = np.flatnonzero(inside)
-    if white_hits.size:
-        return int(white_hits[0]) + 1
-    return None
+    local = geom.to_local(points)
+    x, y = local[..., 0], local[..., 1]
+    keys = np.zeros(x.shape, dtype=np.int64)
+    for colour in (~geom._black, geom._black):          # black last: it wins
+        idx = np.flatnonzero(colour)
+        x0, x1, y0, y1 = geom.boxes[idx].T
+        # Both edges rise with the key within a colour, so the boxes that
+        # hold x are a run of keys, from the first right edge >= x; every
+        # key of a colour spans the same length.
+        i = np.minimum(np.searchsorted(x1, x), len(idx) - 1)
+        hit = (x0[i] <= x) & (x <= x1[i]) & (y0[i] <= y) & (y <= y1[i])
+        keys = np.where(hit, idx[i] + 1, keys)
+    depths = np.where(keys > 0, geom.rest_heights[keys - 1] - local[..., 2], -np.inf)
+    return keys, depths
+
+
+def key_for_point(geom: KeyboardGeometry, point) -> int | None:
+    """Key whose footprint contains a world point's horizontal projection,
+    or None outside all footprints (see `locate_keys`)."""
+    return int(locate_keys(geom, point)[0]) or None
 
 
 def _exposed_interval(geom: KeyboardGeometry, key: int, y: float) -> tuple[float, float]:
@@ -233,26 +251,23 @@ def key_target_position(geom: KeyboardGeometry, key: int) -> np.ndarray:
     return geom.to_world(np.array([(x0 + x1) / 2, y, geom.rest_heights[key - 1]]))
 
 
-def extract_pressed(geom: KeyboardGeometry, fingertips, activation_depth: float) -> set[int]:
-    """Keys pressed by any fingertip.
+def pressed_keys(geom: KeyboardGeometry, fingertips, activation_depth: float) -> np.ndarray:
+    """(..., 88) flags of the keys some fingertip of (..., n, 3) holds at
+    least activation_depth below their rest surface.
 
-    A key is pressed when a fingertip projects horizontally onto it and sits
-    at least activation_depth below its rest surface. `fingertips` is any
-    iterable of 3D world points (normally 10).
+    Exact through `key_depths`' clamp, since activation_depth may not
+    exceed the travel.
     """
     if not 0 < activation_depth <= float(np.min(np.asarray(geom.travels))):
         raise ValueError(
             f"activation_depth must be in (0, min travel], got {activation_depth}"
         )
-    pressed: set[int] = set()
-    for tip in np.atleast_2d(np.asarray(fingertips, dtype=np.float64)):
-        key = key_for_point(geom, tip)
-        if key is None:
-            continue
-        depth = geom.rest_heights[key - 1] - geom.to_local(tip)[2]
-        if depth >= activation_depth:
-            pressed.add(key)
-    return pressed
+    return key_depths(geom, fingertips) >= activation_depth
+
+
+def extract_pressed(geom: KeyboardGeometry, fingertips, activation_depth: float) -> set[int]:
+    """Keys pressed by any of the fingertips, world points (n, 3)."""
+    return set((np.flatnonzero(pressed_keys(geom, fingertips, activation_depth)) + 1).tolist())
 
 
 def key_state_from_depth(geom: KeyboardGeometry, key: int, depth: float) -> KeyState:
@@ -264,20 +279,18 @@ def key_state_from_depth(geom: KeyboardGeometry, key: int, depth: float) -> KeyS
 
 
 def key_depths(geom: KeyboardGeometry, fingertips) -> np.ndarray:
-    """Per-key press depth implied by fingertip heights, shape (88,).
+    """Per-key press depth implied by fingertip heights: (..., n, 3) world
+    points give (..., 88).
 
     For each key, the deepest fingertip over it sets the depth (clamped to
     the key's travel); keys with no fingertip over them read 0.
     """
-    depths = np.zeros(NUM_KEYS)
-    for tip in np.atleast_2d(np.asarray(fingertips, dtype=np.float64)):
-        key = key_for_point(geom, tip)
-        if key is None:
-            continue
-        depth = geom.rest_heights[key - 1] - geom.to_local(tip)[2]
-        if depth > 0:
-            depths[key - 1] = max(depths[key - 1], min(depth, geom.travels[key - 1]))
-    return depths
+    keys, depth = locate_keys(geom, np.atleast_2d(np.asarray(fingertips, dtype=np.float64)))
+    out = np.zeros(keys.shape[:-1] + (NUM_KEYS,))
+    live = depth > 0
+    k = keys[live] - 1
+    np.maximum.at(out, np.nonzero(live)[:-1] + (k,), np.minimum(depth[live], geom.travels[k]))
+    return out
 
 
 def with_pose(geom: KeyboardGeometry, position, yaw: float) -> KeyboardGeometry:

@@ -109,11 +109,10 @@ def score_matrices(pred, truth, skip_vacuous: bool = False) -> MetricReport:
 
 def extracted_presses(clip: MotionClip, skeletons: SkeletonPair,
                       geom: KeyboardGeometry,
-                      activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH) -> list:
-    """Per-frame key sets pressed by the clip's fingertips."""
-    tips = clip_fingertips(clip, skeletons)
-    return [kb.extract_pressed(geom, tips[f], activation_depth)
-            for f in range(clip.n_frames)]
+                      activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH) -> KeyMatrix:
+    """The keys the clip's fingertips press, frame by frame."""
+    return KeyMatrix(clip.fps, kb.pressed_keys(
+        geom, clip_fingertips(clip, skeletons), activation_depth))
 
 
 def clip_metrics(clip: MotionClip, skeletons: SkeletonPair,

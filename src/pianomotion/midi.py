@@ -60,10 +60,10 @@ class NoteEvent:
     pitch: int
 
     def __post_init__(self):
-        if self.onset < 0:
-            raise ValueError(f"onset must be >= 0, got {self.onset}")
-        if self.offset <= self.onset:
-            raise ValueError(f"offset {self.offset} must exceed onset {self.onset}")
+        if not 0 <= self.onset < np.inf:
+            raise ValueError(f"onset must be finite and >= 0, got {self.onset}")
+        if not self.onset < self.offset < np.inf:
+            raise ValueError(f"offset {self.offset} must be finite and exceed onset {self.onset}")
         if not 1 <= self.pitch <= NUM_KEYS:
             raise ValueError(f"pitch must be in 1..88, got {self.pitch}")
 

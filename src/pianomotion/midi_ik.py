@@ -82,16 +82,14 @@ def detect_press_errors(clip: MotionClip, skeletons: SkeletonPair,
                          % (clip.n_frames, midi.n_frames))
     if abs(clip.fps - midi.fps) > 1e-9:
         raise ValueError("clip fps %g != matrix fps %g" % (clip.fps, midi.fps))
-    tips = clip_fingertips(clip, skeletons)
-    errors = []
-    for f in range(clip.n_frames):
-        pressed = kb.extract_pressed(geom, tips[f], activation_depth)
-        scored = midi.keys_at(f)
-        for key in sorted(pressed - scored):
-            errors.append(PressError(f, key, WRONG_PRESS))
-        for key in sorted(scored - pressed):
-            errors.append(PressError(f, key, OMITTED))
-    return errors
+    pressed = kb.pressed_keys(geom, clip_fingertips(clip, skeletons),
+                              activation_depth)
+    scored = midi.data.astype(bool)
+    # Frame by frame: wrong presses by key, then omissions by key.
+    frame, kind, key = np.nonzero(np.stack([pressed & ~scored,
+                                            scored & ~pressed], axis=1))
+    return [PressError(f, k + 1, (WRONG_PRESS, OMITTED)[c])
+            for f, c, k in zip(frame.tolist(), kind.tolist(), key.tolist())]
 
 
 def _surface_target(geom: KeyboardGeometry, key: int, tip_local: np.ndarray,
@@ -164,6 +162,7 @@ def ik_targets(errors, clip: MotionClip, skeletons: SkeletonPair,
     """
     F = clip.n_frames
     tips = clip_fingertips(clip, skeletons)
+    keys, depths = kb.locate_keys(geom, tips)
     targets = np.full((F, 10, 3), np.nan)
     mask = np.zeros((F, 10), dtype=bool)
 
@@ -177,22 +176,14 @@ def ik_targets(errors, clip: MotionClip, skeletons: SkeletonPair,
                    + [e for e in frame_errors if e.kind == OMITTED])
         for e in ordered:
             if e.kind == WRONG_PRESS:
-                best_i = None
-                best_depth = -np.inf
-                for i in range(10):
-                    local = geom.to_local(tips[f, i])
-                    if kb.key_for_point(geom, tips[f, i]) != e.key:
-                        continue
-                    depth = geom.rest_heights[e.key - 1] - local[2]
-                    if depth > best_depth:
-                        best_depth = depth
-                        best_i = i
-                if best_i is None:
+                on = np.flatnonzero(keys[f] == e.key)
+                if not on.size:
                     # The offending fingertip moved out from over the key
                     # (possible only if extraction and targeting disagree);
                     # nothing to aim.
                     e.valid = False
                     continue
+                best_i = int(on[np.argmax(depths[f, on])])    # the first deepest
                 local = geom.to_local(tips[f, best_i])
                 tgt_local = np.array([local[0], local[1],
                                       geom.rest_heights[e.key - 1]
@@ -406,19 +397,13 @@ def _anchor_consistent_presses(targets: IkTargets, clip: MotionClip,
     press in place while the error frames move.
     """
     tips = clip_fingertips(clip, skeletons)
+    keys, depths = kb.locate_keys(geom, tips)
+    # Off the keys the depth is -inf, so key index -1 there never counts.
+    hold = (~targets.mask & (depths >= activation_depth)
+            & (midi.data[np.arange(clip.n_frames)[:, None], keys - 1] == 1))
     tgts = targets.targets.copy()
-    mask = targets.mask.copy()
-    for f in range(clip.n_frames):
-        required = midi.keys_at(f)
-        if not required:
-            continue
-        for t in range(10):
-            if mask[f, t]:
-                continue
-            if kb.extract_pressed(geom, tips[f, t], activation_depth) & required:
-                tgts[f, t] = tips[f, t]
-                mask[f, t] = True
-    return IkTargets(tgts, mask, targets.errors)
+    tgts[hold] = tips[hold]
+    return IkTargets(tgts, targets.mask | hold, targets.errors)
 
 
 def refine_to_midi(clip: MotionClip, skeletons: SkeletonPair,

@@ -381,11 +381,12 @@ def evaluate_rewards(clip: MotionClip, skeletons: SkeletonPair,
     targets_xyz = {k: kb.key_target_position(geom, k)
                    for k in range(1, NUM_KEYS + 1)}
 
+    all_depths = kb.key_depths(geom, tips)           # (F, 88)
     out = []
     for f in range(clip.n_frames):
         si = int(seg_of_frame[f])
         target_keys = sorted(segments[si].keys)
-        depths = kb.key_depths(geom, tips[f])
+        depths = all_depths[f]
         r_plus = {}
         all_correct = True
         for k in target_keys:

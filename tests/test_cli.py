@@ -305,7 +305,7 @@ def test_refine_via_cli(tmp_path, geom, skeletons):
                 "--smoothness", 0, "-o", out, "--report", report_path]) == 0
     refined = MotionClip.from_json(out.read_text())
     presses = metrics.extracted_presses(refined, skeletons, geom)
-    assert presses == [{40}, {40}]
+    assert [presses.keys_at(f) for f in range(presses.n_frames)] == [{40}, {40}]
     report = json.loads(report_path.read_text())
     assert report["errors_before"] == 1
     assert report["errors_after"] == 0
@@ -555,6 +555,27 @@ def test_array_config_file_is_validation_error(tmp_path, capsys, flag, label):
     config.write_text("[1, 2]")
     assert run(["extract-press", "--clip", clip_path, flag, config]) == 1
     assert "error: %s" % label in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"bogus": 1}', "unknown fields ['bogus']"),
+    ('{"travel": "x"}', "travel must be a finite number, got 'x'"),
+    ('{"black_key_rise": true}', "black_key_rise must be a finite number, got True"),
+    ('{"travel": NaN}', "travel must be a finite number, got nan"),
+    ('{"yaw": 1e999}', "yaw must be a finite number, got inf"),
+    ('{"position": [0, 0]}', "position must be 3 finite numbers, got (0.0, 0.0)"),
+    ('{"position": 1}', "position must be 3 finite numbers, got 1.0"),
+])
+def test_malformed_keyboard_config_is_one_line_error(tmp_path, capsys, text,
+                                                     message):
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, _synth.pose_clip(60.0, [(parked, parked)]))
+    config = tmp_path / "kb.json"
+    config.write_text(text)
+    assert run(["extract-press", "--clip", clip_path, "--keyboard", config]) == 1
+    assert capsys.readouterr().err == "error: keyboard config %s: %s\n" % (
+        config, message)
 
 
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):

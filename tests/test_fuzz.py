@@ -1,7 +1,10 @@
-"""Property tests: malformed clip files stay inside the CLI's exit codes,
-and any bytes parse to a note list or a MidiParseError."""
+"""Property tests: malformed clip, trajectory, keypoint, camera and
+keyboard files stay inside the CLI's exit codes, and any bytes parse to a
+note list or a MidiParseError."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import tempfile
@@ -13,10 +16,14 @@ from hypothesis import given, settings, strategies as st
 import _scalar_midi
 import _synth
 from pianomotion import cli, midi
-from pianomotion.hand import MotionClip
+from pianomotion.hand import MotionClip, SkeletonPair
+from pianomotion.keyboard import KeyboardConfig
+from pianomotion.reconstruction import (CameraRig, JointTrajectory,
+                                        KeypointObservations)
 
 _PARKED = _synth.parked_pose(0)
-_CLIP = json.loads(_synth.pose_clip(60.0, [(_PARKED, _PARKED)] * 2).to_json())
+_CLIP_TEXT = _synth.pose_clip(60.0, [(_PARKED, _PARKED)] * 2).to_json()
+_CLIP = json.loads(_CLIP_TEXT)
 
 # Where a value is put: the top-level fields, a pair, a pose, each pose
 # field and one number of two of them.
@@ -36,15 +43,20 @@ _NUMBERS = st.floats() | st.integers() | st.lists(st.floats() | st.integers(),
                                                   min_size=3, max_size=4)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(place=st.sampled_from(_PLACES), value=_JSON | _NUMBERS)
-def test_extract_press_exits_0_or_1_on_any_clip_value(place, value):
-    doc = copy.deepcopy(_CLIP)
+def put(doc, place, value):
+    """A deep copy of `doc` with `value` at the key path `place`."""
+    doc = copy.deepcopy(doc)
     parent = doc
     for key in place[:-1]:
         parent = parent[key]
     parent[place[-1]] = value
-    text = json.dumps(doc)
+    return doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(place=st.sampled_from(_PLACES), value=_JSON | _NUMBERS)
+def test_extract_press_exits_0_or_1_on_any_clip_value(place, value):
+    text = json.dumps(put(_CLIP, place, value))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "clip.json")
         with open(path, "w") as fh:
@@ -59,6 +71,71 @@ def test_extract_press_exits_0_or_1_on_any_clip_value(place, value):
     assert rc == 0
     again = clip.to_json()
     assert MotionClip.from_json(again).to_json() == again
+
+
+_RIG = _synth.five_camera_rig()
+_HANDS = _synth.pose_clip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                                  _synth.parked_pose(1, x=0.1))] * 2)
+_UV, _CONF, _VALID, _JOINTS = _synth.project_clip(
+    _HANDS, SkeletonPair.default(), _RIG)
+_CAMERAS = _RIG.to_json()
+_KEYPOINTS = KeypointObservations(_UV, _CONF, _VALID).to_json()
+# Each input file's valid document, its loader, the command that reads it
+# (with {} for its path and {other} for the path of `other`), and the valid
+# document of the command's other input.
+_INPUTS = {
+    "cameras": (_CAMERAS, CameraRig.from_json,
+                ["triangulate", "--keypoints", "{other}", "--cameras", "{}",
+                 "--fps", "60"], _KEYPOINTS),
+    "keypoints": (_KEYPOINTS, KeypointObservations.from_json,
+                  ["triangulate", "--keypoints", "{}", "--cameras", "{other}",
+                   "--fps", "60"], _CAMERAS),
+    "trajectory": (JointTrajectory(60.0, _JOINTS, np.ones(_JOINTS.shape[:3], bool)).to_json(),
+                   JointTrajectory.from_json, ["fit", "--trajectory", "{}"], ""),
+    "keyboard": (KeyboardConfig().to_json(), KeyboardConfig.from_json,
+                 ["extract-press", "--clip", "{other}", "--keyboard", "{}"],
+                 _CLIP_TEXT),
+}
+_INPUT_PLACES = [
+    ("cameras", ("cameras",)), ("cameras", ("cameras", 1)),
+    ("cameras", ("cameras", 1, "P")), ("cameras", ("cameras", 1, "P", 2)),
+    ("cameras", ("cameras", 1, "P", 2, 3)), ("cameras", ("cameras", 1, "K")),
+    ("cameras", ("image_size",)), ("cameras", ("image_size", 0)),
+    ("keypoints", ("uv",)), ("keypoints", ("uv", 1, 2)),
+    ("keypoints", ("uv", 1, 2, 1, 8)), ("keypoints", ("uv", 1, 2, 1, 8, 0)),
+    ("keypoints", ("conf", 0, 3, 0, 5)), ("keypoints", ("valid",)),
+    ("keypoints", ("valid", 0, 3, 0, 5)), ("keypoints", ("image_size",)),
+    ("trajectory", ("fps",)), ("trajectory", ("positions",)),
+    ("trajectory", ("positions", 1, 0, 4)), ("trajectory", ("positions", 1, 0, 4, 2)),
+    ("trajectory", ("valid",)), ("trajectory", ("valid", 1, 0, 4)),
+    ("keyboard", ("travel",)), ("keyboard", ("yaw",)),
+    ("keyboard", ("white_key_width",)), ("keyboard", ("black_key_width",)),
+    ("keyboard", ("position",)), ("keyboard", ("position", 1)),
+    ("keyboard", ("bogus",))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(where=st.sampled_from(_INPUT_PLACES), value=_JSON | _NUMBERS)
+def test_input_loaders_exit_0_or_1_on_any_value(where, value):
+    name, place = where
+    valid, load, argv, other_text = _INPUTS[name]
+    text = json.dumps(put(json.loads(valid), place, value))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, other = os.path.join(tmp, "in.json"), os.path.join(tmp, "other.json")
+        for p, t in ((path, text), (other, other_text)):
+            with open(p, "w") as fh:
+                fh.write(t)
+        argv = [a.format(path, other=other) for a in argv]
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["-o", os.path.join(tmp, "out.json")])
+    assert "Traceback" not in err.getvalue()
+    try:
+        load(text)
+    except (ValueError, KeyError, TypeError):
+        assert rc == 1
+        return
+    assert rc in (0, 1)
 
 
 def parse_outcome(parse, data):

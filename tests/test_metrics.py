@@ -87,8 +87,8 @@ def test_extracted_presses_reads_fingertips(geom, skeletons):
                                  center_key=42)
     parked = _synth.parked_pose(0)
     clip = _synth.pose_clip(60.0, [(parked, press), (parked, chord)])
-    sets = metrics.extracted_presses(clip, skeletons, geom)
-    assert sets == [{40}, {40, 42, 44}]
+    presses = metrics.extracted_presses(clip, skeletons, geom)
+    assert [presses.keys_at(f) for f in range(presses.n_frames)] == [{40}, {40, 42, 44}]
 
 
 def test_clip_metrics_end_to_end(geom, skeletons):

@@ -151,10 +151,17 @@ def test_rasterizers_match_oracle_on_a_parsed_take():
                     == scalar.condition_matrix(notes, fps, n_frames, mode).tobytes())
 
 
-@pytest.mark.parametrize("onset,offset", [(0.0, np.inf), (np.nan, np.nan)])
-def test_rasterizers_reject_non_finite_notes(onset, offset):
-    notes = midi.NoteList((midi.NoteEvent(onset, offset, 40),))
+@pytest.mark.parametrize("onset,offset", [(0.0, np.inf), (np.nan, np.nan),
+                                          (np.inf, np.inf), (0.0, np.nan)])
+def test_note_event_rejects_non_finite_times(onset, offset):
     with pytest.raises(ValueError, match="finite"):
-        midi.quantize(notes, 60.0, 10)
-    with pytest.raises(ValueError, match="finite"):
-        midi.condition_matrix(notes, 60.0, 10)
+        midi.NoteEvent(onset, offset, 40)
+
+
+def test_rasterizers_reject_notes_beyond_float_frames():
+    notes = midi.NoteList((midi.NoteEvent(0.0, 1e308, 40),))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite in frames"):
+            midi.quantize(notes, 60.0, 10)
+        with pytest.raises(ValueError, match="finite in frames"):
+            midi.condition_matrix(notes, 60.0, 10)
