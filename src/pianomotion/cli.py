@@ -10,6 +10,7 @@ same inputs always produce byte-identical outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -389,7 +390,7 @@ def cmd_eval(args, cfg):
             if np.any(np.isnan(row)):
                 lines.append("%d,,," % f)
             else:
-                lines.append("%d,%r,%r,%r" % (f, row[0], row[1], row[2]))
+                lines.append("%d,%r,%r,%r" % (f, *map(float, row)))
         _atomic_write(args.per_frame, "\n".join(lines) + "\n")
     return 0
 
@@ -491,7 +492,10 @@ def _add_common(p: argparse.ArgumentParser, output: bool = True):
         p.add_argument("-o", "--output", help="output path (default stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in
+    it, so every `main` call can share it."""
     parser = _Parser(prog="pianomotion",
                      description="MIDI-grounded piano hand-motion pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

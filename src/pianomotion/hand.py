@@ -386,7 +386,13 @@ def forward_kinematics(skeleton, vecs: np.ndarray):
     product is taken per pose in a fixed order, so a batch gives the same
     bits as one call per pose.
     """
-    vecs = np.asarray(vecs, dtype=np.float64)
+    p, G, _ = _fk(skeleton, np.asarray(vecs, dtype=np.float64))
+    return p, G
+
+
+def _fk(skeleton, vecs: np.ndarray):
+    """forward_kinematics of float64 vecs, plus the local rotations
+    (..., 16, 3, 3) it composes."""
     batch = vecs.shape[:-1]
     offsets = skeleton.bone_offsets[..., None]
     locals_ = _unit_quat_matrix(rotvec_to_quat(
@@ -401,7 +407,7 @@ def forward_kinematics(skeleton, vecs: np.ndarray):
                                          @ offsets[..., j, :, :])[..., 0]
         if j < NUM_ROT_JOINTS:
             G[..., j, :, :] = G[..., par, :, :] @ locals_[..., j, :, :]
-    return p, G
+    return p, G, locals_
 
 
 # d exp([w]x)/dw_k at w = 0: the cross-product matrix [e_k]x.
@@ -420,9 +426,8 @@ def fk_jacobian(skeleton, vecs: np.ndarray):
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
-    p, G = forward_kinematics(skeleton, vecs)
+    p, G, R = _fk(skeleton, vecs)
     w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
-    R = _unit_quat_matrix(rotvec_to_quat(w))
 
     # Local rotation derivatives dR[..., i, k] by the closed form
     # d exp([w]x)/dw_k = [w_k w + w x (I - R) e_k]x / |w|^2 . R.

@@ -10,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 CONVERGED_OBJECTIVE = 1e-24
+# An accepted step that lowers a problem's objective by at most this share
+# of it ends that problem's solve.
+RTOL = 1e-6
 
 
 def solve_stacked(H, g):
@@ -64,7 +67,7 @@ def block_tridiagonal_solve(D, L, U, b):
 
 
 def levenberg_marquardt(x0, objective, normal_equations, solve,
-                        max_iter: int, rtol: float = 0.0):
+                        max_iter: int, rtol: float = RTOL):
     """Guarded damped least squares on B problems in lockstep, each with
     its own damping and stop.
 
@@ -75,10 +78,12 @@ def levenberg_marquardt(x0, objective, normal_equations, solve,
     problem.  Damping starts at 1e-6, halves (down to 1e-12) on an
     accepted step and grows 10x on a rejected one.  A problem stops as
     "converged" when an accepted step takes its objective below 1e-24 or
-    lowers it by at most `rtol` of its value, "stalled" when its damping
-    exceeds 1e8 or its system is singular, or "max_iter".  Trial steps are
-    scored by the objective alone; only accepted ones that go on get a new
-    system.
+    lowers it by at most `rtol` (default RTOL, 1e-6) of its value,
+    "stalled" when its damping exceeds 1e8 or its system is singular, or
+    "max_iter".  The skeleton fit and the refinement both stop by the
+    default rule: on noisy data the objective levels off above zero, where
+    the 1e-24 test never fires.  Trial steps are scored by the objective
+    alone; only accepted ones that go on get a new system.
 
     Returns the solutions like x0, the iterations run (B,), the stop
     reasons (B,), and the summed objective at the start and after every

@@ -45,9 +45,6 @@ _FINGER_COLS = 6 + 9 * np.arange(NUM_FINGERS)[:, None] + np.arange(9)
 _FINGER_DIMS = 6 + 6 * np.arange(NUM_FINGERS)[:, None] + np.arange(6)
 # Target poses per fk_jacobian call; it bounds the stacked Jacobians.
 _POSE_BLOCK = 256
-# An LM step that lowers a finger's objective by at most this fraction of
-# it ends that finger's solve.
-_RTOL = 1e-6
 
 
 @dataclasses.dataclass(eq=False)
@@ -363,7 +360,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
 
     x, iters, stops, curve = levenberg_marquardt(
         np.zeros((P, n, 6)), objective, normal_equations, solve,
-        problem.epochs, _RTOL)
+        problem.epochs)
     iterations[hands, fingers] = iters
     stop[hands, fingers] = stops
 

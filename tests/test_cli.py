@@ -600,8 +600,42 @@ def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):
     assert report["recall"] == 100.0
     assert report["f1"] == 100.0
     lines = per_frame.read_text().strip().split("\n")
-    assert lines[0] == "frame,precision,recall,f1"
-    assert len(lines) == 3
+    assert lines == ["frame,precision,recall,f1", "0,1.0,1.0,1.0",
+                     "1,1.0,1.0,1.0"]
+
+
+def test_parser_shared_across_calls_leaks_no_option(tmp_path, capsys, geom,
+                                                      skeletons):
+    # main() parses with one parser per process; a flag given to one call
+    # must not reach the next.  Each call's outputs must match a call on a
+    # freshly built parser.
+    press = _synth.pressing_pose(geom, skeletons, {7: 40})
+    parked = _synth.parked_pose(0)
+    clip_path, matrix_path = tmp_path / "clip.json", tmp_path / "score.json"
+    write_clip(clip_path, _synth.pose_clip(
+        60.0, [(parked, press), (parked, parked), (parked, parked)]))
+    write_matrix(matrix_path, [{40}, set(), set()])
+    per_frame = tmp_path / "frames.csv"
+    base = ["eval", "--clip", clip_path, "--midi", matrix_path,
+            "--per-frame", per_frame]
+    calls = [base + ["--skip-vacuous"], base, base + ["--dry-run"], base]
+
+    def outputs(argv):
+        if per_frame.exists():
+            per_frame.unlink()
+        rc = run(argv)
+        return (rc, capsys.readouterr(),
+                per_frame.read_bytes() if per_frame.exists() else None)
+
+    shared = [outputs(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outputs(argv))
+    assert shared == fresh
+    assert shared[0] != shared[1]                  # the flag mattered
+    assert shared[2] == (0, ("", ""), None)
+    assert shared[3] == shared[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Press-error detection, target construction, and score-driven refinement."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 import _synth
-from pianomotion import hand, keyboard as kb, midi_ik
+from pianomotion import hand, keyboard as kb, midi, midi_ik
 from pianomotion.midi_ik import OMITTED, WRONG_PRESS, PressError
 
 
@@ -348,3 +351,19 @@ def test_refine_epochs_cap_lm_iterations(geom, skeletons):
                                           epochs=2)
     assert result.iterations[1, 2] == 2 and result.stop[1, 2] == "max_iter"
     assert len(result.loss_curve) <= 3
+
+
+def test_refine_on_golden_clip_keeps_its_committed_report(geom, skeletons):
+    # Refine stops by the LM's default relative-decrease rule, the one the
+    # fit shares; its loss curve and iterations on the golden clip are
+    # the ones committed with the fixture.
+    expected = pathlib.Path(__file__).resolve().parent / "golden" / "expected"
+    clip = hand.MotionClip.from_json((expected / "fitted.json").read_text())
+    matrix = midi.matrix_from_json(
+        (expected.parent / "score.json").read_text())
+    result, _, _ = midi_ik.refine_to_midi(clip, skeletons, geom, matrix)
+    report = result.report_obj()
+    want = json.loads((expected / "refine_report.json").read_text())
+    assert report["loss_curve"] == want["loss_curve"]
+    assert report["iterations"] == want["iterations"]
+    assert report["stop"] == want["stop"]
