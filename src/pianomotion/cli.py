@@ -299,6 +299,9 @@ def cmd_triangulate(args, cfg):
             "views_rejected": int(rejected[res.valid].sum()),
             "ambiguous": int(res.ambiguous.sum()),
             "residual_px": np.where(shown, res.residual, None).tolist(),
+            "polish_iterations": np.where(res.polish_iterations > 0,
+                                          res.polish_iterations, None).tolist(),
+            "polish_stop": res.polish_stop.tolist(),
         }))
     return 0
 

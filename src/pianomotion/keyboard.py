@@ -153,6 +153,17 @@ class KeyboardGeometry:
         self.rest_heights = rest
         self.travels = np.full(NUM_KEYS, config.travel)
         self._black = np.array([is_black_key(k) for k in range(1, NUM_KEYS + 1)])
+        # (88, 2) x-interval of each key's top surface alongside the black
+        # keys (y up to black_key_length): a white key's box less the strips
+        # its black neighbours cover, taken by one scan of the black keys in
+        # order over every white key at once; a black key's own box.
+        x0, x1 = boxes[:, 0].copy(), boxes[:, 1].copy()
+        for bx0, bx1 in boxes[self._black, :2]:
+            over = ~self._black & (bx1 > x0) & (bx0 < x1)
+            left = over & (bx0 <= x0)
+            x0 = np.where(left, np.maximum(x0, bx1), x0)
+            x1 = np.where(over & ~left, np.minimum(x1, bx0), x1)
+        self.exposed = np.stack([x0, x1], axis=1)
         self._cos = np.cos(config.yaw)
         self._sin = np.sin(config.yaw)
         self._origin = np.asarray(config.position, dtype=np.float64)
@@ -218,22 +229,6 @@ def key_for_point(geom: KeyboardGeometry, point) -> int | None:
     return int(locate_keys(geom, point)[0]) or None
 
 
-def _exposed_interval(geom: KeyboardGeometry, key: int, y: float) -> tuple[float, float]:
-    """Exposed x-interval of a white key at length coordinate y."""
-    x0, x1, _, _ = geom.boxes[key - 1]
-    if y > geom.config.black_key_length:
-        return x0, x1
-    for black in np.flatnonzero(geom._black):
-        bx0, bx1 = geom.boxes[black, 0], geom.boxes[black, 1]
-        if bx1 <= x0 or bx0 >= x1:
-            continue
-        if bx0 <= x0:
-            x0 = max(x0, bx1)
-        else:
-            x1 = min(x1, bx0)
-    return x0, x1
-
-
 def key_target_position(geom: KeyboardGeometry, key: int) -> np.ndarray:
     """Press target on the key's exposed top surface, in world coordinates.
 
@@ -244,10 +239,9 @@ def key_target_position(geom: KeyboardGeometry, key: int) -> np.ndarray:
         raise ValueError(f"key must be in 1..88, got {key}")
     _, _, y0, y1 = geom.boxes[key - 1]
     y = y0 + geom.config.target_length_fraction * (y1 - y0)
-    if geom._black[key - 1]:
-        x0, x1 = geom.boxes[key - 1, 0], geom.boxes[key - 1, 1]
-    else:
-        x0, x1 = _exposed_interval(geom, key, y)
+    x0, x1 = geom.boxes[key - 1, :2]
+    if y <= geom.config.black_key_length:
+        x0, x1 = geom.exposed[key - 1]
     return geom.to_world(np.array([(x0 + x1) / 2, y, geom.rest_heights[key - 1]]))
 
 

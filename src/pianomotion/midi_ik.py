@@ -111,7 +111,7 @@ def _surface_target(geom: KeyboardGeometry, key: int, tip_local: np.ndarray,
         return clamp(x0, x1, y0, y1)
     blen = geom.config.black_key_length
     front = clamp(x0, x1, blen, y1)
-    ex0, ex1 = kb._exposed_interval(geom, key, (y0 + blen) / 2)
+    ex0, ex1 = geom.exposed[key - 1]
     if ex1 - ex0 <= 2 * eps:
         return front
     back = clamp(ex0, ex1, y0, blen)

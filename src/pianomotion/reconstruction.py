@@ -40,6 +40,12 @@ _FLAGS = (bool, float)
 # 25 MB with 8) without changing results.
 _POINT_BLOCK = 2048
 
+# Levenberg-Marquardt iterations of the polish of each triangulated point.
+_POLISH_ITERS = 10
+# Row and column of each upper-triangle entry of a symmetric 3x3 matrix.
+_UPPER_I = np.array([0, 0, 0, 1, 1, 2])
+_UPPER_J = np.array([0, 1, 2, 1, 2, 2])
+
 # Hand-frames per batched LM block in `fit_skeleton`.  It bounds the
 # stacked Jacobians (fk_jacobian's temporaries take about 0.17 MB per
 # hand-frame) without changing results.
@@ -329,53 +335,93 @@ def _weighted_sse(points, uv, projections, weights) -> np.ndarray:
     return np.sum(weights * err ** 2, axis=-1)
 
 
-def _gauss_newton_polish(points, uv, projections, weights, iters: int = 10):
-    """Refine triangulated points by damped Gauss-Newton on reprojection.
+def _pair_points(uv, projections, pairs):
+    """Closed-form two-view triangulation of N points on K view pairs.
+
+    uv (N, V, 2), projections (V, 3, 4), pairs (K, 2) view ids.  Each pair
+    solves the inhomogeneous least squares A[:, :3] X = -A[:, 3] of its four
+    DLT rows through the 3x3 normal equations, by Cramer's rule (Hartley and
+    Sturm 1997, "Linear-LS").  Returns the points (N, K, 3), NaN where the
+    pair gives no point: where its normal matrix is singular to working
+    precision (parallel or coincident rays, whose point lies at infinity or
+    anywhere on the ray), or the point is not finite or lies beyond 1e12,
+    the DLT's at-infinity test.
+    """
+    A = uv[..., None] * projections[:, 2:3, :] - projections[:, :2, :]
+    a, c = A[..., :3], A[..., 3:]                  # (N, V, 2, 3), (N, V, 2, 1)
+    # Each view's share of the normal matrix (its upper triangle m00, m01,
+    # m02, m11, m12, m22) and of the right-hand side.
+    m = (a[..., 0, _UPPER_I] * a[..., 0, _UPPER_J]
+         + a[..., 1, _UPPER_I] * a[..., 1, _UPPER_J])
+    g = -(a[..., 0, :] * c[..., 0, :] + a[..., 1, :] * c[..., 1, :])
+    m00, m01, m02, m11, m12, m22 = np.moveaxis(
+        m[:, pairs[:, 0]] + m[:, pairs[:, 1]], -1, 0)
+    g0, g1, g2 = np.moveaxis(g[:, pairs[:, 0]] + g[:, pairs[:, 1]], -1, 0)
+    # The adjugate of the symmetric normal matrix.
+    c00 = m11 * m22 - m12 * m12
+    c01 = m02 * m12 - m01 * m22
+    c02 = m01 * m12 - m02 * m11
+    c11 = m00 * m22 - m02 * m02
+    c12 = m01 * m02 - m00 * m12
+    c22 = m00 * m11 - m01 * m01
+    det = m00 * c00 + m01 * c01 + m02 * c02
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        point = np.stack([c00 * g0 + c01 * g1 + c02 * g2,
+                          c01 * g0 + c11 * g1 + c12 * g2,
+                          c02 * g0 + c12 * g1 + c22 * g2],
+                         axis=-1) / det[..., None]
+    # The normal matrix is positive semidefinite, so its determinant lies
+    # in [0, m00 m11 m22]; a singular one keeps only rounding, about 1e-16
+    # of that bound.  The norm test also fails non-finite points.
+    ok = ((det > 1e-12 * (m00 * m11 * m22))
+          & (np.sqrt(np.vecdot(point, point)) <= 1e12))
+    point[~ok] = np.nan
+    return point
+
+
+def _polish(points, uv, projections, weights):
+    """Refine triangulated points by `levenberg_marquardt` on reprojection.
 
     points (M, 3), uv (M, n, 2), projections (M, n, 3, 4), weights (M, n).
-    The points step in lockstep, each with its own damping; a point stops
-    when a camera sees it at zero depth, its system is singular, or its
-    damping exceeds 1e3.
+    Each point minimizes its weighted reprojection SSE by Gauss-Newton steps
+    under the shared damping and stop rules, for at most
+    _POLISH_ITERS iterations.  A point that some camera sees at zero depth
+    has no linearisation: it stops "stalled" at its start.  Returns the
+    points, the iterations run and the stop reasons.
     """
-    x = np.array(points, dtype=np.float64)
-    best = _weighted_sse(x, uv, projections, weights)
-    lam = np.full(len(x), 1e-6)
-    # The live points' rows of every per-point array, compacted as they stop.
-    live = np.arange(len(x))
-    lx, lbest, llam = x, best, lam
-    luv, lP, lw, lsw = uv, projections, weights, np.sqrt(weights)
-    for _ in range(iters):
-        xh = np.concatenate([lx, np.ones((len(lx), 1))], axis=-1)
-        ph = (lP @ xh[:, None, :, None])[..., 0]
-        depth = ph[..., 2]
-        keep = ~np.any(np.abs(depth) < 1e-12, axis=1)
-        if not keep.all():
-            live, lx, lbest, llam, luv, lP, lw, lsw, ph, depth = (
-                a[keep] for a in (live, lx, lbest, llam, luv, lP, lw, lsw,
-                                  ph, depth))
-            if not len(live):
-                break
+    sqrt_w = np.sqrt(weights)
+
+    def objective(i, x):
+        return _weighted_sse(x, uv[i], projections[i], weights[i])
+
+    def normal_equations(i, x):
+        """J^T J and J^T r of points i at x, and their zero-depth flags."""
+        P, sw = projections[i], sqrt_w[i]
+        xh = np.concatenate([x, np.ones((len(x), 1))], axis=-1)
+        ph = (P @ xh[:, None, :, None])[..., 0]
+        flat = np.abs(ph[..., 2]) < 1e-12
+        depth = np.where(flat, 1.0, ph[..., 2])
         proj = ph[..., :2] / depth[..., None]
-        r = (lsw[..., None] * (proj - luv)).reshape(len(live), -1)
+        r = (sw[..., None] * (proj - uv[i])).reshape(len(i), -1)
         # d(proj)/dx = (P[:2, :3] - proj x P[2, :3]) / depth
-        Ji = (lP[..., :2, :3] - proj[..., :, None] * lP[..., None, 2, :3]
+        Ji = (P[..., :2, :3] - proj[..., :, None] * P[..., None, 2, :3]
               ) / depth[..., None, None]
-        J = (lsw[..., None, None] * Ji).reshape(len(live), -1, 3)
+        J = (sw[..., None, None] * Ji).reshape(len(i), -1, 3)
         Jt = J.swapaxes(-1, -2)
+        return Jt @ J, Jt @ r[..., None], flat.any(axis=1)
+
+    def solve(i, system, lam):
+        JtJ, Jtr, flat = system
         step, singular = solve_stacked(
-            Jt @ J + llam[:, None, None] * np.eye(3), Jt @ r[..., None])
-        cand = lx - step[..., 0]
-        sse = _weighted_sse(cand, luv, lP, lw)
-        better = sse < lbest
-        lx = np.where(better[:, None], cand, lx)
-        lbest = np.where(better, sse, lbest)
-        llam = np.where(better, np.maximum(llam * 0.5, 1e-9), llam * 10.0)
-        x[live] = lx
-        keep = ~singular & (better | (llam <= 1e3))
-        if not keep.all():
-            live, lx, lbest, llam, luv, lP, lw, lsw = (
-                a[keep] for a in (live, lx, lbest, llam, luv, lP, lw, lsw))
-    return x
+            JtJ + lam[:, None, None] * np.eye(3), Jtr)
+        return step[..., 0], singular | flat
+
+    # A zero-depth start has an infinite (or, at zero weight, NaN) SSE,
+    # which the stop rule's gain test subtracts from itself.
+    with np.errstate(invalid="ignore"):
+        x, iterations, stop, _ = levenberg_marquardt(
+            points, objective, normal_equations, solve, _POLISH_ITERS)
+    return x, iterations, stop
 
 
 @dataclasses.dataclass(eq=False)
@@ -385,10 +431,12 @@ class RansacResult:
     valid: bool                    # bool, or a (...) bool array
     ambiguous: bool                # bool, or a (...) bool array
     residual: float                # weighted RMS px over the inlier views
+    polish_iterations: int         # polish LM iterations, 0 if none ran
+    polish_stop: str               # polish stop reason, None if none ran
 
     def reshape(self, shape: tuple) -> "RansacResult":
         """The result with its point axis reshaped; () gives Python scalars
-        for valid, ambiguous and residual."""
+        for the per-point fields."""
         def per_point(a):
             a = a.reshape(shape)
             return a.item() if a.ndim == 0 else a
@@ -396,7 +444,9 @@ class RansacResult:
         return RansacResult(self.point.reshape(shape + (3,)),
                             self.inliers.reshape(shape + (-1,)),
                             per_point(self.valid), per_point(self.ambiguous),
-                            per_point(self.residual))
+                            per_point(self.residual),
+                            per_point(self.polish_iterations),
+                            per_point(self.polish_stop))
 
 
 def _view_pairs(view_ids: np.ndarray, max_iters: int, seed: int) -> np.ndarray:
@@ -415,21 +465,23 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
     """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V).
 
     Points that share a valid-view pattern share their view pairs, so the
-    pair stage runs once per pattern; the refit and polish run once per
-    inlier count, so every SVD sees the compact (2n, 4) system of its
-    point's n inlier views.
+    closed-form pair stage runs once per pattern; the refit and polish run
+    once per inlier count, so every refit SVD sees the compact (2n, 4)
+    system of its point's n inlier views.
     """
     N, V = valid.shape
     point = np.full((N, 3), np.nan)
     inliers = np.zeros((N, V), dtype=bool)
     ambiguous = np.zeros(N, dtype=bool)
     residual = np.full(N, np.inf)
+    polish_iterations = np.zeros(N, dtype=np.int64)
+    polish_stop = np.full(N, None, dtype=object)
     patterns, group = np.unique(valid, axis=0, return_inverse=True)
     group = group.reshape(-1)
     pairs = [_view_pairs(np.flatnonzero(p), max_iters, seed)
              if p.sum() >= 2 else np.zeros((0, 2), dtype=int)
              for p in patterns]
-    # Every finite pair solution is a final candidate, in pair order.
+    # Every pair point is a final candidate, in pair order.
     K = max((len(p) for p in pairs), default=0)
     pair_points = np.full((N, K, 3), np.nan)
     pair_ok = np.zeros((N, K), dtype=bool)
@@ -440,7 +492,8 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
         view_ids = np.flatnonzero(pattern)
         k = len(pairs[g])
         group_uv = uv[rows]
-        pts, _ = _dlt(group_uv[:, pairs[g]], projections[pairs[g]])
+        pts = _pair_points(group_uv[:, view_ids], projections[view_ids],
+                           np.searchsorted(view_ids, pairs[g]))
         ok = np.all(np.isfinite(pts), axis=-1)
         errs = _reprojection_errors(pts, group_uv[:, None, view_ids],
                                     projections[view_ids])
@@ -472,8 +525,10 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
         refit, _ = _dlt(in_uv, in_P, in_w)
         refit_ok = np.all(np.isfinite(refit), axis=-1)
         polished = refit.copy()
-        polished[refit_ok] = _gauss_newton_polish(
-            refit[refit_ok], in_uv[refit_ok], in_P[refit_ok], in_w[refit_ok])
+        done = rows[refit_ok]
+        polished[refit_ok], polish_iterations[done], polish_stop[done] = (
+            _polish(refit[refit_ok], in_uv[refit_ok], in_P[refit_ok],
+                    in_w[refit_ok]))
         cands = np.concatenate([pair_points[rows], refit[:, None],
                                 polished[:, None]], axis=1)
         ok = np.concatenate([pair_ok[rows], refit_ok[:, None],
@@ -492,7 +547,8 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
                           np.fmin.reduce(scores, axis=1))
         point[rows] = cands[m, pick]
         residual[rows] = np.sqrt(lowest / np.sum(in_w, axis=1))
-    return RansacResult(point, inliers, counts >= 2, ambiguous, residual)
+    return RansacResult(point, inliers, counts >= 2, ambiguous, residual,
+                        polish_iterations, polish_stop)
 
 
 def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
@@ -501,14 +557,16 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
                        seed: int = 0) -> RansacResult:
     """Triangulate one point while rejecting outlier views.
 
-    View pairs are triangulated and scored by how many views reproject
-    within reproj_threshold pixels.  All pairs are tried when their count
-    fits in max_iters (always true for <= 5 views at the default 20);
-    otherwise a seeded sample of pairs is drawn.  The best inlier set gets
-    a confidence-weighted DLT refit plus a Gauss-Newton polish, and the
-    candidate with the lowest weighted reprojection SSE on that set is
-    returned, so the result is never worse than any sampled pair's own
-    solution there.  Leading batch axes on uv (and valid, conf)
+    View pairs are triangulated in closed form (`_pair_points`; a pair
+    whose rays are parallel or coincide gives no point) and scored by how
+    many views reproject within reproj_threshold pixels.  All pairs are
+    tried when their count fits in max_iters (always true for <= 5 views
+    at the default 20); otherwise a seeded sample of pairs is drawn.  The
+    best inlier set gets a confidence-weighted DLT refit plus a
+    Levenberg-Marquardt polish (`_polish`, whose iterations and stop the
+    result reports), and the candidate with the lowest weighted
+    reprojection SSE on that set is returned, so the result is never worse
+    than any sampled pair's own solution there.  Leading batch axes on uv (and valid, conf)
     triangulate a stack of points; each gives the same result as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)
@@ -560,29 +618,18 @@ def interpolate_gaps(traj: JointTrajectory,
     gaps and leading/trailing invalid stretches are left invalid.
     """
     pos = traj.positions.copy()
-    val = traj.valid.copy()
+    val = traj.valid
     n = traj.n_frames
-    for h in range(2):
-        for j in range(21):
-            col = val[:, h, j]
-            f = 0
-            while f < n:
-                if col[f]:
-                    f += 1
-                    continue
-                g = f
-                while g < n and not col[g]:
-                    g += 1
-                gap = g - f
-                if f > 0 and g < n and gap <= max_gap:
-                    p0 = pos[f - 1, h, j]
-                    p1 = pos[g, h, j]
-                    for k in range(gap):
-                        t = (k + 1) / (gap + 1)
-                        pos[f + k, h, j] = (1 - t) * p0 + t * p1
-                        col[f + k] = True
-                f = g
-    return JointTrajectory(traj.fps, pos, val)
+    frames = np.arange(n)[:, None, None]
+    # The valid frames before and after every sample: -1 or n where none.
+    prev = np.maximum.accumulate(np.where(val, frames, -1), axis=0)
+    after = np.minimum.accumulate(np.where(val, frames, n)[::-1], axis=0)[::-1]
+    fill = ~val & (prev >= 0) & (after < n) & (after - prev - 1 <= max_gap)
+    f, h, j = np.nonzero(fill)
+    p0, p1 = prev[fill], after[fill]
+    t = ((f - p0) / (p1 - p0))[:, None]
+    pos[f, h, j] = (1 - t) * pos[p0, h, j] + t * pos[p1, h, j]
+    return JointTrajectory(traj.fps, pos, val | fill)
 
 
 def smooth_trajectory(traj: JointTrajectory,
@@ -592,26 +639,24 @@ def smooth_trajectory(traj: JointTrajectory,
     """Gap-interpolate then low-pass every joint track.
 
     Each maximal run of valid frames is filtered independently; runs too
-    short for the filter pass through unchanged.
+    short for the filter pass through unchanged.  Runs of one length go
+    through the filter together, each as its own columns.
     """
     traj = interpolate_gaps(traj, max_gap)
     pos = traj.positions.copy()
-    n = traj.n_frames
-    for h in range(2):
-        for j in range(21):
-            col = traj.valid[:, h, j]
-            f = 0
-            while f < n:
-                if not col[f]:
-                    f += 1
-                    continue
-                g = f
-                while g < n and col[g]:
-                    g += 1
-                if g - f >= 3 * order:
-                    pos[f:g, h, j] = butterworth_filter(
-                        pos[f:g, h, j], cutoff_hz, traj.fps, order)
-                f = g
+    tracks = pos.reshape(traj.n_frames, 42, 3)          # a view of pos
+    # Every run's track and [start, end) frames, track by track.
+    edges = np.diff(np.pad(traj.valid.reshape(traj.n_frames, 42).T,
+                           ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    track, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1]
+    for length in np.unique(end - start):
+        if length < 3 * order:
+            continue
+        runs = end - start == length
+        rows = start[runs] + np.arange(length)[:, None]
+        tracks[rows, track[runs]] = butterworth_filter(
+            tracks[rows, track[runs]], cutoff_hz, traj.fps, order)
     return JointTrajectory(traj.fps, pos, traj.valid.copy())
 
 

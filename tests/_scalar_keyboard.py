@@ -85,3 +85,20 @@ def press_errors(geom, tips, scored, activation_depth):
         errors += [(f, k, "wrong_press") for k in sorted(pressed - keys)]
         errors += [(f, k, "omitted") for k in sorted(keys - pressed)]
     return errors
+
+
+def exposed_interval(geom, key, y):
+    """Exposed x-interval of a white key at length coordinate y: a scan of
+    the black keys, once per query."""
+    x0, x1, _, _ = geom.boxes[key - 1]
+    if y > geom.config.black_key_length:
+        return x0, x1
+    for black in np.flatnonzero(geom._black):
+        bx0, bx1 = geom.boxes[black, 0], geom.boxes[black, 1]
+        if bx1 <= x0 or bx0 >= x1:
+            continue
+        if bx0 <= x0:
+            x0 = max(x0, bx1)
+        else:
+            x1 = min(x1, bx0)
+    return x0, x1

@@ -253,6 +253,17 @@ def test_triangulate_report_counts_and_leaves_trajectory_bytes(
     assert residual[0][0][5] is None
     assert max(r for frame in residual for row in frame for r in row
                if r is not None) < 1e-6
+    # Exact views: a polish converges, or starts at the rounding floor of
+    # the SSE, where every step is rejected until the iteration cap.
+    iterations = np.array(report["polish_iterations"], dtype=object)
+    stop = np.array(report["polish_stop"], dtype=object)
+    assert iterations.shape == stop.shape == (2, 2, 21)
+    assert iterations[0, 0, 5] is None and stop[0, 0, 5] is None
+    iterations[0, 0, 5], stop[0, 0, 5] = 1, "converged"
+    assert all(1 <= i <= 10 for i in iterations.flat)
+    assert "converged" in set(stop.flat) <= {"converged", "max_iter"}
+    assert all(i == 10 for i, s in zip(iterations.flat, stop.flat)
+               if s == "max_iter")
 
 
 @pytest.mark.parametrize("field", ["uv", "conf"])

@@ -2,6 +2,8 @@
 `_scalar_keyboard`: equal keys, and bit-identical depths, per-key depths
 and pressed sets, on random points and on every footprint edge."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,31 @@ def test_wrong_press_subject_is_the_first_deepest_tip(geom, skeletons,
     error = midi_ik.PressError(0, 40, midi_ik.WRONG_PRESS)
     midi_ik.ik_targets([error], clip, skeletons, geom)
     assert error.fingertip == scalar.deepest_tip(geom, tips[0], 40) + 1 == 3
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_exposed_intervals_match_the_black_key_scan(name):
+    geom = kb.build_keyboard(CONFIGS[name])
+    white = np.flatnonzero(~geom._black) + 1
+    assert len(white) == 52
+    for key in white:
+        want = scalar.exposed_interval(geom, key, 0.0)
+        assert geom.exposed[key - 1].tobytes() == np.array(want).tobytes(), key
+    assert np.array_equal(geom.exposed[geom._black], geom.boxes[geom._black, :2])
+    # The scan leaves the front of a white key whole.
+    front = scalar.exposed_interval(geom, 40, geom.config.black_key_length + 1e-3)
+    assert np.array_equal(front, geom.boxes[39, :2])
+    # Press targets 85% along the key (beside the black keys' front ends)
+    # and 30% along it (between them).
+    for fraction in (geom.config.target_length_fraction, 0.3):
+        geom = kb.build_keyboard(dataclasses.replace(
+            CONFIGS[name], target_length_fraction=fraction))
+        for key in range(1, 89):
+            _, _, y0, y1 = geom.boxes[key - 1]
+            y = y0 + fraction * (y1 - y0)
+            x0, x1 = (geom.boxes[key - 1, :2] if geom._black[key - 1]
+                      else scalar.exposed_interval(geom, key, y))
+            want = geom.to_world(np.array([(x0 + x1) / 2, y,
+                                           geom.rest_heights[key - 1]]))
+            assert (kb.key_target_position(geom, key).tobytes()
+                    == want.tobytes()), (fraction, key)

@@ -1,11 +1,16 @@
-"""The batched RANSAC kernel against the per-point scalar oracle, bit for bit."""
+"""The batched RANSAC kernel against the per-point scalar oracle, bit for
+bit, and against the former kernel (SVD pair DLTs, fixed polish) within
+stated bounds."""
+
+import functools
 
 import numpy as np
 import pytest
 
 import _scalar_ransac as scalar
 import _synth
-from pianomotion import reconstruction as rec
+from pianomotion import keyboard, reconstruction as rec
+from pianomotion.hand import SkeletonPair
 from pianomotion.lsq import solve_stacked
 
 
@@ -45,48 +50,47 @@ def assert_matches_oracle(uv, projections, valid, conf, threshold=8.0,
                                      max_iters=max_iters, seed=seed)
     for i in range(len(uv)):
         with np.errstate(all="ignore"):
-            point, inliers, ok, ambiguous, residual = scalar.ransac_triangulate(
-                uv[i], projections, valid[i], conf[i], threshold, max_iters,
-                seed)
+            (point, inliers, ok, ambiguous, residual, iterations,
+             stop) = scalar.ransac_triangulate(uv[i], projections, valid[i],
+                                               conf[i], threshold, max_iters,
+                                               seed)
         assert bits(got.point[i]) == bits(point), i
         assert np.array_equal(got.inliers[i], inliers), i
         assert bool(got.valid[i]) == ok, i
         assert bool(got.ambiguous[i]) == ambiguous, i
         assert bits(got.residual[i]) == bits(residual), i
+        assert got.polish_iterations[i] == iterations, i
+        assert got.polish_stop[i] == stop, i
     return got
 
 
-def test_kernel_matches_oracle_on_noisy_hands(geom, skeletons):
+def noisy_hands_scene():
     rng = np.random.default_rng(3)
     rig = _synth.five_camera_rig()
+    geom = keyboard.build_keyboard()
     frames = [(_synth.parked_pose(0, x=-0.1), _synth.hover_pose(geom, 1, k))
               for k in (38, 40, 42)]
     uv, conf, valid, _ = _synth.project_clip(_synth.pose_clip(60.0, frames),
-                                             skeletons, rig)
+                                             SkeletonPair.default(), rig)
     uv = uv.transpose(0, 2, 3, 1, 4).reshape(-1, rig.n_views, 2)
     conf = rng.uniform(0.2, 1.0, (len(uv), rig.n_views))
     uv, valid = corrupt(rng, uv)
     valid[:4] = [True, False, False, False, False]       # one view
     valid[4] = False                                       # none
-    got = assert_matches_oracle(uv, rig.projections, valid, conf)
-    assert (~got.valid).any() and got.valid.sum() > 100
-    assert (got.inliers.sum(axis=1) < valid.sum(axis=1))[got.valid].any()
+    return uv, rig.projections, valid, conf, {}
 
 
-@pytest.mark.parametrize("n_views", [3, 4, 5, 6, 7, 8])
-def test_kernel_matches_oracle_on_sampled_pairs(n_views):
+def sampled_pairs_scene(n_views):
     rng = np.random.default_rng(n_views)
     projections = arc_rig(n_views)
     points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (40, 3))
     uv, valid = corrupt(rng, project(projections, points))
     conf = rng.uniform(0.0, 1.0, valid.shape)
     # 6 < 10 pairs from 5 views on: those points draw a seeded sample.
-    got = assert_matches_oracle(uv, projections, valid, conf, max_iters=6,
-                                seed=n_views)
-    assert got.valid.any()
+    return uv, projections, valid, conf, {"max_iters": 6, "seed": n_views}
 
 
-def test_kernel_matches_oracle_with_zero_confidences():
+def zero_confidence_scene():
     rng = np.random.default_rng(7)
     projections = arc_rig(5)
     points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (60, 3))
@@ -94,11 +98,10 @@ def test_kernel_matches_oracle_with_zero_confidences():
     conf = rng.uniform(0.0, 1.0, valid.shape)
     conf[:20] = 0.0                                   # all non-positive
     conf[20:40][rng.random((20, 5)) < 0.5] = 0.0      # some zero
-    got = assert_matches_oracle(uv, projections, valid, conf)
-    assert got.valid[:20].all()
+    return uv, projections, valid, conf, {}
 
 
-def test_kernel_matches_oracle_with_duplicated_views():
+def duplicated_views_scene():
     rng = np.random.default_rng(11)
     projections = arc_rig(5)
     projections[1] = projections[0]
@@ -108,11 +111,10 @@ def test_kernel_matches_oracle_with_duplicated_views():
     uv[:, 1] = uv[:, 0]
     uv[:20, 4] = uv[:20, 3]
     conf = rng.uniform(0.0, 1.0, valid.shape)
-    got = assert_matches_oracle(uv, projections, valid, conf)
-    assert got.valid.any()
+    return uv, projections, valid, conf, {}
 
 
-def test_kernel_matches_oracle_on_ambiguous_splits():
+def ambiguous_scene():
     # Each pair of cameras sees its own point: no inlier set beats size two
     # and different size-two sets tie.
     rng = np.random.default_rng(5)
@@ -125,8 +127,121 @@ def test_kernel_matches_oracle_on_ambiguous_splits():
     uv[:15, 4:] = project(projections, c)[:15, 4:]
     valid = np.ones(uv.shape[:2], dtype=bool)
     conf = np.ones(uv.shape[:2])
+    return uv, projections, valid, conf, {}
+
+
+def test_kernel_matches_oracle_on_noisy_hands():
+    uv, projections, valid, conf, _ = noisy_hands_scene()
     got = assert_matches_oracle(uv, projections, valid, conf)
+    assert (~got.valid).any() and got.valid.sum() > 100
+    assert (got.inliers.sum(axis=1) < valid.sum(axis=1))[got.valid].any()
+
+
+@pytest.mark.parametrize("n_views", [3, 4, 5, 6, 7, 8])
+def test_kernel_matches_oracle_on_sampled_pairs(n_views):
+    uv, projections, valid, conf, kw = sampled_pairs_scene(n_views)
+    got = assert_matches_oracle(uv, projections, valid, conf, **kw)
+    assert got.valid.any()
+
+
+def test_kernel_matches_oracle_with_zero_confidences():
+    got = assert_matches_oracle(*zero_confidence_scene()[:4])
+    assert got.valid[:20].all()
+
+
+def test_kernel_matches_oracle_with_duplicated_views():
+    got = assert_matches_oracle(*duplicated_views_scene()[:4])
+    assert got.valid.any()
+
+
+def test_kernel_matches_oracle_on_ambiguous_splits():
+    got = assert_matches_oracle(*ambiguous_scene()[:4])
     assert got.ambiguous[:15].sum() >= 10 and not got.ambiguous[15:].any()
+
+
+ORACLE_SCENES = {
+    "noisy hands": noisy_hands_scene,
+    **{"%d views, sampled pairs" % n: functools.partial(sampled_pairs_scene, n)
+       for n in (3, 4, 5, 6, 7, 8)},
+    "zero confidences": zero_confidence_scene,
+    "duplicated views": duplicated_views_scene,
+    "ambiguous splits": ambiguous_scene,
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_kernel_agrees_with_svd_pairs_and_fixed_polish(name):
+    """Against the former kernel (SVD pair DLTs, ten polish iterations):
+    the same inlier sets and valid points everywhere, and final points
+    within 1e-8 m (at most 1.4e-9 m, on the noisy hands).  The one change
+    in ambiguity: a duplicated camera's pair of identical rays gave the
+    SVD some point on that ray, whose two views tied with another pair's
+    inlier set; it is no candidate now."""
+    uv, projections, valid, conf, kw = ORACLE_SCENES[name]()
+    rig = rec.CameraRig(projections)
+    with np.errstate(all="ignore"):
+        got = rec.ransac_triangulate(uv, rig, valid=valid, conf=conf, **kw)
+        old = [scalar.ransac_triangulate(
+            uv[i], projections, valid[i], conf[i], 8.0,
+            kw.get("max_iters", 20), kw.get("seed", 0), legacy=True)
+            for i in range(len(uv))]
+    point, inliers, ok, ambiguous = (np.array([o[k] for o in old])
+                                     for k in range(4))
+    assert np.array_equal(got.inliers, inliers)
+    assert np.array_equal(got.valid, ok)
+    changed = np.flatnonzero(got.ambiguous != ambiguous).tolist()
+    assert changed == ([14] if name == "duplicated views" else [])
+    assert np.max(np.abs(got.point[ok] - point[ok])) <= 1e-8
+
+
+def translated_pair(rng):
+    """Two cameras with one orientation, 0.2-0.9 m apart, and the pixel of
+    a direction that both see: their rays through it are parallel."""
+    eye = np.asarray((0.25, 0.1, 0.0)) + rng.uniform(-1.0, 1.0, 3) + (0, 0, 1.5)
+    a = _synth.look_at_camera(eye, (0.25, 0.1, 0.0))
+    b = a.copy()
+    b[:, 3] -= a[:, :3] @ rng.uniform(-0.5, 0.5, 3)
+    ph = a[:, :3] @ ((0.25, 0.1, 0.0) - eye + rng.normal(0.0, 0.05, 3))
+    return np.stack([a, b]), np.tile(ph[:2] / ph[2], (2, 1))
+
+
+def test_parallel_ray_pair_gives_no_point():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        projections, uv = translated_pair(rng)
+        assert np.isnan(rec._pair_points(uv[None], projections,
+                                         np.array([[0, 1]]))).all()
+        assert np.isnan(scalar.pair_point(uv, projections)).all()
+        assert np.isnan(scalar.triangulate_point(uv, projections)[0]).all()
+        res = rec.ransac_triangulate(uv, rec.CameraRig(projections))
+        assert not res.valid and res.polish_stop is None
+        # Nudged off parallel, the rays meet.
+        uv[1, 0] += 5.0
+        assert np.isfinite(rec._pair_points(uv[None], projections,
+                                            np.array([[0, 1]]))).all()
+
+
+def test_polish_stops_at_the_start_on_zero_depth():
+    rng = np.random.default_rng(19)
+    projections = arc_rig(4)
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (6, 3))
+    uv = project(projections, points) + rng.normal(0.0, 0.5, (6, 4, 2))
+    start = points + rng.normal(0.0, 1e-3, points.shape)
+    # Point 2 starts in camera 1's focal plane, beside the camera.
+    P = projections[1]
+    side = np.cross(P[2, :3], (0.0, 0.0, 1.0))
+    start[2] = -np.linalg.solve(P[:, :3], P[:, 3]) + 0.1 * side / np.linalg.norm(side)
+    assert abs(P[2, :3] @ start[2] + P[2, 3]) < 1e-12
+    weights = rng.uniform(0.2, 1.0, (6, 4))
+    P = np.broadcast_to(projections, (6, 4, 3, 4))
+    got, iterations, stop = rec._polish(start, uv, P, weights)
+    assert got[2].tobytes() == start[2].tobytes()
+    assert (iterations[2], stop[2]) == (1, "stalled")
+    for i in range(6):
+        x, n, why = scalar.polish(start[i], uv[i], projections, weights[i])
+        assert got[i].tobytes() == x.tobytes(), i
+        assert (iterations[i], stop[i]) == (n, why), i
+    assert "stalled" not in np.delete(stop, 2)
 
 
 def test_single_point_call_returns_scalars():
@@ -182,7 +297,9 @@ def test_triangulation_does_not_depend_on_block_size(geom, skeletons,
         monkeypatch.setattr(rec, "_POINT_BLOCK", block)
         got = rec.triangulate_observations(obs, rig, 60.0)
     assert got.trajectory.to_json() == want.trajectory.to_json()
-    for field in ("point", "inliers", "valid", "ambiguous", "residual"):
+    for field in ("point", "inliers", "valid", "ambiguous", "residual",
+                  "polish_iterations"):
         assert (getattr(got.ransac, field).tobytes()
                 == getattr(want.ransac, field).tobytes()), field
+    assert got.ransac.polish_stop.tolist() == want.ransac.polish_stop.tolist()
     assert got.ransac.point.shape == (3, 2, 21, 3)

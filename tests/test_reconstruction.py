@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import _scalar_smooth as scalar_smooth
 import _synth
 from pianomotion import hand, reconstruction as rec
 from pianomotion.hand import HandPose
@@ -359,6 +360,47 @@ def test_smooth_trajectory_short_run_passes_through():
     traj = rec.JointTrajectory(60.0, pos, np.ones((n, 2, 21), dtype=bool))
     out = rec.smooth_trajectory(traj)
     assert np.array_equal(out.positions, traj.positions)
+
+
+def gappy_tracks(rng, n=90, max_gap=5):
+    """Random tracks whose invalid runs include interior gaps of max_gap and
+    max_gap + 1 frames, leading and trailing gaps, and valid runs of 11, 12
+    and fewer frames; the other tracks drop random frames."""
+    pos = rng.normal(0.0, 0.1, (n, 2, 21, 3))
+    val = rng.random((n, 2, 21)) >= 0.2
+    val[:, 0, :9] = True                     # 6-8: one run of n frames
+    val[10:10 + max_gap, 0, 0] = False
+    val[30:31 + max_gap, 0, 0] = False
+    val[:4, 0, 1] = False
+    val[-3:, 0, 1] = False
+    val[:max_gap, 0, 2] = False
+    val[20:31, 0, 3] = False                 # valid runs of 20 and 11
+    val[43:55, 0, 4] = False                 # valid runs of 43 and 12
+    val[5:7, 0, 5] = val[14:16, 0, 5] = False
+    val[:, 1, 0] = False                     # never valid
+    return rec.JointTrajectory(60.0, pos, val)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("max_gap", [0, 2, 5])
+def test_gap_filling_and_smoothing_match_the_track_loops(seed, max_gap):
+    traj = gappy_tracks(np.random.default_rng(seed), max_gap=max_gap)
+    for got, want in ((rec.interpolate_gaps(traj, max_gap),
+                       scalar_smooth.interpolate_gaps(traj, max_gap)),
+                      (rec.smooth_trajectory(traj, 10.0, 4, max_gap),
+                       scalar_smooth.smooth_trajectory(traj, 10.0, 4, max_gap))):
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert np.array_equal(got.valid, want.valid)
+    filled = rec.interpolate_gaps(traj, max_gap)
+    assert filled.valid[10:10 + max_gap, 0, 0].all()
+    assert not filled.valid[30:31 + max_gap, 0, 0].any()
+    assert not filled.valid[:4, 0, 1].any() and not filled.valid[-3:, 0, 1].any()
+
+
+def test_smoothing_an_empty_trajectory():
+    traj = rec.JointTrajectory(60.0, np.zeros((0, 2, 21, 3)),
+                               np.zeros((0, 2, 21), dtype=bool))
+    assert rec.smooth_trajectory(traj).n_frames == 0
 
 
 def test_trajectory_json_round_trip():
