@@ -53,8 +53,6 @@ JOINT_NAMES = (
     "thumb_tip", "index_tip", "middle_tip", "ring_tip", "pinky_tip",
 )
 
-FINGER_NAMES = ("thumb", "index", "middle", "ring", "pinky")
-
 # Parent of each joint; -1 marks the root.
 PARENTS = np.array(
     [-1,
@@ -77,48 +75,6 @@ for _j in range(1, NUM_JOINTS):
         _AFFECTED[_a, _j] = True
         _a = PARENTS[_a]
 del _j, _a
-
-
-@dataclasses.dataclass(frozen=True)
-class DofLayout:
-    """Anatomical degree-of-freedom budget for one hand.
-
-    The physical model treats each hand as 16 rigid links (palm plus three
-    phalanges per finger).  The wrist contributes 6 DoF, the thumb mcp 3,
-    the remaining mcps 2 (flexion + abduction) and every pip/dip 1.
-    """
-
-    wrist_dofs: int = 6
-    thumb_mcp_dofs: int = 3
-    finger_mcp_dofs: int = 2
-    pip_dofs: int = 1
-    dip_dofs: int = 1
-    links_per_hand: int = 16
-
-    def __post_init__(self) -> None:
-        if self.dof_count != 27:
-            raise ValueError(
-                "hand DoF budget must total 27, got %d" % self.dof_count)
-
-    @property
-    def dof_count(self) -> int:
-        return (self.wrist_dofs
-                + self.thumb_mcp_dofs
-                + 4 * self.finger_mcp_dofs
-                + 5 * self.pip_dofs
-                + 5 * self.dip_dofs)
-
-    def dof_names(self) -> list:
-        names = ["wrist_t%s" % a for a in "xyz"]
-        names += ["wrist_r%s" % a for a in "xyz"]
-        names += ["thumb_mcp_%s" % a for a in ("flex", "abd", "twist")]
-        for f in FINGER_NAMES[1:]:
-            names += ["%s_mcp_flex" % f, "%s_mcp_abd" % f]
-        for f in FINGER_NAMES:
-            names.append("%s_pip_flex" % f)
-        for f in FINGER_NAMES:
-            names.append("%s_dip_flex" % f)
-        return names
 
 
 # The rotation maps below work on stacked arrays (..., 4), (..., 3, 3) and
@@ -206,76 +162,13 @@ def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
     x, y, z = np.moveaxis(v, -1, 0)
     angle = np.sqrt(x * x + y * y + z * z)
     small = angle <= 1e-3
-    a2 = angle * angle
+    a = np.where(small, angle, 0.0)   # a huge angle's a^4 would overflow
+    a2 = a * a
     scale = np.where(small, 0.5 - a2 / 48 + a2 * a2 / 3840,
                      np.sin(angle / 2) / np.where(small, 1.0, angle))
     q = np.concatenate([np.cos(angle / 2)[..., None], v * scale[..., None]],
                        axis=-1)
     return np.where(q[..., :1] < 0, -q, q)
-
-
-# The arrays of a pose and their shapes.
-_POSE_FIELDS = {"root_t": (3,), "root_q": (4,),
-                "joint_rotations": (NUM_FINGER_JOINTS, 3)}
-
-
-def _check_pose_arrays(obj, lead: tuple) -> None:
-    """Make obj's pose arrays float64 of shape lead + the pose's, and check
-    that they are finite and every root_q a unit quaternion within 1e-9."""
-    for name, shape in _POSE_FIELDS.items():
-        a = np.asarray(getattr(obj, name), dtype=np.float64)
-        if a.shape != lead + shape:
-            raise ValueError("%s must have shape %s, got %s"
-                             % (name, lead + shape, a.shape))
-        if not np.isfinite(a).all():
-            raise ValueError("%s must be finite" % name)
-        setattr(obj, name, a)
-    with np.errstate(over="ignore"):          # a huge entry gives norm inf
-        norm = np.sqrt(np.vecdot(obj.root_q, obj.root_q))
-    off = np.abs(norm - 1.0) > 1e-9
-    if off.any():
-        at = tuple(np.argwhere(off)[0])
-        raise ValueError("root_q%s norm %.12f is not 1 within 1e-9"
-                         % ("".join("[%d]" % i for i in at), norm[at]))
-
-
-@dataclasses.dataclass(eq=False)
-class HandPose:
-    """One hand's configuration: root transform plus finger joint rotations."""
-
-    root_t: np.ndarray
-    root_q: np.ndarray
-    joint_rotations: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_pose_arrays(self, ())
-
-    @classmethod
-    def identity(cls, root_t=(0.0, 0.0, 0.0)) -> "HandPose":
-        return cls(np.asarray(root_t, dtype=np.float64),
-                   np.array([1.0, 0.0, 0.0, 0.0]),
-                   np.zeros((NUM_FINGER_JOINTS, 3)))
-
-    def copy(self) -> "HandPose":
-        return HandPose(self.root_t.copy(), self.root_q.copy(),
-                        self.joint_rotations.copy())
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten to [t (3), root rotvec (3), joint rotvecs (45)]."""
-        return np.concatenate([
-            self.root_t,
-            quat_to_rotvec(self.root_q),
-            self.joint_rotations.reshape(-1),
-        ])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "HandPose":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (PARAMS_PER_HAND,):
-            raise ValueError("pose vector must have shape (%d,), got %s"
-                             % (PARAMS_PER_HAND, vec.shape))
-        return cls(vec[:3].copy(), rotvec_to_quat(vec[3:6]),
-                   vec[6:].reshape(NUM_FINGER_JOINTS, 3).copy())
 
 
 @dataclasses.dataclass(eq=False)
@@ -294,29 +187,19 @@ class HandSkeleton:
             self.bone_offsets = np.vstack([np.zeros(3), self.bone_offsets])
         if self.bone_offsets.shape != (NUM_JOINTS, 3):
             raise ValueError("bone_offsets must have shape (21, 3) or (20, 3)")
+        self.joint_limits = np.asarray(self.joint_limits, dtype=np.float64)
+        if self.joint_limits.shape != (NUM_FINGER_JOINTS, 3, 2):
+            raise ValueError("joint_limits must have shape (15, 3, 2)")
+        for name in ("bone_offsets", "joint_limits"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError("%s must be finite" % name)
         if np.any(self.bone_offsets[0] != 0.0):
             raise ValueError("wrist offset row must be zero")
         lengths = np.linalg.norm(self.bone_offsets[1:], axis=1)
         if np.any(lengths <= 0.0):
             raise ValueError("every bone must have positive length")
-        self.joint_limits = np.asarray(self.joint_limits, dtype=np.float64)
-        if self.joint_limits.shape != (NUM_FINGER_JOINTS, 3, 2):
-            raise ValueError("joint_limits must have shape (15, 3, 2)")
         if np.any(self.joint_limits[:, :, 0] > self.joint_limits[:, :, 1]):
             raise ValueError("joint limit lower bounds must not exceed uppers")
-
-    def clamp(self, pose: HandPose) -> HandPose:
-        """Return a copy of pose with joint rotations clipped to the limits."""
-        rot = np.clip(pose.joint_rotations,
-                      self.joint_limits[:, :, 0],
-                      self.joint_limits[:, :, 1])
-        return HandPose(pose.root_t.copy(), pose.root_q.copy(), rot)
-
-    def violates_limits(self, pose: HandPose, tol: float = 0.0) -> bool:
-        lo = self.joint_limits[:, :, 0] - tol
-        hi = self.joint_limits[:, :, 1] + tol
-        r = pose.joint_rotations
-        return bool(np.any(r < lo) or np.any(r > hi))
 
     def to_json_obj(self) -> dict:
         return {
@@ -328,12 +211,17 @@ class HandSkeleton:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "HandSkeleton":
-        if not isinstance(obj, dict):
-            raise ValueError("a hand skeleton must be a JSON object")
+    def from_json_obj(cls, obj) -> "HandSkeleton":
+        """The skeleton of a parsed JSON object holding exactly its fields,
+        numbers parsed as floats."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        if not isinstance(obj, dict) or obj.keys() != set(names):
+            raise ValueError("a hand skeleton must be a JSON object of "
+                             "exactly %s" % ", ".join(names))
         return cls(obj["handedness"],
-                   np.array(obj["bone_offsets"], dtype=np.float64),
-                   np.array(obj["joint_limits"], dtype=np.float64))
+                   json_array(obj["bone_offsets"], "bone_offsets", (None, 3)),
+                   json_array(obj["joint_limits"], "joint_limits",
+                              (NUM_FINGER_JOINTS, 3, 2)))
 
 
 @dataclasses.dataclass(eq=False)
@@ -358,9 +246,7 @@ class SkeletonPair:
         path = os.path.join(os.path.dirname(__file__), "data",
                             "skeleton_default.json")
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(HandSkeleton.from_json_obj(obj["left"]),
-                   HandSkeleton.from_json_obj(obj["right"]))
+            return cls.from_json(fh.read())
 
     def to_json(self) -> str:
         obj = {"left": self.left.to_json_obj(), "right": self.right.to_json_obj()}
@@ -368,33 +254,35 @@ class SkeletonPair:
 
     @classmethod
     def from_json(cls, text: str) -> "SkeletonPair":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("a skeleton pair must be a JSON object")
+        # Integers parse as floats, so one too large for a float reads inf.
+        obj = json.loads(text, parse_int=float)
+        if not isinstance(obj, dict) or obj.keys() != {"left", "right"}:
+            raise ValueError("a skeleton pair must be a JSON object of "
+                             "exactly left and right")
         return cls(HandSkeleton.from_json_obj(obj["left"]),
                    HandSkeleton.from_json_obj(obj["right"]))
 
 
-def forward_kinematics(skeleton, vecs: np.ndarray):
+def forward_kinematics(bone_offsets: np.ndarray, vecs: np.ndarray):
     """Joint positions and global joint rotations of pose vectors.
 
-    vecs is (..., 51) in the pose vector layout.  skeleton is a HandSkeleton,
-    a SkeletonPair when the second-to-last axis of vecs is the hand (left,
-    right), or any object whose `bone_offsets` (..., 21, 3) broadcasts
-    against the batch axes of vecs, such as one skeleton per pose.  Returns
-    (positions (..., 21, 3), global rotations (..., 16, 3, 3)).  Every
-    product is taken per pose in a fixed order, so a batch gives the same
-    bits as one call per pose.
+    vecs is (..., 51) in the pose vector layout, and bone_offsets
+    (..., 21, 3) broadcasts against its batch axes: one hand's offsets, a
+    SkeletonPair's (2, 21, 3) when the second-to-last axis of vecs is the
+    hand (left, right), or one set per pose.  Returns (positions
+    (..., 21, 3), global rotations (..., 16, 3, 3)).  Every product is
+    taken per pose in a fixed order, so a batch gives the same bits as one
+    call per pose.
     """
-    p, G, _ = _fk(skeleton, np.asarray(vecs, dtype=np.float64))
+    p, G, _ = _fk(bone_offsets, np.asarray(vecs, dtype=np.float64))
     return p, G
 
 
-def _fk(skeleton, vecs: np.ndarray):
+def _fk(bone_offsets: np.ndarray, vecs: np.ndarray):
     """forward_kinematics of float64 vecs, plus the local rotations
     (..., 16, 3, 3) it composes."""
     batch = vecs.shape[:-1]
-    offsets = skeleton.bone_offsets[..., None]
+    offsets = bone_offsets[..., None]
     locals_ = _unit_quat_matrix(rotvec_to_quat(
         vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))))
     p = np.empty(batch + (NUM_JOINTS, 3))
@@ -416,7 +304,7 @@ _GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
                         [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
 
 
-def fk_jacobian(skeleton, vecs: np.ndarray):
+def fk_jacobian(bone_offsets: np.ndarray, vecs: np.ndarray):
     """FK positions and their Jacobian wrt the 51-dim pose vector.
 
     Takes the arguments of forward_kinematics, per-pose bone offsets
@@ -426,7 +314,7 @@ def fk_jacobian(skeleton, vecs: np.ndarray):
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
-    p, G, R = _fk(skeleton, vecs)
+    p, G, R = _fk(bone_offsets, vecs)
     w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
 
     # Local rotation derivatives dR[..., i, k] by the closed form
@@ -457,6 +345,11 @@ def fk_jacobian(skeleton, vecs: np.ndarray):
     return p, J
 
 
+# The arrays of a pose and their shapes.
+_POSE_FIELDS = {"root_t": (3,), "root_q": (4,),
+                "joint_rotations": (NUM_FINGER_JOINTS, 3)}
+
+
 @dataclasses.dataclass(eq=False)
 class MotionClip:
     """A fixed-rate sequence of two-hand poses, held as three arrays.
@@ -467,8 +360,9 @@ class MotionClip:
         root_q           (F, 2, 4)       unit root quaternion (w, x, y, z)
         joint_rotations  (F, 2, 15, 3)   finger joint rotation vectors
 
-    Construction validates the arrays once, by the rules HandPose applies
-    to one pose, and keeps float64 arrays without copying them.
+    Construction checks the arrays' shapes, that they are finite and that
+    every root_q is a unit quaternion within 1e-9, and keeps float64 arrays
+    without copying them.
     """
 
     fps: float
@@ -479,7 +373,22 @@ class MotionClip:
     def __post_init__(self) -> None:
         if not (0.0 < self.fps < math.inf):
             raise ValueError("fps must be positive and finite")
-        _check_pose_arrays(self, np.shape(self.root_t)[:1] + (2,))
+        lead = np.shape(self.root_t)[:1] + (2,)
+        for name, shape in _POSE_FIELDS.items():
+            a = np.asarray(getattr(self, name), dtype=np.float64)
+            if a.shape != lead + shape:
+                raise ValueError("%s must have shape %s, got %s"
+                                 % (name, lead + shape, a.shape))
+            if not np.isfinite(a).all():
+                raise ValueError("%s must be finite" % name)
+            setattr(self, name, a)
+        with np.errstate(over="ignore"):          # a huge entry gives norm inf
+            norm = np.sqrt(np.vecdot(self.root_q, self.root_q))
+        off = np.abs(norm - 1.0) > 1e-9
+        if off.any():
+            at = tuple(np.argwhere(off)[0])
+            raise ValueError("root_q%s norm %.12f is not 1 within 1e-9"
+                             % ("".join("[%d]" % i for i in at), norm[at]))
 
     @property
     def n_frames(self) -> int:
@@ -493,11 +402,6 @@ class MotionClip:
 
     def copy(self) -> "MotionClip":
         return self[:]
-
-    def pose(self, frame: int, hand: int) -> HandPose:
-        """One hand's pose over views of the clip's arrays."""
-        return HandPose(self.root_t[frame, hand], self.root_q[frame, hand],
-                        self.joint_rotations[frame, hand])
 
     def to_json(self) -> str:
         t, q, r = (a.tolist() for a in
@@ -560,9 +464,20 @@ def clip_vectors(clip: MotionClip, frames=slice(None)) -> np.ndarray:
     ], axis=-1)
 
 
+def clip_from_vectors(fps: float, vecs: np.ndarray) -> MotionClip:
+    """The clip of pose vectors (F, 2, 51), in new arrays: the inverse of
+    `clip_vectors`, with each root quaternion's sign made w >= 0."""
+    vecs = np.array(vecs, dtype=np.float64)
+    if vecs.shape[1:] != (2, PARAMS_PER_HAND):
+        raise ValueError("pose vectors must have shape (F, 2, %d), got %s"
+                         % (PARAMS_PER_HAND, vecs.shape))
+    return MotionClip(fps, vecs[..., :3], rotvec_to_quat(vecs[..., 3:6]),
+                      vecs[..., 6:].reshape(-1, 2, NUM_FINGER_JOINTS, 3))
+
+
 def clip_positions(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:
     """FK joint positions for every frame and hand, shape (F, 2, 21, 3)."""
-    return forward_kinematics(skeletons, clip_vectors(clip))[0]
+    return forward_kinematics(skeletons.bone_offsets, clip_vectors(clip))[0]
 
 
 def clip_fingertips(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:

@@ -106,7 +106,10 @@ def levenberg_marquardt(x0, objective, normal_equations, solve,
                                lam[live])
         step[singular] = 0.0
         cand = x[live] - step
-        fc = objective(live, cand)
+        # A step may overflow; its objective is then inf or NaN, which the
+        # comparison below rejects like any other rise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            fc = objective(live, cand)
         better = fc < f[live]
         converged = better & ((fc < CONVERGED_OBJECTIVE)
                               | (f[live] - fc <= rtol * f[live]))

@@ -16,7 +16,6 @@ its neighbours' edits.
 from __future__ import annotations
 
 import dataclasses
-import types
 
 import numpy as np
 
@@ -299,7 +298,8 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     goal = goal[frames][:, hands, fingers].swapaxes(0, 1)
     theta0 = clip_vectors(clip, frames)[:, hands].swapaxes(0, 1)
     cols = _FINGER_COLS[fingers]
-    E = twist_free_basis(skeletons.bone_offsets)[
+    offsets = skeletons.bone_offsets
+    E = twist_free_basis(offsets)[
         hands[:, None, None], cols[:, :, None], _FINGER_DIMS[fingers, None]]
     tips = TIP_JOINTS[fingers]
     weight = 1.0 / (N * np.maximum(targets.mask.sum(axis=1), 1)[frames])
@@ -324,8 +324,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
 
     def objective(i, x):
         p, f, th = poses(i, x)
-        pos, _ = forward_kinematics(types.SimpleNamespace(
-            bone_offsets=skeletons.bone_offsets[hands[i[p]]]), th)
+        pos, _ = forward_kinematics(offsets[hands[i[p]]], th)
         r = pos[np.arange(len(p)), tips[i[p]]] - goal[i[p], f]
         d = x[:, 1:] - x[:, :-1]
         return (np.bincount(p, weights=weight[f] * np.sum(r * r, axis=1),
@@ -341,8 +340,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
         for s in range(0, len(p), _POSE_BLOCK):
             b = slice(s, s + _POSE_BLOCK)
             q, k = i[p[b]], np.arange(len(p[b]))
-            pos, J = fk_jacobian(types.SimpleNamespace(
-                bone_offsets=skeletons.bone_offsets[hands[q]]), th[b])
+            pos, J = fk_jacobian(offsets[hands[q]], th[b])
             Jt = np.take_along_axis(J[k, tips[q]], cols[q, None],
                                     axis=2) @ E[q]
             JtW = weight[f[b], None, None] * np.swapaxes(Jt, 1, 2)

@@ -13,14 +13,13 @@ import csv
 import dataclasses
 import io
 import json
-import types
 import warnings
 
 import numpy as np
 
 from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, MotionClip,
-                   SkeletonPair, clip_vectors, fk_jacobian, forward_kinematics,
-                   json_array, matrix_to_rotvec, rotvec_to_quat)
+                   SkeletonPair, clip_from_vectors, clip_vectors, fk_jacobian,
+                   forward_kinematics, json_array, matrix_to_rotvec)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -30,6 +29,7 @@ DEFAULT_MAX_GAP = 5                # frames
 DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_FILTER_ORDER = 4
 DEFAULT_FIT_ITERS = 200
+MAX_COORDINATE = 1e100             # m; bound on trajectory coordinates
 
 # JSON values a validity mask may hold: booleans, or 0/1 as written by
 # `to_json` (read as floats).
@@ -224,8 +224,10 @@ class JointTrajectory:
             raise ValueError("positions must have shape (F, 2, 21, 3)")
         if self.valid.shape != self.positions.shape[:3]:
             raise ValueError("valid must have shape (F, 2, 21)")
-        if not np.all(np.isfinite(self.positions[self.valid])):
-            raise ValueError("valid samples must be finite")
+        # The fit squares distances, which overflow long before float range.
+        if not np.all(np.abs(self.positions[self.valid]) < MAX_COORDINATE):
+            raise ValueError("valid samples must be finite and under %g m "
+                             "in magnitude" % MAX_COORDINATE)
 
     @property
     def n_frames(self) -> int:
@@ -724,8 +726,10 @@ def twist_free_basis(offsets: np.ndarray) -> np.ndarray:
     return E
 
 
-def _swing_init(bones, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Start pose vectors (B, 51) for hand-frames observed at y (B, 21, 3).
+def _swing_init(bones: np.ndarray, y: np.ndarray,
+                mask: np.ndarray) -> np.ndarray:
+    """Start pose vectors (B, 51) for hand-frames of bone offsets bones
+    (B, 21, 3) observed at y (B, 21, 3).
 
     The root comes from a Kabsch fit of the rest pose's palm joints onto
     the observed ones (all observed joints when fewer than 3 palm joints
@@ -752,7 +756,7 @@ def _swing_init(bones, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
         children = _CHILD[joints - 1]
         seen = (y[:, children] - y[:, joints])[..., None]
         target = (np.swapaxes(G[:, PARENTS[joints]], -1, -2) @ seen)[..., 0]
-        bone = bones.bone_offsets[:, children]
+        bone = bones[:, children]
         axis = np.cross(bone, target)
         sin = np.sqrt(np.vecdot(axis, axis))
         ok = mask[:, joints] & mask[:, children] & (sin > 0)
@@ -763,9 +767,10 @@ def _swing_init(bones, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lm_fit(bones, basis, y, weight, x0, lo, hi, limit_weight: float,
-            max_iter: int):
-    """Fit B hand-frame problems by `levenberg_marquardt`.
+def _lm_fit(bones: np.ndarray, basis, y, weight, x0, lo, hi,
+            limit_weight: float, max_iter: int):
+    """Fit B hand-frame problems of bone offsets bones (B, 21, 3) by
+    `levenberg_marquardt`.
 
     Problem b minimizes |weight_b (FK(x) - y_b)|^2 plus the soft-limit
     penalty, stepping x -= basis_b d.  Trial steps are scored by FK alone;
@@ -784,15 +789,13 @@ def _lm_fit(bones, basis, y, weight, x0, lo, hi, limit_weight: float,
         return r
 
     def objective(i, x):
-        p, _ = forward_kinematics(
-            types.SimpleNamespace(bone_offsets=bones.bone_offsets[i]), x)
+        p, _ = forward_kinematics(bones[i], x)
         r = residuals(i, x, p)
         return np.sum(r * r, axis=1)
 
     def normal_equations(i, x):
         """J^T J and J^T r of problems i at x, in their twist-free bases."""
-        p, J = fk_jacobian(
-            types.SimpleNamespace(bone_offsets=bones.bone_offsets[i]), x)
+        p, J = fk_jacobian(bones[i], x)
         Jr = (weight[i, :, None, None] * J).reshape(len(i), -1,
                                                     PARAMS_PER_HAND) @ basis[i]
         if limit_weight > 0.0:
@@ -848,7 +851,8 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     solved = traj.valid.any(axis=2)
     frame, side = np.nonzero(solved)
     positions = np.where(traj.valid[..., None], traj.positions, 0.0)
-    bases = twist_free_basis(skeletons.bone_offsets)
+    offsets = skeletons.bone_offsets
+    bases = twist_free_basis(offsets)
     limits = np.stack([skeletons.left.joint_limits.reshape(-1, 2),
                        skeletons.right.joint_limits.reshape(-1, 2)])
     starts = None if init is None else clip_vectors(init)
@@ -860,7 +864,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
         f, h = frame[i:i + _POSE_BLOCK], side[i:i + _POSE_BLOCK]
         y, mask = positions[f, h], traj.valid[f, h]
         n = mask.sum(axis=1)
-        bones = types.SimpleNamespace(bone_offsets=skeletons.bone_offsets[h])
+        bones = offsets[h]
         vecs[f, h], iters[f, h], stop[f, h] = _lm_fit(
             bones, bases[h], y, mask / np.sqrt(n)[:, None],
             _swing_init(bones, y, mask) if init is None else starts[f, h],
@@ -874,6 +878,5 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
                                 axis=0)
     vecs = np.where((src >= 0)[..., None], vecs[src, [0, 1]],
                     0.0 if init is None else starts[0])
-    clip = MotionClip(traj.fps, vecs[..., :3], rotvec_to_quat(vecs[..., 3:6]),
-                      vecs[..., 6:].reshape(F, 2, NUM_FINGER_JOINTS, 3))
-    return FitResult(clip, ~solved, rms, iters, stop)
+    return FitResult(clip_from_vectors(traj.fps, vecs), ~solved, rms, iters,
+                     stop)

@@ -16,10 +16,9 @@ import math
 import numpy as np
 
 from . import keyboard as kb
-from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, DofLayout, MotionClip,
-                   SkeletonPair, clip_fingertips, clip_vectors,
-                   finite_diff_velocities, forward_kinematics,
-                   matrix_to_quat, matrix_to_rotvec)
+from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, MotionClip, SkeletonPair,
+                   clip_fingertips, clip_vectors, finite_diff_velocities,
+                   forward_kinematics, matrix_to_quat, matrix_to_rotvec)
 from .keyboard import KeyboardGeometry, KeyState
 from .midi import NUM_KEYS, KeyMatrix
 
@@ -61,6 +60,8 @@ def merged_goals(midi: KeyMatrix) -> list:
     Silent stretches become segments with an empty key set, so the returned
     segments always partition the full frame range.
     """
+    if midi.n_frames == 0:
+        raise ValueError("the key matrix has no frames")
     segments = []
     start = 0
     current = midi.keys_at(0)
@@ -141,28 +142,27 @@ def goal_state(segments, current_frame: int) -> GoalState:
 class PoseState:
     """Two-frame link-state history for both hands.
 
-    array is (2 hands, 2 history frames, links * 13); each link contributes
-    position (3), orientation quaternion wxyz (4), linear velocity (3) and
-    angular velocity (3).  Hands are ordered left, right; history frames
-    (t-1, t).
+    array is (2 hands, 2 history frames, 16 links * 13); each link, the
+    wrist and the 15 finger joints, contributes position (3), orientation
+    quaternion wxyz (4), linear velocity (3) and angular velocity (3).
+    Hands are ordered left, right; history frames (t-1, t).
     """
 
     array: np.ndarray
-    links_per_hand: int = 16
 
     def __post_init__(self) -> None:
         self.array = np.asarray(self.array, dtype=np.float64)
-        want = (2, 2, self.links_per_hand * 13)
+        want = (2, 2, NUM_ROT_JOINTS * 13)
         if self.array.shape != want:
             raise ValueError("pose state must have shape %s" % (want,))
-        quats = self.array.reshape(2, 2, self.links_per_hand, 13)[..., 3:7]
+        quats = self.array.reshape(2, 2, NUM_ROT_JOINTS, 13)[..., 3:7]
         norms = np.linalg.norm(quats, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("link orientation quaternions must be unit norm")
 
 
-def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
-               layout: DofLayout | None = None) -> PoseState:
+def pose_state(clip: MotionClip, skeletons: SkeletonPair,
+               current_frame: int) -> PoseState:
     """Link positions, orientations and velocities at frames (t-1, t).
 
     Velocities are one-step finite differences at the clip frame rate:
@@ -171,10 +171,6 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
     The caller must pass current_frame >= 1 (pad the clip to observe its
     first frame).
     """
-    layout = layout or DofLayout()
-    if layout.links_per_hand != 16:
-        raise ValueError("pose state supports 16 links per hand, got %d"
-                         % layout.links_per_hand)
     if current_frame < 1:
         raise ValueError("pose state needs current_frame >= 1")
     if current_frame >= clip.n_frames:
@@ -188,7 +184,8 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
     after = np.where(slots >= 1, slots, 1)
     frames, at = np.unique(np.concatenate([slots, before, after]),
                            return_inverse=True)
-    p, G = forward_kinematics(skeletons, clip_vectors(clip, frames))
+    p, G = forward_kinematics(skeletons.bone_offsets,
+                              clip_vectors(clip, frames))
     p = p[:, :, :NUM_ROT_JOINTS]
     at_slot, at_before, at_after = at[:2], at[2:4], at[4:]
     lin = (p[at_after] - p[at_before]) * clip.fps
@@ -197,8 +194,7 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair, current_frame: int,
     rows = np.concatenate([p[at_slot], matrix_to_quat(G[at_slot]), lin, ang],
                           axis=-1)
     # (slot, hand, link, 13) -> (hand, slot, link * 13)
-    out = np.swapaxes(rows, 0, 1).reshape(2, 2, layout.links_per_hand * 13)
-    return PoseState(out, layout.links_per_hand)
+    return PoseState(np.swapaxes(rows, 0, 1).reshape(2, 2, -1))
 
 
 def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
@@ -210,7 +206,8 @@ def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
     gate: a reference hovering far from the key still yields its nearest
     fingertip.
     """
-    p, _ = forward_kinematics(skeletons, clip_vectors(reference, [frame])[0])
+    p, _ = forward_kinematics(skeletons.bone_offsets,
+                              clip_vectors(reference, [frame])[0])
     tips = p[:, TIP_JOINTS].reshape(10, 3)
     target = kb.key_target_position(geom, key)
     d = np.linalg.norm(tips - target, axis=1)

@@ -39,45 +39,54 @@ def yaw_quat(yaw):
     return np.array([np.cos(yaw / 2.0), 0.0, 0.0, np.sin(yaw / 2.0)])
 
 
-def fingertips(skeleton, pose):
-    """Fingertip positions (5, 3) of one pose, thumb first."""
-    return hand.forward_kinematics(skeleton, pose.to_vector())[0][hand.TIP_JOINTS]
+def pose_vector(root_t=(0.0, 0.0, 0.0), root_q=(1.0, 0.0, 0.0, 0.0),
+                joint_rotations=np.zeros((15, 3))):
+    """One hand's pose vector (51,) from its root translation, root
+    quaternion (w, x, y, z) and joint rotation vectors (15, 3); the rest
+    pose at the origin by default."""
+    return np.concatenate([root_t, hand.quat_to_rotvec(root_q),
+                           np.ravel(joint_rotations)])
+
+
+def fingertips(offsets, vec):
+    """Fingertip positions (5, 3) of one pose vector, thumb first."""
+    return hand.forward_kinematics(offsets, vec)[0][hand.TIP_JOINTS]
 
 
 def hover_pose(geom, hand_idx, center_key, hover=HOVER_HEIGHT):
-    """A hand hovering palm-down over a key, fingers toward the fallboard.
+    """The pose vector of a hand hovering palm-down over a key, fingers
+    toward the fallboard.
 
     The middle fingertip sits above center_key's press target.
     """
     target = kb.key_target_position(geom, center_key)
-    pose = hand.HandPose(np.zeros(3), yaw_quat(np.pi), _REST_CURL.copy())
-    skel = hand.SkeletonPair.default()[hand_idx]
-    middle = fingertips(skel, pose)[2]
-    root_t = np.array([target[0] - middle[0], target[1] - middle[1],
-                       hover - middle[2]])
-    return hand.HandPose(root_t, yaw_quat(np.pi), pose.joint_rotations.copy())
+    vec = pose_vector(np.zeros(3), yaw_quat(np.pi), _REST_CURL)
+    offsets = hand.SkeletonPair.default()[hand_idx].bone_offsets
+    middle = fingertips(offsets, vec)[2]
+    vec[:3] = (target[0] - middle[0], target[1] - middle[1],
+               hover - middle[2])
+    return vec
 
 
-def solve_tip_targets(skeleton, pose, targets, mask, iters=300, prior=1e-8):
+def solve_tip_targets(offsets, x0, targets, mask, iters=300, prior=1e-8):
     """Move masked fingertips to 3D targets by adjusting rotations only.
 
-    Levenberg-Marquardt with a weak prior to the starting pose; the root
-    translation is left untouched.
+    Levenberg-Marquardt with a weak prior to the starting pose vector; the
+    root translation is left untouched.
     """
-    x0 = pose.to_vector()
     vec = x0.copy()
     free = np.arange(3, 51)
     idx = np.nonzero(mask)[0]
 
     def cost(v):
-        tips = hand.forward_kinematics(skeleton, v)[0][hand.TIP_JOINTS]
+        tips = fingertips(offsets, v)
         r = (tips[idx] - targets[idx]).reshape(-1)
         return float(r @ r) + prior * float(np.sum((v[free] - x0[free]) ** 2))
 
     lam = 1e-3
     c = cost(vec)
     for _ in range(iters):
-        p, J = hand.fk_jacobian(skeleton, vec)
+        p, J = hand.fk_jacobian(offsets, vec)
         tips, J = p[hand.TIP_JOINTS], J[hand.TIP_JOINTS]
         r = (tips[idx] - targets[idx]).reshape(-1)
         A = J[idx][:, :, free].reshape(len(idx) * 3, len(free))
@@ -97,7 +106,7 @@ def solve_tip_targets(skeleton, pose, targets, mask, iters=300, prior=1e-8):
             lam *= 5.0
         if not improved or c < 1e-14:
             break
-    return hand.HandPose.from_vector(np.concatenate([x0[:3], vec[3:]]))
+    return np.concatenate([x0[:3], vec[3:]])
 
 
 _POSE_CACHE = {}
@@ -105,7 +114,8 @@ _POSE_CACHE = {}
 
 def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
                   lift=None, depth=PRESS_DEPTH, hover=HOVER_HEIGHT):
-    """One hand pressing the given keys with the given fingers.
+    """The pose vector of one hand pressing the given keys with the given
+    fingers.
 
     presses maps fingertip index (0..9) to a key number; fingers not in
     `presses` or `lift` hold their hover positions.  lift maps fingertip
@@ -128,8 +138,8 @@ def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
     if cache_key in _POSE_CACHE:
         return _POSE_CACHE[cache_key].copy()
     pose = hover_pose(geom, hand_idx, center_key, hover)
-    skel = skeletons[hand_idx]
-    tips0 = fingertips(skel, pose)
+    offsets = skeletons[hand_idx].bone_offsets
+    tips0 = fingertips(offsets, pose)
     targets = tips0.copy()
     strict = np.zeros(5, dtype=bool)
     for tip, key in presses.items():
@@ -158,8 +168,8 @@ def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
     # Unlisted fingers hold their hover positions so the solver cannot sink
     # them into neighbouring keys while it articulates the pressing ones.
     mask = np.ones(5, dtype=bool)
-    solved = solve_tip_targets(skel, pose, targets, mask)
-    tips = fingertips(skel, solved)
+    solved = solve_tip_targets(offsets, pose, targets, mask)
+    tips = fingertips(offsets, solved)
     # The fixture's contract is semantic: exactly the requested keys are
     # activated, press depths land within a millimeter of the request, and
     # every other finger stays clear of the key surfaces.
@@ -185,14 +195,15 @@ def pressing_pose(geom, skeletons, presses, hand_idx=1, center_key=None,
 
 
 def parked_pose(hand_idx, x=0.0, y=0.35, z=HOVER_HEIGHT + 0.05):
-    """A hand resting away from the keys (toward the player, raised)."""
-    q = yaw_quat(np.pi)
-    return hand.HandPose(np.array([x, y, z]), q, np.zeros((15, 3)))
+    """The pose vector of a hand resting away from the keys (toward the
+    player, raised)."""
+    return pose_vector((x, y, z), yaw_quat(np.pi))
 
 
 def two_hand_frame(geom, skeletons, right_presses=None, left_presses=None,
                    right_center=None, left_center=None, depth=PRESS_DEPTH):
-    """Frame with the right hand over the keys and the left hand parked.
+    """(left, right) pose vectors with the right hand over the keys and
+    the left hand parked.
 
     Only the hands with presses are solved; a press-less hand hovers (right)
     or parks off-key (left).
@@ -210,15 +221,10 @@ def two_hand_frame(geom, skeletons, right_presses=None, left_presses=None,
     return left, right
 
 
-def pose_clip(fps, frames):
-    """MotionClip of a sequence of (left, right) HandPose pairs."""
-    poses = [pose for pair in frames for pose in pair]
-
-    def field(name, shape):
-        return np.reshape([getattr(p, name) for p in poses], (-1, 2) + shape)
-
-    return hand.MotionClip(fps, field("root_t", (3,)), field("root_q", (4,)),
-                           field("joint_rotations", (15, 3)))
+def pose_clip(fps, vecs):
+    """MotionClip of pose vectors (F, 2, 51), such as a list of (left,
+    right) vector pairs."""
+    return hand.clip_from_vectors(fps, vecs)
 
 
 def matrix_from_frames(frame_keys, fps=FPS):

@@ -202,14 +202,14 @@ def test_lowpass_filter_dc_stopband_and_phase():
 
 
 def _random_pose(skel, rng):
+    """A pose vector (51,) with joint rotations inside skel's limits."""
     lo = skel.joint_limits[:, :, 0]
     hi = skel.joint_limits[:, :, 1]
     rot = lo + rng.uniform(0.1, 0.9, size=lo.shape) * (hi - lo)
     root_t = rng.uniform((-0.1, 0.0, -0.05), (0.6, 0.3, 0.2))
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    q = hand.rotvec_to_quat(axis * rng.uniform(0.0, 2.0))
-    return hand.HandPose(root_t, q, rot)
+    return np.concatenate([root_t, axis * rng.uniform(0.0, 2.0), rot.ravel()])
 
 
 def test_fit_round_trip_and_jacobian(skeletons, rng):
@@ -219,15 +219,16 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
     for i in range(50):
         h = i % 2
         skel = skeletons[h]
-        pose = _random_pose(skel, rng)
-        target, _ = hand.forward_kinematics(skel, pose.to_vector())
+        target, _ = hand.forward_kinematics(skel.bone_offsets,
+                                            _random_pose(skel, rng))
         positions = np.zeros((1, 2, 21, 3))
         valid = np.zeros((1, 2, 21), dtype=bool)
         positions[0, h] = target
         valid[0, h] = True
         traj = rec.JointTrajectory(60.0, positions, valid)
         fit = rec.fit_skeleton(traj, skeletons, max_iter=100)
-        refit, _ = hand.forward_kinematics(skel, fit.clip.pose(0, h).to_vector())
+        refit, _ = hand.forward_kinematics(skel.bone_offsets,
+                                           hand.clip_vectors(fit.clip)[0, h])
         err = float(np.max(np.linalg.norm(refit - target, axis=1)))
         worst_fit = max(worst_fit, err)
         if err > 1e-4 and len(problems) < 3:
@@ -240,16 +241,16 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
     for h in range(2):
         skel = skeletons[h]
         for _ in range(3):
-            vec = _random_pose(skel, rng).to_vector()
-            _, J = hand.fk_jacobian(skel, vec)
+            vec = _random_pose(skel, rng)
+            _, J = hand.fk_jacobian(skel.bone_offsets, vec)
             J_fd = np.zeros_like(J)
             for k in range(hand.PARAMS_PER_HAND):
                 up = vec.copy()
                 up[k] += step
                 down = vec.copy()
                 down[k] -= step
-                fd = (hand.forward_kinematics(skel, up)[0]
-                      - hand.forward_kinematics(skel, down)[0])
+                fd = (hand.forward_kinematics(skel.bone_offsets, up)[0]
+                      - hand.forward_kinematics(skel.bone_offsets, down)[0])
                 J_fd[:, :, k] = fd / (2.0 * step)
             rel = (np.linalg.norm((J - J_fd).ravel())
                    / max(1.0, np.linalg.norm(J.ravel())))

@@ -589,6 +589,52 @@ def test_malformed_keyboard_config_is_one_line_error(tmp_path, capsys, text,
         config, message)
 
 
+def _set(field, index, value):
+    """An edit of a skeleton document: the right hand's `field` entry at
+    `index` set to `value`."""
+    def edit(obj):
+        entry = obj["right"][field]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda obj: obj["right"].update(bone_offsets={}),
+     "bone_offsets must be numbers in shape (n, 3)"),
+    (_set("bone_offsets", (4, 1), float("nan")), "bone_offsets must be finite"),
+    (_set("bone_offsets", (4, 1), 10 ** 400), "bone_offsets must be finite"),
+    (_set("bone_offsets", (4, 1), "0.01"), "bone_offsets must be numbers"),
+    (_set("bone_offsets", (4, 1), True), "bone_offsets must be numbers"),
+    (_set("joint_limits", (2, 0, 1), float("inf")), "joint_limits must be finite"),
+    (_set("joint_limits", (2, 0, 1), "0.3"), "joint_limits must be numbers"),
+    (lambda obj: obj["right"].update(scale=1.0),
+     "a hand skeleton must be a JSON object of exactly handedness, "
+     "bone_offsets, joint_limits"),
+    (lambda obj: obj["right"].pop("joint_limits"),
+     "a hand skeleton must be a JSON object of exactly"),
+    (lambda obj: obj.update(both=obj["left"]),
+     "a skeleton pair must be a JSON object of exactly left and right"),
+], ids=["dict-offsets", "nan-offset", "huge-offset", "str-offset",
+        "bool-offset", "inf-limit", "str-limit", "unknown-hand-field",
+        "missing-limits", "unknown-pair-field"])
+def test_malformed_skeleton_config_is_one_line_error(tmp_path, capsys,
+                                                     skeletons, edit, message):
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    write_clip(clip_path, _synth.pose_clip(60.0, [(parked, parked)]))
+    obj = json.loads(skeletons.to_json())
+    edit(obj)
+    config = tmp_path / "skeleton.json"
+    config.write_text(json.dumps(obj))
+    assert run(["extract-press", "--dry-run", "--clip", clip_path,
+                "--skeleton", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: skeleton config %s: %s" % (config, message))
+    assert err.count("\n") == 1
+
+
 def test_extract_press_and_eval(tmp_path, capsys, geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     parked = _synth.parked_pose(0)
@@ -741,6 +787,14 @@ def test_goalstate_csv(tmp_path, capsys):
     assert first[0] == "0" and first[1] == "0"
     assert first[2 + 39] == "1"                # key 40 active in slot 0
     assert first[-1] == "2"                    # two frames to segment end
+
+
+def test_goalstate_on_zero_frame_matrix_is_validation_error(tmp_path, capsys):
+    matrix_path = tmp_path / "score.json"
+    matrix_path.write_text('{"type":"key_matrix","fps":60.0,"n_frames":0,'
+                           '"n_keys":88,"columns":{}}')
+    assert run(["goalstate", "--midi", matrix_path, "--fps", 60]) == 1
+    assert capsys.readouterr().err == "error: the key matrix has no frames\n"
 
 
 def test_reward_json_lines_deterministic(tmp_path, geom, skeletons):

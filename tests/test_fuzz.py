@@ -1,6 +1,6 @@
-"""Property tests: malformed clip, trajectory, keypoint, camera and
-keyboard files stay inside the CLI's exit codes, and any bytes parse to a
-note list or a MidiParseError."""
+"""Property tests: malformed clip, trajectory, keypoint, camera, keyboard,
+skeleton and key-matrix files stay inside the CLI's exit codes, and any
+bytes parse to a note list or a MidiParseError."""
 
 import contextlib
 import copy
@@ -11,7 +11,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _scalar_midi
 import _synth
@@ -80,6 +80,8 @@ _UV, _CONF, _VALID, _JOINTS = _synth.project_clip(
     _HANDS, SkeletonPair.default(), _RIG)
 _CAMERAS = _RIG.to_json()
 _KEYPOINTS = KeypointObservations(_UV, _CONF, _VALID).to_json()
+_SCORE = midi.matrix_to_json(_synth.matrix_from_frames([{40}, {40, 44}]))
+_SILENCE = midi.matrix_to_json(_synth.matrix_from_frames([set()] * 3))
 # Each input file's valid document, its loader, the command that reads it
 # (with {} for its path and {other} for the path of `other`), and the valid
 # document of the command's other input.
@@ -95,6 +97,13 @@ _INPUTS = {
     "keyboard": (KeyboardConfig().to_json(), KeyboardConfig.from_json,
                  ["extract-press", "--clip", "{other}", "--keyboard", "{}"],
                  _CLIP_TEXT),
+    "skeleton": (SkeletonPair.default().to_json(), SkeletonPair.from_json,
+                 ["extract-press", "--clip", "{other}", "--skeleton", "{}"],
+                 _CLIP_TEXT),
+    "silence": (_SILENCE, midi.matrix_from_json,
+                ["goalstate", "--midi", "{}", "--fps", "60"], ""),
+    "eval-score": (_SCORE, midi.matrix_from_json,
+                   ["eval", "--clip", "{other}", "--midi", "{}"], _CLIP_TEXT),
 }
 _INPUT_PLACES = [
     ("cameras", ("cameras",)), ("cameras", ("cameras", 1)),
@@ -111,11 +120,25 @@ _INPUT_PLACES = [
     ("keyboard", ("travel",)), ("keyboard", ("yaw",)),
     ("keyboard", ("white_key_width",)), ("keyboard", ("black_key_width",)),
     ("keyboard", ("position",)), ("keyboard", ("position", 1)),
-    ("keyboard", ("bogus",))]
+    ("keyboard", ("bogus",)),
+    ("skeleton", ("left",)), ("skeleton", ("bogus",)),
+    ("skeleton", ("right", "handedness")), ("skeleton", ("right", "bogus")),
+    ("skeleton", ("right", "bone_offsets")),
+    ("skeleton", ("right", "bone_offsets", 4)),
+    ("skeleton", ("right", "bone_offsets", 4, 1)),
+    ("skeleton", ("right", "joint_limits")),
+    ("skeleton", ("right", "joint_limits", 2, 0)),
+    ("skeleton", ("right", "joint_limits", 2, 0, 1)),
+    ("silence", ("type",)), ("silence", ("fps",)), ("silence", ("n_frames",)),
+    ("silence", ("columns",)), ("silence", ("columns", "40")),
+    ("eval-score", ("fps",)), ("eval-score", ("n_frames",)),
+    ("eval-score", ("columns", "44")), ("eval-score", ("columns", "44", 0, 0))]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(where=st.sampled_from(_INPUT_PLACES), value=_JSON | _NUMBERS)
+# A matrix of no frames, which the draws above do not reach.
+@example(where=("silence", ("n_frames",)), value=0)
 def test_input_loaders_exit_0_or_1_on_any_value(where, value):
     name, place = where
     valid, load, argv, other_text = _INPUTS[name]

@@ -8,20 +8,20 @@ from scipy.spatial.transform import Rotation
 
 import _synth
 from pianomotion import hand, rewards
-from pianomotion.hand import HandPose, HandSkeleton, MotionClip, SkeletonPair
+from pianomotion.hand import HandSkeleton, MotionClip, SkeletonPair
 
 
-def fk(skeleton, pose):
-    """Joint positions (21, 3) of one pose."""
-    return hand.forward_kinematics(skeleton, pose.to_vector())[0]
+def fk(skeleton, vec):
+    """Joint positions (21, 3) of one hand's pose vector."""
+    return hand.forward_kinematics(skeleton.bone_offsets, vec)[0]
 
 
 def random_pose(rng, scale=0.4):
-    root_t = rng.normal(size=3)
+    """A pose vector (51,) of random root and joint rotations."""
     root_q = rng.normal(size=4)
     root_q /= np.linalg.norm(root_q)
     rotations = rng.uniform(-scale, scale, size=(15, 3))
-    return HandPose(root_t, root_q, rotations)
+    return _synth.pose_vector(rng.normal(size=3), root_q, rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +41,6 @@ def test_topology_is_five_three_segment_chains():
             chain.append(j)
             j = int(hand.PARENTS[j])
         assert len(chain) == 4
-
-
-def test_dof_layout_counts():
-    layout = hand.DofLayout()
-    assert layout.dof_count == 27
-    assert layout.links_per_hand == 16
-    names = layout.dof_names()
-    assert len(names) == 27
-    assert len(set(names)) == 27
-    with pytest.raises(ValueError):
-        hand.DofLayout(wrist_dofs=7)
 
 
 def test_quat_matrix_agrees_with_scipy(rng):
@@ -156,8 +145,7 @@ def test_rotation_maps_take_single_and_stacked_inputs(rng):
 
 
 def test_fk_identity_accumulates_offsets(skeletons):
-    pose = HandPose.identity()
-    p = fk(skeletons.right, pose)
+    p = fk(skeletons.right, np.zeros(51))
     # Independent accumulation along the parent chain.
     expect = np.zeros((21, 3))
     for j in range(1, 21):
@@ -168,15 +156,15 @@ def test_fk_identity_accumulates_offsets(skeletons):
 def test_fk_index_tip_at_identity(skeletons):
     # Index chain offsets sum: (-0.022, 0.088) + (0, 0.042) + (0, 0.025)
     # + (0, 0.022) in the right-hand rest pose.
-    p = fk(skeletons.right, HandPose.identity())
+    p = fk(skeletons.right, np.zeros(51))
     assert np.allclose(p[17], (-0.022, 0.177, 0.0), atol=1e-12)
 
 
 def test_fk_root_translation_is_rigid(skeletons, rng):
     pose = random_pose(rng)
     p0 = fk(skeletons.left, pose)
-    shifted = HandPose(pose.root_t + (0.1, -0.2, 0.3), pose.root_q,
-                       pose.joint_rotations)
+    shifted = pose.copy()
+    shifted[:3] += (0.1, -0.2, 0.3)
     p1 = fk(skeletons.left, shifted)
     assert np.allclose(p1 - p0, (0.1, -0.2, 0.3), atol=1e-12)
 
@@ -185,8 +173,8 @@ def test_fk_root_rotation_rotates_about_wrist(skeletons, rng):
     rotations = rng.uniform(-0.3, 0.3, size=(15, 3))
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    base = HandPose(np.zeros(3), [1, 0, 0, 0], rotations)
-    rotated = HandPose(np.zeros(3), q, rotations)
+    base = _synth.pose_vector(joint_rotations=rotations)
+    rotated = _synth.pose_vector(root_q=q, joint_rotations=rotations)
     R = hand.quat_to_matrix(q)
     p0 = fk(skeletons.right, base)
     p1 = fk(skeletons.right, rotated)
@@ -198,41 +186,43 @@ def test_fk_single_joint_quarter_turn(skeletons):
     # about x sends the next segment from +y to -z.
     rotations = np.zeros((15, 3))
     rotations[3] = (-np.pi / 2, 0.0, 0.0)
-    p = fk(skeletons.right, HandPose(np.zeros(3), [1, 0, 0, 0], rotations))
+    p = fk(skeletons.right, _synth.pose_vector(joint_rotations=rotations))
     assert np.allclose(p[4], (-0.022, 0.088, 0.0), atol=1e-12)
     assert np.allclose(p[5], (-0.022, 0.088, -0.042), atol=1e-12)
 
 
 def test_fk_with_orientations_identity(skeletons):
-    _, G = hand.forward_kinematics(skeletons.right, np.zeros(51))
+    _, G = hand.forward_kinematics(skeletons.right.bone_offsets, np.zeros(51))
     assert G.shape == (16, 3, 3)
     assert np.allclose(G, np.eye(3)[None], atol=1e-15)
 
 
 def test_fingertips_are_tip_rows(skeletons, rng):
     pose = random_pose(rng)
-    clip = _synth.pose_clip(60.0, [(HandPose.identity(), pose)])
+    clip = _synth.pose_clip(60.0, [(np.zeros(51), pose)])
     tips = hand.clip_fingertips(clip, skeletons)[0, 5:]
-    assert np.array_equal(tips, fk(skeletons.right, pose)[hand.TIP_JOINTS])
+    want = fk(skeletons.right, hand.clip_vectors(clip)[0, 1])[hand.TIP_JOINTS]
+    assert np.array_equal(tips, want)
 
 
 def test_fk_batch_equals_per_pose_calls(skeletons, rng):
-    # An (F, 2, 51) batch with a SkeletonPair gives, bit for bit, what one
-    # call per pose gives; zero rotation vectors take the Jacobian's
+    # An (F, 2, 51) batch with a SkeletonPair's offsets gives, bit for bit,
+    # what one call per pose gives; zero rotation vectors take the Jacobian's
     # small-angle branch.
     vecs = rng.normal(size=(40, 2, 51)) * rng.choice(
         [1e-9, 1e-3, 0.4, 1.5], size=(40, 2, 1))
     vecs[:4, :, 3:] = 0.0
     vecs[4:8, :, 9:15] = 0.0
-    p, G = hand.forward_kinematics(skeletons, vecs)
-    pj, J = hand.fk_jacobian(skeletons, vecs)
+    p, G = hand.forward_kinematics(skeletons.bone_offsets, vecs)
+    pj, J = hand.fk_jacobian(skeletons.bone_offsets, vecs)
     assert p.shape == (40, 2, 21, 3) and G.shape == (40, 2, 16, 3, 3)
     assert J.shape == (40, 2, 21, 3, 51)
     assert np.array_equal(pj, p)
     for f in range(40):
         for h in range(2):
-            p1, G1 = hand.forward_kinematics(skeletons[h], vecs[f, h])
-            p2, J1 = hand.fk_jacobian(skeletons[h], vecs[f, h])
+            offsets = skeletons[h].bone_offsets
+            p1, G1 = hand.forward_kinematics(offsets, vecs[f, h])
+            p2, J1 = hand.fk_jacobian(offsets, vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(G1, G[f, h])
             assert np.array_equal(p2, p[f, h]) and np.array_equal(J1, J[f, h])
 
@@ -254,17 +244,15 @@ def finite_diff_jacobian(skeleton, vec, eps=1e-6):
         lo = vec.copy()
         hi[c] += eps
         lo[c] -= eps
-        J[:, :, c] = (hand.forward_kinematics(skeleton, hi)[0]
-                      - hand.forward_kinematics(skeleton, lo)[0]) / (2 * eps)
+        J[:, :, c] = (fk(skeleton, hi) - fk(skeleton, lo)) / (2 * eps)
     return J
 
 
 def test_fk_jacobian_matches_finite_differences(skeletons, rng):
     for _ in range(3):
-        vec = random_pose(rng).to_vector()
-        p, J = hand.fk_jacobian(skeletons.right, vec)
-        assert np.allclose(p, hand.forward_kinematics(skeletons.right, vec)[0],
-                           atol=1e-12)
+        vec = random_pose(rng)
+        p, J = hand.fk_jacobian(skeletons.right.bone_offsets, vec)
+        assert np.allclose(p, fk(skeletons.right, vec), atol=1e-12)
         J_num = finite_diff_jacobian(skeletons.right, vec)
         assert np.max(np.abs(J - J_num)) < 1e-5
 
@@ -273,15 +261,14 @@ def test_fk_jacobian_at_zero_rotvecs(skeletons):
     # The rotation-vector parameterization is exercised at its origin, where
     # the derivative formula needs its small-angle branch.
     vec = np.zeros(51)
-    _, J = hand.fk_jacobian(skeletons.left, vec)
+    _, J = hand.fk_jacobian(skeletons.left.bone_offsets, vec)
     J_num = finite_diff_jacobian(skeletons.left, vec)
     assert np.max(np.abs(J - J_num)) < 1e-5
 
 
 def test_jacobian_locality(skeletons, rng):
     # Moving the pinky knuckle must not move the thumb tip.
-    vec = random_pose(rng).to_vector()
-    _, J = hand.fk_jacobian(skeletons.right, vec)
+    _, J = hand.fk_jacobian(skeletons.right.bone_offsets, random_pose(rng))
     pinky_base_cols = slice(3 + 3 * 13, 3 + 3 * 14)
     assert np.allclose(J[16, :, pinky_base_cols], 0.0, atol=0)
 
@@ -291,33 +278,46 @@ def test_jacobian_locality(skeletons, rng):
 
 
 def test_pose_vector_round_trip(rng):
-    pose = random_pose(rng)
-    back = HandPose.from_vector(pose.to_vector())
-    assert np.allclose(back.root_t, pose.root_t, atol=0)
-    assert np.allclose(back.joint_rotations, pose.joint_rotations, atol=0)
-    # Quaternions are canonicalized to non-negative w.
-    q = pose.root_q if pose.root_q[0] >= 0 else -pose.root_q
-    assert np.allclose(back.root_q, q, atol=1e-12)
+    # clip_from_vectors inverts clip_vectors; each root quaternion comes
+    # back with its sign made w >= 0.
+    q = rng.normal(size=(5, 2, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    vecs = np.concatenate([rng.normal(size=(5, 2, 3)), hand.quat_to_rotvec(q),
+                           rng.uniform(-0.4, 0.4, size=(5, 2, 45))], axis=-1)
+    clip = hand.clip_from_vectors(60.0, vecs)
+    assert clip.fps == 60.0 and clip.n_frames == 5
+    back = hand.clip_vectors(clip)
+    assert np.allclose(back, vecs, rtol=0, atol=1e-12)
+    assert np.array_equal(back[..., :3], vecs[..., :3])
+    assert np.array_equal(back[..., 6:], vecs[..., 6:])
+    assert np.allclose(clip.root_q, np.where(q[..., :1] < 0, -q, q), rtol=0,
+                       atol=1e-12)
+    assert not np.shares_memory(clip.root_t, vecs)
 
 
 def test_pose_validation():
-    with pytest.raises(ValueError):
-        HandPose(np.zeros(2), [1, 0, 0, 0], np.zeros((15, 3)))
-    with pytest.raises(ValueError):
-        HandPose(np.zeros(3), [1, 0, 0, 0], np.zeros((14, 3)))
-    with pytest.raises(ValueError):
-        HandPose(np.zeros(3), [2, 0, 0, 0], np.zeros((15, 3)))
+    # Pose vectors must be (F, 2, 51); what they encode is checked by
+    # MotionClip.
+    for shape in ((2, 51), (3, 1, 51), (3, 2, 50), (3, 2, 2, 51)):
+        with pytest.raises(ValueError, match="pose vectors must have shape"):
+            hand.clip_from_vectors(60.0, np.zeros(shape))
+    vecs = np.zeros((3, 2, 51))
+    vecs[1, 0, 20] = np.nan
+    with pytest.raises(ValueError, match="joint_rotations must be finite"):
+        hand.clip_from_vectors(60.0, vecs)
+    assert hand.clip_from_vectors(60.0, np.zeros((0, 2, 51))).n_frames == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["root_t", "root_q", "joint_rotations"])
 def test_pose_rejects_non_finite_values(field, bad):
     # A NaN quaternion used to pass the unit-norm check (NaN compares False).
-    values = {"root_t": np.zeros(3), "root_q": np.array([1.0, 0, 0, 0]),
-              "joint_rotations": np.zeros((15, 3))}
+    values = {"root_t": np.zeros((3, 2, 3)),
+              "root_q": np.tile([1.0, 0.0, 0.0, 0.0], (3, 2, 1)),
+              "joint_rotations": np.zeros((3, 2, 15, 3))}
     values[field].flat[-1] = bad
-    with pytest.raises(ValueError, match="finite"):
-        HandPose(**values)
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        MotionClip(60.0, **values)
 
 
 def test_skeleton_validation(skeletons):
@@ -336,16 +336,14 @@ def test_skeleton_validation(skeletons):
         HandSkeleton("right", skeletons.right.bone_offsets, bad_limits)
     with pytest.raises(ValueError, match="handedness"):
         HandSkeleton("both", skeletons.right.bone_offsets, limits)
-
-
-def test_skeleton_clamp_and_violations(skeletons):
-    skel = skeletons.right
-    wild = HandPose(np.zeros(3), [1, 0, 0, 0], np.full((15, 3), 9.0))
-    assert skel.violates_limits(wild)
-    clamped = skel.clamp(wild)
-    assert not skel.violates_limits(clamped)
-    assert np.array_equal(clamped.joint_rotations, skel.joint_limits[:, :, 1])
-    assert not skel.violates_limits(HandPose.identity())
+    offsets = skeletons.right.bone_offsets.copy()
+    offsets[3, 1] = np.nan
+    with pytest.raises(ValueError, match="bone_offsets must be finite"):
+        HandSkeleton("right", offsets, limits)
+    bad_limits = limits.copy()
+    bad_limits[4, 2, 1] = np.inf
+    with pytest.raises(ValueError, match="joint_limits must be finite"):
+        HandSkeleton("right", skeletons.right.bone_offsets, bad_limits)
 
 
 def test_skeleton_pair_accessors(skeletons):
@@ -389,22 +387,6 @@ def test_clip_arrays_round_trip(rng):
     back = MotionClip(clip.fps, clip.root_t, clip.root_q, clip.joint_rotations)
     for name in CLIP_FIELDS:
         assert getattr(back, name) is getattr(clip, name)
-    for f in range(4):
-        for h in range(2):
-            pose = back.pose(f, h)
-            assert np.array_equal(pose.root_t, clip.root_t[f, h])
-            assert np.array_equal(pose.root_q, clip.root_q[f, h])
-            assert np.array_equal(pose.joint_rotations,
-                                  clip.joint_rotations[f, h])
-
-
-def test_clip_pose_edits_write_through(rng):
-    clip = make_clip(rng)
-    pose = clip.pose(2, 1)
-    pose.root_t[0] = 7.0
-    pose.joint_rotations[4] = (0.1, 0.2, 0.3)
-    assert clip.root_t[2, 1, 0] == 7.0
-    assert np.array_equal(clip.joint_rotations[2, 1, 4], (0.1, 0.2, 0.3))
 
 
 def test_clip_frame_indexing_copies(rng):
@@ -426,7 +408,9 @@ def test_clip_vectors_of_some_frames_equal_rows_of_all(rng):
     assert every.shape == (4, 2, 51)
     for f in range(4):
         for h in range(2):
-            assert np.array_equal(every[f, h], clip.pose(f, h).to_vector())
+            assert np.array_equal(every[f, h], np.concatenate([
+                clip.root_t[f, h], hand.quat_to_rotvec(clip.root_q[f, h]),
+                clip.joint_rotations[f, h].ravel()]))
     for frames in (slice(1, 3), [3, 0, 3], np.array([2])):
         assert np.array_equal(hand.clip_vectors(clip, frames), every[frames])
 
@@ -501,8 +485,9 @@ def test_clip_fingertips_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=2)
     tips = hand.clip_fingertips(clip, skeletons)
     assert tips.shape == (2, 10, 3)
-    left = fk(skeletons.left, clip.pose(0, 0))[hand.TIP_JOINTS]
-    right = fk(skeletons.right, clip.pose(0, 1))[hand.TIP_JOINTS]
+    vecs = hand.clip_vectors(clip)
+    left = fk(skeletons.left, vecs[0, 0])[hand.TIP_JOINTS]
+    right = fk(skeletons.right, vecs[0, 1])[hand.TIP_JOINTS]
     assert np.allclose(tips[0, :5], left, atol=0)
     assert np.allclose(tips[0, 5:], right, atol=0)
 
@@ -511,7 +496,7 @@ def test_clip_positions_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=3)
     p = hand.clip_positions(clip, skeletons)
     assert p.shape == (3, 2, 21, 3)
-    want = fk(skeletons.right, clip.pose(1, 1))
+    want = fk(skeletons.right, hand.clip_vectors(clip)[1, 1])
     assert np.allclose(p[1, 1], want, atol=0)
 
 
@@ -525,8 +510,8 @@ def test_velocities_linear_translation_is_exact(skeletons):
     fps = 50.0
     frames = []
     for f in range(5):
-        pose = HandPose.identity((0.6 * f / fps, 0.0, 0.0))
-        frames.append((HandPose.identity((0.0, 0.3, 0.0)), pose))
+        frames.append((_synth.pose_vector((0.0, 0.3, 0.0)),
+                       _synth.pose_vector((0.6 * f / fps, 0.0, 0.0))))
     vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
     assert vel.wrist.shape == (5, 2, 3)
     assert np.allclose(vel.wrist[:, 1], [[0.6, 0.0, 0.0]] * 5, atol=1e-9)
@@ -542,8 +527,8 @@ def test_velocities_quadratic_translation_is_exact_interior(skeletons):
     frames = []
     for f in range(6):
         t = f / fps
-        frames.append((HandPose.identity((t * t, 0.0, 0.0)),
-                       HandPose.identity((0.0, 0.2, 0.0))))
+        frames.append((_synth.pose_vector((t * t, 0.0, 0.0)),
+                       _synth.pose_vector((0.0, 0.2, 0.0))))
     vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
     times = np.arange(6) / fps
     assert np.allclose(vel.wrist[1:-1, 0, 0], 2.0 * times[1:-1], atol=1e-9)
@@ -558,35 +543,34 @@ def test_velocities_rotation_spins_tips(skeletons):
     for f in range(7):
         angle = omega * f / fps
         q = np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
-        frames.append((HandPose.identity((0.0, 0.4, 0.0)),
-                       HandPose(np.zeros(3), q, np.zeros((15, 3)))))
+        frames.append((_synth.pose_vector((0.0, 0.4, 0.0)),
+                       _synth.pose_vector(root_q=q)))
     clip = _synth.pose_clip(fps, frames)
     vel = hand.finite_diff_velocities(clip, skeletons)
-    tips = fk(skeletons.right, clip.pose(3, 1))[hand.TIP_JOINTS]
+    tips = fk(skeletons.right, hand.clip_vectors(clip)[3, 1])[hand.TIP_JOINTS]
     expect = np.cross([0.0, 0.0, omega], tips)
     assert np.allclose(vel.fingertips_world[3, 1], expect, atol=1e-3)
     assert np.allclose(vel.fingertips_local[3, 1], 0.0, atol=1e-3)
 
 
-def link_states(skeletons, pose):
+def link_states(skeletons, vec):
     """Right-hand link positions (16, 3) and quaternions (16, 4) of the
     pose state of a still two-frame clip."""
-    clip = _synth.pose_clip(60.0, [(HandPose.identity(), pose)] * 2)
+    clip = _synth.pose_clip(60.0, [(np.zeros(51), vec)] * 2)
     rows = rewards.pose_state(clip, skeletons, 1).array[1, 1].reshape(16, 13)
     return rows[:, 0:3], rows[:, 3:7]
 
 
 def test_link_states_identity(skeletons):
-    p, q = link_states(skeletons, HandPose.identity())
+    p, q = link_states(skeletons, np.zeros(51))
     assert p.shape == (16, 3)
     assert q.shape == (16, 4)
     assert np.allclose(q, [[1.0, 0.0, 0.0, 0.0]] * 16, atol=1e-12)
-    full = fk(skeletons.right, HandPose.identity())
+    full = fk(skeletons.right, np.zeros(51))
     assert np.allclose(p, full[:16], atol=0)
 
 
 def test_link_states_quats_follow_root(skeletons):
     q_root = np.array([np.cos(0.5), 0.0, 0.0, np.sin(0.5)])
-    pose = HandPose(np.zeros(3), q_root, np.zeros((15, 3)))
-    _, q = link_states(skeletons, pose)
+    _, q = link_states(skeletons, _synth.pose_vector(root_q=q_root))
     assert np.allclose(q, np.tile(q_root, (16, 1)), atol=1e-12)

@@ -122,7 +122,7 @@ def test_ik_targets_wrong_press_picks_deepest_tip(geom, skeletons):
     # Middle 6 mm into key 40 and ring touching the same key at 1 mm: the
     # wrong-press subject is the deeper middle fingertip.
     base = _synth.hover_pose(geom, 1, 40)
-    skel = skeletons.right
+    skel = skeletons.right.bone_offsets
     tips0 = _synth.fingertips(skel, base)
     targets = tips0.copy()
     targets[2] = (tips0[2][0], tips0[2][1], -0.006)
@@ -205,10 +205,8 @@ def test_refine_without_targets_returns_copy(geom, skeletons):
     result = midi_ik.refine(midi_ik.IkProblem(clip, targets), skeletons)
     assert result.loss_curve == []
     assert result.final_loss == 0.0 and result.n_targets == 0
-    for f in range(2):
-        for h in range(2):
-            assert np.array_equal(result.clip.pose(f, h).to_vector(),
-                                  clip.pose(f, h).to_vector())
+    assert np.array_equal(hand.clip_vectors(result.clip),
+                          hand.clip_vectors(clip))
     for name in ("root_t", "root_q", "joint_rotations"):
         assert not np.shares_memory(getattr(result.clip, name),
                                     getattr(clip, name))
@@ -229,13 +227,10 @@ def test_refine_fixes_omission_and_keeps_other_frames(geom, skeletons):
     assert result.final_loss <= result.initial_loss
     assert result.loss_curve[0] == result.initial_loss
     # Zero smoothness: frames without targets come back bit-identical.
-    for f in (0, 2):
-        for h in range(2):
-            assert np.array_equal(result.clip.pose(f, h).to_vector(),
-                                  clip.pose(f, h).to_vector())
+    assert np.array_equal(hand.clip_vectors(result.clip, [0, 2]),
+                          hand.clip_vectors(clip, [0, 2]))
     # The edited frame keeps its wrist position (translations frozen).
-    assert np.array_equal(result.clip.pose(1, 1).root_t,
-                          clip.pose(1, 1).root_t)
+    assert np.array_equal(result.clip.root_t[1, 1], clip.root_t[1, 1])
 
 
 def test_refine_fixes_wrong_press(geom, skeletons):
@@ -270,10 +265,7 @@ def test_refine_deterministic(geom, skeletons):
     matrix = _synth.matrix_from_frames([set(), set()], fps=60.0)
     a, _, _ = midi_ik.refine_to_midi(clip, skeletons, geom, matrix)
     b, _, _ = midi_ik.refine_to_midi(clip, skeletons, geom, matrix)
-    for f in range(2):
-        for h in range(2):
-            assert np.array_equal(a.clip.pose(f, h).to_vector(),
-                                  b.clip.pose(f, h).to_vector())
+    assert np.array_equal(hand.clip_vectors(a.clip), hand.clip_vectors(b.clip))
     assert a.loss_curve == b.loss_curve
 
 
@@ -303,8 +295,7 @@ def test_refine_keeps_parked_hand_at_half_turn(geom, skeletons):
     # Left wrist yawed just either side of pi: its stored rotation vector
     # flips sign from frame to frame although the hand barely turns.
     parked = _synth.parked_pose(0, x=-0.1)
-    lefts = [hand.HandPose(parked.root_t, _synth.yaw_quat(np.pi + d),
-                           parked.joint_rotations)
+    lefts = [_synth.pose_vector(parked[:3], _synth.yaw_quat(np.pi + d))
              for d in (-1e-3, 1e-3, -1e-3)]
     clip, matrix = omission_clip(geom, skeletons, lefts)
     vecs = hand.clip_vectors(clip)

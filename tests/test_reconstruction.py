@@ -10,7 +10,6 @@ import pytest
 import _scalar_smooth as scalar_smooth
 import _synth
 from pianomotion import hand, reconstruction as rec
-from pianomotion.hand import HandPose
 
 
 def simple_rig():
@@ -482,10 +481,9 @@ def wiggled_clip(geom, n=3):
     base = _synth.hover_pose(geom, 1, 44)
     frames = []
     for f in range(n):
-        rot = base.joint_rotations.copy()
-        rot[:, 0] -= 0.03 * f
-        right = HandPose(base.root_t + (0.004 * f, 0.002 * f, 0.001 * f),
-                         base.root_q, rot)
+        right = base.copy()
+        right[:3] += (0.004 * f, 0.002 * f, 0.001 * f)
+        right[6::3] -= 0.03 * f
         frames.append((_synth.parked_pose(0, x=-0.1), right))
     return _synth.pose_clip(60.0, frames)
 
@@ -520,9 +518,8 @@ def test_fit_skeleton_copies_empty_frames(geom, skeletons):
     result = rec.fit_skeleton(traj, skeletons)
     assert result.copied[1, 1] and not result.copied[1, 0]
     assert np.isnan(result.residual_rms[1, 1])
-    frame0 = result.clip.pose(0, 1).to_vector()
-    frame1 = result.clip.pose(1, 1).to_vector()
-    assert np.array_equal(frame0, frame1)
+    frames = hand.clip_vectors(result.clip)
+    assert np.array_equal(frames[0, 1], frames[1, 1])
 
 
 def test_fit_skeleton_empty_first_frame_uses_init(geom, skeletons):
@@ -533,8 +530,8 @@ def test_fit_skeleton_empty_first_frame_uses_init(geom, skeletons):
     traj = rec.JointTrajectory(60.0, joints, valid)
     result = rec.fit_skeleton(traj, skeletons, init=clip)
     assert result.copied[0, 1]
-    assert np.allclose(result.clip.pose(0, 1).to_vector(),
-                       clip.pose(0, 1).to_vector(), atol=1e-12)
+    assert np.allclose(hand.clip_vectors(result.clip)[0, 1],
+                       hand.clip_vectors(clip)[0, 1], atol=1e-12)
 
 
 def test_fit_skeleton_soft_limits_keep_round_trip(geom, skeletons):
@@ -570,15 +567,12 @@ def test_fit_skeleton_is_stable_under_tiny_input_noise(skeletons):
                                 traj.valid.copy())
     base = rec.fit_skeleton(traj, skeletons).clip
     pert = rec.fit_skeleton(noisy, skeletons).clip
-    for f in range(base.n_frames):
-        for h in range(2):
-            a, b = base.pose(f, h), pert.pose(f, h)
-            assert np.abs(a.joint_rotations - b.joint_rotations).max() < 1e-8
-            # Compare quaternions up to sign, not rotation vectors: the
-            # parked left hand sits at a half turn, where the rotvec flips.
-            q_err = min(np.abs(a.root_q - b.root_q).max(),
-                        np.abs(a.root_q + b.root_q).max())
-            assert q_err < 1e-8
+    assert np.abs(base.joint_rotations - pert.joint_rotations).max() < 1e-8
+    # Compare quaternions up to sign, not rotation vectors: the parked left
+    # hand sits at a half turn, where the rotvec flips.
+    q_err = np.minimum(np.abs(base.root_q - pert.root_q).max(axis=-1),
+                       np.abs(base.root_q + pert.root_q).max(axis=-1))
+    assert q_err.max() < 1e-8
 
 
 # Each finger joint's child joint: its twist is the rotation-vector
@@ -611,8 +605,7 @@ def test_fit_skeleton_pins_twists(geom, skeletons):
     axes = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
     turn = np.random.default_rng(3).uniform(-0.3, 0.3, size=(3, 2, 15, 1))
     vecs[..., 6:] += (turn * axes).reshape(3, 2, 45)
-    init = _synth.pose_clip(60.0, [tuple(HandPose.from_vector(v) for v in fr)
-                                   for fr in vecs])
+    init = _synth.pose_clip(60.0, vecs)
     result = rec.fit_skeleton(traj, skeletons, init=init)
     assert np.abs(twists(result.clip, skeletons)
                   - twists(init, skeletons)).max() <= 1e-15
@@ -702,7 +695,7 @@ def test_fit_skeleton_round_trip_of_twist_free_poses_is_exact(skeletons):
     rot = rng.uniform(-0.6, 0.6, size=(20, 2, 15, 3))
     rot -= np.sum(rot * axes, axis=-1, keepdims=True) * axes
     vecs[..., 6:] = rot.reshape(20, 2, 45)
-    joints, _ = hand.forward_kinematics(skeletons, vecs)
+    joints, _ = hand.forward_kinematics(skeletons.bone_offsets, vecs)
     traj = rec.JointTrajectory(60.0, joints, np.ones((20, 2, 21), dtype=bool))
     result = rec.fit_skeleton(traj, skeletons)
     refit = hand.clip_positions(result.clip, skeletons)

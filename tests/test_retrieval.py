@@ -5,7 +5,6 @@ import pytest
 
 import _synth
 from pianomotion import hand, retrieval
-from pianomotion.hand import HandPose
 from pianomotion.midi import KeyMatrix
 
 
@@ -266,18 +265,17 @@ def test_segment_json_obj():
 def test_segments_to_motions_slices_frames(geom, skeletons):
     hover = _synth.hover_pose(geom, 1, 40)
     parked = _synth.parked_pose(0)
-    frames = [(parked, HandPose(hover.root_t + (0.001 * f, 0, 0),
-                                hover.root_q, hover.joint_rotations))
-              for f in range(50)]
+    frames = np.stack([np.stack([parked, hover])] * 50)
+    frames[:, 1, 0] += 0.001 * np.arange(50)
     motion = _synth.pose_clip(60.0, frames)
     seg = retrieval.ReferenceSegment("m", 10, 20, 0, 6)
     out = retrieval.segments_to_motions([seg], {"m": motion})
     assert len(out) == 1
     assert out[0].n_frames == 20
-    assert np.allclose(out[0].pose(0, 1).root_t, motion.pose(10, 1).root_t)
+    assert np.array_equal(out[0].root_t, motion.root_t[10:30])
     # Excerpts own their poses.
-    out[0].pose(0, 1).root_t[0] = 99.0
-    assert motion.pose(10, 1).root_t[0] != 99.0
+    out[0].root_t[0, 1, 0] = 99.0
+    assert motion.root_t[10, 1, 0] != 99.0
 
 
 def test_segments_to_motions_errors(geom, skeletons):

@@ -7,7 +7,6 @@ import pytest
 
 import _synth
 from pianomotion import hand, keyboard as kb, rewards
-from pianomotion.hand import HandPose
 from pianomotion.keyboard import KeyState
 from pianomotion.midi import KeyMatrix
 
@@ -96,8 +95,8 @@ def test_goal_state_validation():
 def linear_clip(fps=50.0, n=5, speed=0.6):
     frames = []
     for f in range(n):
-        right = HandPose.identity((speed * f / fps, 0.0, 0.0))
-        frames.append((HandPose.identity((0.0, 0.3, 0.0)), right))
+        frames.append((_synth.pose_vector((0.0, 0.3, 0.0)),
+                       _synth.pose_vector((speed * f / fps, 0.0, 0.0))))
     return _synth.pose_clip(fps, frames)
 
 
@@ -140,8 +139,8 @@ def test_pose_state_angular_velocity(skeletons):
     for f in range(4):
         angle = omega * f / fps
         q = np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
-        frames.append((HandPose.identity((0.0, 0.3, 0.0)),
-                       HandPose(np.zeros(3), q, np.zeros((15, 3)))))
+        frames.append((_synth.pose_vector((0.0, 0.3, 0.0)),
+                       _synth.pose_vector(root_q=q)))
     state = rewards.pose_state(_synth.pose_clip(fps, frames), skeletons, 2)
     arr = state.array.reshape(2, 2, 16, 13)
     assert np.allclose(arr[1, :, :, 10:13], [[0.0, 0.0, omega]], atol=1e-9)
@@ -153,12 +152,11 @@ def test_pose_state_matches_per_link_reference(skeletons, rng):
     # link by link from single-pose FK and scipy's Rotation.
     from scipy.spatial.transform import Rotation
 
-    clip = _synth.pose_clip(60.0, [
-        tuple(HandPose.from_vector(rng.normal(size=51) * 0.5) for _ in range(2))
-        for _ in range(4)])
+    clip = _synth.pose_clip(60.0, rng.normal(size=(4, 2, 51)) * 0.5)
+    vecs = hand.clip_vectors(clip)
 
     def fk(f, h):
-        p, G = hand.forward_kinematics(skeletons[h], clip.pose(f, h).to_vector())
+        p, G = hand.forward_kinematics(skeletons[h].bone_offsets, vecs[f, h])
         return p[:16], G
 
     for t in (1, 2, 3):
@@ -229,8 +227,8 @@ def test_segment_fingering_sticks_to_onset(geom, skeletons):
     # throughout, so its fingertip stays the one chosen at onset; key 42
     # starts at frame 2 and picks from the shifted pose.
     hover = _synth.hover_pose(geom, 1, 40)
-    shifted = HandPose(hover.root_t + (0.021, 0.0, 0.0), hover.root_q,
-                       hover.joint_rotations)
+    shifted = hover.copy()
+    shifted[0] += 0.021
     parked = _synth.parked_pose(0)
     reference = _synth.pose_clip(
         60.0, [(parked, hover)] + [(parked, shifted)] * 3)
@@ -246,8 +244,8 @@ def test_segment_fingering_sticks_to_onset(geom, skeletons):
 
 def test_segment_fingering_reassigns_after_release(geom, skeletons):
     hover = _synth.hover_pose(geom, 1, 40)
-    shifted = HandPose(hover.root_t + (0.021, 0.0, 0.0), hover.root_q,
-                       hover.joint_rotations)
+    shifted = hover.copy()
+    shifted[0] += 0.021
     parked = _synth.parked_pose(0)
     reference = _synth.pose_clip(
         60.0, [(parked, hover), (parked, hover),
