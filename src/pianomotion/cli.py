@@ -57,6 +57,15 @@ _DEFAULTS = {
 
 _CONFIG_CHOICES = {"mode": ("constant", "decaying"),
                    "energy_sign": (-1.0, 1.0)}
+# What a config value must be, by the type of its field's default (NaN
+# fails the finite number's comparison).
+_CONFIG_KINDS = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a finite number", lambda v: type(v) in (int, float)
+            and abs(v) <= sys.float_info.max),
+    str: ("a string", lambda v: type(v) is str),
+    type(None): ("a string or null", lambda v: v is None or type(v) is str)}
 
 
 class CliError(Exception):
@@ -130,6 +139,10 @@ def _load_config(args) -> dict:
         for key, value in obj.items():
             if key not in _DEFAULTS:
                 raise CliError("config %s: unknown field %r" % (path, key))
+            kind, ok = _CONFIG_KINDS[type(_DEFAULTS[key])]
+            if not ok(value):
+                raise CliError("config %s: field %r must be %s"
+                               % (path, key, kind))
             if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
                 raise CliError("config %s: field %r must be one of %s"
                                % (path, key, _CONFIG_CHOICES[key]))
@@ -143,39 +156,36 @@ def _get(args, cfg: dict, key: str):
 
 
 def _get_fps(args, cfg: dict):
-    fps = _get(args, cfg, "fps")
-    if (isinstance(fps, bool) or not isinstance(fps, (int, float))
-            or not 0 < fps < np.inf):
+    fps = _get(args, cfg, "fps")          # _load_config checked its type
+    if not 0 < fps < np.inf:
         raise CliError("fps must be a finite positive number, got %r" % (fps,))
     return fps
 
 
+def _parse(what: str, path: str, parse):
+    """parse(the text of path); a malformed file is a validation error."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError("%s %s: %s" % (what, path, exc))
+
+
 def _load_keyboard(args, cfg) -> keyboard.KeyboardGeometry:
     path = _get(args, cfg, "keyboard")
-    if path is None:
-        return keyboard.build_keyboard()
-    try:
-        config = keyboard.KeyboardConfig.from_json(_read_text(path))
-    except ValueError as exc:
-        raise CliError("keyboard config %s: %s" % (path, exc))
-    return keyboard.build_keyboard(config)
+    return keyboard.build_keyboard(None if path is None else _parse(
+        "keyboard config", path, keyboard.KeyboardConfig.from_json))
 
 
 def _load_skeletons(args, cfg) -> hand.SkeletonPair:
     path = _get(args, cfg, "skeleton")
     if path is None:
         return hand.SkeletonPair.default()
-    try:
-        return hand.SkeletonPair.from_json(_read_text(path))
-    except (ValueError, KeyError) as exc:
-        raise CliError("skeleton config %s: %s" % (path, exc))
+    return _parse("skeleton config", path, hand.SkeletonPair.from_json)
 
 
 def _load_clip(path: str) -> hand.MotionClip:
-    try:
-        return hand.MotionClip.from_json(_read_text(path))
-    except (ValueError, KeyError) as exc:
-        raise CliError("motion clip %s: %s" % (path, exc))
+    return _parse("motion clip", path, hand.MotionClip.from_json)
 
 
 def _load_notes(path: str, data: bytes | None = None) -> midi.NoteList:
@@ -260,20 +270,11 @@ def cmd_sync(args, cfg):
 
 
 def cmd_triangulate(args, cfg):
-    text = _read_text(args.cameras)
-    try:
-        rig = reconstruction.CameraRig.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("cameras %s: %s" % (args.cameras, exc))
-    text = _read_text(args.keypoints)
-    try:
-        if args.keypoints.endswith(".csv"):
-            obs = reconstruction.KeypointObservations.from_csv(
-                text, rig.image_size)
-        else:
-            obs = reconstruction.KeypointObservations.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("keypoints %s: %s" % (args.keypoints, exc))
+    rig = _parse("cameras", args.cameras, reconstruction.CameraRig.from_json)
+    obs = _parse("keypoints", args.keypoints, lambda text: (
+        reconstruction.KeypointObservations.from_csv(text, rig.image_size)
+        if args.keypoints.endswith(".csv")
+        else reconstruction.KeypointObservations.from_json(text)))
     fps = _get_fps(args, cfg)
     if args.dry_run:
         return 0
@@ -307,11 +308,8 @@ def cmd_triangulate(args, cfg):
 
 
 def cmd_fit(args, cfg):
-    try:
-        traj = reconstruction.JointTrajectory.from_json(
-            _read_text(args.trajectory))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("trajectory %s: %s" % (args.trajectory, exc))
+    traj = _parse("trajectory", args.trajectory,
+                  reconstruction.JointTrajectory.from_json)
     skeletons = _load_skeletons(args, cfg)
     init = _load_clip(args.init) if args.init else None
     if args.dry_run:
@@ -487,6 +485,13 @@ def cmd_reward(args, cfg):
 # Argument wiring
 
 
+def _add_tunables(p: argparse.ArgumentParser, *names: str):
+    """A flag --name-with-dashes per tunable, typed like its default."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=type(_DEFAULTS[name]))
+
+
 def _add_common(p: argparse.ArgumentParser, output: bool = True):
     p.add_argument("--config", help="pipeline config JSON (or $%s)" % CONFIG_ENV)
     p.add_argument("--dry-run", action="store_true",
@@ -505,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", parents=[], help="MIDI to binary key matrix")
     p.add_argument("--midi", required=True)
-    p.add_argument("--fps", type=float)
+    _add_tunables(p, "fps")
     p.add_argument("--frames", type=int, help="frame count (default: cover the file)")
     p.add_argument("--csv", help="also write a dense CSV")
     _add_common(p)
@@ -513,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("condition", help="MIDI to duration-weighted matrix")
     p.add_argument("--midi", required=True)
-    p.add_argument("--fps", type=float)
+    _add_tunables(p, "fps")
     p.add_argument("--frames", type=int)
     p.add_argument("--mode", choices=("constant", "decaying"))
     _add_common(p)
@@ -522,22 +527,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sync", help="recover the time offset between two MIDI files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--span", type=float)
-    p.add_argument("--step", type=float)
+    _add_tunables(p, "tolerance", "span", "step")
     _add_common(p)
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("triangulate", help="2D keypoints to a smoothed 3D trajectory")
     p.add_argument("--keypoints", required=True)
     p.add_argument("--cameras", required=True)
-    p.add_argument("--fps", type=float)
-    p.add_argument("--reproj-threshold", dest="reproj_threshold", type=float)
-    p.add_argument("--ransac-iters", dest="ransac_iters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--order", type=int)
-    p.add_argument("--max-gap", dest="max_gap", type=int)
+    _add_tunables(p, "fps", "reproj_threshold", "ransac_iters", "seed",
+                  "cutoff", "order", "max_gap")
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--report", help="write a triangulation report JSON")
     _add_common(p)
@@ -547,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", required=True)
     p.add_argument("--skeleton")
     p.add_argument("--init", help="initial motion clip")
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--limit-weight", dest="limit_weight", type=float)
+    _add_tunables(p, "max_iter", "limit_weight")
     p.add_argument("--report", help="write a fit report JSON")
     _add_common(p)
     p.set_defaults(func=cmd_fit)
@@ -558,12 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--midi", required=True)
     p.add_argument("--keyboard")
     p.add_argument("--skeleton")
-    p.add_argument("--activation-depth", dest="activation_depth", type=float)
-    p.add_argument("--smoothness", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--exit-clearance", dest="exit_clearance", type=float)
-    p.add_argument("--press-margin", dest="press_margin", type=float)
-    p.add_argument("--max-displacement", dest="max_displacement", type=float)
+    _add_tunables(p, "activation_depth", "smoothness", "epochs",
+                  "exit_clearance", "press_margin", "max_displacement")
     p.add_argument("--report", help="write a refinement report JSON")
     _add_common(p)
     p.set_defaults(func=cmd_refine)
@@ -572,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", required=True)
     p.add_argument("--keyboard")
     p.add_argument("--skeleton")
-    p.add_argument("--activation-depth", dest="activation_depth", type=float)
+    _add_tunables(p, "activation_depth")
     _add_common(p)
     p.set_defaults(func=cmd_extract_press)
 
@@ -581,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--midi", required=True)
     p.add_argument("--keyboard")
     p.add_argument("--skeleton")
-    p.add_argument("--activation-depth", dest="activation_depth", type=float)
+    _add_tunables(p, "activation_depth")
     p.add_argument("--skip-vacuous", dest="skip_vacuous", action="store_const",
                    const=True)
     p.add_argument("--per-frame", dest="per_frame", help="per-frame CSV path")
@@ -591,9 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build a retrieval index from key matrices")
     p.add_argument("--dataset", nargs="+", required=True,
                    help="key matrix JSON or MIDI files; clip id = basename")
-    p.add_argument("--fps", type=float)
-    p.add_argument("--window-len", dest="window_len", type=int)
-    p.add_argument("--stride", type=int)
+    _add_tunables(p, "fps", "window_len", "stride")
     p.add_argument("--config", help="pipeline config JSON (or $%s)" % CONFIG_ENV)
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("-o", "--output", required=True, help="index file (.npz)")
@@ -602,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="match a query matrix against an index")
     p.add_argument("--index", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--fps", type=float)
+    _add_tunables(p, "fps")
     p.add_argument("--full", action="store_true",
                    help="include per-window matches and distances")
     _add_common(p)
@@ -610,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goalstate", help="dump 5x89 goal states as CSV")
     p.add_argument("--midi", required=True)
-    p.add_argument("--fps", type=float)
+    _add_tunables(p, "fps")
     p.add_argument("--frame", type=int, help="one frame (default: all)")
     _add_common(p)
     p.set_defaults(func=cmd_goalstate)

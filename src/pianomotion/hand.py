@@ -21,11 +21,11 @@ used by the fitting and refinement optimizers is
     [root_t (3), root rotvec (3), joint rotvecs (45)]        -> 51 per hand
 
 Anatomically a hand has 27 degrees of freedom (wrist 6, thumb mcp 3, other
-mcps 2, pips and dips 1 each).  The fit steps in the 36 columns of
-`reconstruction.twist_free_basis`: the root's 6 and, for each finger joint,
-the 2 perpendicular to its rest child bone; refine steps in the 6 of one
-finger.  So each finger twist about its bone, which no joint position
-observes, keeps its start value.
+mcps 2, pips and dips 1 each).  `fk_jacobian` differentiates FK in 36
+twist-free coordinates: the root's 6 and, for each finger joint, 2 in the
+plane perpendicular to its rest child bone (`twist_free_basis`).  The fit
+steps in all 36 and refine in the 6 of one finger, so each finger twist
+about its bone, which no joint position observes, keeps its start value.
 """
 
 from __future__ import annotations
@@ -66,15 +66,17 @@ PARENTS = np.array(
 )
 
 TIP_JOINTS = np.arange(16, 21)
-
-# affected[i, j] is True when rotating joint i moves joint j.
-_AFFECTED = np.zeros((NUM_ROT_JOINTS, NUM_JOINTS), dtype=bool)
-for _j in range(1, NUM_JOINTS):
-    _a = PARENTS[_j]
-    while _a >= 0:
-        _AFFECTED[_a, _j] = True
-        _a = PARENTS[_a]
-del _j, _a
+# The tree below the wrist by level, each level a slice of the joints with
+# its parents' slice: the MCPs hang from the wrist, the PIPs, DIPs and tips
+# from the level above.  Column f of LEVELS is finger f's chain.
+_LEVEL_SLICES = ((slice(1, 16, 3), slice(0, 1)),
+                 (slice(2, 16, 3), slice(1, 16, 3)),
+                 (slice(3, 16, 3), slice(2, 16, 3)),
+                 (slice(16, 21), slice(3, 16, 3)))
+LEVELS = np.array([np.arange(NUM_JOINTS)[level] for level, _ in _LEVEL_SLICES])
+# Each finger joint's child: the next joint, or the tip after a DIP.
+_CHILD = LEVELS[1:].T.ravel()
+TWIST_FREE_DIMS = 6 + 2 * NUM_FINGER_JOINTS
 
 
 # The rotation maps below work on stacked arrays (..., 4), (..., 3, 3) and
@@ -195,7 +197,8 @@ class HandSkeleton:
                 raise ValueError("%s must be finite" % name)
         if np.any(self.bone_offsets[0] != 0.0):
             raise ValueError("wrist offset row must be zero")
-        lengths = np.linalg.norm(self.bone_offsets[1:], axis=1)
+        with np.errstate(over="ignore"):
+            lengths = np.linalg.norm(self.bone_offsets[1:], axis=1)
         if np.any(lengths <= 0.0):
             raise ValueError("every bone must have positive length")
         if np.any(self.joint_limits[:, :, 0] > self.joint_limits[:, :, 1]):
@@ -270,17 +273,11 @@ def forward_kinematics(bone_offsets: np.ndarray, vecs: np.ndarray):
     (..., 21, 3) broadcasts against its batch axes: one hand's offsets, a
     SkeletonPair's (2, 21, 3) when the second-to-last axis of vecs is the
     hand (left, right), or one set per pose.  Returns (positions
-    (..., 21, 3), global rotations (..., 16, 3, 3)).  Every product is
-    taken per pose in a fixed order, so a batch gives the same bits as one
-    call per pose.
+    (..., 21, 3), global rotations (..., 16, 3, 3)).  The walk takes the
+    tree by level, all five fingers at once, and every product per pose in
+    a fixed order, so a batch gives the same bits as one call per pose.
     """
-    p, G, _ = _fk(bone_offsets, np.asarray(vecs, dtype=np.float64))
-    return p, G
-
-
-def _fk(bone_offsets: np.ndarray, vecs: np.ndarray):
-    """forward_kinematics of float64 vecs, plus the local rotations
-    (..., 16, 3, 3) it composes."""
+    vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
     offsets = bone_offsets[..., None]
     locals_ = _unit_quat_matrix(rotvec_to_quat(
@@ -289,59 +286,96 @@ def _fk(bone_offsets: np.ndarray, vecs: np.ndarray):
     G = np.empty(batch + (NUM_ROT_JOINTS, 3, 3))
     p[..., 0, :] = vecs[..., :3]
     G[..., 0, :, :] = locals_[..., 0, :, :]
-    for j in range(1, NUM_JOINTS):
-        par = PARENTS[j]
-        p[..., j, :] = p[..., par, :] + (G[..., par, :, :]
-                                         @ offsets[..., j, :, :])[..., 0]
-        if j < NUM_ROT_JOINTS:
-            G[..., j, :, :] = G[..., par, :, :] @ locals_[..., j, :, :]
-    return p, G, locals_
+    for level, par in _LEVEL_SLICES:
+        Gp = G[..., par, :, :]
+        p[..., level, :] = (p[..., par, :]
+                            + (Gp @ offsets[..., level, :, :])[..., 0])
+        if level.start < NUM_ROT_JOINTS:
+            np.matmul(Gp, locals_[..., level, :, :], out=G[..., level, :, :])
+    return p, G
 
 
-# d exp([w]x)/dw_k at w = 0: the cross-product matrix [e_k]x.
-_GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-                        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-                        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+def twist_free_basis(bone_offsets: np.ndarray) -> np.ndarray:
+    """(..., 15, 3, 2) orthonormal bases of the planes perpendicular to the
+    finger joints' rest child bones, of bone offsets (..., 21, 3)."""
+    _, _, vt = np.linalg.svd(bone_offsets[..., _CHILD, None, :])
+    return np.swapaxes(vt[..., 1:, :], -1, -2)
 
 
-def fk_jacobian(bone_offsets: np.ndarray, vecs: np.ndarray):
-    """FK positions and their Jacobian wrt the 51-dim pose vector.
+def twist_free_step(planes: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The pose vector change (..., 51) of twist-free coordinates d
+    (..., 36): the root's 6, then each finger joint's 2 along its plane of
+    `planes` (..., 15, 3, 2), which broadcasts against d."""
+    joints = planes @ d[..., 6:].reshape(d.shape[:-1] + (-1, 2, 1))
+    batch = joints.shape[:-3]
+    return np.concatenate([np.broadcast_to(d[..., :6], batch + (6,)),
+                           joints.reshape(batch + (-1,))], axis=-1)
 
-    Takes the arguments of forward_kinematics, per-pose bone offsets
-    included.  Returns (positions (..., 21, 3), J (..., 21, 3, 51)).
-    Columns follow the vector layout: 0..2 root translation, 3..5 root
-    rotation vector, 6.. the 15 joint rotation vectors in joint order.
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) vectors, without its axis handling."""
+    u0, u1, u2, v0, v1, v2 = (a[..., k] for a in (u, v) for k in range(3))
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
+                    axis=-1)
+
+
+def _left_jacobian_times(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """J_l(w) a for rotation vectors w (..., 3) and axes a (..., k, 3): the
+    rate at which exp([w]x) turns, as a rotation vector on the left, when w
+    moves along a.  J_l is the left Jacobian of SO(3) (Sola et al., arXiv
+    1812.01537); its coefficients take Taylor series at |w| <= 1e-3."""
+    t2 = w[..., 0] * w[..., 0] + w[..., 1] * w[..., 1] + w[..., 2] * w[..., 2]
+    t = np.sqrt(t2)
+    small = t <= 1e-3
+    s, a2 = np.where(small, 1.0, t), np.where(small, t2, 0.0)
+    c1 = np.where(small, 0.5 - a2 / 24 + a2 * a2 / 720,      # (1 - cos t) / t^2
+                  2 * (np.sin(t / 2) / s) ** 2)
+    c2 = np.where(small, 1 / 6 - a2 / 120 + a2 * a2 / 5040,  # (t - sin t) / t^3
+                  (1 - np.sin(t) / s) / (s * s))
+    wa = _cross(w[..., None, :], axes)
+    return (axes + c1[..., None, None] * wa
+            + c2[..., None, None] * _cross(w[..., None, :], wa))
+
+
+# Finger joints move the points of their chain at the levels below them:
+# the six (level above, level below) pairs, and the entries of their
+# columns in a flattened (21, 3, 36) Jacobian as [finger, pair, column, xyz].
+_ABOVE, _BELOW = np.triu_indices(4, 1)
+_FINGER_ENTRIES = (
+    (LEVELS[_BELOW].T[:, :, None, None] * 3 + np.arange(3)) * TWIST_FREE_DIMS
+    + 6 + 6 * np.arange(NUM_FINGERS)[:, None, None, None]
+    + 2 * _ABOVE[:, None, None] + np.arange(2)[:, None]).ravel()
+
+
+def fk_jacobian(bone_offsets: np.ndarray, planes: np.ndarray,
+                vecs: np.ndarray):
+    """FK positions (..., 21, 3) and their Jacobian J (..., 21, 3, 36) in
+    the twist-free coordinates of `twist_free_step`.
+
+    Takes forward_kinematics' arguments and the hands' `twist_free_basis`
+    planes (..., 15, 3, 2), which broadcast like the offsets.  Each
+    rotation column is geometric: moving joint i's rotation vector w_i
+    along a turns the points q below i at omega = G_parent(i) J_l(w_i) a,
+    so column (q, a) is omega x (p_q - p_i).
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
-    p, G, R = _fk(bone_offsets, vecs)
+    p, G = forward_kinematics(bone_offsets, vecs)
     w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
-
-    # Local rotation derivatives dR[..., i, k] by the closed form
-    # d exp([w]x)/dw_k = [w_k w + w x (I - R) e_k]x / |w|^2 . R.
-    n2 = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
-    small = n2 < 1e-16
-    u = (w[..., :, None] * w[..., None, :]
-         + np.cross(w[..., None, :], np.swapaxes(np.eye(3) - R, -1, -2)))
-    x, y, z = np.moveaxis(u, -1, 0)
-    zero = np.zeros_like(x)
-    cross_u = np.stack([zero, -z, y, z, zero, -x, -y, x, zero],
-                       axis=-1).reshape(u.shape + (3,))
-    dR = (cross_u / np.where(small, 1.0, n2)[..., None, None, None]
-          @ R[..., None, :, :])
-    dR = np.where(small[..., None, None, None], _GENERATORS, dR)
-
-    J = np.zeros(batch + (NUM_JOINTS, 3, PARAMS_PER_HAND))
+    root = _left_jacobian_times(w[..., 0, :], np.eye(3))
+    # Finger joint rates as rows (..., 15, 2, 3), then by finger, pair,
+    # plane column.
+    fingers = (_left_jacobian_times(w[..., 1:, :], planes.swapaxes(-1, -2))
+               @ np.swapaxes(G[..., PARENTS[1:NUM_ROT_JOINTS], :, :], -1, -2))
+    fingers = fingers.reshape(batch + (NUM_FINGERS, 3, 2, 3))[..., _ABOVE, :, :]
+    arms = p[..., LEVELS[_BELOW].T, :] - p[..., LEVELS[_ABOVE].T, :]
+    J = np.zeros(batch + (NUM_JOINTS, 3, TWIST_FREE_DIMS))
     J[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    for i in range(NUM_ROT_JOINTS):
-        affected = np.nonzero(_AFFECTED[i])[0]
-        Gp = np.eye(3) if i == 0 else G[..., PARENTS[i], :, :]
-        # s holds the moved points in joint i's frame; rotating the local
-        # rotvec moves them by Gp . dR . s.
-        s = (p[..., affected, :] - p[..., i, None, :]) @ G[..., i, :, :]
-        cols = (Gp[..., None, :, :] @ dR[..., i, :, :, :]
-                @ np.swapaxes(s, -1, -2)[..., None, :, :])
-        J[..., affected, :, 3 + 3 * i:6 + 3 * i] = np.swapaxes(cols, -1, -3)
+    J[..., 3:6] = np.swapaxes(_cross(root[..., None, :, :],
+                                     (p - p[..., :1, :])[..., None, :]),
+                              -1, -2)
+    J.reshape(batch + (-1,))[..., _FINGER_ENTRIES] = _cross(
+        fingers, arms[..., None, :]).reshape(batch + (-1,))
     return p, J
 
 

@@ -120,7 +120,6 @@ def clip_metrics(clip: MotionClip, skeletons: SkeletonPair,
                  activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH,
                  skip_vacuous: bool = False) -> MetricReport:
     """Score a motion clip's extracted key presses against a key matrix."""
-    if abs(clip.fps - midi.fps) > 1e-9:
-        raise ValueError("clip fps %g != matrix fps %g" % (clip.fps, midi.fps))
+    midi.check_clip(clip)
     pred = extracted_presses(clip, skeletons, geom, activation_depth)
     return score_matrices(pred, midi, skip_vacuous=skip_vacuous)

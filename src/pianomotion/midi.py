@@ -121,6 +121,13 @@ class KeyMatrix:
     def n_frames(self) -> int:
         return self.data.shape[0]
 
+    def check_clip(self, clip, name: str = "clip") -> None:
+        """Refuse a motion clip of another frame count or fps."""
+        if clip.n_frames != self.n_frames or abs(clip.fps - self.fps) > 1e-9:
+            raise ValueError("%s has %d frames at %g fps, matrix %d at %g"
+                             % (name, clip.n_frames, clip.fps, self.n_frames,
+                                self.fps))
+
     def keys_at(self, frame: int) -> set[int]:
         """Pressed key indices (1..88) at a frame."""
         return {int(k) + 1 for k in np.flatnonzero(self.data[frame])}

@@ -22,11 +22,10 @@ import numpy as np
 from . import keyboard as kb
 from .hand import (MotionClip, NUM_FINGERS, SkeletonPair, TIP_JOINTS,
                    clip_fingertips, clip_vectors, fk_jacobian,
-                   forward_kinematics)
+                   forward_kinematics, twist_free_basis)
 from .keyboard import KeyboardGeometry
 from .lsq import block_tridiagonal_solve, levenberg_marquardt
 from .midi import KeyMatrix
-from .reconstruction import twist_free_basis
 
 DEFAULT_SMOOTHNESS = 0.00005
 DEFAULT_EPOCHS = 100
@@ -39,7 +38,7 @@ WRONG_PRESS = "wrong_press"
 OMITTED = "omitted"
 
 # Each finger's MCP, PIP and DIP rotation vectors in the pose vector, and
-# its 6 columns of the twist-free basis (two per joint).
+# its 6 twist-free coordinates (two per joint) in `fk_jacobian`'s columns.
 _FINGER_COLS = 6 + 9 * np.arange(NUM_FINGERS)[:, None] + np.arange(9)
 _FINGER_DIMS = 6 + 6 * np.arange(NUM_FINGERS)[:, None] + np.arange(6)
 # Target poses per fk_jacobian call; it bounds the stacked Jacobians.
@@ -73,11 +72,7 @@ def detect_press_errors(clip: MotionClip, skeletons: SkeletonPair,
                         geom: KeyboardGeometry, midi: KeyMatrix,
                         activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH) -> list:
     """All wrong-press and omitted-press disagreements, frame by frame."""
-    if clip.n_frames != midi.n_frames:
-        raise ValueError("clip has %d frames, matrix %d"
-                         % (clip.n_frames, midi.n_frames))
-    if abs(clip.fps - midi.fps) > 1e-9:
-        raise ValueError("clip fps %g != matrix fps %g" % (clip.fps, midi.fps))
+    midi.check_clip(clip)
     pressed = kb.pressed_keys(geom, clip_fingertips(clip, skeletons),
                               activation_depth)
     scored = midi.data.astype(bool)
@@ -299,8 +294,9 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     theta0 = clip_vectors(clip, frames)[:, hands].swapaxes(0, 1)
     cols = _FINGER_COLS[fingers]
     offsets = skeletons.bone_offsets
-    E = twist_free_basis(offsets)[
-        hands[:, None, None], cols[:, :, None], _FINGER_DIMS[fingers, None]]
+    planes = twist_free_basis(offsets)
+    # Problem p's joint planes (P, 3, 3, 2), which x[p, f] moves along.
+    E = planes[hands[:, None], 3 * fingers[:, None] + np.arange(3)]
     tips = TIP_JOINTS[fingers]
     weight = 1.0 / (N * np.maximum(targets.mask.sum(axis=1), 1)[frames])
     c = problem.smoothness / (N - 1) if N > 1 else 0.0
@@ -319,7 +315,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
         p, f = np.nonzero(aimed[i])
         th = theta0[i[p], f]
         th[np.arange(len(p))[:, None], cols[i[p]]] += (
-            E[i[p]] @ x[p, f, :, None])[..., 0]
+            E[i[p]] @ x[p, f].reshape(-1, 3, 2, 1)).reshape(-1, 9)
         return p, f, th
 
     def objective(i, x):
@@ -340,9 +336,9 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
         for s in range(0, len(p), _POSE_BLOCK):
             b = slice(s, s + _POSE_BLOCK)
             q, k = i[p[b]], np.arange(len(p[b]))
-            pos, J = fk_jacobian(offsets[hands[q]], th[b])
-            Jt = np.take_along_axis(J[k, tips[q]], cols[q, None],
-                                    axis=2) @ E[q]
+            pos, J = fk_jacobian(offsets[hands[q]], planes[hands[q]], th[b])
+            Jt = np.take_along_axis(J[k, tips[q]],
+                                    _FINGER_DIMS[fingers[q], None], axis=2)
             JtW = weight[f[b], None, None] * np.swapaxes(Jt, 1, 2)
             A[p[b], f[b]] = JtW @ Jt
             g[p[b], f[b]] += (JtW @ (pos[k, tips[q]]
@@ -364,8 +360,8 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
 
     out = clip.copy()
     p, f = np.nonzero(np.any(x != 0.0, axis=-1))
-    rows = (theta0[p[:, None], f[:, None], cols[p]]
-            + (E[p] @ x[p, f, :, None])[..., 0]).reshape(-1, 3, 3)
+    rows = (theta0[p[:, None], f[:, None], cols[p]].reshape(-1, 3, 3)
+            + (E[p] @ x[p, f].reshape(-1, 3, 2, 1))[..., 0])
     out.joint_rotations[frames[f, None], hands[p, None],
                         3 * fingers[p, None] + np.arange(3)] = rows
 

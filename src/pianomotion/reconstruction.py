@@ -17,9 +17,10 @@ import warnings
 
 import numpy as np
 
-from .hand import (NUM_FINGER_JOINTS, PARAMS_PER_HAND, PARENTS, MotionClip,
-                   SkeletonPair, clip_from_vectors, clip_vectors, fk_jacobian,
-                   forward_kinematics, json_array, matrix_to_rotvec)
+from .hand import (LEVELS, PARAMS_PER_HAND, PARENTS, TWIST_FREE_DIMS,
+                   MotionClip, SkeletonPair, clip_from_vectors, clip_vectors,
+                   fk_jacobian, forward_kinematics, json_array,
+                   matrix_to_rotvec, twist_free_basis, twist_free_step)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -47,8 +48,7 @@ _UPPER_I = np.array([0, 0, 0, 1, 1, 2])
 _UPPER_J = np.array([0, 1, 2, 1, 2, 2])
 
 # Hand-frames per batched LM block in `fit_skeleton`.  It bounds the
-# stacked Jacobians (fk_jacobian's temporaries take about 0.17 MB per
-# hand-frame) without changing results.
+# stacked Jacobians without changing results.
 _POSE_BLOCK = 256
 
 
@@ -695,11 +695,7 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
 
 
 # Root joints that move rigidly with the wrist: the wrist and the five MCPs.
-_PALM = np.array([0, 1, 4, 7, 10, 13])
-_MCPS = np.array([1, 4, 7, 10, 13])
-# Each finger joint's child: the next joint, or the tip after a DIP.
-_CHILD = np.array([np.flatnonzero(PARENTS == j)[0] for j in range(1, 16)])
-_TWIST_FREE_DIMS = 6 + 2 * NUM_FINGER_JOINTS
+_PALM = np.concatenate([[0], LEVELS[0]])
 
 
 @dataclasses.dataclass(eq=False)
@@ -710,20 +706,6 @@ class FitResult:
     iterations: np.ndarray         # (F, 2) LM iterations run, 0 where copied
     stop: np.ndarray               # (F, 2) "converged", "stalled", "max_iter"
                                    # or None where copied
-
-
-def twist_free_basis(offsets: np.ndarray) -> np.ndarray:
-    """(..., 51, 36) orthonormal basis of the pose steps that keep every
-    finger joint's rotation-vector component along its rest child bone:
-    the 6 root columns, then two spanning the plane perpendicular to that
-    bone for each finger joint."""
-    _, _, vt = np.linalg.svd(offsets[..., _CHILD, None, :])
-    planes = np.swapaxes(vt[..., 1:, :], -1, -2)           # (..., 15, 3, 2)
-    E = np.zeros(offsets.shape[:-2] + (PARAMS_PER_HAND, _TWIST_FREE_DIMS))
-    E[..., np.arange(6), np.arange(6)] = 1.0
-    k = np.arange(NUM_FINGER_JOINTS)[:, None, None]
-    E[..., 6 + 3 * k + np.arange(3)[:, None], 6 + 2 * k + np.arange(2)] = planes
-    return E
 
 
 def _swing_init(bones: np.ndarray, y: np.ndarray,
@@ -751,9 +733,8 @@ def _swing_init(bones: np.ndarray, y: np.ndarray,
     R = np.swapaxes(U @ Vt, 1, 2)
     x[:, :3] = obs_c - (R @ rest_c[..., None])[..., 0]
     x[:, 3:6] = matrix_to_rotvec(R)
-    for joints in (_MCPS, _MCPS + 1, _MCPS + 2):
+    for joints, children in zip(LEVELS[:3], LEVELS[1:]):
         _, G = forward_kinematics(bones, x)
-        children = _CHILD[joints - 1]
         seen = (y[:, children] - y[:, joints])[..., None]
         target = (np.swapaxes(G[:, PARENTS[joints]], -1, -2) @ seen)[..., 0]
         bone = bones[:, children]
@@ -767,17 +748,20 @@ def _swing_init(bones: np.ndarray, y: np.ndarray,
     return x
 
 
-def _lm_fit(bones: np.ndarray, basis, y, weight, x0, lo, hi,
+def _lm_fit(bones: np.ndarray, planes, y, weight, x0, lo, hi,
             limit_weight: float, max_iter: int):
-    """Fit B hand-frame problems of bone offsets bones (B, 21, 3) by
-    `levenberg_marquardt`.
+    """Fit B hand-frame problems of bone offsets bones (B, 21, 3) and
+    twist-free planes (B, 15, 3, 2) by `levenberg_marquardt`.
 
     Problem b minimizes |weight_b (FK(x) - y_b)|^2 plus the soft-limit
-    penalty, stepping x -= basis_b d.  Trial steps are scored by FK alone;
-    only accepted ones get a new Jacobian.  Returns the poses (B, 51), the
-    iterations run and the stop reasons.
+    penalty, stepping x -= twist_free_step(planes_b, d).  Trial steps are
+    scored by FK alone; only accepted ones get a new Jacobian.  Returns the
+    poses (B, 51), the iterations run and the stop reasons.
     """
     sqrt_lw = np.sqrt(limit_weight)
+    if limit_weight > 0.0:    # d(joint rotation vectors)/d(coordinates)
+        dth = np.swapaxes(twist_free_step(planes[:, None],
+                                          np.eye(TWIST_FREE_DIMS)), 1, 2)[:, 6:]
 
     def residuals(i, x, p):
         r = (weight[i, :, None] * (p - y[i])).reshape(len(i), -1)
@@ -795,21 +779,21 @@ def _lm_fit(bones: np.ndarray, basis, y, weight, x0, lo, hi,
 
     def normal_equations(i, x):
         """J^T J and J^T r of problems i at x, in their twist-free bases."""
-        p, J = fk_jacobian(bones[i], x)
+        p, J = fk_jacobian(bones[i], planes[i], x)
         Jr = (weight[i, :, None, None] * J).reshape(len(i), -1,
-                                                    PARAMS_PER_HAND) @ basis[i]
+                                                    TWIST_FREE_DIMS)
         if limit_weight > 0.0:
             active = (x[:, 6:] < lo[i]) | (x[:, 6:] > hi[i])
             Jr = np.concatenate(
-                [Jr, sqrt_lw * active[..., None] * basis[i, 6:]], axis=1)
+                [Jr, sqrt_lw * active[..., None] * dth[i]], axis=1)
         Jt = np.swapaxes(Jr, 1, 2)
         return Jt @ Jr, Jt @ residuals(i, x, p)[..., None]
 
     def solve(i, system, lam):
         A, g = system
         step, singular = solve_stacked(
-            A + lam[:, None, None] * np.eye(_TWIST_FREE_DIMS), g)
-        return (basis[i] @ step)[..., 0], singular
+            A + lam[:, None, None] * np.eye(TWIST_FREE_DIMS), g)
+        return twist_free_step(planes[i], step[..., 0]), singular
 
     x, iterations, stop, _ = levenberg_marquardt(
         x0, objective, normal_equations, solve, max_iter)
@@ -845,6 +829,9 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     F = traj.n_frames
     if F == 0:
         raise ValueError("empty trajectory")
+    if not soft_limit_weight >= 0.0:
+        raise ValueError("soft limit weight must be >= 0, got %r"
+                         % (soft_limit_weight,))
     if init is not None and init.n_frames != F:
         raise ValueError("init clip has %d frames, the trajectory %d"
                          % (init.n_frames, F))
@@ -852,7 +839,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     frame, side = np.nonzero(solved)
     positions = np.where(traj.valid[..., None], traj.positions, 0.0)
     offsets = skeletons.bone_offsets
-    bases = twist_free_basis(offsets)
+    planes = twist_free_basis(offsets)
     limits = np.stack([skeletons.left.joint_limits.reshape(-1, 2),
                        skeletons.right.joint_limits.reshape(-1, 2)])
     starts = None if init is None else clip_vectors(init)
@@ -866,7 +853,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
         n = mask.sum(axis=1)
         bones = offsets[h]
         vecs[f, h], iters[f, h], stop[f, h] = _lm_fit(
-            bones, bases[h], y, mask / np.sqrt(n)[:, None],
+            bones, planes[h], y, mask / np.sqrt(n)[:, None],
             _swing_init(bones, y, mask) if init is None else starts[f, h],
             limits[h, :, 0], limits[h, :, 1], soft_limit_weight, max_iter)
         p, _ = forward_kinematics(bones, vecs[f, h])

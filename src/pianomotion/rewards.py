@@ -10,6 +10,7 @@ from wrist and fingertip speeds.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 
@@ -62,17 +63,10 @@ def merged_goals(midi: KeyMatrix) -> list:
     """
     if midi.n_frames == 0:
         raise ValueError("the key matrix has no frames")
-    segments = []
-    start = 0
-    current = midi.keys_at(0)
-    for f in range(1, midi.n_frames):
-        keys = midi.keys_at(f)
-        if keys != current:
-            segments.append(GoalSegment(frozenset(current), start, f))
-            start = f
-            current = keys
-    segments.append(GoalSegment(frozenset(current), start, midi.n_frames))
-    return segments
+    change = np.flatnonzero(np.any(np.diff(midi.data, axis=0), axis=1)) + 1
+    bounds = np.concatenate([[0], change, [midi.n_frames]]).tolist()
+    return [GoalSegment(frozenset(midi.keys_at(start)), start, end)
+            for start, end in zip(bounds[:-1], bounds[1:])]
 
 
 def expand_goals(segments, fps: float) -> KeyMatrix:
@@ -116,24 +110,18 @@ class GoalState:
 def goal_state(segments, current_frame: int) -> GoalState:
     """Goal state at a frame: current segment plus the next four.
 
-    Every slot's timer counts frames from current_frame to that segment's
-    end, so timers increase across populated slots and the slot-0 timer
-    drops by exactly 1 each frame within a segment.
+    `segments` are in frame order, as from `merged_goals`.  Every slot's
+    timer counts frames from current_frame to that segment's end, so timers
+    increase across populated slots and the slot-0 timer drops by exactly 1
+    each frame within a segment.
     """
     mat = np.zeros((GOAL_SLOTS, NUM_KEYS + 1))
-    idx = None
-    for i, seg in enumerate(segments):
-        if seg.start <= current_frame < seg.end:
-            idx = i
-            break
-    if idx is None:
+    idx = bisect.bisect_right(segments, current_frame,
+                              key=lambda seg: seg.start) - 1
+    if idx < 0 or current_frame >= segments[idx].end:
         raise ValueError("frame %d outside the segment range" % current_frame)
-    for slot in range(GOAL_SLOTS):
-        if idx + slot >= len(segments):
-            break
-        seg = segments[idx + slot]
-        for k in seg.keys:
-            mat[slot, k - 1] = 1.0
+    for slot, seg in enumerate(segments[idx:idx + GOAL_SLOTS]):
+        mat[slot, [k - 1 for k in seg.keys]] = 1.0
         mat[slot, NUM_KEYS] = seg.end - current_frame
     return GoalState(mat)
 
@@ -353,25 +341,21 @@ def evaluate_rewards(clip: MotionClip, skeletons: SkeletonPair,
     """Per-frame reward breakdowns for a clip against its score.
 
     Fingering comes from `reference` when given (with its own skeletons if
-    they differ), otherwise from the evaluated clip itself.  The clip and
-    matrix must agree on fps and frame count.
+    they differ), otherwise from the evaluated clip itself.  The clip, the
+    reference and the matrix must agree on fps and frame count.
     """
-    if clip.n_frames != midi.n_frames:
-        raise ValueError("clip has %d frames, matrix %d"
-                         % (clip.n_frames, midi.n_frames))
-    if abs(clip.fps - midi.fps) > 1e-9:
-        raise ValueError("clip fps %g != matrix fps %g" % (clip.fps, midi.fps))
+    midi.check_clip(clip)
     if clip.n_frames < 2:
         raise ValueError("need >= 2 frames for velocities")
     reference = reference or clip
+    midi.check_clip(reference, "reference")
     reference_skeletons = reference_skeletons or skeletons
 
     segments = merged_goals(midi)
     fingering = segment_fingering(midi, segments, reference,
                                   reference_skeletons, geom)
-    seg_of_frame = np.empty(midi.n_frames, dtype=np.int64)
-    for si, seg in enumerate(segments):
-        seg_of_frame[seg.start:seg.end] = si
+    seg_of_frame = np.repeat(np.arange(len(segments)),
+                             [seg.length for seg in segments])
 
     tips = clip_fingertips(clip, skeletons)          # (F, 10, 3)
     vel = finite_diff_velocities(clip, skeletons)

@@ -9,6 +9,7 @@ before handing the fixture to a test.
 
 import numpy as np
 
+import _scalar_kinematics
 from pianomotion import hand, keyboard as kb, midi
 
 HOVER_HEIGHT = 0.012      # resting fingertip height; keeps press excursions
@@ -86,7 +87,7 @@ def solve_tip_targets(offsets, x0, targets, mask, iters=300, prior=1e-8):
     lam = 1e-3
     c = cost(vec)
     for _ in range(iters):
-        p, J = hand.fk_jacobian(offsets, vec)
+        p, J = _scalar_kinematics.fk_jacobian(offsets, vec)
         tips, J = p[hand.TIP_JOINTS], J[hand.TIP_JOINTS]
         r = (tips[idx] - targets[idx]).reshape(-1)
         A = J[idx][:, :, free].reshape(len(idx) * 3, len(free))

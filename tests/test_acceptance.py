@@ -242,15 +242,15 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
         skel = skeletons[h]
         for _ in range(3):
             vec = _random_pose(skel, rng)
-            _, J = hand.fk_jacobian(skel.bone_offsets, vec)
+            planes = hand.twist_free_basis(skel.bone_offsets)
+            _, J = hand.fk_jacobian(skel.bone_offsets, planes, vec)
             J_fd = np.zeros_like(J)
-            for k in range(hand.PARAMS_PER_HAND):
-                up = vec.copy()
-                up[k] += step
-                down = vec.copy()
-                down[k] -= step
-                fd = (hand.forward_kinematics(skel.bone_offsets, up)[0]
-                      - hand.forward_kinematics(skel.bone_offsets, down)[0])
+            for k, column in enumerate(hand.twist_free_step(
+                    planes, np.eye(hand.TWIST_FREE_DIMS))):
+                fd = (hand.forward_kinematics(skel.bone_offsets,
+                                              vec + step * column)[0]
+                      - hand.forward_kinematics(skel.bone_offsets,
+                                                vec - step * column)[0])
                 J_fd[:, :, k] = fd / (2.0 * step)
             rel = (np.linalg.norm((J - J_fd).ravel())
                    / max(1.0, np.linalg.norm(J.ravel())))

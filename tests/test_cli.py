@@ -818,6 +818,25 @@ def test_reward_json_lines_deterministic(tmp_path, geom, skeletons):
     assert first["total"] == pytest.approx(1.45, rel=1e-12)
 
 
+@pytest.mark.parametrize("frames,fps", [(slice(0, 1), 60.0),
+                                        (slice(None), 30.0)])
+def test_reward_reference_must_match_the_score(tmp_path, capsys, frames, fps):
+    parked = _synth.parked_pose(0)
+    clip = _synth.pose_clip(60.0, [(parked, parked)] * 3)
+    clip_path, ref_path = tmp_path / "clip.json", tmp_path / "ref.json"
+    write_clip(clip_path, clip)
+    reference = clip[frames]
+    reference.fps = fps
+    write_clip(ref_path, reference)
+    matrix_path = tmp_path / "score.json"
+    write_matrix(matrix_path, [set(), set(), {40}])
+    assert run(["reward", "--clip", clip_path, "--midi", matrix_path,
+                "--reference", ref_path]) == 1
+    assert capsys.readouterr().err == (
+        "error: reference has %d frames at %g fps, matrix 3 at 60\n"
+        % (reference.n_frames, fps))
+
+
 # ---------------------------------------------------------------------------
 # Config handling and failure modes
 
@@ -860,6 +879,45 @@ def test_config_rejects_bad_choice(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "linear"}))
     assert run(["condition", "--midi", mid, "--config", cfg]) == 1
     assert "must be one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,field,value,kind", [
+    ("fit", "max_iter", "5", "an integer"),
+    ("fit", "limit_weight", None, "a finite number"),
+    ("triangulate", "reproj_threshold", "x", "a finite number"),
+    ("triangulate", "seed", 1.5, "an integer"),
+    ("refine", "smoothness", "0", "a finite number"),
+    ("eval", "activation_depth", "0.004", "a finite number"),
+    ("eval", "fps", float("nan"), "a finite number"),
+    ("reward", "energy_sign", True, "a finite number"),
+    ("index", "window_len", True, "an integer"),
+    ("extract-press", "keyboard", 3, "a string or null"),
+    ("eval", "skip_vacuous", 0, "true or false"),
+])
+def test_config_rejects_wrongly_typed_value(tmp_path, capsys, command, field,
+                                            value, kind):
+    # The value's type is checked before any input is read.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    inputs = {"fit": ["--trajectory", "t.json"],
+              "triangulate": ["--keypoints", "k.json", "--cameras", "c.json"],
+              "refine": ["--clip", "c.json", "--midi", "s.json"],
+              "eval": ["--clip", "c.json", "--midi", "s.json"],
+              "reward": ["--clip", "c.json", "--midi", "s.json"],
+              "index": ["--dataset", "s.json", "-o", "i.npz"],
+              "extract-press": ["--clip", "c.json"]}[command]
+    assert run([command] + inputs + ["--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: config %s: field %r must be %s\n" % (cfg, field, kind))
+
+
+def test_negative_limit_weight_is_validation_error(tmp_path, capsys):
+    traj = tmp_path / "traj.json"
+    traj.write_text(reconstruction.JointTrajectory(
+        60.0, np.zeros((1, 2, 21, 3)), np.zeros((1, 2, 21), bool)).to_json())
+    assert run(["fit", "--trajectory", traj, "--limit-weight", -1]) == 1
+    assert capsys.readouterr().err == (
+        "error: soft limit weight must be >= 0, got -1.0\n")
 
 
 def test_missing_input_is_io_error(tmp_path, capsys):

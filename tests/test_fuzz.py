@@ -82,6 +82,9 @@ _CAMERAS = _RIG.to_json()
 _KEYPOINTS = KeypointObservations(_UV, _CONF, _VALID).to_json()
 _SCORE = midi.matrix_to_json(_synth.matrix_from_frames([{40}, {40, 44}]))
 _SILENCE = midi.matrix_to_json(_synth.matrix_from_frames([set()] * 3))
+_CONFIG = json.dumps({"activation_depth": 0.004, "max_iter": 200,
+                      "limit_weight": 0.0, "skip_vacuous": False,
+                      "energy_sign": -1.0, "mode": "constant"})
 # Each input file's valid document, its loader, the command that reads it
 # (with {} for its path and {other} for the path of `other`), and the valid
 # document of the command's other input.
@@ -104,6 +107,11 @@ _INPUTS = {
                 ["goalstate", "--midi", "{}", "--fps", "60"], ""),
     "eval-score": (_SCORE, midi.matrix_from_json,
                    ["eval", "--clip", "{other}", "--midi", "{}"], _CLIP_TEXT),
+    # json.loads accepts every config document, so a config's values are
+    # checked by the exit code and the absence of a traceback alone.
+    "config": (_CONFIG, json.loads,
+               ["extract-press", "--clip", "{other}", "--config", "{}"],
+               _CLIP_TEXT),
 }
 _INPUT_PLACES = [
     ("cameras", ("cameras",)), ("cameras", ("cameras", 1)),
@@ -132,13 +140,18 @@ _INPUT_PLACES = [
     ("silence", ("type",)), ("silence", ("fps",)), ("silence", ("n_frames",)),
     ("silence", ("columns",)), ("silence", ("columns", "40")),
     ("eval-score", ("fps",)), ("eval-score", ("n_frames",)),
-    ("eval-score", ("columns", "44")), ("eval-score", ("columns", "44", 0, 0))]
+    ("eval-score", ("columns", "44")), ("eval-score", ("columns", "44", 0, 0)),
+    ("config", ("activation_depth",)), ("config", ("max_iter",)),
+    ("config", ("limit_weight",)), ("config", ("skip_vacuous",)),
+    ("config", ("energy_sign",)), ("config", ("mode",)), ("config", ("seed",))]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(where=st.sampled_from(_INPUT_PLACES), value=_JSON | _NUMBERS)
 # A matrix of no frames, which the draws above do not reach.
 @example(where=("silence", ("n_frames",)), value=0)
+# A bone whose squared length overflows.
+@example(where=("skeleton", ("right", "bone_offsets", 4, 1)), value=2e154)
 def test_input_loaders_exit_0_or_1_on_any_value(where, value):
     name, place = where
     valid, load, argv, other_text = _INPUTS[name]

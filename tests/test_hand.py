@@ -43,6 +43,22 @@ def test_topology_is_five_three_segment_chains():
         assert len(chain) == 4
 
 
+def test_levels_follow_the_parents():
+    # Each level's parents are the level above (the wrist for the MCPs), and
+    # the level slices the FK walk takes are the same joints.
+    assert hand.LEVELS.T.tolist() == [[1, 2, 3, 16], [4, 5, 6, 17],
+                                      [7, 8, 9, 18], [10, 11, 12, 19],
+                                      [13, 14, 15, 20]]
+    joints = np.arange(21)
+    for (level, par), row, above in zip(hand._LEVEL_SLICES, hand.LEVELS,
+                                        [[0] * 5] + hand.LEVELS.tolist()):
+        assert joints[level].tolist() == row.tolist()
+        assert hand.PARENTS[row].tolist() == above
+        assert np.broadcast_to(joints[par], (5,)).tolist() == above
+    assert hand._CHILD.tolist() == [2, 3, 16, 5, 6, 17, 8, 9, 18, 11, 12, 19,
+                                   14, 15, 20]
+
+
 def test_quat_matrix_agrees_with_scipy(rng):
     for _ in range(20):
         q = rng.normal(size=4)
@@ -213,16 +229,17 @@ def test_fk_batch_equals_per_pose_calls(skeletons, rng):
         [1e-9, 1e-3, 0.4, 1.5], size=(40, 2, 1))
     vecs[:4, :, 3:] = 0.0
     vecs[4:8, :, 9:15] = 0.0
+    planes = hand.twist_free_basis(skeletons.bone_offsets)
     p, G = hand.forward_kinematics(skeletons.bone_offsets, vecs)
-    pj, J = hand.fk_jacobian(skeletons.bone_offsets, vecs)
+    pj, J = hand.fk_jacobian(skeletons.bone_offsets, planes, vecs)
     assert p.shape == (40, 2, 21, 3) and G.shape == (40, 2, 16, 3, 3)
-    assert J.shape == (40, 2, 21, 3, 51)
+    assert J.shape == (40, 2, 21, 3, 36)
     assert np.array_equal(pj, p)
     for f in range(40):
         for h in range(2):
             offsets = skeletons[h].bone_offsets
             p1, G1 = hand.forward_kinematics(offsets, vecs[f, h])
-            p2, J1 = hand.fk_jacobian(offsets, vecs[f, h])
+            p2, J1 = hand.fk_jacobian(offsets, planes[h], vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(G1, G[f, h])
             assert np.array_equal(p2, p[f, h]) and np.array_equal(J1, J[f, h])
 
@@ -238,39 +255,48 @@ def test_left_skeleton_mirrors_right(skeletons):
 
 
 def finite_diff_jacobian(skeleton, vec, eps=1e-6):
-    J = np.zeros((21, 3, 51))
-    for c in range(51):
-        hi = vec.copy()
-        lo = vec.copy()
-        hi[c] += eps
-        lo[c] -= eps
-        J[:, :, c] = (fk(skeleton, hi) - fk(skeleton, lo)) / (2 * eps)
+    """Central differences of FK along the 36 twist-free columns."""
+    planes = hand.twist_free_basis(skeleton.bone_offsets)
+    J = np.zeros((21, 3, hand.TWIST_FREE_DIMS))
+    for c, column in enumerate(hand.twist_free_step(
+            planes, np.eye(hand.TWIST_FREE_DIMS))):
+        J[:, :, c] = (fk(skeleton, vec + eps * column)
+                      - fk(skeleton, vec - eps * column)) / (2 * eps)
     return J
+
+
+def jacobian(skeleton, vec):
+    return hand.fk_jacobian(skeleton.bone_offsets,
+                            hand.twist_free_basis(skeleton.bone_offsets), vec)
 
 
 def test_fk_jacobian_matches_finite_differences(skeletons, rng):
     for _ in range(3):
         vec = random_pose(rng)
-        p, J = hand.fk_jacobian(skeletons.right.bone_offsets, vec)
-        assert np.allclose(p, fk(skeletons.right, vec), atol=1e-12)
+        p, J = jacobian(skeletons.right, vec)
+        assert np.array_equal(p, fk(skeletons.right, vec))
         J_num = finite_diff_jacobian(skeletons.right, vec)
-        assert np.max(np.abs(J - J_num)) < 1e-5
+        assert np.max(np.abs(J - J_num)) < 1e-7
 
 
 def test_fk_jacobian_at_zero_rotvecs(skeletons):
     # The rotation-vector parameterization is exercised at its origin, where
-    # the derivative formula needs its small-angle branch.
+    # the left Jacobian takes its series.
     vec = np.zeros(51)
-    _, J = hand.fk_jacobian(skeletons.left.bone_offsets, vec)
+    _, J = jacobian(skeletons.left, vec)
     J_num = finite_diff_jacobian(skeletons.left, vec)
-    assert np.max(np.abs(J - J_num)) < 1e-5
+    assert np.max(np.abs(J - J_num)) < 1e-7
 
 
 def test_jacobian_locality(skeletons, rng):
-    # Moving the pinky knuckle must not move the thumb tip.
-    _, J = hand.fk_jacobian(skeletons.right.bone_offsets, random_pose(rng))
-    pinky_base_cols = slice(3 + 3 * 13, 3 + 3 * 14)
-    assert np.allclose(J[16, :, pinky_base_cols], 0.0, atol=0)
+    # A finger joint's two columns move exactly the joints below it on its
+    # finger: the pinky knuckle's, say, never the thumb tip.
+    _, J = jacobian(skeletons.right, random_pose(rng))
+    for joint in range(1, 16):
+        chain = list(hand.LEVELS[:, (joint - 1) // 3])
+        moved = np.flatnonzero(J[..., 4 + 2 * joint:6 + 2 * joint].any(
+            axis=(1, 2)))
+        assert moved.tolist() == chain[chain.index(joint) + 1:], joint
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 """Goal encoding, pose state, and the shaped reward terms."""
 
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import _scalar_rewards as scalar
 import _synth
 from pianomotion import hand, keyboard as kb, rewards
 from pianomotion.keyboard import KeyState
 from pianomotion.midi import KeyMatrix
+
+# The benchmark's synthetic scenes.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "perfbench"))
+import scenes  # noqa: E402
 
 
 def goal_fixture():
@@ -73,6 +81,23 @@ def test_goal_state_out_of_range():
         rewards.goal_state(segments, 6)
     with pytest.raises(ValueError, match="outside"):
         rewards.goal_state(segments, -1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_goals_equal_per_frame_oracle_on_signals_scene(tmp_path, seed):
+    # Every frame of the benchmark's signals scene: the same segments, key
+    # sets and goal states as the per-frame merge and the linear scan.
+    scene = scenes.signals_scene(seed, str(tmp_path))
+    matrix = KeyMatrix(scenes.FPS, scene["score"])
+    segments = rewards.merged_goals(matrix)
+    want = scalar.merged_goals(matrix)
+    assert segments == want
+    assert all(type(k) is int for s in segments for k in s.keys)
+    for f in range(matrix.n_frames):
+        assert np.array_equal(rewards.goal_state(segments, f).matrix,
+                              scalar.goal_state(want, f).matrix)
+    with pytest.raises(ValueError, match="outside"):
+        rewards.goal_state(segments, matrix.n_frames)
 
 
 def test_goal_state_validation():
