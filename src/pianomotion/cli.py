@@ -446,20 +446,28 @@ def cmd_goalstate(args, cfg):
     if args.dry_run:
         return 0
     segments = rewards.merged_goals(matrix)
-    if args.frame is not None:
-        frames = [args.frame]
+    if args.frame is None:
+        first, last = 0, matrix.n_frames
+    elif 0 <= args.frame < matrix.n_frames:
+        first, last = args.frame, args.frame + 1
     else:
-        frames = range(matrix.n_frames)
+        raise ValueError("frame %d outside the segment range" % args.frame)
+    # Slot s of a frame in segment i shows segment i + s, or zeros past
+    # the last one: each segment's key cells are formatted once.
+    cells = [",".join("1" if k in seg.keys else "0"
+                      for k in range(1, midi.NUM_KEYS + 1))
+             for seg in segments]
+    empty = ",".join("0" * midi.NUM_KEYS)
     lines = ["frame,slot," + ",".join("k%d" % k for k in range(1, 89))
              + ",timer"]
-    for f in frames:
-        state = rewards.goal_state(segments, f)
-        for slot in range(rewards.GOAL_SLOTS):
-            row = state.matrix[slot]
-            lines.append("%d,%d,%s,%d"
-                         % (f, slot,
-                            ",".join(str(int(v)) for v in row[:88]),
-                            int(row[88])))
+    for i, seg in enumerate(segments):
+        for f in range(max(seg.start, first), min(seg.end, last)):
+            for slot, j in enumerate(range(i, i + rewards.GOAL_SLOTS)):
+                if j < len(segments):
+                    lines.append("%d,%d,%s,%d" % (f, slot, cells[j],
+                                                  segments[j].end - f))
+                else:
+                    lines.append("%d,%d,%s,0" % (f, slot, empty))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -472,13 +480,26 @@ def cmd_reward(args, cfg):
     reference = _load_clip(args.reference) if args.reference else None
     if args.dry_run:
         return 0
-    breakdowns = rewards.evaluate_rewards(
+    r = rewards.evaluate_rewards(
         clip, skeletons, geom, matrix, reference=reference,
         energy_sign=float(_get(args, cfg, "energy_sign")))
-    lines = [json.dumps(b.to_json_obj(), sort_keys=True,
-                        separators=(",", ":")) for b in breakdowns]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "".join(_dump({
+        "frame": f,
+        "targets": _key_values(r.r_target[f], r.targets[f]),
+        "nontargets": _key_values(r.r_nontarget[f], r.r_nontarget[f] > 0.0),
+        "r_correct": correct,
+        "r_energy": energy,
+        "energy_sign": r.energy_sign,
+        "total": total,
+    }) for f, (correct, energy, total) in enumerate(zip(
+        r.r_correct.tolist(), r.r_energy.tolist(), r.total.tolist()))))
     return 0
+
+
+def _key_values(values, keep) -> dict:
+    """{"key": value} of one frame's (88,) values where `keep` holds."""
+    keys = np.flatnonzero(keep)
+    return dict(zip((keys + 1).astype(str).tolist(), values[keys].tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -96,30 +96,6 @@ class KeyboardConfig:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class KeyState:
-    """Press state of one key: depth below rest, clamped to [0, travel]."""
-
-    depth: float
-    travel: float
-
-    def __post_init__(self):
-        if not 0 <= self.depth <= self.travel:
-            raise ValueError(f"depth must be in [0, travel], got {self.depth}")
-
-    @property
-    def ratio(self) -> float:
-        return self.depth / self.travel
-
-    @property
-    def touched(self) -> bool:
-        return self.depth > 0
-
-    @property
-    def sounding(self) -> bool:
-        return self.ratio > SOUNDING_RATIO
-
-
 class KeyboardGeometry:
     """Immutable layout of the 88 keys plus the global keyboard pose.
 
@@ -183,9 +159,6 @@ class KeyboardGeometry:
             )
             + self._origin
         )
-
-    def travel_of(self, key: int) -> float:
-        return float(self.travels[key - 1])
 
     def rest_height(self, key: int) -> float:
         """Rest surface height in keyboard-local z."""
@@ -262,14 +235,6 @@ def pressed_keys(geom: KeyboardGeometry, fingertips, activation_depth: float) ->
 def extract_pressed(geom: KeyboardGeometry, fingertips, activation_depth: float) -> set[int]:
     """Keys pressed by any of the fingertips, world points (n, 3)."""
     return set((np.flatnonzero(pressed_keys(geom, fingertips, activation_depth)) + 1).tolist())
-
-
-def key_state_from_depth(geom: KeyboardGeometry, key: int, depth: float) -> KeyState:
-    """Clamp a raw press depth into the key's [0, travel] range."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    travel = geom.travel_of(key)
-    return KeyState(min(depth, travel), travel)
 
 
 def key_depths(geom: KeyboardGeometry, fingertips) -> np.ndarray:

@@ -11,38 +11,34 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import keyboard as kb
 from .hand import MotionClip, SkeletonPair, clip_fingertips
 from .keyboard import KeyboardGeometry
-from .midi import KeyMatrix
+from .midi import NUM_KEYS, KeyMatrix
 
 
-def frame_prf(pred: Iterable[int], truth: Iterable[int]):
-    """Precision, recall, F1 for one frame, as fractions in [0, 1].
+def frame_prf(pred, truth) -> np.ndarray:
+    """Precision, recall and F1 of (..., 88) boolean key rows, as (..., 3)
+    fractions in [0, 1].
 
-    Follows the usual set conventions: a frame where both sets are empty
+    Follows the usual set conventions: a frame where both rows are empty
     scores (1, 1, 1); an empty denominator otherwise scores 0 for that
     component, and F1 is 0 whenever precision + recall is 0.
     """
-    pred = set(pred)
-    truth = set(truth)
-    if not pred and not truth:
-        return 1.0, 1.0, 1.0
-    tp = len(pred & truth)
-    p = tp / len(pred) if pred else 0.0
-    r = tp / len(truth) if truth else 0.0
-    f1 = 2.0 * p * r / (p + r) if (p + r) > 0.0 else 0.0
-    return p, r, f1
-
-
-def _frame_sets(obj) -> list:
-    if isinstance(obj, KeyMatrix):
-        return [obj.keys_at(i) for i in range(obj.n_frames)]
-    return [set(fr) for fr in obj]
+    pred = np.asarray(pred, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    tp = np.count_nonzero(pred & truth, axis=-1)
+    n_pred = np.count_nonzero(pred, axis=-1)
+    n_truth = np.count_nonzero(truth, axis=-1)
+    p = np.where(n_pred > 0, tp / np.maximum(n_pred, 1), 0.0)
+    r = np.where(n_truth > 0, tp / np.maximum(n_truth, 1), 0.0)
+    s = p + r
+    f1 = np.where(s > 0.0, 2.0 * p * r / np.where(s > 0.0, s, 1.0), 0.0)
+    vacuous = (n_pred == 0) & (n_truth == 0)
+    return np.where(vacuous[..., None], 1.0, np.stack([p, r, f1], axis=-1))
 
 
 @dataclasses.dataclass(eq=False)
@@ -73,27 +69,28 @@ class MetricReport:
 def score_matrices(pred, truth, skip_vacuous: bool = False) -> MetricReport:
     """Score a predicted press sequence against a reference one.
 
-    Both arguments are KeyMatrix instances or sequences of per-frame key
-    collections; they must cover the same number of frames.  When
-    skip_vacuous is set, frames where both sets are empty are excluded from
-    the averages instead of counting as perfect.
+    Both arguments are KeyMatrix instances or (F, 88) arrays of key flags;
+    they must cover the same number of frames.  When skip_vacuous is set,
+    frames where both rows are empty are excluded from the averages instead
+    of counting as perfect.
     """
-    pred_sets = _frame_sets(pred)
-    truth_sets = _frame_sets(truth)
-    if len(pred_sets) != len(truth_sets):
+    pred, truth = (np.asarray(m.data if isinstance(m, KeyMatrix) else m,
+                              dtype=bool) for m in (pred, truth))
+    for rows in (pred, truth):
+        if rows.ndim != 2 or rows.shape[1] != NUM_KEYS:
+            raise ValueError("expected (frames, 88) key rows, got shape %s"
+                             % (rows.shape,))
+    if len(pred) != len(truth):
         raise ValueError("frame count mismatch: %d vs %d"
-                         % (len(pred_sets), len(truth_sets)))
-    n = len(pred_sets)
+                         % (len(pred), len(truth)))
+    n = len(pred)
     if n == 0:
         raise ValueError("cannot score an empty clip")
 
-    per_frame = np.full((n, 3), np.nan)
-    scored = 0
-    for i, (ps, ts) in enumerate(zip(pred_sets, truth_sets)):
-        if skip_vacuous and not ps and not ts:
-            continue
-        per_frame[i] = frame_prf(ps, ts)
-        scored += 1
+    per_frame = frame_prf(pred, truth)
+    if skip_vacuous:
+        per_frame[~pred.any(axis=1) & ~truth.any(axis=1)] = np.nan
+    scored = int(np.count_nonzero(~np.isnan(per_frame[:, 0])))
     if scored == 0:
         raise ValueError("no scorable frames (all frames vacuous)")
     means = np.nanmean(per_frame, axis=0)

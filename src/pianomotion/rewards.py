@@ -1,11 +1,12 @@
-"""Goal encoding, fingering assignment, and per-frame reward terms.
+"""Goal encoding, fingering assignment, and reward terms over whole clips.
 
 The key-press goals of a piano-roll matrix are merged into maximal runs of
 frames sharing one target key set.  From those segments this module builds
 the policy observations (a 5x89 goal state and a two-frame pose state) and
 the shaped reward: a multiplicative term for target keys, a penalty for
 touched non-targets, a bonus when every target sounds, and an energy term
-from wrist and fingertip speeds.
+from wrist and fingertip speeds, each computed for every frame of a clip at
+once as (F, 88) and (F,) arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import keyboard as kb
 from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, MotionClip, SkeletonPair,
                    clip_fingertips, clip_vectors, finite_diff_velocities,
                    forward_kinematics, matrix_to_quat, matrix_to_rotvec)
-from .keyboard import KeyboardGeometry, KeyState
+from .keyboard import KeyboardGeometry
 from .midi import NUM_KEYS, KeyMatrix
 
 GOAL_SLOTS = 5
@@ -185,206 +186,187 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair,
     return PoseState(np.swapaxes(rows, 0, 1).reshape(2, 2, -1))
 
 
-def assign_fingering(reference: MotionClip, skeletons: SkeletonPair,
-                     geom: KeyboardGeometry, key: int, frame: int) -> int:
-    """Fingertip (1..10) nearest the key's press target in a reference frame.
+# libm's exp: numpy's SIMD exp differs from it in the last bit on some
+# inputs, which would change the reward bytes.  For the same reason the
+# tip-to-target distance and the wrist speed are sqrt(vecdot), the
+# arithmetic of a 1-D np.linalg.norm, and fingertip speeds norm(axis=-1).
+_exp = np.frompyfunc(math.exp, 1, 1)
 
-    Fingertips are numbered 1..5 for the left hand thumb..pinky and 6..10
-    for the right.  Ties resolve to the lower index.  There is no distance
-    gate: a reference hovering far from the key still yields its nearest
-    fingertip.
+
+def _key_targets(geom: KeyboardGeometry) -> np.ndarray:
+    """(88, 3) press target of every key, in world coordinates."""
+    return np.array([kb.key_target_position(geom, k)
+                     for k in range(1, NUM_KEYS + 1)])
+
+
+def press_onsets(active) -> np.ndarray:
+    """First frame of the active run through each frame of each key.
+
+    `active` is (F, 88) key flags; the result is (F, 88), -1 where the key
+    is silent.
     """
+    active = np.asarray(active, dtype=bool)
+    starts = active.copy()
+    starts[1:] &= ~active[:-1]
+    frames = np.arange(active.shape[0])[:, None]
+    onsets = np.maximum.accumulate(np.where(starts, frames, 0), axis=0)
+    return np.where(active, onsets, -1)
+
+
+def fingering(midi: KeyMatrix, reference: MotionClip, skeletons: SkeletonPair,
+              geom: KeyboardGeometry) -> np.ndarray:
+    """(F, 88) fingertip (1..10) assigned to each active key, 0 elsewhere.
+
+    A key's fingertip is the one nearest its press target in the reference
+    frame where its active run began, so a key held across segment
+    boundaries keeps it.  Fingertips are numbered 1..5 for the left hand
+    thumb..pinky and 6..10 for the right.  Ties resolve to the lower index.
+    There is no distance gate: a reference hovering far from the key still
+    yields its nearest fingertip.
+    """
+    onsets = press_onsets(midi.data)
+    f, k = np.nonzero(onsets >= 0)
+    # One FK over the distinct onset frames, one distance per (onset, key).
+    pairs, at_pair = np.unique(onsets[f, k] * NUM_KEYS + k, return_inverse=True)
+    frames, at_frame = np.unique(pairs // NUM_KEYS, return_inverse=True)
     p, _ = forward_kinematics(skeletons.bone_offsets,
-                              clip_vectors(reference, [frame])[0])
-    tips = p[:, TIP_JOINTS].reshape(10, 3)
-    target = kb.key_target_position(geom, key)
-    d = np.linalg.norm(tips - target, axis=1)
-    return int(np.argmin(d)) + 1
+                              clip_vectors(reference, frames))
+    tips = p[:, :, TIP_JOINTS].reshape(-1, 10, 3)
+    d = np.linalg.norm(tips[at_frame]
+                       - _key_targets(geom)[pairs % NUM_KEYS, None], axis=-1)
+    out = np.zeros(onsets.shape, dtype=np.int64)
+    out[f, k] = np.argmin(d, axis=-1)[at_pair] + 1
+    return out
 
 
-def key_press_onset(midi: KeyMatrix, key: int, frame: int) -> int:
-    """First frame of the active run of `key` that contains `frame`."""
-    col = midi.data[:, key - 1]
-    if not col[frame]:
-        raise ValueError("key %d is not active at frame %d" % (key, frame))
-    f = frame
-    while f > 0 and col[f - 1]:
-        f -= 1
-    return f
+def reward_target(fingertips, ratio, targets) -> np.ndarray:
+    """r+ of target keys from their fingertips (..., 3), depth ratios (...)
+    and press targets (..., 3).
 
-
-def reward_target(fingertip, key_state: KeyState, target) -> float:
-    """Per-target-key reward from the assigned fingertip and press depth.
-
-    1 when the key is pressed past 90% of travel; otherwise
+    1 where the key is pressed past 90% of travel; otherwise
     exp(-dist + 0.01 * depth ratio) with dist the fingertip-to-target
     distance in meters, so the reward grows as the finger approaches and as
     the key sinks.
     """
-    ratio = key_state.ratio
-    if ratio > kb.SOUNDING_RATIO:
-        return 1.0
-    dist = float(np.linalg.norm(np.asarray(fingertip, dtype=np.float64)
-                                - np.asarray(target, dtype=np.float64)))
-    return math.exp(-dist + TARGET_RATIO_SHAPING * ratio)
+    d = (np.asarray(fingertips, dtype=np.float64)
+         - np.asarray(targets, dtype=np.float64))
+    ratio = np.asarray(ratio, dtype=np.float64)
+    shaped = -np.sqrt(np.vecdot(d, d)) + TARGET_RATIO_SHAPING * ratio
+    return np.where(ratio > kb.SOUNDING_RATIO, 1.0,
+                    np.asarray(_exp(shaped), dtype=np.float64))
 
 
-def reward_nontarget(key_state: KeyState) -> float:
-    """Penalty weight for a non-target key: depth ratio scaled by 1/0.9.
+def reward_nontarget(ratio) -> np.ndarray:
+    """Penalty weight of non-target keys (...) from their depth ratios (...):
+    the ratio scaled by 1/0.9.
 
     Trivial touches (depth ratio <= 0.1) are ignored; beyond that the
     penalty grows linearly, reaching 1 at the sounding threshold and
     1/0.9 at full travel.
     """
-    if not key_state.touched:
-        return 0.0
-    ratio = key_state.ratio
-    if ratio <= NONTARGET_IGNORE_RATIO:
-        return 0.0
-    return ratio / kb.SOUNDING_RATIO
+    ratio = np.asarray(ratio, dtype=np.float64)
+    return np.where(ratio > NONTARGET_IGNORE_RATIO,
+                    ratio / kb.SOUNDING_RATIO, 0.0)
 
 
-def reward_energy(wrist_velocities, fingertip_velocities) -> float:
-    """Energy term from wrist and wrist-local fingertip speeds.
+def reward_energy(wrist_velocities, fingertip_velocities) -> np.ndarray:
+    """Energy term (...) from wrist and wrist-local fingertip speeds.
 
-    wrist_velocities is (2, 3); fingertip_velocities is (2, 5, 3) in each
-    wrist's local frame.  Per hand the cost is (|v_wrist| + 0.1 * sum of
-    fingertip speeds)^2; the reward is exp(-0.75 * total), 1 at rest.
+    wrist_velocities is (..., 2, 3); fingertip_velocities is (..., 2, 5, 3)
+    in each wrist's local frame.  Per hand the cost is
+    (|v_wrist| + 0.1 * sum of fingertip speeds)^2; the reward is
+    exp(-0.75 * total), 1 at rest.
     """
-    wrist_velocities = np.asarray(wrist_velocities, dtype=np.float64)
-    fingertip_velocities = np.asarray(fingertip_velocities, dtype=np.float64)
-    if wrist_velocities.shape != (2, 3) or fingertip_velocities.shape != (2, 5, 3):
-        raise ValueError("expected wrist (2, 3) and fingertip (2, 5, 3) velocities")
-    total = 0.0
-    for h in range(2):
-        vw = float(np.linalg.norm(wrist_velocities[h]))
-        vf = float(np.sum(np.linalg.norm(fingertip_velocities[h], axis=1)))
-        total += (vw + FINGER_SPEED_WEIGHT * vf) ** 2
-    return math.exp(-ENERGY_SCALE * total)
+    wrist = np.asarray(wrist_velocities, dtype=np.float64)
+    tips = np.asarray(fingertip_velocities, dtype=np.float64)
+    if wrist.shape[-2:] != (2, 3) or tips.shape != wrist.shape[:-1] + (5, 3):
+        raise ValueError("expected wrist (..., 2, 3) and fingertip "
+                         "(..., 2, 5, 3) velocities")
+    vw = np.sqrt(np.vecdot(wrist, wrist))
+    vf = np.sum(np.linalg.norm(tips, axis=-1), axis=-1)
+    cost = (vw + FINGER_SPEED_WEIGHT * vf) ** 2
+    return np.asarray(_exp(-ENERGY_SCALE * (cost[..., 0] + cost[..., 1])),
+                      dtype=np.float64)
 
 
-@dataclasses.dataclass(eq=False)
-class RewardBreakdown:
-    """All reward terms at one frame plus their weighted combination."""
-
-    frame: int
-    targets: dict              # key -> r+ value
-    nontargets: dict           # key -> nonzero r- value
-    r_correct: float
-    r_energy: float
-    energy_sign: float
-    total: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "frame": self.frame,
-            "targets": {str(k): v for k, v in sorted(self.targets.items())},
-            "nontargets": {str(k): v for k, v in sorted(self.nontargets.items())},
-            "r_correct": self.r_correct,
-            "r_energy": self.r_energy,
-            "energy_sign": self.energy_sign,
-            "total": self.total,
-        }
-
-
-def reward_total(targets: dict, nontargets: dict, all_correct: bool,
-                 energy: float, energy_sign: float = -1.0,
-                 frame: int = 0) -> RewardBreakdown:
-    """Combine the per-key terms into the frame reward.
+def reward_total(r_target, r_nontarget, r_correct, r_energy,
+                 energy_sign: float = -1.0) -> np.ndarray:
+    """Combine the per-key terms (..., 88) into the frame reward (...).
 
     total = prod(r+) - 0.15 * sum(r-) + 0.5 * r_correct
             + energy_sign * 0.05 * r_energy
 
-    An empty target set contributes an empty product of 1.  The energy term
-    enters with a configurable sign (default -1); the breakdown keeps the
-    term separate so consumers can re-weight it.
+    r_target holds 1 on non-target keys, so a frame without targets
+    contributes an empty product of 1; r_nontarget holds 0 on keys without
+    a penalty.  The product and the sum run key by key in ascending order.
+    The energy term enters with a configurable sign (default -1).
     """
     if energy_sign not in (-1.0, 1.0):
         raise ValueError("energy_sign must be -1.0 or +1.0")
-    prod = 1.0
-    for v in targets.values():
-        prod *= v
-    penalty = sum(nontargets.values())
-    r_correct = 1.0 if all_correct else 0.0
-    total = (prod - NONTARGET_WEIGHT * penalty + CORRECT_WEIGHT * r_correct
-             + energy_sign * ENERGY_WEIGHT * energy)
-    return RewardBreakdown(frame=frame, targets=dict(targets),
-                           nontargets=dict(nontargets), r_correct=r_correct,
-                           r_energy=energy, energy_sign=energy_sign,
-                           total=total)
+    r_target = np.asarray(r_target, dtype=np.float64)
+    r_nontarget = np.asarray(r_nontarget, dtype=np.float64)
+    prod = np.ones(r_target.shape[:-1])
+    penalty = np.zeros(r_nontarget.shape[:-1])
+    for k in range(NUM_KEYS):
+        prod = prod * r_target[..., k]
+        penalty = penalty + r_nontarget[..., k]
+    return (prod - NONTARGET_WEIGHT * penalty
+            + CORRECT_WEIGHT * np.asarray(r_correct, dtype=np.float64)
+            + energy_sign * ENERGY_WEIGHT * np.asarray(r_energy,
+                                                       dtype=np.float64))
 
 
-def segment_fingering(midi: KeyMatrix, segments, reference: MotionClip,
-                      skeletons: SkeletonPair, geom: KeyboardGeometry) -> dict:
-    """Fingertip assignment per (segment index, key), fixed at press onset.
+@dataclasses.dataclass(eq=False)
+class ClipRewards:
+    """Every reward term of a clip, one row per frame:
 
-    A key held across segment boundaries keeps the fingertip chosen at its
-    original onset frame.
+        targets      (F, 88) bool  the score's target keys
+        r_target     (F, 88)       r+ of each target key, 1 elsewhere
+        r_nontarget  (F, 88)       r- of each non-target key, 0 elsewhere
+        r_correct    (F,)          1 where every target key sounds, else 0
+        r_energy     (F,)          energy term
+        total        (F,)          weighted combination (`reward_total`)
     """
-    assignment = {}
-    onset_cache = {}
-    for si, seg in enumerate(segments):
-        for k in sorted(seg.keys):
-            onset = key_press_onset(midi, k, seg.start)
-            if (k, onset) not in onset_cache:
-                onset_cache[(k, onset)] = assign_fingering(
-                    reference, skeletons, geom, k, onset)
-            assignment[(si, k)] = onset_cache[(k, onset)]
-    return assignment
+
+    targets: np.ndarray
+    r_target: np.ndarray
+    r_nontarget: np.ndarray
+    r_correct: np.ndarray
+    r_energy: np.ndarray
+    energy_sign: float
+    total: np.ndarray
 
 
 def evaluate_rewards(clip: MotionClip, skeletons: SkeletonPair,
                      geom: KeyboardGeometry, midi: KeyMatrix,
                      reference: MotionClip | None = None,
-                     reference_skeletons: SkeletonPair | None = None,
-                     energy_sign: float = -1.0) -> list:
-    """Per-frame reward breakdowns for a clip against its score.
+                     energy_sign: float = -1.0) -> ClipRewards:
+    """Reward terms of every frame of a clip against its score.
 
-    Fingering comes from `reference` when given (with its own skeletons if
-    they differ), otherwise from the evaluated clip itself.  The clip, the
-    reference and the matrix must agree on fps and frame count.
+    Fingering comes from `reference` when given, otherwise from the
+    evaluated clip itself.  The clip, the reference and the matrix must
+    agree on fps and frame count.
     """
     midi.check_clip(clip)
     if clip.n_frames < 2:
         raise ValueError("need >= 2 frames for velocities")
     reference = reference or clip
     midi.check_clip(reference, "reference")
-    reference_skeletons = reference_skeletons or skeletons
 
-    segments = merged_goals(midi)
-    fingering = segment_fingering(midi, segments, reference,
-                                  reference_skeletons, geom)
-    seg_of_frame = np.repeat(np.arange(len(segments)),
-                             [seg.length for seg in segments])
-
-    tips = clip_fingertips(clip, skeletons)          # (F, 10, 3)
     vel = finite_diff_velocities(clip, skeletons)
-    targets_xyz = {k: kb.key_target_position(geom, k)
-                   for k in range(1, NUM_KEYS + 1)}
-
-    all_depths = kb.key_depths(geom, tips)           # (F, 88)
-    out = []
-    for f in range(clip.n_frames):
-        si = int(seg_of_frame[f])
-        target_keys = sorted(segments[si].keys)
-        depths = all_depths[f]
-        r_plus = {}
-        all_correct = True
-        for k in target_keys:
-            state = kb.key_state_from_depth(geom, k, float(depths[k - 1]))
-            tip_idx = fingering[(si, k)] - 1
-            r_plus[k] = reward_target(tips[f, tip_idx], state, targets_xyz[k])
-            if not state.sounding:
-                all_correct = False
-        r_minus = {}
-        for k in range(1, NUM_KEYS + 1):
-            if k in segments[si].keys or depths[k - 1] <= 0.0:
-                continue
-            val = reward_nontarget(
-                kb.key_state_from_depth(geom, k, float(depths[k - 1])))
-            if val > 0.0:
-                r_minus[k] = val
-        energy = reward_energy(vel.wrist[f], vel.fingertips_local[f])
-        out.append(reward_total(r_plus, r_minus, all_correct, energy,
-                                energy_sign, frame=f))
-    return out
+    r_energy = reward_energy(vel.wrist, vel.fingertips_local)
+    targets = midi.data.astype(bool)
+    f, k = np.nonzero(targets)
+    tip = fingering(midi, reference, skeletons, geom)[f, k] - 1
+    tips = clip_fingertips(clip, skeletons)           # (F, 10, 3)
+    ratio = kb.key_depths(geom, tips) / geom.travels  # (F, 88)
+    r_target = np.ones(targets.shape)
+    r_target[f, k] = reward_target(tips[f, tip], ratio[f, k],
+                                   _key_targets(geom)[k])
+    r_nontarget = np.where(targets, 0.0, reward_nontarget(ratio))
+    sounding = ~targets | (ratio > kb.SOUNDING_RATIO)
+    r_correct = np.all(sounding, axis=1).astype(np.float64)
+    total = reward_total(r_target, r_nontarget, r_correct, r_energy,
+                         energy_sign)
+    return ClipRewards(targets, r_target, r_nontarget, r_correct, r_energy,
+                       energy_sign, total)

@@ -53,10 +53,14 @@ def test_frame_metrics_match_set_arithmetic_oracle(rng):
     t0 = time.monotonic()
     problems = []
     n_pairs = 10_000
-    for i in range(n_pairs):
-        pred = set(rng.integers(1, 89, size=int(rng.integers(0, 6))).tolist())
-        truth = set(rng.integers(1, 89, size=int(rng.integers(0, 6))).tolist())
-        got = metrics.frame_prf(pred, truth)
+    pairs = [tuple(set(rng.integers(1, 89, size=int(rng.integers(0, 6))).tolist())
+                   for _ in range(2)) for _ in range(n_pairs)]
+    rows = np.zeros((2, n_pairs, 88), dtype=bool)
+    for i, keys in enumerate(pairs):
+        for side in (0, 1):
+            rows[side, i, [k - 1 for k in keys[side]]] = True
+    got = metrics.frame_prf(rows[0], rows[1]).tolist()
+    for i, (pred, truth) in enumerate(pairs):
         if not pred and not truth:
             want = (1.0, 1.0, 1.0)
         else:
@@ -65,13 +69,15 @@ def test_frame_metrics_match_set_arithmetic_oracle(rng):
             r = tp / len(truth) if truth else 0.0
             f1 = 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
             want = (p, r, f1)
-        if got != want:
-            problems.append("pair %d: %r != %r" % (i, got, want))
+        if tuple(got[i]) != want:
+            problems.append("pair %d: %r != %r" % (i, got[i], want))
             break
 
     # Two frames where the averaged F1 differs from the harmonic mean of
     # the averaged precision and recall: (1, 1, 1) and (1/2, 1/4, 1/3).
-    rep = metrics.score_matrices([{1}, {1, 2}], [{1}, {1, 3, 4, 5}])
+    rep = metrics.score_matrices(
+        _synth.matrix_from_frames([{1}, {1, 2}]),
+        _synth.matrix_from_frames([{1}, {1, 3, 4, 5}]))
     want_p = 100.0 * (1.0 + 0.5) / 2.0
     want_r = 100.0 * (1.0 + 0.25) / 2.0
     want_f = 100.0 * (1.0 + 1.0 / 3.0) / 2.0
@@ -438,82 +444,91 @@ def test_reward_terms_match_direct_arithmetic(rng):
     problems = []
     n_states = 0
 
+    travel = rng.uniform(0.008, 0.012, 4000)
+    ratio = rng.uniform(0.0, travel) / travel
+    tips = rng.uniform(-1.0, 1.0, (4000, 3))
+    targets = rng.uniform(-1.0, 1.0, (4000, 3))
+    got = rewards.reward_target(tips, ratio, targets)
     for i in range(4000):
-        travel = float(rng.uniform(0.008, 0.012))
-        depth = float(rng.uniform(0.0, travel))
-        state = kb.KeyState(depth, travel)
-        tip = rng.uniform(-1.0, 1.0, 3)
-        target = rng.uniform(-1.0, 1.0, 3)
-        got = rewards.reward_target(tip, state, target)
-        ratio = depth / travel
-        if ratio > 0.9:
+        if ratio[i] > 0.9:
             want = 1.0
         else:
-            dist = math.sqrt(sum((float(tip[k]) - float(target[k])) ** 2
+            dist = math.sqrt(sum((float(tips[i, k]) - float(targets[i, k])) ** 2
                                  for k in range(3)))
-            want = math.exp(-dist + 0.01 * ratio)
-        if abs(got - want) > 1e-9 and len(problems) < 3:
-            problems.append("target state %d: %r != %r" % (i, got, want))
+            want = math.exp(-dist + 0.01 * ratio[i])
+        if abs(got[i] - want) > 1e-9 and len(problems) < 3:
+            problems.append("target state %d: %r != %r" % (i, got[i], want))
         n_states += 1
 
+    travel = rng.uniform(0.008, 0.012, 3000)
+    depth = rng.uniform(0.0, travel)
+    got = rewards.reward_nontarget(depth / travel)
     for i in range(3000):
-        travel = float(rng.uniform(0.008, 0.012))
-        depth = float(rng.uniform(0.0, travel))
-        got = rewards.reward_nontarget(kb.KeyState(depth, travel))
-        ratio = depth / travel
-        want = ratio / 0.9 if depth > 0.0 and ratio > 0.1 else 0.0
-        if abs(got - want) > 1e-9 and len(problems) < 6:
-            problems.append("nontarget state %d: %r != %r" % (i, got, want))
+        r = depth[i] / travel[i]
+        want = r / 0.9 if depth[i] > 0.0 and r > 0.1 else 0.0
+        if abs(got[i] - want) > 1e-9 and len(problems) < 6:
+            problems.append("nontarget state %d: %r != %r" % (i, got[i], want))
         n_states += 1
 
+    vw = rng.uniform(-2.0, 2.0, (3000, 2, 3))
+    vf = rng.uniform(-2.0, 2.0, (3000, 2, 5, 3))
+    got = rewards.reward_energy(vw, vf)
     for i in range(3000):
-        vw = rng.uniform(-2.0, 2.0, (2, 3))
-        vf = rng.uniform(-2.0, 2.0, (2, 5, 3))
-        got = rewards.reward_energy(vw, vf)
         total = 0.0
         for h in range(2):
-            w = math.sqrt(sum(float(vw[h, k]) ** 2 for k in range(3)))
-            f = sum(math.sqrt(sum(float(vf[h, j, k]) ** 2 for k in range(3)))
+            w = math.sqrt(sum(float(vw[i, h, k]) ** 2 for k in range(3)))
+            f = sum(math.sqrt(sum(float(vf[i, h, j, k]) ** 2 for k in range(3)))
                     for j in range(5))
             total += (w + 0.1 * f) ** 2
         want = math.exp(-0.75 * total)
-        if abs(got - want) > 1e-9 and len(problems) < 9:
-            problems.append("energy state %d: %r != %r" % (i, got, want))
+        if abs(got[i] - want) > 1e-9 and len(problems) < 9:
+            problems.append("energy state %d: %r != %r" % (i, got[i], want))
         n_states += 1
 
     # Spot values: approach shaping, depth shaping, and unit wrist speed.
     target = np.array([0.5, 0.1, 0.0])
-    spot1 = rewards.reward_target(target + (0.05, 0.0, 0.0),
-                                  kb.KeyState(0.0, 0.01), target)
+    spot1 = rewards.reward_target(target + (0.05, 0.0, 0.0), 0.0, target)
     _check(problems, abs(spot1 - math.exp(-0.05)) <= 1e-9,
            "5 cm away at rest: %r" % spot1)
-    spot2 = rewards.reward_target(target, kb.KeyState(0.005, 0.01), target)
+    spot2 = rewards.reward_target(target, 0.5, target)
     _check(problems, abs(spot2 - math.exp(0.005)) <= 1e-9,
            "on target at half depth: %r" % spot2)
     spot3 = rewards.reward_energy([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                                   np.zeros((2, 5, 3)))
     _check(problems, abs(spot3 - math.exp(-0.75)) <= 1e-9,
            "unit wrist speed: %r" % spot3)
-    boundary = rewards.reward_target(target, kb.KeyState(0.009, 0.01), target)
+    boundary = rewards.reward_target(target, 0.9, target)
     _check(problems, abs(boundary - math.exp(0.009)) <= 1e-9,
            "sounding threshold must be strict: %r" % boundary)
 
+    r_target = np.ones((2000, 88))
+    r_nontarget = np.zeros((2000, 88))
+    cases = []
     for i in range(2000):
         targets = {int(k): float(rng.uniform(0.0, 1.0))
                    for k in rng.integers(1, 89, int(rng.integers(0, 4)))}
         nontargets = {int(k): float(rng.uniform(0.0, 1.2))
                       for k in rng.integers(1, 89, int(rng.integers(0, 4)))}
-        correct = bool(rng.integers(0, 2))
-        energy = float(rng.uniform(0.0, 1.0))
+        for k, v in targets.items():
+            r_target[i, k - 1] = v
+        for k, v in nontargets.items():
+            r_nontarget[i, k - 1] = v
+        cases.append((targets, nontargets, bool(rng.integers(0, 2)),
+                      float(rng.uniform(0.0, 1.0))))
+    correct = np.array([c[2] for c in cases], dtype=np.float64)
+    energy = np.array([c[3] for c in cases])
+    totals = {sign: rewards.reward_total(r_target, r_nontarget, correct, energy,
+                                         energy_sign=sign)
+              for sign in (-1.0, 1.0)}
+    for i, (targets, nontargets, correct_i, energy_i) in enumerate(cases):
         sign = -1.0 if i % 2 else 1.0
-        got = rewards.reward_total(targets, nontargets, correct, energy,
-                                   energy_sign=sign)
         want = (math.prod(targets.values())
                 - 0.15 * sum(nontargets.values())
-                + 0.5 * (1.0 if correct else 0.0)
-                + sign * 0.05 * energy)
-        if abs(got.total - want) > 1e-9 and len(problems) < 12:
-            problems.append("composition %d: %r != %r" % (i, got.total, want))
+                + 0.5 * (1.0 if correct_i else 0.0)
+                + sign * 0.05 * energy_i)
+        got = totals[sign][i]
+        if abs(got - want) > 1e-9 and len(problems) < 12:
+            problems.append("composition %d: %r != %r" % (i, got, want))
         n_states += 1
 
     matrix = _synth.matrix_from_frames(

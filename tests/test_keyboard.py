@@ -154,15 +154,21 @@ def test_key_depths_max_and_clamp(geom):
 
 
 def test_key_state_thresholds(geom):
-    state = kb.key_state_from_depth(geom, 40, 0.009)
-    assert state.ratio == pytest.approx(0.9)
-    assert state.touched
-    assert not state.sounding  # the sounding threshold is strict
-    assert kb.key_state_from_depth(geom, 40, 0.0091).sounding
-    assert not kb.key_state_from_depth(geom, 40, 0.0).touched
-    assert kb.key_state_from_depth(geom, 40, 0.05).depth == 0.010
-    with pytest.raises(ValueError):
-        kb.key_state_from_depth(geom, 40, -0.001)
+    # A fingertip below key 40's press target: its depth ratio, clamped to
+    # the travel, sounds strictly past 90%; a tip at or above the surface
+    # leaves the key untouched.
+    top = kb.key_target_position(geom, 40)
+
+    def ratio(depth):
+        tip = top - (0.0, 0.0, depth)
+        return kb.key_depths(geom, [tip])[39] / geom.travels[39]
+
+    assert ratio(0.009) == pytest.approx(0.9)
+    assert not ratio(0.009) > kb.SOUNDING_RATIO
+    assert ratio(0.0091) > kb.SOUNDING_RATIO
+    assert ratio(0.0) == 0.0
+    assert ratio(-0.001) == 0.0
+    assert ratio(0.05) == 1.0
 
 
 def test_with_pose_round_trips_points(geom, rng):

@@ -9,25 +9,30 @@ import _synth
 from pianomotion import hand, metrics, midi
 
 
+def rows(*frames):
+    """(len(frames), 88) key flags from per-frame key sets."""
+    return _synth.matrix_from_frames(frames).data.astype(bool)
+
+
 def test_frame_prf_partial_overlap():
-    p, r, f1 = metrics.frame_prf({40, 42}, {40, 44, 45})
+    p, r, f1 = metrics.frame_prf(rows({40, 42})[0], rows({40, 44, 45})[0])
     assert p == pytest.approx(0.5)
     assert r == pytest.approx(1.0 / 3.0)
     assert f1 == pytest.approx(0.4)  # 2 * (1/2) * (1/3) / (5/6)
 
 
 def test_frame_prf_conventions():
-    assert metrics.frame_prf(set(), set()) == (1.0, 1.0, 1.0)
-    assert metrics.frame_prf({40}, set()) == (0.0, 0.0, 0.0)
-    assert metrics.frame_prf(set(), {40}) == (0.0, 0.0, 0.0)
-    assert metrics.frame_prf({40}, {40}) == (1.0, 1.0, 1.0)
-    assert metrics.frame_prf({40}, {41}) == (0.0, 0.0, 0.0)
+    pred = rows(set(), {40}, set(), {40}, {40})
+    truth = rows(set(), set(), {40}, {40}, {41})
+    assert metrics.frame_prf(pred, truth).tolist() == [
+        [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
 
 
 def test_score_matrices_averages_per_frame():
     # Frame 0: exact. Frame 1: one of three predictions is right.
-    pred = [{40}, {40, 42, 44}]
-    truth = [{40}, {40}]
+    pred = rows({40}, {40, 42, 44})
+    truth = rows({40}, {40})
     report = metrics.score_matrices(pred, truth)
     assert report.precision == pytest.approx((1.0 + 1.0 / 3.0) / 2.0 * 100.0)
     assert report.recall == pytest.approx(100.0)
@@ -41,16 +46,16 @@ def test_score_matrices_averages_per_frame():
 def test_score_matrices_accepts_key_matrices(rng):
     data = (rng.random((12, 88)) < 0.15).astype(np.uint8)
     matrix = midi.KeyMatrix(60.0, data)
-    sets = [matrix.keys_at(i) for i in range(12)]
-    report_a = metrics.score_matrices(matrix, sets)
-    report_b = metrics.score_matrices(sets, matrix)
+    report_a = metrics.score_matrices(matrix, data.astype(bool))
+    report_b = metrics.score_matrices(data, matrix)
     assert report_a.f1 == 100.0
     assert report_b.f1 == 100.0
+    assert np.array_equal(report_a.per_frame, report_b.per_frame)
 
 
 def test_score_matrices_skip_vacuous():
-    pred = [set(), {40}, set()]
-    truth = [set(), {41}, set()]
+    pred = rows(set(), {40}, set())
+    truth = rows(set(), {41}, set())
     full = metrics.score_matrices(pred, truth)
     skipped = metrics.score_matrices(pred, truth, skip_vacuous=True)
     assert full.f1 == pytest.approx(200.0 / 3.0)
@@ -62,15 +67,17 @@ def test_score_matrices_skip_vacuous():
 
 def test_score_matrices_errors():
     with pytest.raises(ValueError, match="mismatch"):
-        metrics.score_matrices([{40}], [{40}, {41}])
+        metrics.score_matrices(rows({40}), rows({40}, {41}))
     with pytest.raises(ValueError, match="empty"):
-        metrics.score_matrices([], [])
+        metrics.score_matrices(np.zeros((0, 88)), np.zeros((0, 88)))
     with pytest.raises(ValueError, match="vacuous"):
-        metrics.score_matrices([set()], [set()], skip_vacuous=True)
+        metrics.score_matrices(rows(set()), rows(set()), skip_vacuous=True)
+    with pytest.raises(ValueError, match="88"):
+        metrics.score_matrices([{40}], [{40}])
 
 
 def test_report_json_fields():
-    report = metrics.score_matrices([{40}], [{40}])
+    report = metrics.score_matrices(rows({40}), rows({40}))
     payload = json.loads(report.to_json())
     assert payload == {
         "precision": 100.0,

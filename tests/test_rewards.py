@@ -1,5 +1,7 @@
 """Goal encoding, pose state, and the shaped reward terms."""
 
+import dataclasses
+import json
 import math
 import pathlib
 import sys
@@ -9,14 +11,26 @@ import pytest
 
 import _scalar_rewards as scalar
 import _synth
-from pianomotion import hand, keyboard as kb, rewards
-from pianomotion.keyboard import KeyState
+from pianomotion import cli, hand, keyboard as kb, midi, rewards
 from pianomotion.midi import KeyMatrix
 
 # The benchmark's synthetic scenes.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
                        / "perfbench"))
 import scenes  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def signals_scenes(tmp_path_factory):
+    """The signals scene of a seed, made once per module."""
+    made = {}
+
+    def scene(seed):
+        if seed not in made:
+            made[seed] = scenes.signals_scene(
+                seed, str(tmp_path_factory.mktemp("signals%d" % seed)))
+        return made[seed]
+    return scene
 
 
 def goal_fixture():
@@ -84,10 +98,10 @@ def test_goal_state_out_of_range():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_goals_equal_per_frame_oracle_on_signals_scene(tmp_path, seed):
+def test_goals_equal_per_frame_oracle_on_signals_scene(signals_scenes, seed):
     # Every frame of the benchmark's signals scene: the same segments, key
     # sets and goal states as the per-frame merge and the linear scan.
-    scene = scenes.signals_scene(seed, str(tmp_path))
+    scene = signals_scenes(seed)
     matrix = KeyMatrix(scenes.FPS, scene["score"])
     segments = rewards.merged_goals(matrix)
     want = scalar.merged_goals(matrix)
@@ -225,25 +239,41 @@ def test_pose_state_validation():
 def test_assign_fingering_picks_nearest_tip(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), press)])
+    matrix = _synth.matrix_from_frames([{40}], fps=60.0)
     # Fingertips number 1..5 left thumb..pinky, 6..10 right; the right
-    # middle finger is 8.
-    assert rewards.assign_fingering(clip, skeletons, geom, 40, 0) == 8
+    # middle finger is 8.  Silent keys get 0.
+    got = rewards.fingering(matrix, clip, skeletons, geom)
+    assert got[0, 39] == 8
+    assert np.count_nonzero(got) == 1
 
 
 def test_assign_fingering_left_hand(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {2: 20}, hand_idx=0)
     clip = _synth.pose_clip(60.0, [(press, _synth.parked_pose(1, x=1.5))])
-    assert rewards.assign_fingering(clip, skeletons, geom, 20, 0) == 3
+    matrix = _synth.matrix_from_frames([{20}], fps=60.0)
+    assert rewards.fingering(matrix, clip, skeletons, geom)[0, 19] == 3
+
+
+def test_assign_fingering_ties_go_to_the_lower_index(geom, skeletons):
+    # Two right hands in one pose: each left fingertip ties with its right
+    # counterpart, and the left (lower) index wins.
+    twin = dataclasses.replace(skeletons.right, handedness="left")
+    pair = hand.SkeletonPair(twin, skeletons.right)
+    hover = _synth.hover_pose(geom, 1, 40)
+    clip = _synth.pose_clip(60.0, [(hover, hover)])
+    tips = hand.clip_fingertips(clip, pair)[0]
+    assert np.array_equal(tips[:5], tips[5:])
+    matrix = _synth.matrix_from_frames([{40}], fps=60.0)
+    assert rewards.fingering(matrix, clip, pair, geom)[0, 39] == 3
 
 
 def test_key_press_onset_walks_back():
     rows = [set(), set(), {40}, {40}, {40}, set(), {40}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
-    assert rewards.key_press_onset(matrix, 40, 4) == 2
-    assert rewards.key_press_onset(matrix, 40, 2) == 2
-    assert rewards.key_press_onset(matrix, 40, 6) == 6
-    with pytest.raises(ValueError, match="not active"):
-        rewards.key_press_onset(matrix, 40, 5)
+    onsets = rewards.press_onsets(matrix.data)
+    assert onsets.shape == (7, 88)
+    assert onsets[:, 39].tolist() == [-1, -1, 2, 2, 2, -1, 6]
+    assert (onsets[:, :39] == -1).all()
 
 
 def test_segment_fingering_sticks_to_onset(geom, skeletons):
@@ -259,12 +289,9 @@ def test_segment_fingering_sticks_to_onset(geom, skeletons):
         60.0, [(parked, hover)] + [(parked, shifted)] * 3)
     rows = [{40}, {40}, {40, 42}, {40, 42}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
-    segments = rewards.merged_goals(matrix)
-    fingering = rewards.segment_fingering(matrix, segments, reference,
-                                          skeletons, geom)
-    assert fingering[(0, 40)] == 8
-    assert fingering[(1, 40)] == 8   # held key keeps its onset assignment
-    assert fingering[(1, 42)] == 8   # middle is nearest 42 after the shift
+    fingering = rewards.fingering(matrix, reference, skeletons, geom)
+    assert fingering[:, 39].tolist() == [8, 8, 8, 8]  # held: onset's choice
+    assert fingering[:, 41].tolist() == [0, 0, 8, 8]  # middle after the shift
 
 
 def test_segment_fingering_reassigns_after_release(geom, skeletons):
@@ -277,11 +304,9 @@ def test_segment_fingering_reassigns_after_release(geom, skeletons):
                (parked, shifted), (parked, shifted)])
     rows = [{40}, set(), {40}, {40}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
-    segments = rewards.merged_goals(matrix)
-    fingering = rewards.segment_fingering(matrix, segments, reference,
-                                          skeletons, geom)
-    assert fingering[(0, 40)] == 8
-    assert fingering[(2, 40)] == 9   # re-pressed under the shifted hand
+    fingering = rewards.fingering(matrix, reference, skeletons, geom)
+    # Re-pressed under the shifted hand.
+    assert fingering[:, 39].tolist() == [8, 0, 9, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +314,37 @@ def test_segment_fingering_reassigns_after_release(geom, skeletons):
 
 
 def test_reward_target_sounding_is_one(geom):
-    state = KeyState(0.0095, 0.010)
-    assert rewards.reward_target((9.0, 9.0, 9.0), state, (0.0, 0.0, 0.0)) == 1.0
+    assert rewards.reward_target((9.0, 9.0, 9.0), 0.95, (0.0, 0.0, 0.0)) == 1.0
 
 
 def test_reward_target_distance_shaping(geom):
     # 5 cm from the target with an untouched key.
-    state = KeyState(0.0, 0.010)
-    got = rewards.reward_target((0.05, 0.0, 0.0), state, (0.0, 0.0, 0.0))
+    got = rewards.reward_target((0.05, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0))
     assert got == pytest.approx(math.exp(-0.05), rel=1e-12)
     # On the target with the key half sunk.
-    state = KeyState(0.005, 0.010)
-    got = rewards.reward_target((0.0, 0.0, 0.0), state, (0.0, 0.0, 0.0))
+    got = rewards.reward_target((0.0, 0.0, 0.0), 0.5, (0.0, 0.0, 0.0))
     assert got == pytest.approx(math.exp(0.005), rel=1e-12)
+    # A batch of keys at once.
+    got = rewards.reward_target([[0.05, 0.0, 0.0], [9.0, 9.0, 9.0]],
+                                [0.0, 0.95], np.zeros((2, 3)))
+    assert got.shape == (2,)
+    assert got[0] == pytest.approx(math.exp(-0.05), rel=1e-12)
+    assert got[1] == 1.0
 
 
 def test_reward_target_threshold_is_strict(geom):
     # Exactly 90% of travel does not count as sounding.
-    state = KeyState(0.009, 0.010)
-    got = rewards.reward_target((0.0, 0.0, 0.0), state, (0.1, 0.0, 0.0))
+    got = rewards.reward_target((0.0, 0.0, 0.0), 0.9, (0.1, 0.0, 0.0))
     assert got == pytest.approx(math.exp(-0.1 + 0.01 * 0.9), rel=1e-12)
 
 
 def test_reward_nontarget_values():
-    assert rewards.reward_nontarget(KeyState(0.0, 0.010)) == 0.0
-    assert rewards.reward_nontarget(KeyState(0.001, 0.010)) == 0.0
-    assert rewards.reward_nontarget(KeyState(0.002, 0.010)) == \
-        pytest.approx(0.2 / 0.9, rel=1e-12)
-    assert rewards.reward_nontarget(KeyState(0.009, 0.010)) == \
-        pytest.approx(1.0, rel=1e-12)
-    assert rewards.reward_nontarget(KeyState(0.010, 0.010)) == \
-        pytest.approx(1.0 / 0.9, rel=1e-12)
+    got = rewards.reward_nontarget([0.0, 0.1, 0.2, 0.9, 1.0])
+    assert got[0] == 0.0
+    assert got[1] == 0.0                      # the 0.1 ignore ratio is kept
+    assert got[2] == pytest.approx(0.2 / 0.9, rel=1e-12)
+    assert got[3] == pytest.approx(1.0, rel=1e-12)
+    assert got[4] == pytest.approx(1.0 / 0.9, rel=1e-12)
 
 
 def test_reward_energy_values():
@@ -333,6 +358,11 @@ def test_reward_energy_values():
     tips[0, :, 1] = 1.0  # five fingertips at 1 m/s
     got = rewards.reward_energy(np.zeros((2, 3)), tips)
     assert got == pytest.approx(math.exp(-0.75 * 0.25), rel=1e-12)
+    batch = rewards.reward_energy(np.stack([np.zeros((2, 3)), wrist]),
+                                  np.zeros((2, 2, 5, 3)))
+    assert batch.shape == (2,)
+    assert batch[0] == 1.0
+    assert batch[1] == pytest.approx(math.exp(-0.75), rel=1e-12)
 
 
 def test_reward_energy_validates_shapes():
@@ -340,40 +370,59 @@ def test_reward_energy_validates_shapes():
         rewards.reward_energy(np.zeros(3), np.zeros((2, 5, 3)))
     with pytest.raises(ValueError):
         rewards.reward_energy(np.zeros((2, 3)), np.zeros((10, 3)))
+    with pytest.raises(ValueError):
+        rewards.reward_energy(np.zeros((4, 2, 3)), np.zeros((3, 2, 5, 3)))
+
+
+def key_row(fill, values):
+    """An (88,) row holding `fill` except at the given keys."""
+    row = np.full(88, fill)
+    for k, v in values.items():
+        row[k - 1] = v
+    return row
 
 
 def test_reward_total_combination():
-    breakdown = rewards.reward_total(
-        targets={40: 0.8, 42: 0.5},
-        nontargets={50: 0.3},
-        all_correct=True,
-        energy=0.9,
-        frame=7,
-    )
-    assert breakdown.total == pytest.approx(
-        0.4 - 0.15 * 0.3 + 0.5 - 0.05 * 0.9, rel=1e-12)
-    assert breakdown.r_correct == 1.0
-    assert breakdown.frame == 7
+    total = rewards.reward_total(key_row(1.0, {40: 0.8, 42: 0.5}),
+                                 key_row(0.0, {50: 0.3}), 1.0, 0.9)
+    assert total == pytest.approx(0.4 - 0.15 * 0.3 + 0.5 - 0.05 * 0.9,
+                                  rel=1e-12)
 
 
 def test_reward_total_empty_targets_product_is_one():
-    breakdown = rewards.reward_total({}, {}, True, 1.0)
-    assert breakdown.total == pytest.approx(1.0 + 0.5 - 0.05, rel=1e-12)
+    total = rewards.reward_total(np.ones(88), np.zeros(88), 1.0, 1.0)
+    assert total == pytest.approx(1.0 + 0.5 - 0.05, rel=1e-12)
 
 
 def test_reward_total_energy_sign():
-    minus = rewards.reward_total({}, {}, False, 1.0, energy_sign=-1.0)
-    plus = rewards.reward_total({}, {}, False, 1.0, energy_sign=1.0)
-    assert plus.total - minus.total == pytest.approx(0.1, rel=1e-12)
+    minus = rewards.reward_total(np.ones(88), np.zeros(88), 0.0, 1.0,
+                                 energy_sign=-1.0)
+    plus = rewards.reward_total(np.ones(88), np.zeros(88), 0.0, 1.0,
+                                energy_sign=1.0)
+    assert plus - minus == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError):
-        rewards.reward_total({}, {}, False, 1.0, energy_sign=0.5)
+        rewards.reward_total(np.ones(88), np.zeros(88), 0.0, 1.0,
+                             energy_sign=0.5)
 
 
-def test_reward_breakdown_json_keys_sorted():
-    breakdown = rewards.reward_total({42: 0.5, 40: 0.8}, {50: 0.3}, False, 1.0)
-    obj = breakdown.to_json_obj()
-    assert list(obj["targets"]) == ["40", "42"]
-    assert obj["nontargets"] == {"50": 0.3}
+def test_reward_breakdown_json_keys_sorted(tmp_path, geom, skeletons):
+    # The clip presses key 40 where the score wants 45 and 42: each line's
+    # fields and key maps are sorted.
+    press = _synth.pressing_pose(geom, skeletons, {7: 40})
+    parked = _synth.parked_pose(0)
+    clip_path = tmp_path / "clip.json"
+    clip_path.write_text(_synth.pose_clip(60.0, [(parked, press)] * 2).to_json())
+    matrix_path = tmp_path / "score.json"
+    matrix_path.write_text(midi.matrix_to_json(
+        _synth.matrix_from_frames([{45, 42}] * 2, fps=60.0)))
+    out = tmp_path / "rewards.jsonl"
+    assert cli.main(["reward", "--clip", str(clip_path), "--midi",
+                     str(matrix_path), "-o", str(out)]) == 0
+    line = out.read_text().split("\n")[0]
+    obj = json.loads(line)
+    assert list(obj) == sorted(obj)
+    assert list(obj["targets"]) == ["42", "45"]
+    assert list(obj["nontargets"]) == ["40"]
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +440,13 @@ def test_evaluate_rewards_perfect_press(geom, skeletons):
     assert kb.key_depths(geom, tips)[39] > 0.009   # fixture reaches sounding
     matrix = _synth.matrix_from_frames([{40}, {40}], fps=60.0)
     out = rewards.evaluate_rewards(clip, skeletons, geom, matrix)
-    assert len(out) == 2
-    for breakdown in out:
-        assert breakdown.targets == {40: 1.0}
-        assert breakdown.nontargets == {}
-        assert breakdown.r_correct == 1.0
-        assert breakdown.r_energy == pytest.approx(1.0, abs=1e-12)
-        assert breakdown.total == pytest.approx(1.45, rel=1e-12)
+    assert out.total.shape == (2,)
+    assert np.array_equal(out.targets, matrix.data.astype(bool))
+    assert (out.r_target == 1.0).all()
+    assert (out.r_nontarget == 0.0).all()
+    assert (out.r_correct == 1.0).all()
+    assert out.r_energy == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert out.total == pytest.approx([1.45, 1.45], rel=1e-12)
 
 
 def test_evaluate_rewards_wrong_key_penalized(geom, skeletons):
@@ -409,19 +458,19 @@ def test_evaluate_rewards_wrong_key_penalized(geom, skeletons):
     clip = _synth.pose_clip(60.0, [(parked, press), (parked, press)])
     matrix = _synth.matrix_from_frames([{42}, {42}], fps=60.0)
     out = rewards.evaluate_rewards(clip, skeletons, geom, matrix)
-    breakdown = out[0]
     # The achieved depth sets the penalty; read it back through the key
     # geometry rather than assuming the solver hit 6 mm exactly.
     tips = hand.clip_fingertips(clip, skeletons)[0]
-    ratio = kb.key_depths(geom, tips)[39] / geom.travel_of(40)
+    ratio = kb.key_depths(geom, tips)[39] / geom.travels[39]
     assert 0.4 < ratio < 0.8
-    assert breakdown.nontargets == {40: pytest.approx(ratio / 0.9, rel=1e-9)}
-    assert breakdown.r_correct == 0.0
-    assert 0.0 < breakdown.targets[42] < 1.0
-    expect_total = (breakdown.targets[42]
-                    - 0.15 * breakdown.nontargets[40]
-                    - 0.05 * breakdown.r_energy)
-    assert breakdown.total == pytest.approx(expect_total, rel=1e-12)
+    assert np.flatnonzero(out.r_nontarget[0]).tolist() == [39]
+    assert out.r_nontarget[0, 39] == pytest.approx(ratio / 0.9, rel=1e-9)
+    assert out.r_correct[0] == 0.0
+    assert 0.0 < out.r_target[0, 41] < 1.0
+    expect_total = (out.r_target[0, 41]
+                    - 0.15 * out.r_nontarget[0, 39]
+                    - 0.05 * out.r_energy[0])
+    assert out.total[0] == pytest.approx(expect_total, rel=1e-12)
 
 
 def test_evaluate_rewards_silence_scores_product_one(geom, skeletons):
@@ -431,8 +480,8 @@ def test_evaluate_rewards_silence_scores_product_one(geom, skeletons):
     matrix = _synth.matrix_from_frames([set(), set()], fps=60.0)
     out = rewards.evaluate_rewards(clip, skeletons, geom, matrix)
     # No targets: empty product 1 and the correctness bonus applies.
-    assert out[0].targets == {}
-    assert out[0].total == pytest.approx(1.0 + 0.5 - 0.05, rel=1e-9)
+    assert not out.targets.any()
+    assert out.total[0] == pytest.approx(1.0 + 0.5 - 0.05, rel=1e-9)
 
 
 def test_evaluate_rewards_validates_inputs(geom, skeletons):
@@ -450,3 +499,58 @@ def test_evaluate_rewards_validates_inputs(geom, skeletons):
     with pytest.raises(ValueError, match="2 frames"):
         rewards.evaluate_rewards(short, skeletons, geom,
                                  _synth.matrix_from_frames([set()], fps=60.0))
+
+
+def _held(score):
+    held = score.copy()
+    held[3:] |= score[:-3]        # presses outlast the next segment's start
+    held[50:400, 10] = 1          # one key held across dozens of segments
+    return held
+
+
+SCORE_VARIANTS = {
+    "plain": lambda score: score,
+    "rolled": lambda score: np.roll(score, 1, axis=1),
+    "held": _held,
+    "reversed-reference": lambda score: score,
+}
+
+
+@pytest.mark.parametrize("energy_sign", [-1.0, 1.0])
+@pytest.mark.parametrize("variant", list(SCORE_VARIANTS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reward_lines_equal_per_frame_oracle_on_signals_scene(
+        tmp_path, signals_scenes, geom, skeletons, seed, variant, energy_sign):
+    # The reward CLI's JSON lines equal, byte for byte, the per-frame,
+    # per-key breakdowns on the benchmark's signals scene.  The plain score
+    # has no non-target presses and no key held across a segment boundary:
+    # rolling it by one key gives the first, holding presses longer the
+    # second, and a time-reversed reference assigns fingers from other
+    # frames than the clip's.
+    scene = signals_scenes(seed)
+    clip_path = scene["paths"]["clip.json"]
+    clip = hand.MotionClip.from_json(pathlib.Path(clip_path).read_text())
+    data = SCORE_VARIANTS[variant](scene["score"])
+    matrix = KeyMatrix(scenes.FPS, data)
+    matrix_path = tmp_path / "score.json"
+    matrix_path.write_text(midi.matrix_to_json(matrix))
+    out = tmp_path / "rewards.jsonl"
+    argv = ["reward", "--clip", clip_path, "--midi", matrix_path,
+            "--energy-sign", energy_sign, "-o", out]
+    reference = None
+    if variant == "reversed-reference":
+        reference = clip[::-1]
+        ref_path = tmp_path / "reference.json"
+        ref_path.write_text(reference.to_json())
+        argv += ["--reference", ref_path]
+    assert cli.main([str(a) for a in argv]) == 0
+
+    want = scalar.evaluate_rewards(clip, skeletons, geom, matrix,
+                                   reference=reference,
+                                   energy_sign=energy_sign)
+    assert out.read_text() == scalar.reward_json_lines(want)
+    if variant == "rolled":
+        assert sum(bool(b.nontargets) for b in want) > 100
+    if variant == "held":
+        change = np.any(data[1:] != data[:-1], axis=1)
+        assert np.any(data[1:] & data[:-1] & change[:, None])
