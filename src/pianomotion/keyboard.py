@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 import reprlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -250,8 +250,3 @@ def key_depths(geom: KeyboardGeometry, fingertips) -> np.ndarray:
     k = keys[live] - 1
     np.maximum.at(out, np.nonzero(live)[:-1] + (k,), np.minimum(depth[live], geom.travels[k]))
     return out
-
-
-def with_pose(geom: KeyboardGeometry, position, yaw: float) -> KeyboardGeometry:
-    """Same key layout under a new global pose."""
-    return KeyboardGeometry(replace(geom.config, position=tuple(position), yaw=yaw))

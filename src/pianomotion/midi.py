@@ -1,7 +1,7 @@
 """Standard MIDI File ingestion and frame-aligned key matrices.
 
-Parses SMF format 0/1 byte streams into absolute-time note events, quantizes
-note lists into binary frames x 88 key matrices, builds duration-weighted
+Parses SMF format 0/1 byte streams into onset, offset and pitch arrays,
+quantizes them into binary frames x 88 key matrices, builds duration-weighted
 condition matrices, and synchronizes two note streams by grid search over
 candidate time offsets.
 
@@ -17,7 +17,7 @@ import numbers
 import reprlib
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,55 +51,55 @@ class MidiWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """One note: [onset, offset) in seconds, pitch as piano key 1..88."""
-
-    onset: float
-    offset: float
-    pitch: int
-
-    def __post_init__(self):
-        if not 0 <= self.onset < np.inf:
-            raise ValueError(f"onset must be finite and >= 0, got {self.onset}")
-        if not self.onset < self.offset < np.inf:
-            raise ValueError(f"offset {self.offset} must be finite and exceed onset {self.onset}")
-        if not 1 <= self.pitch <= NUM_KEYS:
-            raise ValueError(f"pitch must be in 1..88, got {self.pitch}")
-
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class NoteList:
-    """Onset-sorted sequence of NoteEvents with a provenance label."""
+    """Notes held as three arrays, in non-decreasing onset order:
 
-    notes: tuple[NoteEvent, ...]
+        onset   (N,) float64   start, seconds
+        offset  (N,) float64   end, seconds, exclusive
+        pitch   (N,) int64     piano key 1..88
+
+    Construction checks the shapes, that every time is finite with
+    0 <= onset < offset, that pitches are integers in 1..88 and that
+    onsets do not decrease, and keeps the arrays without copying them
+    when they already have these dtypes.  `source` labels where the
+    notes came from.
+    """
+
+    onset: np.ndarray
+    offset: np.ndarray
+    pitch: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "notes", tuple(self.notes))
-        onsets = [n.onset for n in self.notes]
-        if any(b < a for a, b in zip(onsets, onsets[1:])):
+        onset = self.onset = np.asarray(self.onset, dtype=np.float64)
+        offset = self.offset = np.asarray(self.offset, dtype=np.float64)
+        pitch = np.asarray(self.pitch)
+        if pitch.size and pitch.dtype.kind not in "iu":
+            raise ValueError(f"pitch must hold integers, got dtype {pitch.dtype}")
+        pitch = self.pitch = pitch.astype(np.int64, copy=False)
+        if not onset.ndim == 1 or not onset.shape == offset.shape == pitch.shape:
+            raise ValueError("onset, offset and pitch must be 1-D arrays of one "
+                             f"length, got {onset.shape}, {offset.shape}, {pitch.shape}")
+        bad = np.flatnonzero(~((onset >= 0) & (onset < np.inf)))
+        if bad.size:
+            raise ValueError(f"onset must be finite and >= 0, got {onset[bad[0]]}")
+        bad = np.flatnonzero(~((onset < offset) & (offset < np.inf)))
+        if bad.size:
+            raise ValueError(f"offset {offset[bad[0]]} must be finite and exceed "
+                             f"onset {onset[bad[0]]}")
+        bad = np.flatnonzero((pitch < 1) | (pitch > NUM_KEYS))
+        if bad.size:
+            raise ValueError(f"pitch must be in 1..88, got {pitch[bad[0]]}")
+        if (onset[1:] < onset[:-1]).any():
             raise ValueError("notes must be sorted by non-decreasing onset")
 
     def __len__(self) -> int:
-        return len(self.notes)
-
-    def __iter__(self):
-        return iter(self.notes)
-
-    @staticmethod
-    def from_events(events, source: str = "") -> "NoteList":
-        return NoteList(tuple(sorted(events, key=lambda n: (n.onset, n.pitch))), source)
-
-    def shifted(self, delta: float) -> "NoteList":
-        """Return a copy with `delta` seconds added to every onset/offset."""
-        return NoteList(
-            tuple(NoteEvent(n.onset + delta, n.offset + delta, n.pitch) for n in self.notes),
-            self.source,
-        )
+        return len(self.onset)
 
     def duration(self) -> float:
-        return max((n.offset for n in self.notes), default=0.0)
+        """The latest offset in seconds, 0.0 for no notes."""
+        return self.offset.max().item() if len(self) else 0.0
 
 
 @dataclass
@@ -152,18 +152,6 @@ class ConditionMatrix:
     @property
     def n_frames(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """One-to-one note matching between two lists."""
-
-    pairs: tuple[tuple[int, int], ...]  # (index in a, index in b)
-    count: int
-
-    def __post_init__(self):
-        if self.count != len(self.pairs):
-            raise ValueError("count must equal number of pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +274,33 @@ def _parse_track(data, pos: int):
     return notes, tempos, unterminated, pos
 
 
-class _TempoMap:
-    """Piecewise-constant tempo: converts absolute ticks to seconds."""
+def _tick_seconds(ticks, tempos, ppq: int, pos: int) -> np.ndarray:
+    """Seconds at each absolute tick of `ticks` under a tempo map.
 
-    def __init__(self, tempos, ppq: int):
-        tempos = sorted(tempos)
-        if not tempos or tempos[0][0] > 0:
-            tempos.insert(0, (0, 500000))  # SMF default: 120 bpm
-        self.ticks = [t for t, _ in tempos]
-        self.uspq = [u for _, u in tempos]
-        self.ppq = ppq
-        self.seconds_at = [0.0]
-        for i in range(1, len(self.ticks)):
-            dt = self.ticks[i] - self.ticks[i - 1]
-            self.seconds_at.append(
-                self.seconds_at[-1] + dt * self.uspq[i - 1] / (self.ppq * 1e6)
-            )
+    `tempos` are (tick, microseconds per quarter note) in file order; of
+    several at one tick the last holds, and 120 bpm holds before the
+    first.  A time is the seconds at its tempo's start plus the int64
+    product of ticks since then and the tempo, divided by ppq * 1e6: the
+    rounding of the same sum in Python integers.  A product past int64 is
+    a MidiParseError at `pos`.
+    """
+    tempos = np.array(tempos, dtype=np.int64).reshape(-1, 2)
+    tempos = tempos[np.argsort(tempos[:, 0], kind="stable")]
+    tempos = tempos[np.diff(tempos[:, 0], append=-1) != 0]  # last at each tick
+    if not len(tempos) or tempos[0, 0] > 0:
+        tempos = np.vstack([(0, 500000), tempos])  # SMF default: 120 bpm
+    start, uspq = tempos.T
+    scale = ppq * 1e6
 
-    def seconds(self, tick: int) -> float:
-        i = bisect.bisect_right(self.ticks, tick) - 1
-        return self.seconds_at[i] + (tick - self.ticks[i]) * self.uspq[i] / (self.ppq * 1e6)
+    def since_start(ticks, i):
+        span = ticks - start[i]
+        if (span > np.iinfo(np.int64).max // np.maximum(uspq[i], 1)).any():
+            raise MidiParseError("tick times too long to convert to seconds", pos)
+        return span * uspq[i] / scale
+
+    start_seconds = np.cumsum(np.append(0.0, since_start(start[1:], np.arange(len(start) - 1))))
+    i = np.searchsorted(start, ticks, side="right") - 1
+    return start_seconds[i] + since_start(ticks, i)
 
 
 def parse_midi(data: bytes, source: str = "") -> NoteList:
@@ -314,10 +309,12 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
     Note-on/note-off pairs are resolved to absolute seconds through the tempo
     map; a note-on with velocity 0 closes the note like a note-off. Pitches
     outside MIDI 21..108 are dropped and notes left open at end of track are
-    closed there; both cases raise a MidiWarning with counts.
+    closed there; both cases raise a MidiWarning with counts.  Notes come
+    sorted by onset, then pitch, then track and the order they close in.
 
     Raises:
-        MidiParseError: malformed header or chunk, with the byte offset.
+        MidiParseError: malformed header or chunk, or a time too long for
+            int64 tick arithmetic, with the byte offset.
     """
     header = _take(data, 0, 4)
     if header != b"MThd":
@@ -338,26 +335,21 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
 
     pos = 8 + header_len
     events = []
-    all_tempos = []
+    tempos = []
     unterminated = 0
     for _ in range(n_tracks):
-        notes, tempos, open_count, pos = _parse_track(data, pos)
-        events.extend(notes)
-        all_tempos.extend(tempos)
+        track_notes, track_tempos, open_count, pos = _parse_track(data, pos)
+        events.extend(track_notes)
+        tempos.extend(track_tempos)
         unterminated += open_count
-    tempo_map = _TempoMap(all_tempos, division)
-
-    out = []
-    dropped = 0
-    for onset_tick, offset_tick, midi_pitch in events:
-        if not MIN_MIDI_PITCH <= midi_pitch <= MAX_MIDI_PITCH:
-            dropped += 1
-            continue
-        onset = tempo_map.seconds(onset_tick)
-        offset = tempo_map.seconds(offset_tick)
-        if offset <= onset:
-            continue  # zero-length after tempo mapping; nothing to keep
-        out.append(NoteEvent(onset, offset, midi_pitch - MIN_MIDI_PITCH + 1))
+    ticks = np.array(events, dtype=np.int64).reshape(-1, 3)
+    keep = (ticks[:, 2] >= MIN_MIDI_PITCH) & (ticks[:, 2] <= MAX_MIDI_PITCH)
+    dropped = len(keep) - int(keep.sum())
+    ticks = ticks[keep]
+    onset, offset = _tick_seconds(ticks[:, :2], tempos, division, pos).T
+    keep = offset > onset  # zero-length after tempo mapping; nothing to keep
+    onset, offset, pitch = onset[keep], offset[keep], ticks[keep, 2] - (MIN_MIDI_PITCH - 1)
+    order = np.lexsort((pitch, onset))
 
     if dropped:
         warnings.warn(f"dropped {dropped} note(s) outside MIDI 21..108", MidiWarning)
@@ -365,49 +357,7 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
         warnings.warn(
             f"closed {unterminated} unterminated note(s) at end of track", MidiWarning
         )
-    return NoteList.from_events(out, source)
-
-
-def _varlen_bytes(value: int) -> bytes:
-    chunks = [value & 0x7F]
-    value >>= 7
-    while value:
-        chunks.append(0x80 | (value & 0x7F))
-        value >>= 7
-    return bytes(reversed(chunks))
-
-
-def serialize_midi(notes: NoteList, ppq: int = 480, tempo_uspq: int = 500000) -> bytes:
-    """Write a NoteList as a single-track SMF (format 0).
-
-    Inverse of parse_midi up to tick rounding: round-trips preserve
-    onset/offset within one tick.
-    """
-    ticks_per_second = ppq * 1e6 / tempo_uspq
-    events = []  # (tick, order, midi_pitch, velocity); note-offs sort first at a tick
-    for note in notes:
-        midi_pitch = note.pitch + MIN_MIDI_PITCH - 1
-        on_tick = round(note.onset * ticks_per_second)
-        off_tick = max(on_tick + 1, round(note.offset * ticks_per_second))
-        events.append((on_tick, 1, midi_pitch, 64))
-        events.append((off_tick, 0, midi_pitch, 0))
-    events.sort()
-
-    body = bytearray()
-    body += b"\x00\xff\x51\x03" + tempo_uspq.to_bytes(3, "big")
-    tick = 0
-    for event_tick, order, midi_pitch, velocity in events:
-        body += _varlen_bytes(event_tick - tick)
-        tick = event_tick
-        status = 0x90 if order == 1 else 0x80
-        body += bytes([status, midi_pitch, velocity])
-    body += b"\x00\xff\x2f\x00"
-
-    out = bytearray()
-    out += b"MThd" + (6).to_bytes(4, "big")
-    out += (0).to_bytes(2, "big") + (1).to_bytes(2, "big") + ppq.to_bytes(2, "big")
-    out += b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
-    return bytes(out)
+    return NoteList(onset[order], offset[order], pitch[order], source)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +372,7 @@ def _note_cells(notes: NoteList, fps: float, n_frames: int):
     before its onset's frame to one after its offset's, all notes at once
     with the same float expressions.
     """
-    onset = np.array([n.onset for n in notes], dtype=np.float64)
-    offset = np.array([n.offset for n in notes], dtype=np.float64)
+    onset, offset = notes.onset, notes.offset
     first, stop = np.floor(onset * fps), np.ceil(offset * fps)
     if not (np.isfinite(first).all() and np.isfinite(stop).all()):
         raise ValueError("note onsets and offsets must be finite in frames "
@@ -435,8 +384,15 @@ def _note_cells(notes: NoteList, fps: float, n_frames: int):
     frame = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
     covered = (onset[note] < (frame + 1) / fps) & (offset[note] > frame / fps)
     note, frame = note[covered], frame[covered]
-    key = np.array([n.pitch - 1 for n in notes], dtype=np.int64)[note]
-    return note, frame, key
+    return note, frame, notes.pitch[note] - 1
+
+
+def _zeros(n_frames: int, dtype) -> np.ndarray:
+    """A zero (n_frames, 88) matrix; ValueError when it cannot be held."""
+    try:
+        return np.zeros((n_frames, NUM_KEYS), dtype=dtype)
+    except MemoryError:
+        raise ValueError(f"n_frames {n_frames} is too large to hold in memory") from None
 
 
 def quantize(notes: NoteList, fps: float, n_frames: int) -> KeyMatrix:
@@ -449,7 +405,7 @@ def quantize(notes: NoteList, fps: float, n_frames: int) -> KeyMatrix:
         raise ValueError(f"fps must be positive, got {fps}")
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
-    data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8)
+    data = _zeros(n_frames, np.uint8)
     _, frame, key = _note_cells(notes, fps, n_frames)
     data[frame, key] = 1
     return KeyMatrix(fps, data)
@@ -470,7 +426,7 @@ def condition_matrix(
         raise ValueError(f"fps must be positive, got {fps}")
     if n_frames < 0:
         raise ValueError(f"n_frames must be >= 0, got {n_frames}")
-    data = np.zeros((n_frames, NUM_KEYS), dtype=np.float64)
+    data = _zeros(n_frames, np.float64)
     note, frame, key = _note_cells(notes, fps, n_frames)
     if mode == "constant":
         value = 1.0 / np.bincount(note, minlength=len(notes))[note]
@@ -486,26 +442,21 @@ def condition_matrix(
     return ConditionMatrix(fps, data)
 
 
-def expand_key_matrix(matrix: KeyMatrix) -> NoteList:
-    """Reconstruct a NoteList from a binary matrix (one note per run of 1s)."""
-    events = []
-    for key in range(NUM_KEYS):
-        column = matrix.data[:, key]
-        changes = np.flatnonzero(np.diff(np.concatenate(([0], column, [0]))))
-        for start, end in changes.reshape(-1, 2):
-            events.append(NoteEvent(start / matrix.fps, end / matrix.fps, key + 1))
-    return NoteList.from_events(events, "expanded")
-
-
 # ---------------------------------------------------------------------------
 # Note matching and offset search
 
 
-def _group_by_pitch(notes: NoteList):
-    groups: dict[int, list[tuple[float, int]]] = {}
-    for i, note in enumerate(notes):
-        groups.setdefault(note.pitch, []).append((note.onset, i))
-    return groups
+def _onsets_by_pitch(notes: NoteList) -> dict:
+    """{pitch: its onsets as floats, ascending}, pitches in order of first
+    appearance."""
+    order = np.argsort(notes.pitch, kind="stable")
+    pitch = notes.pitch[order]
+    starts = np.flatnonzero(np.diff(pitch, prepend=0))  # each pitch's first place
+    bounds = np.append(starts, len(pitch)).tolist()
+    onsets = notes.onset[order].tolist()
+    # order[starts] is where each pitch first appears in the list.
+    return {int(pitch[bounds[g]]): onsets[bounds[g]:bounds[g + 1]]
+            for g in np.argsort(order[starts]).tolist()}
 
 
 def _greedy_match(a_onsets, b_onsets, tolerance: float, b_shift: float = 0.0):
@@ -540,29 +491,6 @@ def _greedy_match(a_onsets, b_onsets, tolerance: float, b_shift: float = 0.0):
     return pairs, total_gap
 
 
-def match_notes(a: NoteList, b: NoteList, tolerance: float) -> MatchResult:
-    """One-to-one matching: same pitch and |onset difference| <= tolerance.
-
-    Greedy per pitch: a-notes in ascending onset order each take the nearest
-    unmatched b-onset. Deterministic; optimal when onsets are well separated.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    groups_a = _group_by_pitch(a)
-    groups_b = _group_by_pitch(b)
-    pairs = []
-    for pitch, list_a in groups_a.items():
-        list_b = groups_b.get(pitch)
-        if not list_b:
-            continue
-        local, _ = _greedy_match(
-            [t for t, _ in list_a], [t for t, _ in list_b], tolerance
-        )
-        pairs.extend((list_a[ia][1], list_b[ib][1]) for ia, ib in local)
-    pairs.sort()
-    return MatchResult(tuple(pairs), len(pairs))
-
-
 def offset_grid(
     span: float = DEFAULT_GRID_SPAN, step: float = DEFAULT_GRID_STEP
 ) -> list[float]:
@@ -580,7 +508,8 @@ def find_offset(
     """Find the time offset of b relative to a by exhaustive grid search.
 
     Scores each candidate offset by the greedy match count between a and b
-    shifted back by the offset, so find_offset(a, a.shifted(d)) recovers d.
+    shifted back by the offset, so for b holding a's notes d seconds later
+    it returns d.
     Count ties are broken by the smallest summed onset gap of the matching,
     then by smallest |offset|. Returns (offset, match count).
     """
@@ -589,13 +518,9 @@ def find_offset(
     grid = list(grid)
     if not grid:
         raise ValueError("offset grid must be non-empty")
-    groups_a = _group_by_pitch(a)
-    groups_b = _group_by_pitch(b)
-    shared = [
-        ([t for t, _ in groups_a[p]], [t for t, _ in groups_b[p]])
-        for p in groups_a
-        if p in groups_b
-    ]
+    onsets_a = _onsets_by_pitch(a)
+    onsets_b = _onsets_by_pitch(b)
+    shared = [(onsets_a[p], onsets_b[p]) for p in onsets_a if p in onsets_b]
     best = None
     for offset in grid:
         count = 0
@@ -614,36 +539,27 @@ def find_offset(
 # Matrix serialization: RLE-column JSON and dense CSV
 
 
-def _runs(column: np.ndarray):
-    """Maximal runs of equal nonzero values: (start, end, value), end exclusive."""
-    runs = []
-    start = None
-    value = 0.0
-    for i, entry in enumerate(column):
-        if entry != 0 and (start is None or entry != value):
-            if start is not None:
-                runs.append((start, i, value))
-            start, value = i, entry
-        elif entry == 0 and start is not None:
-            runs.append((start, i, value))
-            start = None
-    if start is not None:
-        runs.append((start, len(column), value))
-    return runs
+def _runs(data: np.ndarray):
+    """(key index, start, end, value) arrays of the maximal runs of equal
+    nonzero values down each column of data, ends exclusive, column by
+    column and runs in frame order."""
+    edge = np.zeros((1, data.shape[1]), dtype=data.dtype)
+    padded = np.concatenate([edge, data, edge])
+    key, at = np.nonzero((padded[1:] != padded[:-1]).T)
+    value = padded[at + 1, key]
+    starts = np.flatnonzero(value != 0)
+    # Each run ends at the next change in its column; the zero edge makes one.
+    return key[starts], at[starts], at[starts + 1], value[starts]
 
 
 def matrix_to_json(matrix: KeyMatrix | ConditionMatrix) -> str:
     """Serialize a key/condition matrix with run-length-encoded columns."""
     binary = isinstance(matrix, KeyMatrix)
+    key, start, end, value = _runs(matrix.data)
+    fields = (start, end) if binary else (start, end, value)
     columns = {}
-    for key in range(NUM_KEYS):
-        runs = _runs(matrix.data[:, key])
-        if not runs:
-            continue
-        if binary:
-            columns[str(key + 1)] = [[int(s), int(e)] for s, e, _ in runs]
-        else:
-            columns[str(key + 1)] = [[int(s), int(e), float(v)] for s, e, v in runs]
+    for k, *run in zip((key + 1).tolist(), *(a.tolist() for a in fields)):
+        columns.setdefault(str(k), []).append(run)
     payload = {
         "type": "key_matrix" if binary else "condition_matrix",
         "fps": matrix.fps,
@@ -670,10 +586,7 @@ def matrix_from_json(text: str) -> KeyMatrix | ConditionMatrix:
         raise ValueError("columns must be an object of key -> runs")
     binary = kind == "key_matrix"
     form = "[start, end]" if binary else "[start, end, value in (0, 1]]"
-    try:
-        data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8 if binary else np.float64)
-    except MemoryError:
-        raise ValueError(f"n_frames {n_frames} is too large to hold in memory") from None
+    data = _zeros(n_frames, np.uint8 if binary else np.float64)
     for key_str, runs in columns.items():
         key = int(key_str) if key_str.isdecimal() else 0
         if not 1 <= key <= NUM_KEYS or not isinstance(runs, list):

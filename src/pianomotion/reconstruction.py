@@ -256,20 +256,13 @@ class JointTrajectory:
                               bool))
 
 
-class TriangulationError(ValueError):
-    pass
-
-
-@dataclasses.dataclass(eq=False)
-class TriangulationResult:
-    point: np.ndarray
-    degenerate: bool
-
-
 def _dlt(uv, projections, weights=None):
     """Homogeneous DLT of stacked points.
 
-    uv is (..., n, 2), projections (..., n, 3, 4) and weights (..., n).
+    Each view adds the rows u*P[2] - P[0] and v*P[2] - P[1], scaled by its
+    weight, and the point is the right singular vector of the smallest
+    singular value.  uv is (..., n, 2), projections (..., n, 3, 4) and
+    weights (..., n).
     Returns the points (..., 3), NaN where the solution lies at infinity,
     and the degenerate flags (...).
     """
@@ -287,29 +280,6 @@ def _dlt(uv, projections, weights=None):
     # Rank deficiency beyond the expected 1D nullspace means the views do
     # not pin down a unique point.
     return point, (s[..., 2] <= 1e-9 * s[..., 0]) | at_infinity
-
-
-def triangulate_point(uv, projections, weights=None) -> TriangulationResult:
-    """Homogeneous DLT triangulation from >= 2 views.
-
-    uv is (V, 2) pixel coordinates, projections (V, 3, 4).  Each view adds
-    the two constraints u*P[2] - P[0] and v*P[2] - P[1]; the solution is
-    the right singular vector of the stacked system with the smallest
-    singular value.  Rows are scaled by per-view weights when given.  Rigs
-    whose rays are near-parallel (or duplicated) produce a result flagged
-    degenerate rather than an error.  Leading batch axes on uv (and
-    weights) triangulate a stack of points at once.
-    """
-    uv = np.asarray(uv, dtype=np.float64)
-    projections = np.asarray(projections, dtype=np.float64)
-    n = uv.shape[-2]
-    if n < 2:
-        raise TriangulationError("triangulation needs >= 2 views, got %d" % n)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-    point, degenerate = _dlt(uv, projections, weights)
-    return TriangulationResult(
-        point, degenerate.item() if degenerate.ndim == 0 else degenerate)
 
 
 def _reprojection_errors(points, uv, projections) -> np.ndarray:

@@ -288,22 +288,3 @@ def merge_segments(result: RetrievalResult, index: WindowIndex) -> list:
         ))
         j = k + 1
     return segments
-
-
-def segments_to_motions(segments, motions: dict) -> list:
-    """Slice reference motion excerpts for each merged segment.
-
-    motions maps clip id to MotionClip.  Raises if any segment's clip is
-    missing, listing every unresolvable id.
-    """
-    missing = sorted({s.clip_id for s in segments} - set(motions))
-    if missing:
-        raise KeyError("no motion for clip ids: %s" % ", ".join(missing))
-    out = []
-    for seg in segments:
-        clip = motions[seg.clip_id]
-        if seg.start + seg.length > clip.n_frames:
-            raise ValueError("segment %s exceeds clip length %d"
-                             % (seg, clip.n_frames))
-        out.append(clip[seg.start:seg.start + seg.length])
-    return out

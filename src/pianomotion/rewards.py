@@ -70,18 +70,6 @@ def merged_goals(midi: KeyMatrix) -> list:
             for start, end in zip(bounds[:-1], bounds[1:])]
 
 
-def expand_goals(segments, fps: float) -> KeyMatrix:
-    """Inverse of merged_goals: rebuild the key matrix from segments."""
-    if not segments:
-        raise ValueError("no segments to expand")
-    n = segments[-1].end
-    data = np.zeros((n, NUM_KEYS), dtype=np.uint8)
-    for seg in segments:
-        for k in seg.keys:
-            data[seg.start:seg.end, k - 1] = 1
-    return KeyMatrix(fps=fps, data=data)
-
-
 @dataclasses.dataclass(eq=False)
 class GoalState:
     """The next five goal segments as an array of key rows plus timers.

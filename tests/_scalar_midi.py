@@ -1,20 +1,34 @@
-"""Byte-reader SMF parsing and per-note rasterizing: the oracle for `midi`.
+"""Byte-reader SMF parsing, per-note rasterizing, per-pitch offset search
+and per-entry run finding: the oracle for `midi`.
 
-This is the code the tight track loop in `pianomotion.midi.parse_midi`
-and the array-wide `quantize` and `condition_matrix` replaced, one method
-call per byte and one numpy call per note.  Tests compare the library
-against it: equal note lists, or the same `MidiParseError` message and
-byte offset, and bit-identical matrices.
+This is the code that the tight track loop and the array tempo map of
+`pianomotion.midi.parse_midi`, the array-wide `quantize` and
+`condition_matrix`, the argsort grouping of `find_offset` and the array
+runs of `matrix_to_json` replaced: one method call per byte, one tempo
+lookup per note time, one numpy call per note, a dict of pitches and one
+Python step per matrix entry.  Tests compare the library against it:
+bit-identical note arrays and the same warnings, or the same
+`MidiParseError` message and byte offset; bit-identical matrices; equal
+offsets and counts; the same JSON bytes.
 """
 
 import bisect
+import json
 import warnings
 
 import numpy as np
 
-from pianomotion.midi import (MAX_MIDI_PITCH, MIN_MIDI_PITCH, NUM_KEYS,
-                              MidiParseError, MidiWarning, NoteEvent,
-                              NoteList)
+from pianomotion.midi import (DEFAULT_SYNC_TOLERANCE, MAX_MIDI_PITCH,
+                              MIN_MIDI_PITCH, NUM_KEYS, KeyMatrix,
+                              MidiParseError, MidiWarning, NoteList,
+                              _greedy_match, offset_grid)
+
+
+def note_arrays(notes: NoteList):
+    """A note list's source and the dtype and bytes of each array, for
+    comparing two lists bit for bit."""
+    return (notes.source,) + tuple((a.dtype.str, a.tobytes()) for a in
+                                   (notes.onset, notes.offset, notes.pitch))
 
 
 class _Reader:
@@ -107,10 +121,16 @@ def _parse_track(reader: _Reader):
 
 
 class _TempoMap:
-    """Piecewise-constant tempo: converts absolute ticks to seconds."""
+    """Piecewise-constant tempo: converts absolute ticks to seconds.
+
+    Tempos come in file order; of several at one tick the last holds.
+    """
 
     def __init__(self, tempos, ppq: int):
-        tempos = sorted(tempos)
+        last = {}
+        for tick, uspq in tempos:
+            last[tick] = uspq
+        tempos = sorted(last.items())
         if not tempos or tempos[0][0] > 0:
             tempos.insert(0, (0, 500000))  # SMF default: 120 bpm
         self.ticks = [t for t, _ in tempos]
@@ -177,7 +197,7 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
                 if end_tick > onset_tick:
                     events.append((onset_tick, end_tick, midi_pitch))
 
-    out = []
+    out = []  # (onset, offset, pitch)
     for onset_tick, offset_tick, midi_pitch in events:
         if not MIN_MIDI_PITCH <= midi_pitch <= MAX_MIDI_PITCH:
             dropped += 1
@@ -186,7 +206,7 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
         offset = tempo_map.seconds(offset_tick)
         if offset <= onset:
             continue  # zero-length after tempo mapping; nothing to keep
-        out.append(NoteEvent(onset, offset, midi_pitch - MIN_MIDI_PITCH + 1))
+        out.append((onset, offset, midi_pitch - MIN_MIDI_PITCH + 1))
 
     if dropped:
         warnings.warn(f"dropped {dropped} note(s) outside MIDI 21..108", MidiWarning)
@@ -194,25 +214,34 @@ def parse_midi(data: bytes, source: str = "") -> NoteList:
         warnings.warn(
             f"closed {unterminated} unterminated note(s) at end of track", MidiWarning
         )
-    return NoteList.from_events(out, source)
+    out.sort(key=lambda n: (n[0], n[2]))
+    onset, offset, pitch = zip(*out) if out else ((), (), ())
+    return NoteList(np.array(onset, dtype=np.float64),
+                    np.array(offset, dtype=np.float64),
+                    np.array(pitch, dtype=np.int64), source)
 
 
-def _note_frames(note: NoteEvent, fps: float, n_frames: int) -> np.ndarray:
+def _notes(notes: NoteList):
+    """(onset, offset, pitch) of each note, as Python numbers."""
+    return zip(notes.onset.tolist(), notes.offset.tolist(), notes.pitch.tolist())
+
+
+def _note_frames(onset: float, offset: float, fps: float, n_frames: int) -> np.ndarray:
     """Frame indices whose [i/fps, (i+1)/fps) interval intersects the note."""
-    lo = max(0, int(np.floor(note.onset * fps)) - 1)
-    hi = min(n_frames, int(np.ceil(note.offset * fps)) + 1)
+    lo = max(0, int(np.floor(onset * fps)) - 1)
+    hi = min(n_frames, int(np.ceil(offset * fps)) + 1)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
     idx = np.arange(lo, hi)
-    covered = (note.onset < (idx + 1) / fps) & (note.offset > idx / fps)
+    covered = (onset < (idx + 1) / fps) & (offset > idx / fps)
     return idx[covered]
 
 
 def quantize(notes: NoteList, fps: float, n_frames: int) -> np.ndarray:
     """The (n_frames, 88) uint8 data of `midi.quantize`."""
     data = np.zeros((n_frames, NUM_KEYS), dtype=np.uint8)
-    for note in notes:
-        data[_note_frames(note, fps, n_frames), note.pitch - 1] = 1
+    for onset, offset, pitch in _notes(notes):
+        data[_note_frames(onset, offset, fps, n_frames), pitch - 1] = 1
     return data
 
 
@@ -220,12 +249,88 @@ def condition_matrix(notes: NoteList, fps: float, n_frames: int,
                      mode: str = "constant") -> np.ndarray:
     """The (n_frames, 88) float64 data of `midi.condition_matrix`."""
     data = np.zeros((n_frames, NUM_KEYS), dtype=np.float64)
-    for note in notes:  # onset order, so later-starting notes overwrite
-        frames = _note_frames(note, fps, n_frames)
+    for onset, offset, pitch in _notes(notes):  # onset order: later notes overwrite
+        frames = _note_frames(onset, offset, fps, n_frames)
         if frames.size == 0:
             continue
         if mode == "constant":
-            data[frames, note.pitch - 1] = 1.0 / frames.size
+            data[frames, pitch - 1] = 1.0 / frames.size
         else:
-            data[frames, note.pitch - 1] = 1.0 / (frames - frames[0] + 1)
+            data[frames, pitch - 1] = 1.0 / (frames - frames[0] + 1)
     return data
+
+
+def _group_by_pitch(notes: NoteList):
+    groups: dict[int, list[tuple[float, int]]] = {}
+    for i, (onset, _, pitch) in enumerate(_notes(notes)):
+        groups.setdefault(pitch, []).append((onset, i))
+    return groups
+
+
+def find_offset(a: NoteList, b: NoteList, grid=None,
+                tolerance: float = DEFAULT_SYNC_TOLERANCE):
+    """(offset, match count) of `midi.find_offset`."""
+    if grid is None:
+        grid = offset_grid()
+    grid = list(grid)
+    if not grid:
+        raise ValueError("offset grid must be non-empty")
+    groups_a = _group_by_pitch(a)
+    groups_b = _group_by_pitch(b)
+    shared = [
+        ([t for t, _ in groups_a[p]], [t for t, _ in groups_b[p]])
+        for p in groups_a
+        if p in groups_b
+    ]
+    best = None
+    for offset in grid:
+        count = 0
+        gap = 0.0
+        for a_onsets, b_onsets in shared:
+            pairs, pair_gap = _greedy_match(a_onsets, b_onsets, tolerance, offset)
+            count += len(pairs)
+            gap += pair_gap
+        score = (-count, gap, abs(offset), offset)
+        if best is None or score < best[0]:
+            best = (score, offset, count)
+    return best[1], best[2]
+
+
+def _runs(column: np.ndarray):
+    """Maximal runs of equal nonzero values: (start, end, value), end exclusive."""
+    runs = []
+    start = None
+    value = 0.0
+    for i, entry in enumerate(column):
+        if entry != 0 and (start is None or entry != value):
+            if start is not None:
+                runs.append((start, i, value))
+            start, value = i, entry
+        elif entry == 0 and start is not None:
+            runs.append((start, i, value))
+            start = None
+    if start is not None:
+        runs.append((start, len(column), value))
+    return runs
+
+
+def matrix_to_json(matrix) -> str:
+    """The text of `midi.matrix_to_json`."""
+    binary = isinstance(matrix, KeyMatrix)
+    columns = {}
+    for key in range(NUM_KEYS):
+        runs = _runs(matrix.data[:, key])
+        if not runs:
+            continue
+        if binary:
+            columns[str(key + 1)] = [[int(s), int(e)] for s, e, _ in runs]
+        else:
+            columns[str(key + 1)] = [[int(s), int(e), float(v)] for s, e, v in runs]
+    payload = {
+        "type": "key_matrix" if binary else "condition_matrix",
+        "fps": matrix.fps,
+        "n_frames": matrix.n_frames,
+        "n_keys": NUM_KEYS,
+        "columns": columns,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -237,14 +237,61 @@ def matrix_from_frames(frame_keys, fps=FPS):
     return midi.KeyMatrix(fps, data)
 
 
+def note_list(notes, source=""):
+    """NoteList of (onset, offset, pitch) triples in any order, sorted by
+    onset, then pitch, then the given order."""
+    notes = sorted(notes, key=lambda n: (n[0], n[2]))
+    onset, offset, pitch = np.array(notes, dtype=np.float64).reshape(-1, 3).T
+    return midi.NoteList(onset, offset, pitch.astype(np.int64), source)
+
+
 def notes_on_frames(spans, fps=FPS):
     """NoteList with one note per (key, start_frame, end_frame) span.
 
     Onsets and offsets sit exactly on frame boundaries, so quantizing at
     the same fps activates frames [start, end).
     """
-    events = [midi.NoteEvent(s / fps, e / fps, key) for key, s, e in spans]
-    return midi.NoteList.from_events(events, "synthetic")
+    return note_list([(s / fps, e / fps, key) for key, s, e in spans],
+                     "synthetic")
+
+
+def _varlen_bytes(value: int) -> bytes:
+    """The SMF variable-length quantity of a non-negative integer."""
+    chunks = [value & 0x7F]
+    value >>= 7
+    while value:
+        chunks.append(0x80 | (value & 0x7F))
+        value >>= 7
+    return bytes(reversed(chunks))
+
+
+def serialize_midi(notes, ppq=480, tempo_uspq=500000):
+    """A NoteList as a single-track SMF (format 0).
+
+    Inverse of `midi.parse_midi` up to tick rounding: round-trips preserve
+    onset/offset within one tick.
+    """
+    ticks_per_second = ppq * 1e6 / tempo_uspq
+    events = []  # (tick, order, midi_pitch, velocity); note-offs sort first at a tick
+    for onset, offset, pitch in zip(notes.onset.tolist(), notes.offset.tolist(),
+                                    notes.pitch.tolist()):
+        midi_pitch = pitch + midi.MIN_MIDI_PITCH - 1
+        on_tick = round(onset * ticks_per_second)
+        off_tick = max(on_tick + 1, round(offset * ticks_per_second))
+        events.append((on_tick, 1, midi_pitch, 64))
+        events.append((off_tick, 0, midi_pitch, 0))
+    events.sort()
+
+    body = bytearray()
+    body += b"\x00\xff\x51\x03" + tempo_uspq.to_bytes(3, "big")
+    tick = 0
+    for event_tick, order, midi_pitch, velocity in events:
+        body += _varlen_bytes(event_tick - tick)
+        tick = event_tick
+        status = 0x90 if order == 1 else 0x80
+        body += bytes([status, midi_pitch, velocity])
+    body += b"\x00\xff\x2f\x00"
+    return smf([bytes(body)], fmt=0, division=ppq)
 
 
 def smf(track_bodies, fmt=1, division=480):
@@ -270,7 +317,7 @@ def random_track(rng, n_events=40):
     running = None
     for _ in range(int(rng.integers(0, n_events + 1))):
         delta = int(rng.choice([0, 0, 1, 7, 127, 128, 300, 20000, 2 ** 21 + 3]))
-        body += midi._varlen_bytes(delta)
+        body += _varlen_bytes(delta)
         kind = int(rng.integers(0, 12))
         if kind < 8:
             status = int(rng.choice([0x90, 0x90, 0x90, 0x80, 0x80, 0xA0, 0xB0,
@@ -286,20 +333,26 @@ def random_track(rng, n_events=40):
         elif kind == 8:
             body += b"\xff\x51\x03" + int(rng.integers(100000, 1000000)).to_bytes(3, "big")
         elif kind == 9:
-            body += b"\xff\x01" + midi._varlen_bytes(3) + b"abc"
+            body += b"\xff\x01" + _varlen_bytes(3) + b"abc"
         else:
             running = None
-            body += bytes([0xF0 if kind == 10 else 0xF7]) + midi._varlen_bytes(2) + b"\x01\xf7"
+            body += bytes([0xF0 if kind == 10 else 0xF7]) + _varlen_bytes(2) + b"\x01\xf7"
     body += b"\x00\xff\x2f\x00"
     if rng.random() < 0.2:
         body += b"\x00\x90\x3c\x40"
     return bytes(body)
 
 
-def random_smf(rng):
-    """A format-1 file of one to three `random_track`s."""
-    return smf([random_track(rng) for _ in range(int(rng.integers(1, 4)))],
-               division=int(rng.choice([96, 480, 960])))
+def random_smf(rng, tempos=()):
+    """A format-1 file of one to three `random_track`s, after a conductor
+    track of set-tempo events when `tempos` lists (delta ticks,
+    microseconds per quarter) pairs."""
+    tracks = [random_track(rng) for _ in range(int(rng.integers(1, 4)))]
+    if tempos:
+        tracks.insert(0, b"".join(_varlen_bytes(delta) + b"\xff\x51\x03"
+                                  + uspq.to_bytes(3, "big")
+                                  for delta, uspq in tempos) + b"\x00\xff\x2f\x00")
+    return smf(tracks, division=int(rng.choice([96, 480, 960])))
 
 
 def look_at_camera(eye, center, up=(0.0, 0.0, 1.0), f=3200.0,

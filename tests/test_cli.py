@@ -16,7 +16,7 @@ from pianomotion.hand import MotionClip
 
 def write_midi(path, spans, fps=60.0):
     notes = _synth.notes_on_frames(spans, fps=fps)
-    path.write_bytes(midi.serialize_midi(notes))
+    path.write_bytes(_synth.serialize_midi(notes))
     return notes
 
 
@@ -78,10 +78,9 @@ def test_sync_recovers_offset(tmp_path, capsys):
     a = tmp_path / "a.mid"
     b = tmp_path / "b.mid"
     notes = write_midi(a, [(40, 0, 2), (44, 3, 5), (47, 6, 8)])
-    shifted = midi.NoteList.from_events(
-        [midi.NoteEvent(n.onset + 0.035, n.offset + 0.035, n.pitch)
-         for n in notes], "b")
-    b.write_bytes(midi.serialize_midi(shifted))
+    shifted = midi.NoteList(notes.onset + 0.035, notes.offset + 0.035,
+                            notes.pitch, "b")
+    b.write_bytes(_synth.serialize_midi(shifted))
     assert run(["sync", "--a", a, "--b", b,
                 "--span", 0.1, "--step", 0.005]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -479,6 +478,39 @@ def test_matrix_too_large_to_allocate_is_validation_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: %s: n_frames 1000000000000 is too large" % huge)
     assert "Traceback" not in err
+
+
+# One note 2**28 - 1 ticks long at 1 tick per quarter and the slowest
+# tempo: 4.5e9 s, whose key matrix at 59.94 fps would take 21.6 TiB.
+_LONG_NOTE = _synth.smf([b"\x00\xff\x51\x03\xff\xff\xff\x00\x90\x3c\x40"
+                         b"\xff\xff\xff\x7f\x80\x3c\x00\x00\xff\x2f\x00"],
+                        fmt=0, division=1)
+
+
+@pytest.mark.parametrize("argv", [["quantize"], ["quantize", "--dry-run"],
+                                  ["condition"], ["goalstate"]])
+def test_midi_matrix_too_large_to_allocate_is_validation_error(tmp_path, argv):
+    path = tmp_path / "long.mid"
+    path.write_bytes(_LONG_NOTE)
+    n_frames = int(np.ceil(midi.parse_midi(_LONG_NOTE).duration() * 59.94))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    # A 4 GiB address space refuses the allocation whatever the host's
+    # overcommit policy, and nothing is allocated for real.
+    code = ("import resource, sys\n"
+            "from pianomotion import cli\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(hard, 4 << 30)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code] + argv
+                          + ["--midi", str(path), "--fps", "59.94"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: n_frames %d is too large to hold in memory\n"
+                           % n_frames)
 
 
 @pytest.mark.parametrize("value", ["0", True])

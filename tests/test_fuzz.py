@@ -184,7 +184,7 @@ def parse_outcome(parse, data):
         except midi.MidiParseError as exc:
             return str(exc), exc.offset
     assert isinstance(notes, midi.NoteList)
-    return notes
+    return _scalar_midi.note_arrays(notes)
 
 
 # A format-1 header for one track at 480 ticks per quarter, and that

@@ -171,24 +171,6 @@ def test_key_state_thresholds(geom):
     assert ratio(0.05) == 1.0
 
 
-def test_with_pose_round_trips_points(geom, rng):
-    posed = kb.with_pose(geom, (0.3, -0.2, 0.05), 0.7)
-    for point in rng.normal(size=(20, 3)):
-        back = posed.to_world(posed.to_local(point))
-        assert np.allclose(back, point, atol=1e-12)
-
-
-def test_with_pose_moves_targets_rigidly(geom):
-    posed = kb.with_pose(geom, (1.0, 2.0, 0.5), np.pi / 2)
-    local = kb.key_target_position(geom, 40)  # identity pose: local == world
-    got = kb.key_target_position(posed, 40)
-    expect = np.array(
-        [-local[1] + 1.0, local[0] + 2.0, local[2] + 0.5]
-    )
-    assert np.allclose(got, expect, atol=1e-12)
-    assert kb.key_for_point(posed, got) == 40
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         kb.KeyboardConfig(white_key_width=-0.01)

@@ -5,20 +5,25 @@ import json
 import numpy as np
 import pytest
 
-from _synth import smf
+from _synth import note_list, serialize_midi, smf
 from pianomotion import midi
 from pianomotion.midi import (
     ConditionMatrix,
     KeyMatrix,
     MidiParseError,
     MidiWarning,
-    NoteEvent,
     NoteList,
 )
 
 
 TEMPO_500K = b"\x00\xff\x51\x03\x07\xa1\x20"  # 500000 us per quarter
 END = b"\x00\xff\x2f\x00"
+
+
+def rows(notes):
+    """(onset, offset, pitch) of each note, as Python numbers."""
+    return list(zip(notes.onset.tolist(), notes.offset.tolist(),
+                    notes.pitch.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +34,10 @@ def test_parse_single_note_exact_times():
     # 480 ticks at 480 ppq and 500000 us/quarter is exactly half a second.
     track = TEMPO_500K + b"\x00\x90\x3c\x40" + b"\x83\x60\x80\x3c\x00" + END
     notes = midi.parse_midi(smf([track], fmt=0))
-    assert len(notes) == 1
-    note = notes.notes[0]
-    assert note.onset == 0.0
-    assert note.offset == 0.5
-    assert note.pitch == 40  # MIDI 60 (C4) on the 88-key layout
+    # MIDI 60 (C4) is key 40 on the 88-key layout.
+    assert rows(notes) == [(0.0, 0.5, 40)]
+    assert [a.dtype for a in (notes.onset, notes.offset, notes.pitch)] == [
+        np.float64, np.float64, np.int64]
 
 
 def test_parse_running_status():
@@ -47,19 +51,19 @@ def test_parse_running_status():
         + END
     )
     notes = midi.parse_midi(smf([track], fmt=0))
-    by_pitch = {n.pitch: n for n in notes}
+    by_pitch = {p: (on, off) for on, off, p in rows(notes)}
     assert set(by_pitch) == {40, 42}
-    assert by_pitch[40].onset == 0.0
-    assert by_pitch[40].offset == pytest.approx(0.2, abs=1e-12)
-    assert by_pitch[42].onset == pytest.approx(0.1, abs=1e-12)
-    assert by_pitch[42].offset == pytest.approx(0.3, abs=1e-12)
+    assert by_pitch[40][0] == 0.0
+    assert by_pitch[40][1] == pytest.approx(0.2, abs=1e-12)
+    assert by_pitch[42][0] == pytest.approx(0.1, abs=1e-12)
+    assert by_pitch[42][1] == pytest.approx(0.3, abs=1e-12)
 
 
 def test_parse_format1_tempo_in_first_track():
     conductor = TEMPO_500K + END
     track = b"\x00\x90\x3c\x40" + b"\x83\x60\x80\x3c\x00" + END
     notes = midi.parse_midi(smf([conductor, track]))
-    assert [n.offset for n in notes] == [0.5]
+    assert notes.offset.tolist() == [0.5]
 
 
 def test_parse_tempo_change_mid_note():
@@ -74,9 +78,29 @@ def test_parse_tempo_change_mid_note():
         + END
     )
     notes = midi.parse_midi(smf([track], fmt=0))
-    note = notes.notes[0]
-    assert note.onset == pytest.approx(0.25, abs=1e-12)
-    assert note.offset == pytest.approx(0.625, abs=1e-12)
+    assert notes.onset[0] == pytest.approx(0.25, abs=1e-12)
+    assert notes.offset[0] == pytest.approx(0.625, abs=1e-12)
+
+
+def test_parse_last_tempo_at_a_tick_holds():
+    # Two tempos at tick 0, 1 s and then 0.25 s per quarter: the later
+    # event holds, so 120 ticks at 480 ppq last 0.0625 s.  Sorted with the
+    # tempo as a tie-break, the slower one held and the note lasted 0.25 s.
+    track = (
+        b"\x00\xff\x51\x03\x0f\x42\x40"  # 1000000 us per quarter
+        + b"\x00\xff\x51\x03\x03\xd0\x90"  # 250000 us per quarter
+        + b"\x00\x90\x3c\x40"
+        + b"\x78\x80\x3c\x00"  # delta 120
+        + END
+    )
+    notes = midi.parse_midi(smf([track], fmt=0))
+    assert rows(notes) == [(0.0, 0.0625, 40)]
+    # Across tracks, file order is track order.
+    slow, fast = track[:7] + END, track[7:14] + END
+    notes = midi.parse_midi(smf([slow, fast, track[14:]]))
+    assert rows(notes) == [(0.0, 0.0625, 40)]
+    notes = midi.parse_midi(smf([fast, slow, track[14:]]))
+    assert rows(notes) == [(0.0, 0.25, 40)]
 
 
 def test_parse_overlapping_same_pitch_fifo():
@@ -90,7 +114,7 @@ def test_parse_overlapping_same_pitch_fifo():
         + END
     )
     notes = midi.parse_midi(smf([track], fmt=0))
-    spans = sorted((n.onset, n.offset) for n in notes)
+    spans = sorted((on, off) for on, off, _ in rows(notes))
     assert spans == [(0.0, 0.2), (0.1, 0.3)]
 
 
@@ -105,7 +129,7 @@ def test_parse_drops_out_of_range_pitches_with_warning():
     )
     with pytest.warns(MidiWarning, match="outside MIDI 21..108"):
         notes = midi.parse_midi(smf([track], fmt=0))
-    assert [n.pitch for n in notes] == [40]
+    assert notes.pitch.tolist() == [40]
 
 
 def test_parse_closes_unterminated_note_at_track_end():
@@ -118,8 +142,8 @@ def test_parse_closes_unterminated_note_at_track_end():
     )
     with pytest.warns(MidiWarning, match="unterminated"):
         notes = midi.parse_midi(smf([track], fmt=0))
-    by_pitch = {n.pitch: n for n in notes}
-    assert by_pitch[40].offset == pytest.approx(0.2, abs=1e-12)
+    by_pitch = {p: off for _, off, p in rows(notes)}
+    assert by_pitch[40] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_parse_rejects_bad_header():
@@ -154,28 +178,26 @@ def test_serialize_parse_round_trip_within_one_tick(rng):
         onset += float(rng.uniform(0.01, 0.4))
         duration = float(rng.uniform(0.05, 2.0))
         pitch = int(rng.integers(1, 89))
-        events.append(NoteEvent(onset, onset + duration, pitch))
-    notes = NoteList.from_events(events)
-    parsed = midi.parse_midi(midi.serialize_midi(notes))
+        events.append((onset, onset + duration, pitch))
+    notes = note_list(events)
+    parsed = midi.parse_midi(serialize_midi(notes))
     assert len(parsed) == len(notes)
     tick = 1.0 / 960.0  # 480 ppq at 500000 us per quarter
     # Overlapping same-pitch notes are re-paired first-in-first-out on
     # parse, so compare per-pitch onset/offset multisets, not pairings.
     for field in ("onset", "offset"):
-        for pitch in {n.pitch for n in notes}:
-            want = sorted(getattr(n, field) for n in notes if n.pitch == pitch)
-            got = sorted(getattr(n, field) for n in parsed if n.pitch == pitch)
+        for pitch in set(notes.pitch.tolist()):
+            want = np.sort(getattr(notes, field)[notes.pitch == pitch])
+            got = np.sort(getattr(parsed, field)[parsed.pitch == pitch])
             assert len(got) == len(want)
-            assert all(abs(g - w) <= tick for g, w in zip(got, want))
+            assert (np.abs(got - want) <= tick).all()
 
 
 def test_serialize_uses_long_deltas():
     # A 90 s gap needs multi-byte delta times.
-    notes = NoteList.from_events(
-        [NoteEvent(0.0, 0.5, 40), NoteEvent(90.0, 91.0, 50)]
-    )
-    parsed = midi.parse_midi(midi.serialize_midi(notes))
-    assert parsed.notes[1].onset == pytest.approx(90.0, abs=1e-3)
+    notes = note_list([(0.0, 0.5, 40), (90.0, 91.0, 50)])
+    parsed = midi.parse_midi(serialize_midi(notes))
+    assert parsed.onset[1] == pytest.approx(90.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +205,7 @@ def test_serialize_uses_long_deltas():
 
 
 def test_quantize_covers_overlapped_frames():
-    notes = NoteList.from_events([NoteEvent(0.005, 0.025, 40)])
+    notes = note_list([(0.005, 0.025, 40)])
     matrix = midi.quantize(notes, 100.0, 5)
     assert matrix.data[:, 39].tolist() == [1, 1, 1, 0, 0]
 
@@ -191,19 +213,19 @@ def test_quantize_covers_overlapped_frames():
 def test_quantize_half_open_frame_boundaries():
     # A note on [0.01, 0.02) covers exactly frame 1 at 100 fps: the frame
     # interval is half-open, so touching a boundary does not light a frame.
-    notes = NoteList.from_events([NoteEvent(0.01, 0.02, 40)])
+    notes = note_list([(0.01, 0.02, 40)])
     matrix = midi.quantize(notes, 100.0, 4)
     assert matrix.data[:, 39].tolist() == [0, 1, 0, 0]
 
 
 def test_quantize_truncates_past_n_frames():
-    notes = NoteList.from_events([NoteEvent(0.0, 10.0, 40)])
+    notes = note_list([(0.0, 10.0, 40)])
     matrix = midi.quantize(notes, 100.0, 3)
     assert matrix.data[:, 39].tolist() == [1, 1, 1]
 
 
 def test_quantize_validates_arguments():
-    notes = NoteList.from_events([NoteEvent(0.0, 1.0, 40)])
+    notes = note_list([(0.0, 1.0, 40)])
     with pytest.raises(ValueError):
         midi.quantize(notes, 0.0, 10)
     with pytest.raises(ValueError):
@@ -212,21 +234,21 @@ def test_quantize_validates_arguments():
 
 def test_condition_constant_mode_weights():
     # Four frames at 100 fps: every covered frame holds 1/4.
-    notes = NoteList.from_events([NoteEvent(0.0, 0.04, 40)])
+    notes = note_list([(0.0, 0.04, 40)])
     cond = midi.condition_matrix(notes, 100.0, 6, mode="constant")
     assert cond.data[:, 39].tolist() == [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
 
 
 def test_condition_decaying_mode_weights():
-    notes = NoteList.from_events([NoteEvent(0.0, 0.04, 40)])
+    notes = note_list([(0.0, 0.04, 40)])
     cond = midi.condition_matrix(notes, 100.0, 6, mode="decaying")
     expect = [1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 0.0, 0.0]
     assert cond.data[:, 39].tolist() == expect
 
 
 def test_condition_later_note_wins_overlap():
-    notes = NoteList.from_events(
-        [NoteEvent(0.0, 0.06, 40), NoteEvent(0.03, 0.05, 40)]
+    notes = note_list(
+        [(0.0, 0.06, 40), (0.03, 0.05, 40)]
     )
     cond = midi.condition_matrix(notes, 100.0, 6, mode="decaying")
     # First note writes 1, 1/2 .. 1/6; the later note overwrites frames 3-4.
@@ -235,16 +257,9 @@ def test_condition_later_note_wins_overlap():
 
 
 def test_condition_rejects_unknown_mode():
-    notes = NoteList.from_events([NoteEvent(0.0, 1.0, 40)])
+    notes = note_list([(0.0, 1.0, 40)])
     with pytest.raises(ValueError, match="mode"):
         midi.condition_matrix(notes, 100.0, 10, mode="linear")
-
-
-def test_expand_quantize_round_trip(rng):
-    data = (rng.random((40, midi.NUM_KEYS)) < 0.1).astype(np.uint8)
-    matrix = KeyMatrix(75.0, data)
-    back = midi.quantize(midi.expand_key_matrix(matrix), 75.0, 40)
-    assert np.array_equal(back.data, matrix.data)
 
 
 # ---------------------------------------------------------------------------
@@ -252,34 +267,31 @@ def test_expand_quantize_round_trip(rng):
 
 
 def test_match_notes_pairs_by_pitch_and_tolerance():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40), NoteEvent(1.0, 2.0, 45)])
-    b = NoteList.from_events(
-        [NoteEvent(1.01, 2.0, 40), NoteEvent(1.5, 2.0, 45), NoteEvent(1.0, 2.0, 50)]
-    )
-    result = midi.match_notes(a, b, tolerance=0.016)
-    # b is onset-sorted, so its pitch-40 note sits at index 1.
-    assert result.pairs == ((0, 1),)
-    assert result.count == 1
+    a = note_list([(1.0, 2.0, 40), (1.0, 2.0, 45)])
+    b = note_list([(1.01, 2.0, 40), (1.5, 2.0, 45), (1.0, 2.0, 50)])
+    # Only pitch 40 has a b-note within 16 ms; pitch 50 is not in a.
+    assert midi.find_offset(a, b, grid=[0.0], tolerance=0.016) == (0.0, 1)
 
 
 def test_match_notes_tolerance_is_inclusive():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40)])
-    b = NoteList.from_events([NoteEvent(1.25, 2.0, 40)])
-    assert midi.match_notes(a, b, tolerance=0.25).count == 1
-    assert midi.match_notes(a, b, tolerance=0.2).count == 0
+    a = note_list([(1.0, 2.0, 40)])
+    b = note_list([(1.25, 2.0, 40)])
+    assert midi.find_offset(a, b, grid=[0.0], tolerance=0.25) == (0.0, 1)
+    assert midi.find_offset(a, b, grid=[0.0], tolerance=0.2) == (0.0, 0)
+    assert midi._greedy_match([1.0], [1.25], 0.25) == ([(0, 0)], 0.25)
 
 
 def test_match_notes_distance_tie_prefers_earlier():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40)])
-    b = NoteList.from_events([NoteEvent(0.99, 2.0, 40), NoteEvent(1.01, 2.0, 40)])
-    assert midi.match_notes(a, b, tolerance=0.016).pairs == ((0, 0),)
+    pairs, gap = midi._greedy_match([1.0], [0.99, 1.01], tolerance=0.016)
+    assert pairs == [(0, 0)]
+    assert gap == 1.0 - 0.99
 
 
 def test_match_notes_is_one_to_one():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40), NoteEvent(1.004, 2.0, 40)])
-    b = NoteList.from_events([NoteEvent(1.002, 2.0, 40)])
-    result = midi.match_notes(a, b, tolerance=0.016)
-    assert result.count == 1
+    a = note_list([(1.0, 2.0, 40), (1.004, 2.0, 40)])
+    b = note_list([(1.002, 2.0, 40)])
+    assert midi.find_offset(a, b, grid=[0.0], tolerance=0.016) == (0.0, 1)
+    assert midi._greedy_match([1.0, 1.004], [1.002], 0.016)[0] == [(0, 0)]
 
 
 def test_offset_grid_symmetric_steps():
@@ -295,9 +307,9 @@ def test_find_offset_recovers_applied_shift(rng):
     onset = 0.0
     for _ in range(60):
         onset += float(rng.uniform(0.1, 0.5))
-        events.append(NoteEvent(onset, onset + 0.2, int(rng.integers(1, 89))))
-    a = NoteList.from_events(events)
-    b = a.shifted(0.037)
+        events.append((onset, onset + 0.2, int(rng.integers(1, 89))))
+    a = note_list(events)
+    b = NoteList(a.onset + 0.037, a.offset + 0.037, a.pitch)
     offset, count = midi.find_offset(a, b, grid=midi.offset_grid(0.2, 0.001))
     assert offset == pytest.approx(0.037, abs=1e-12)
     assert count == len(a)
@@ -306,23 +318,23 @@ def test_find_offset_recovers_applied_shift(rng):
 def test_find_offset_prefers_smaller_gap_then_offset():
     # One note, wide tolerance: many offsets match one pair, but only the
     # true shift has zero summed gap.
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40)])
-    b = a.shifted(0.004)
+    a = note_list([(1.0, 2.0, 40)])
+    b = NoteList(a.onset + 0.004, a.offset + 0.004, a.pitch)
     offset, count = midi.find_offset(a, b, grid=midi.offset_grid(0.05, 0.001))
     assert offset == pytest.approx(0.004, abs=1e-12)
     assert count == 1
 
 
 def test_find_offset_no_shared_pitch_returns_zero():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40)])
-    b = NoteList.from_events([NoteEvent(1.0, 2.0, 50)])
+    a = note_list([(1.0, 2.0, 40)])
+    b = note_list([(1.0, 2.0, 50)])
     offset, count = midi.find_offset(a, b, grid=midi.offset_grid(0.05, 0.001))
     assert offset == 0.0
     assert count == 0
 
 
 def test_find_offset_rejects_empty_grid():
-    a = NoteList.from_events([NoteEvent(1.0, 2.0, 40)])
+    a = note_list([(1.0, 2.0, 40)])
     with pytest.raises(ValueError):
         midi.find_offset(a, a, grid=[])
 
@@ -332,25 +344,38 @@ def test_find_offset_rejects_empty_grid():
 
 
 def test_note_event_validation():
-    with pytest.raises(ValueError):
-        NoteEvent(-0.1, 1.0, 40)
-    with pytest.raises(ValueError):
-        NoteEvent(1.0, 1.0, 40)
-    with pytest.raises(ValueError):
-        NoteEvent(0.0, 1.0, 89)
+    for onset, offset, pitch, message in [
+            ([-0.1], [1.0], [40], "onset must be finite and >= 0, got -0.1"),
+            ([1.0], [1.0], [40], "offset 1.0 must be finite and exceed onset 1.0"),
+            ([0.0, 1.0], [1.0, 0.5], [40, 41], "offset 0.5 must .* onset 1.0"),
+            ([0.0], [1.0], [89], "pitch must be in 1..88, got 89"),
+            ([0.0], [1.0], [0], "pitch must be in 1..88, got 0"),
+            ([0.0], [1.0], [40.0], "pitch must hold integers"),
+            ([0.0], [1.0, 2.0], [40], "1-D arrays of one length"),
+            ([[0.0]], [[1.0]], [[40]], "1-D arrays of one length")]:
+        with pytest.raises(ValueError, match=message):
+            NoteList(onset, offset, pitch)
 
 
 def test_note_list_requires_sorted_onsets():
-    with pytest.raises(ValueError):
-        NoteList((NoteEvent(1.0, 2.0, 40), NoteEvent(0.5, 2.0, 41)))
+    with pytest.raises(ValueError, match="non-decreasing onset"):
+        NoteList([1.0, 0.5], [2.0, 2.0], [40, 41])
+    # Equal onsets are in order.
+    assert len(NoteList([1.0, 1.0], [2.0, 1.5], [41, 40])) == 2
 
 
-def test_note_list_shifted_and_duration():
-    notes = NoteList.from_events([NoteEvent(0.0, 1.5, 40), NoteEvent(1.0, 2.0, 41)])
-    assert notes.duration() == 2.0
-    shifted = notes.shifted(0.25)
-    assert shifted.notes[0].onset == 0.25
-    assert shifted.duration() == 2.25
+def test_note_list_duration_and_arrays():
+    notes = note_list([(1.0, 2.0, 41), (0.0, 1.5, 40)], "take")
+    assert notes.duration() == 2.0 and type(notes.duration()) is float
+    assert len(notes) == 2 and notes.source == "take"
+    assert notes.onset.tolist() == [0.0, 1.0]
+    assert notes.pitch.tolist() == [40, 41]
+    empty = NoteList([], [], [])
+    assert len(empty) == 0 and empty.duration() == 0.0
+    assert empty.pitch.dtype == np.int64
+    # float64 and int64 arrays are kept, not copied.
+    onset = np.array([0.5])
+    assert NoteList(onset, [1.0], np.array([3])).onset is onset
 
 
 def test_key_matrix_validation():
@@ -391,8 +416,8 @@ def test_matrix_json_round_trip_binary(rng):
 
 
 def test_matrix_json_round_trip_condition():
-    notes = NoteList.from_events(
-        [NoteEvent(0.0, 0.05, 40), NoteEvent(0.02, 0.1, 41)]
+    notes = note_list(
+        [(0.0, 0.05, 40), (0.02, 0.1, 41)]
     )
     cond = midi.condition_matrix(notes, 100.0, 12, mode="decaying")
     back = midi.matrix_from_json(midi.matrix_to_json(cond))

@@ -1,11 +1,14 @@
-"""The tight SMF track loop and the array rasterizers against the scalar
-oracle in `_scalar_midi`: equal note lists and warnings, or the same
-`MidiParseError` message and byte offset, and bit-identical matrices."""
+"""The tight SMF track loop, the array tempo map, the array rasterizers,
+the grouped offset search and the array run finder against the scalar
+oracle in `_scalar_midi`: bit-identical note arrays and equal warnings, or
+the same `MidiParseError` message and byte offset; bit-identical matrices;
+equal offsets and counts; the same JSON text."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _scalar_midi as scalar
 import _synth
@@ -20,7 +23,8 @@ def outcome(parse, data):
             notes = parse(data, "take")
         except midi.MidiParseError as exc:
             return "error", str(exc), exc.offset
-    return notes, [str(w.message) for w in caught]
+    assert isinstance(notes, midi.NoteList)
+    return scalar.note_arrays(notes), [str(w.message) for w in caught]
 
 
 def assert_parses_like_oracle(data):
@@ -46,8 +50,7 @@ def mutate(rng, data, n_edits):
 def test_parse_matches_oracle_on_random_files():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        notes, _ = assert_parses_like_oracle(_synth.random_smf(rng))
-        assert isinstance(notes, midi.NoteList)
+        assert_parses_like_oracle(_synth.random_smf(rng))
 
 
 def test_parse_matches_oracle_on_long_takes():
@@ -56,11 +59,11 @@ def test_parse_matches_oracle_on_long_takes():
         events = []
         for _ in range(400):
             onset = float(rng.uniform(0.0, 60.0))
-            events.append(midi.NoteEvent(onset, onset + float(rng.uniform(0.05, 2.0)),
-                                         int(rng.integers(1, 89))))
-        data = midi.serialize_midi(midi.NoteList.from_events(events))
-        notes, _ = assert_parses_like_oracle(data)
-        assert len(notes) == 400
+            events.append((onset, onset + float(rng.uniform(0.05, 2.0)),
+                           int(rng.integers(1, 89))))
+        data = _synth.serialize_midi(_synth.note_list(events))
+        assert_parses_like_oracle(data)
+        assert len(midi.parse_midi(data)) == 400
 
 
 def test_parse_matches_oracle_on_mutated_files():
@@ -105,6 +108,38 @@ def test_track_cut_short_parses_like_oracle():
     assert len(offsets) > 20
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       tempos=st.lists(st.tuples(st.sampled_from([0, 0, 1, 240, 20000, 2 ** 21]),
+                                 st.integers(0, 2 ** 24 - 1)), min_size=2, max_size=8))
+def test_parse_matches_oracle_with_several_tempos(seed, tempos):
+    # Tempo changes at shared ticks, mid-note and of zero microseconds,
+    # across a conductor track and the tracks' own tempo events.
+    assert_parses_like_oracle(_synth.random_smf(np.random.default_rng(seed), tempos))
+
+
+def long_note(ticks, uspq=0xFFFFFF):
+    """A format-0 file at 1 tick per quarter holding one note `ticks` long,
+    its length spread over text events of the largest delta time."""
+    body = bytearray(b"\x00\xff\x51\x03" + uspq.to_bytes(3, "big") + b"\x00\x90\x3c\x40")
+    step = 2 ** 28 - 1
+    for _ in range(ticks // step):
+        body += _synth._varlen_bytes(step) + b"\xff\x01\x00"
+    body += _synth._varlen_bytes(ticks % step) + b"\x80\x3c\x00\x00\xff\x2f\x00"
+    return _synth.smf([bytes(body)], fmt=0, division=1)
+
+
+def test_tick_span_past_int64_is_a_parse_error():
+    most = np.iinfo(np.int64).max // 0xFFFFFF
+    notes, _ = assert_parses_like_oracle(long_note(most))
+    assert notes[2] == ("<f8", np.float64(most * 0xFFFFFF / 1e6).tobytes())
+    data = long_note(most + 1)
+    with pytest.raises(midi.MidiParseError) as exc:
+        midi.parse_midi(data)
+    assert str(exc.value) == ("tick times too long to convert to seconds "
+                              "(byte offset %d)" % len(data))
+
+
 def random_notes(rng, fps):
     """Up to 30 notes on three pitches, overlapping, some on frame
     boundaries and some 1e-9 s long."""
@@ -116,8 +151,8 @@ def random_notes(rng, fps):
         else:
             onset = float(rng.uniform(0.0, 50.0 / fps))
         length = 1e-9 if kind == 2 else float(rng.uniform(0.01, 10.0)) / fps
-        events.append(midi.NoteEvent(onset, onset + length, int(rng.integers(1, 4))))
-    return midi.NoteList.from_events(events)
+        events.append((onset, onset + length, int(rng.integers(1, 4))))
+    return _synth.note_list(events)
 
 
 def test_rasterizers_match_oracle_on_random_notes():
@@ -139,9 +174,9 @@ def test_rasterizers_match_oracle_on_a_parsed_take():
     events = []
     for _ in range(300):
         onset = float(rng.uniform(0.0, 30.0))
-        events.append(midi.NoteEvent(onset, onset + float(rng.uniform(0.01, 3.0)),
-                                     int(rng.integers(1, 89))))
-    notes = midi.parse_midi(midi.serialize_midi(midi.NoteList.from_events(events)))
+        events.append((onset, onset + float(rng.uniform(0.01, 3.0)),
+                       int(rng.integers(1, 89))))
+    notes = midi.parse_midi(_synth.serialize_midi(_synth.note_list(events)))
     for fps in (59.94, 60, 7.5):
         n_frames = int(np.ceil(notes.duration() * fps))
         assert (midi.quantize(notes, fps, n_frames).data.tobytes()
@@ -155,13 +190,71 @@ def test_rasterizers_match_oracle_on_a_parsed_take():
                                           (np.inf, np.inf), (0.0, np.nan)])
 def test_note_event_rejects_non_finite_times(onset, offset):
     with pytest.raises(ValueError, match="finite"):
-        midi.NoteEvent(onset, offset, 40)
+        midi.NoteList([onset], [offset], [40])
 
 
 def test_rasterizers_reject_notes_beyond_float_frames():
-    notes = midi.NoteList((midi.NoteEvent(0.0, 1e308, 40),))
+    notes = midi.NoteList([0.0], [1e308], [40])
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite in frames"):
             midi.quantize(notes, 60.0, 10)
         with pytest.raises(ValueError, match="finite in frames"):
             midi.condition_matrix(notes, 60.0, 10)
+
+
+def random_take(rng):
+    """Up to 40 notes on five pitches, some at equal onsets, and a second
+    take of them shifted by a planted offset, with notes dropped, added
+    and jittered; sometimes on other pitches entirely."""
+    n = int(rng.integers(0, 41))
+    onset = rng.uniform(0.0, 4.0, n)
+    if rng.random() < 0.5:
+        onset = np.round(onset, 2)  # exact ties between candidate matchings
+    pitch = rng.integers(1, 6, n)
+    a = _synth.note_list(zip(onset, onset + 0.1, pitch))
+    keep = rng.random(n) >= rng.choice([0.0, 0.2])
+    shift = int(rng.integers(-50, 51)) * 0.002
+    b_onset = onset[keep] + shift + rng.choice([0.0, 0.0, 0.003, -0.005], keep.sum())
+    b_pitch = pitch[keep] + (10 if rng.random() < 0.1 else 0)
+    extra = int(rng.integers(0, 6))
+    b_onset = np.concatenate([b_onset, rng.uniform(0.0, 4.0, extra)])
+    b_pitch = np.concatenate([b_pitch, rng.integers(1, 6, extra)])
+    b_onset = np.clip(b_onset, 0.0, None)
+    return a, _synth.note_list(zip(b_onset, b_onset + 0.1, b_pitch))
+
+
+def test_find_offset_matches_oracle_on_random_takes():
+    rng = np.random.default_rng(7)
+    grid = midi.offset_grid(0.1, 0.002)
+    found = 0
+    for _ in range(60):
+        a, b = random_take(rng)
+        for tolerance in (0.0, 0.016):
+            got = midi.find_offset(a, b, grid, tolerance)
+            assert got == scalar.find_offset(a, b, grid, tolerance)
+            found += got[1] > 0
+    assert found > 60
+
+
+def random_matrix_data(rng, n_frames, values):
+    """(n_frames, 88) entries drawn from values, equal neighbours common,
+    with some keys held over the first and last frames."""
+    data = rng.choice(values, size=(n_frames, midi.NUM_KEYS))
+    data[:, :10] = data[:1, :10]
+    data[n_frames // 2:, 10:20] = values[-1]
+    return data
+
+
+@pytest.mark.parametrize("n_frames", [0, 1, 2, 7, 61])
+def test_matrix_json_matches_oracle(n_frames):
+    rng = np.random.default_rng(8 + n_frames)
+    for _ in range(10):
+        binary = midi.KeyMatrix(60.0, random_matrix_data(rng, n_frames, np.array([0, 1])))
+        assert midi.matrix_to_json(binary) == scalar.matrix_to_json(binary)
+        cond = midi.ConditionMatrix(59.94, random_matrix_data(
+            rng, n_frames, np.array([0.0, -0.0, 0.25, 1.0 / 3.0, 1.0])))
+        assert midi.matrix_to_json(cond) == scalar.matrix_to_json(cond)
+    notes = random_notes(rng, 60.0)
+    for mode in ("constant", "decaying"):
+        cond = midi.condition_matrix(notes, 60.0, n_frames, mode)
+        assert midi.matrix_to_json(cond) == scalar.matrix_to_json(cond)

@@ -262,12 +262,12 @@ def test_batched_triangulate_point_equals_each_point():
     uv = project(projections, rng.uniform(0.0, 0.3, (25, 3)))
     uv += rng.normal(0.0, 2.0, uv.shape)
     weights = rng.uniform(0.0, 1.0, (25, 4))
-    stacked = rec.triangulate_point(uv, projections, weights=weights)
+    stacked, flags = rec._dlt(uv, projections, weights)
     for i in range(len(uv)):
         point, degenerate = scalar.triangulate_point(uv[i], projections,
                                                      weights[i])
-        assert bits(stacked.point[i]) == bits(point)
-        assert stacked.degenerate[i] == degenerate
+        assert bits(stacked[i]) == bits(point)
+        assert flags[i] == degenerate
 
 
 def test_solve_flags_only_the_singular_systems():

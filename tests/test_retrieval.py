@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-import _synth
-from pianomotion import hand, retrieval
+from pianomotion import retrieval
 from pianomotion.midi import KeyMatrix
 
 
@@ -260,30 +259,3 @@ def test_segment_json_obj():
         "clip_id": "a", "start": 3, "length": 40,
         "query_start": 0, "n_windows": 11,
     }
-
-
-def test_segments_to_motions_slices_frames(geom, skeletons):
-    hover = _synth.hover_pose(geom, 1, 40)
-    parked = _synth.parked_pose(0)
-    frames = np.stack([np.stack([parked, hover])] * 50)
-    frames[:, 1, 0] += 0.001 * np.arange(50)
-    motion = _synth.pose_clip(60.0, frames)
-    seg = retrieval.ReferenceSegment("m", 10, 20, 0, 6)
-    out = retrieval.segments_to_motions([seg], {"m": motion})
-    assert len(out) == 1
-    assert out[0].n_frames == 20
-    assert np.array_equal(out[0].root_t, motion.root_t[10:30])
-    # Excerpts own their poses.
-    out[0].root_t[0, 1, 0] = 99.0
-    assert motion.root_t[10, 1, 0] != 99.0
-
-
-def test_segments_to_motions_errors(geom, skeletons):
-    pose = _synth.parked_pose(0)
-    motion = _synth.pose_clip(60.0, [(pose, pose)] * 10)
-    with pytest.raises(KeyError, match="missing"):
-        retrieval.segments_to_motions(
-            [retrieval.ReferenceSegment("missing", 0, 5, 0, 1)], {"m": motion})
-    with pytest.raises(ValueError, match="exceeds"):
-        retrieval.segments_to_motions(
-            [retrieval.ReferenceSegment("m", 8, 5, 0, 1)], {"m": motion})

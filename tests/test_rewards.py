@@ -52,13 +52,13 @@ def test_merged_goals_includes_silence():
     ]
 
 
-def test_expand_goals_inverts_merge(rng):
+def test_merged_goals_rebuild_the_matrix(rng):
     data = (rng.random((50, 88)) < 0.05).astype(np.uint8)
-    matrix = KeyMatrix(60.0, data)
-    segments = rewards.merged_goals(matrix)
-    back = rewards.expand_goals(segments, 60.0)
-    assert np.array_equal(back.data, matrix.data)
-    assert back.fps == 60.0
+    segments = rewards.merged_goals(KeyMatrix(60.0, data))
+    back = np.zeros_like(data)
+    for seg in segments:
+        back[seg.start:seg.end, [k - 1 for k in seg.keys]] = 1
+    assert np.array_equal(back, data)
     # Segments partition the frame range without gaps.
     assert segments[0].start == 0
     for a, b in zip(segments, segments[1:]):
