@@ -10,15 +10,19 @@ single dataset clip are merged into longer reference segments.
 The index stores each dataset frame once, not each window: a window's
 distance is the sum, along one diagonal, of per-frame Hamming distances.
 The search computes those per-frame distances for a block of dataset
-frames against a block of query frames with one matrix product, then
-builds diagonal sums of length 1, 2, 4, ... by doubling and adds the ones
-whose lengths make up ``window_len`` in binary (2 + 4 + 8 + 16 at 30).
+frames against a block of query frames with one matrix product over the
+keys the query plays, then turns them into running sums down each
+diagonal; a window's distance is the difference of two such sums.  Up to
+a window length of 190395 all values are integers below 2**24, so the
+float32 arithmetic is exact.
 On disk the frames are bit-packed, 11 bytes per frame.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -28,10 +32,14 @@ from .midi import NUM_KEYS, KeyMatrix
 DEFAULT_WINDOW_LEN = 30
 DEFAULT_STRIDE = 1
 
-# Dataset frames and query windows per search block.  They bound the
-# per-block arrays (a few MB) without changing results.
-_FRAME_BLOCK = 2048
+# A search block takes the dataset windows that start within _FRAME_BLOCK
+# frames of its first, and the query windows that start within
+# _QUERY_BLOCK frames of its first.  They bound the per-block arrays (a few
+# MB) and the sums' range without changing results.
+_FRAME_BLOCK = 4096
 _QUERY_BLOCK = 256
+# Bytes per bit-packed frame on disk.
+_PACKED_BYTES = -(-NUM_KEYS // 8)
 
 
 @dataclasses.dataclass(eq=False)
@@ -58,6 +66,9 @@ class WindowIndex:
         self.clip_frames = np.asarray(self.clip_frames, dtype=np.int64)
         if not self.clip_ids:
             raise ValueError("an index needs at least one clip")
+        clip_id, n = collections.Counter(self.clip_ids).most_common(1)[0]
+        if n > 1:
+            raise ValueError("clip id %r names %d clips" % (clip_id, n))
         if self.clip_frames.shape != (len(self.clip_ids),):
             raise ValueError("need one frame count per clip id")
         if np.any(self.clip_frames < self.window_len):
@@ -72,6 +83,12 @@ class WindowIndex:
         self.window_start = np.concatenate(starts)
         # Start of each window in `frames`; ascending with the window index.
         self._window_frame = offsets[self.window_clip] + self.window_start
+
+    @functools.cached_property
+    def _frame_keys(self) -> np.ndarray:
+        """Keys held in each frame, |f| of the per-frame distance; only a
+        search needs them."""
+        return self.frames.sum(axis=1, dtype=np.uint8)
 
     @property
     def n_windows(self) -> int:
@@ -101,15 +118,35 @@ class WindowIndex:
 
     @classmethod
     def load(cls, path: str) -> "WindowIndex":
-        """Read a saved index; a missing array raises KeyError."""
+        """Read a saved index; a missing array raises KeyError, and one of
+        the wrong type or shape raises ValueError."""
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("not an .npz archive")
         with data:
-            frames = np.unpackbits(data["frames"], axis=1, count=NUM_KEYS)
-            return cls(int(data["window_len"]), int(data["stride"]), frames,
-                       [str(s) for s in data["clip_ids"]],
-                       data["clip_frames"])
+            packed = data["frames"]
+            if packed.dtype != np.uint8 or packed.ndim != 2 \
+                    or packed.shape[1] != _PACKED_BYTES:
+                raise ValueError("frames must be uint8 of shape (n, %d), got "
+                                 "%s of shape %s" % (_PACKED_BYTES,
+                                                     packed.dtype, packed.shape))
+            frames = np.unpackbits(packed, axis=1, count=NUM_KEYS)
+            return cls(int(_saved(data, "window_len", 0, "integer")),
+                       int(_saved(data, "stride", 0, "integer")), frames,
+                       _saved(data, "clip_ids", 1, "string").tolist(),
+                       _saved(data, "clip_frames", 1, "integer"))
+
+
+_KINDS = {"integer": "iu", "string": "U"}
+
+
+def _saved(data, name: str, ndim: int, kind: str) -> np.ndarray:
+    """Array `name` of a saved index, checked for its rank and kind."""
+    arr = data[name]
+    if arr.ndim != ndim or arr.dtype.kind not in _KINDS[kind]:
+        raise ValueError("%s must be a %d-d %s array, got %d-d %s"
+                         % (name, ndim, kind, arr.ndim, arr.dtype))
+    return arr
 
 
 def _window_starts(n_frames: int, window_len: int, stride: int) -> np.ndarray:
@@ -156,9 +193,15 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
     """Match every query window to its nearest dataset window.
 
     Exact exhaustive search; ties resolve to the lowest dataset window
-    index.  Per-frame Hamming distances |f| + |q| - 2 f.q are small
-    integers, so the float32 products and sums are exact and the result
-    does not depend on the BLAS or its thread count.
+    index.  The per-frame distance |q| + |f| - 2 q.f needs q.f over the
+    keys the query plays alone, so one float32 product over those keys,
+    the |f| row and a ones row gives every per-frame distance of a block.
+    Running sums down each diagonal, C[t, i] += C[t-1, i-1], then give
+    each window's distance as the difference of two of them.  Every sum is
+    an integer of at most 88 per query frame of the block, which holds at
+    most window_len + 255 frames, so all values stay below 2**24: the
+    result is exact up to window_len = 190395 and depends on neither the
+    block sizes nor the BLAS and its thread count.
     """
     w, s = index.window_len, index.stride
     if query.n_frames < w:
@@ -168,12 +211,21 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
     n_q = len(q_starts)
     matches = np.full(n_q, -1, dtype=np.int64)
     dists = np.full(n_q, np.inf)
-    # ham = [q, 1, |q|] @ [-2 f; |f|; 1] gives every per-frame distance in
-    # one product; each term is a small integer.
-    qa = np.empty((query.n_frames, NUM_KEYS + 2), dtype=np.float32)
-    qa[:, :NUM_KEYS] = query.data
-    qa[:, NUM_KEYS] = 1.0
-    qa[:, NUM_KEYS + 1] = qa[:, :NUM_KEYS].sum(axis=1)
+    # ham = [-2 q, 1, |q|] @ [f; |f|; 1] over the keys the query plays: a
+    # key it never plays adds 0 to q.f.
+    keys = np.flatnonzero(query.data.any(axis=0))
+    n_k = len(keys)
+    qa = np.empty((query.n_frames, n_k + 2), dtype=np.float32)
+    qa[:, :n_k] = query.data[:, keys]
+    qa[:, n_k] = 1.0
+    qa[:, n_k + 1] = query.data.sum(axis=1)
+    qa[:, :n_k] *= -2.0
+    q_block = min(n_q, (_QUERY_BLOCK - 1) // s + 1)
+    # Running sums for one block, behind a zero row and a zero column so
+    # that sums starting on the block's edge need no special case.
+    sums = np.zeros(((q_block - 1) * s + w + 1,
+                     min(_FRAME_BLOCK + w - 1, len(index.frames)) + 1),
+                    dtype=np.float32)
     wf = index._window_frame
     lo = 0
     while lo < index.n_windows:
@@ -181,28 +233,33 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
         hi = int(np.searchsorted(wf, wf[lo] + _FRAME_BLOCK))
         base = int(wf[lo])
         n_pos = int(wf[hi - 1]) - base + 1
+        n_cols = n_pos + w - 1
         # Keys-major, so the product below runs at full BLAS speed.
-        fa = np.empty((NUM_KEYS + 2, n_pos + w - 1), dtype=np.float32)
-        fa[:NUM_KEYS] = index.frames[base:base + n_pos + w - 1].T
-        fa[NUM_KEYS] = fa[:NUM_KEYS].sum(axis=0)
-        fa[:NUM_KEYS] *= -2.0
-        fa[NUM_KEYS + 1] = 1.0
+        fa = np.empty((n_k + 2, n_cols), dtype=np.float32)
+        fa[:n_k] = index.frames[base:base + n_cols, keys].T
+        fa[n_k] = index._frame_keys[base:base + n_cols]
+        fa[n_k + 1] = 1.0
         cols = wf[lo:hi] - base
         # Positions that start no window (across a clip end, or between
         # strides) never hold the minimum.
         gaps = np.ones(n_pos, dtype=bool)
         gaps[cols] = False
         gaps = np.flatnonzero(gaps)
-        for qlo in range(0, n_q, _QUERY_BLOCK):
-            nqb = min(_QUERY_BLOCK, n_q - qlo)
+        for qlo in range(0, n_q, q_block):
+            nqb = min(q_block, n_q - qlo)
             qs = int(q_starts[qlo])
-            # ham[t, i]: Hamming distance of query frame t to dataset frame i.
-            ham = qa[qs:qs + (nqb - 1) * s + w] @ fa
-            d = _window_sums(ham, w, s, nqb, n_pos)
+            rows = (nqb - 1) * s + w
+            # c[1 + t, 1 + i]: distance of query frame qs + t to dataset
+            # frame base + i.
+            c = sums[:rows + 1, :n_cols + 1]
+            np.matmul(qa[qs:qs + rows], fa, out=c[1:, 1:])
+            d = _diagonal_sums(c, w, s)
             d[:, gaps] = np.inf
-            best_d = d.min(axis=1)
-            # The first position holding the minimum is the lowest window.
-            best = np.searchsorted(cols, np.argmax(d == best_d[:, None], axis=1))
+            # argmin takes the first position holding the minimum, which
+            # starts the lowest window.
+            pos = d.argmin(axis=1)
+            best_d = d[np.arange(nqb), pos]
+            best = np.searchsorted(cols, pos)
             # Strict < keeps the earlier block's window on ties.
             better = best_d < dists[qlo:qlo + nqb]
             dists[qlo:qlo + nqb][better] = best_d[better]
@@ -211,36 +268,20 @@ def retrieve(index: WindowIndex, query: KeyMatrix) -> RetrievalResult:
     return RetrievalResult(w, s, q_starts, matches, dists)
 
 
-def _window_sums(ham: np.ndarray, w: int, s: int, n_rows: int,
-                 n_cols: int) -> np.ndarray:
-    """out[j, i] = sum of ham[j*s + k, i + k] over k < w, by doubling.
+def _diagonal_sums(c: np.ndarray, w: int, s: int) -> np.ndarray:
+    """out[j, i] = sum of c[1 + j*s + k, 1 + i + k] over k < w.
 
-    Diagonal sums of length 2L come from two of length L,
-    S_2L[t, i] = S_L[t, i] + S_L[t + L, i + L], in one spare buffer the
-    size of ham; each window then adds the sums whose lengths make up w in
-    binary, taking rows at the stride.  Window sums reach 88 * w, exact in
-    float32 (so in any order of adds) up to w = 190650, where ham alone
-    would need over 100 GB.  Overwrites ham.
+    c holds the terms behind a zero row and a zero column.  Running sums
+    down each diagonal, c[t, i] += c[t-1, i-1], overwrite it row by row;
+    each window's sum is then the sum that ends on its last term minus the
+    one that ends just before its first, which is 0 on the zero row or
+    column.  Exact in float32 while every running sum, at most the largest
+    term times c's row count, stays below 2**24.
     """
-    rows, cols = ham.shape
-    cur, spare = ham, np.empty_like(ham) if w > 1 else None
-    out = None
-    length, done = 1, 0
-    while True:
-        if w & length:
-            piece = cur[done:done + n_rows * s:s, done:done + n_cols]
-            if out is None:
-                out = piece.copy()
-            else:
-                out += piece
-            done += length
-        if 2 * length > w:
-            return out
-        n_t, n_i = rows - 2 * length + 1, cols - 2 * length + 1
-        np.add(cur[:n_t, :n_i], cur[length:length + n_t, length:length + n_i],
-               out=spare[:n_t, :n_i])
-        cur, spare = spare, cur
-        length *= 2
+    rows, cols = c.shape
+    for t in range(2, rows):
+        c[t, 2:] += c[t - 1, 1:-1]
+    return c[w::s, w:] - c[:rows - w:s, :cols - w]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -266,25 +307,21 @@ def merge_segments(result: RetrievalResult, index: WindowIndex) -> list:
     next window of the same clip; each merged run covers the union of its
     matched frame ranges.  Isolated windows become window-length segments.
     """
-    segments = []
-    n = len(result.matches)
-    j = 0
-    while j < n:
-        k = j
-        while (k + 1 < n
-               and result.matches[k + 1] == result.matches[k] + 1
-               and index.window_clip[result.matches[k + 1]]
-                   == index.window_clip[result.matches[k]]):
-            k += 1
-        first = int(result.matches[j])
-        run_len = k - j + 1
-        clip_id, start = index.provenance(first)
-        segments.append(ReferenceSegment(
-            clip_id=clip_id,
-            start=start,
-            length=index.window_len + (run_len - 1) * index.stride,
-            query_start=int(result.query_starts[j]),
-            n_windows=run_len,
-        ))
-        j = k + 1
-    return segments
+    matches = result.matches
+    clips = index.window_clip[matches]
+    # A run breaks where the match is not the previous one's next window.
+    breaks = np.ones(len(matches), dtype=bool)
+    breaks[1:] = (matches[1:] != matches[:-1] + 1) | (clips[1:] != clips[:-1])
+    firsts = np.flatnonzero(breaks)
+    run_lens = np.diff(firsts, append=len(matches))
+    return [ReferenceSegment(
+                clip_id=index.clip_ids[clip],
+                start=start,
+                length=index.window_len + (run_len - 1) * index.stride,
+                query_start=query_start,
+                n_windows=run_len)
+            for clip, start, query_start, run_len in zip(
+                clips[firsts].tolist(),
+                index.window_start[matches[firsts]].tolist(),
+                result.query_starts[firsts].tolist(),
+                run_lens.tolist())]

@@ -791,6 +791,57 @@ def test_retrieve_rejects_index_without_frames(tmp_path, capsys, layout):
     assert "rebuild it with `pianomotion index`" in capsys.readouterr().err
 
 
+_PACKED = np.packbits(np.eye(40, 88, dtype=np.uint8), axis=1)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("frames", _PACKED[:, :10]),
+    ("frames", np.pad(_PACKED, ((0, 0), (0, 1)))),
+    ("frames", _PACKED.astype(np.int64)),
+    ("frames", _PACKED.ravel()),
+    ("window_len", np.float64(30.7)),
+    ("window_len", np.array([30])),
+    ("stride", np.float64(1.0)),
+    ("clip_frames", np.array([40.0])),
+    ("clip_frames", np.array([[40]])),
+    ("clip_ids", np.array([7])),
+    ("clip_ids", np.array([["a"]])),
+], ids=["frames-10-bytes", "frames-12-bytes", "frames-int64", "frames-1d",
+        "window_len-float", "window_len-1d", "stride-float",
+        "clip_frames-float", "clip_frames-2d", "clip_ids-int", "clip_ids-2d"])
+def test_retrieve_rejects_index_of_wrong_type_or_shape(tmp_path, capsys,
+                                                       field, value):
+    fields = dict(window_len=np.int64(30), stride=np.int64(1), frames=_PACKED,
+                  clip_ids=np.array(["a"]), clip_frames=np.array([40]))
+    query_path = tmp_path / "query.json"
+    write_matrix(query_path, [{40}] * 30)
+    argv = ["retrieve", "--index", tmp_path / "i.npz", "--query", query_path,
+            "--fps", 60]
+    np.savez(tmp_path / "i.npz", **fields)
+    assert run(argv) == 0
+    capsys.readouterr()
+    np.savez(tmp_path / "i.npz", **dict(fields, **{field: value}))
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert "rebuild it with `pianomotion index`" in err
+
+
+@pytest.mark.parametrize("same_file", [False, True])
+def test_index_rejects_two_clips_of_one_name(tmp_path, capsys, same_file):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = tmp_path / "a" / "take.json", tmp_path / "b" / "take.json"
+    write_matrix(first, [{40}] * 40)
+    write_matrix(second, [{41}] * 40)
+    out = tmp_path / "index.npz"
+    assert run(["index", "--dataset", first, first if same_file else second,
+                "--fps", 60, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'take'" in err
+    assert not out.exists()
+
+
 def test_retrieve_method_option_is_gone(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "scan"}))

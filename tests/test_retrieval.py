@@ -1,7 +1,10 @@
 """Window indexing, nearest-window search, and segment stitching."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pianomotion import retrieval
 from pianomotion.midi import KeyMatrix
@@ -58,6 +61,13 @@ def test_build_index_errors(rng):
     with pytest.warns(UserWarning, match="skipped"):
         with pytest.raises(ValueError, match="long enough"):
             retrieval.build_index([("x", random_matrix(rng, 5))], window_len=30)
+
+
+def test_build_index_rejects_duplicate_clip_ids(rng):
+    take = random_matrix(rng, 40)
+    with pytest.raises(ValueError, match="clip id 'take' names 2 clips"):
+        retrieval.build_index([("take", take), ("other", take),
+                               ("take", random_matrix(rng, 35))])
 
 
 def test_build_index_stride(rng):
@@ -130,7 +140,7 @@ def test_retrieve_is_independent_of_block_sizes(rng, monkeypatch,
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_window_sums_by_doubling_equal_shifted_adds(rng, stride):
+def test_diagonal_sums_equal_shifted_adds(rng, stride):
     for w in range(1, 65):
         n_rows, n_cols = int(rng.integers(1, 9)), int(rng.integers(1, 12))
         ham = rng.integers(0, 89, ((n_rows - 1) * stride + w, n_cols + w - 1))
@@ -138,9 +148,64 @@ def test_window_sums_by_doubling_equal_shifted_adds(rng, stride):
         expect = ham[0:n_rows * stride:stride, 0:n_cols].copy()
         for k in range(1, w):
             expect += ham[k:k + n_rows * stride:stride, k:k + n_cols]
-        got = retrieval._window_sums(ham, w, stride, n_rows, n_cols)
+        padded = np.zeros((ham.shape[0] + 1, ham.shape[1] + 1), np.float32)
+        padded[1:, 1:] = ham
+        got = retrieval._diagonal_sums(padded, w, stride)
         assert got.shape == expect.shape
         assert got.tobytes() == expect.tobytes(), w
+
+
+def windowed_brute_force(index, query):
+    """(matches, distances) from every window pair's cell count at once;
+    argmin's first hit is the lowest-index tie."""
+    q = np.lib.stride_tricks.sliding_window_view(
+        query.data, index.window_len, axis=0)[::index.stride]
+    q = q.transpose(0, 2, 1).astype(np.int64)
+    d = np.abs(q[:, None] - index.windows[None].astype(np.int64)).sum(axis=(2, 3))
+    best = d.argmin(axis=1)
+    return best, d[np.arange(len(d)), best].astype(np.float64)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1),
+       window_len=st.integers(1, 8),
+       stride=st.integers(1, 10),
+       extra=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+       repeat_clip=st.booleans(),
+       density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+       query_kind=st.sampled_from(["silent", "all keys", "random", "copy"]),
+       query_extra=st.integers(0, 15),
+       blocks=st.none() | st.tuples(st.integers(1, 20), st.integers(1, 24)))
+def test_retrieve_equals_brute_force(seed, window_len, stride, extra,
+                                     repeat_clip, density, query_kind,
+                                     query_extra, blocks):
+    # Clips hold window_len + extra frames, so some hold exactly one
+    # window; a repeated clip makes every window it copies tie.
+    rng = np.random.default_rng(seed)
+    clips = [(rng.random((window_len + e, 88)) < density).astype(np.uint8)
+             for e in extra]
+    if repeat_clip:
+        clips.append(clips[0])
+    index = retrieval.build_index(
+        [("c%d" % i, KeyMatrix(60.0, c)) for i, c in enumerate(clips)],
+        window_len=window_len, stride=stride)
+    n = window_len + query_extra
+    if query_kind == "silent":
+        query = np.zeros((n, 88), dtype=np.uint8)
+    elif query_kind == "all keys":
+        query = np.ones((n, 88), dtype=np.uint8)
+    elif query_kind == "random":
+        query = (rng.random((n, 88)) < 0.2).astype(np.uint8)
+    else:
+        query = np.concatenate([clips[0]] * (n // len(clips[0]) + 1))[:n]
+    frame_block, query_block = blocks or (retrieval._FRAME_BLOCK,
+                                          retrieval._QUERY_BLOCK)
+    with mock.patch.multiple(retrieval, _FRAME_BLOCK=frame_block,
+                             _QUERY_BLOCK=query_block):
+        result = retrieval.retrieve(index, KeyMatrix(60.0, query))
+    matches, distances = windowed_brute_force(index, KeyMatrix(60.0, query))
+    assert result.matches.tolist() == matches.tolist()
+    assert result.distances.tolist() == distances.tolist()
 
 
 @pytest.mark.parametrize("frame_block", [4096, 3])
@@ -251,6 +316,56 @@ def test_merge_segments_consecutive_index_across_clips_splits(rng):
         distances=np.zeros(2))
     segments = retrieval.merge_segments(result, index)
     assert [(s.clip_id, s.start) for s in segments] == [("a", 25), ("b", 0)]
+
+
+def merge_segments_by_loop(result, index):
+    """Reference merge: walk the query windows one at a time."""
+    segments = []
+    n = len(result.matches)
+    j = 0
+    while j < n:
+        k = j
+        while (k + 1 < n
+               and result.matches[k + 1] == result.matches[k] + 1
+               and index.window_clip[result.matches[k + 1]]
+                   == index.window_clip[result.matches[k]]):
+            k += 1
+        first = int(result.matches[j])
+        run_len = k - j + 1
+        clip_id, start = index.provenance(first)
+        segments.append(retrieval.ReferenceSegment(
+            clip_id=clip_id,
+            start=start,
+            length=index.window_len + (run_len - 1) * index.stride,
+            query_start=int(result.query_starts[j]),
+            n_windows=run_len,
+        ))
+        j = k + 1
+    return segments
+
+
+def test_merge_segments_equals_loop_on_random_results(rng):
+    # Matches mostly advance one window per step, so runs often reach a
+    # clip end and carry on into the next clip, where they must split.
+    for trial in range(300):
+        window_len, stride = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        clips = [random_matrix(rng, window_len + int(rng.integers(0, 8)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        index = retrieval.build_index(
+            [("c%d" % i, c) for i, c in enumerate(clips)],
+            window_len=window_len, stride=stride)
+        n = int(rng.integers(0, 30))
+        matches = np.empty(n, dtype=np.int64)
+        for j in range(n):
+            step = j and matches[j - 1] + 1 < index.n_windows \
+                and rng.random() < 0.8
+            matches[j] = (matches[j - 1] + 1 if step
+                          else rng.integers(0, index.n_windows))
+        result = retrieval.RetrievalResult(
+            window_len, stride, np.arange(n, dtype=np.int64) * stride,
+            matches, np.zeros(n))
+        assert retrieval.merge_segments(result, index) == \
+            merge_segments_by_loop(result, index), trial
 
 
 def test_segment_json_obj():
