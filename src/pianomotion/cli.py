@@ -355,8 +355,8 @@ def cmd_refine(args, cfg):
     _emit(args, result.clip.to_json() + "\n")
     if args.report:
         report = result.report_obj()
-        report["errors_before"] = len(before)
-        report["errors_after"] = len(after)
+        report["errors_before"] = int(np.count_nonzero(before))
+        report["errors_after"] = int(np.count_nonzero(after))
         _atomic_write(args.report, _dump(report))
     return 0
 

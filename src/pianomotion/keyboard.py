@@ -152,13 +152,11 @@ class KeyboardGeometry:
                         axis=-1)
 
     def to_world(self, point) -> np.ndarray:
+        """World coordinates of keyboard-local points (..., 3)."""
         p = np.asarray(point, dtype=np.float64)
-        return (
-            np.array(
-                [self._cos * p[0] - self._sin * p[1], self._sin * p[0] + self._cos * p[1], p[2]]
-            )
-            + self._origin
-        )
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([self._cos * x - self._sin * y, self._sin * x + self._cos * y, p[..., 2]],
+                        axis=-1) + self._origin
 
     def rest_height(self, key: int) -> float:
         """Rest surface height in keyboard-local z."""
@@ -202,34 +200,46 @@ def key_for_point(geom: KeyboardGeometry, point) -> int | None:
     return int(locate_keys(geom, point)[0]) or None
 
 
-def key_target_position(geom: KeyboardGeometry, key: int) -> np.ndarray:
-    """Press target on the key's exposed top surface, in world coordinates.
+def key_target_position(geom: KeyboardGeometry, key) -> np.ndarray:
+    """Press target on the exposed top surface of a key (int) or of keys
+    (n,), in world coordinates (3,) or (n, 3).
 
     85% (configurable) along the key length from the fallboard toward the
     player, centered on the exposed width at that point.
     """
-    if not 1 <= key <= NUM_KEYS:
-        raise ValueError(f"key must be in 1..88, got {key}")
-    _, _, y0, y1 = geom.boxes[key - 1]
+    k = np.asarray(key) - 1
+    if not np.all((0 <= k) & (k < NUM_KEYS)):
+        raise ValueError(f"key must be in 1..88, got {reprlib.repr(key)}")
+    _, _, y0, y1 = geom.boxes[k].T
     y = y0 + geom.config.target_length_fraction * (y1 - y0)
-    x0, x1 = geom.boxes[key - 1, :2]
-    if y <= geom.config.black_key_length:
-        x0, x1 = geom.exposed[key - 1]
-    return geom.to_world(np.array([(x0 + x1) / 2, y, geom.rest_heights[key - 1]]))
+    x0, x1 = np.where((y <= geom.config.black_key_length)[..., None],
+                      geom.exposed[k], geom.boxes[k, :2]).T
+    return geom.to_world(np.stack([(x0 + x1) / 2, y, geom.rest_heights[k]], axis=-1))
 
 
 def pressed_keys(geom: KeyboardGeometry, fingertips, activation_depth: float) -> np.ndarray:
     """(..., 88) flags of the keys some fingertip of (..., n, 3) holds at
-    least activation_depth below their rest surface.
+    least activation_depth below their rest surface."""
+    keys, depths = locate_keys(geom, np.atleast_2d(np.asarray(fingertips, dtype=np.float64)))
+    return located_presses(geom, keys, depths, activation_depth)
 
-    Exact through `key_depths`' clamp, since activation_depth may not
-    exceed the travel.
+
+def located_presses(geom: KeyboardGeometry, keys, depths, activation_depth: float) -> np.ndarray:
+    """`pressed_keys` of points already located: keys and depths (..., n)
+    from `locate_keys` give (..., 88) flags.
+
+    Equal to thresholding `key_depths`, whose clamp to the travel cannot
+    lower a depth below activation_depth, since that may not exceed the
+    travel.
     """
     if not 0 < activation_depth <= float(np.min(np.asarray(geom.travels))):
         raise ValueError(
             f"activation_depth must be in (0, min travel], got {activation_depth}"
         )
-    return key_depths(geom, fingertips) >= activation_depth
+    out = np.zeros(keys.shape[:-1] + (NUM_KEYS + 1,), dtype=bool)
+    hit = depths >= activation_depth                    # -inf off the keys
+    out[np.nonzero(hit)[:-1] + (keys[hit],)] = True
+    return out[..., 1:]
 
 
 def extract_pressed(geom: KeyboardGeometry, fingertips, activation_depth: float) -> set[int]:

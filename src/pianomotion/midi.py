@@ -494,7 +494,17 @@ def _greedy_match(a_onsets, b_onsets, tolerance: float, b_shift: float = 0.0):
 def offset_grid(
     span: float = DEFAULT_GRID_SPAN, step: float = DEFAULT_GRID_STEP
 ) -> list[float]:
-    """Symmetric candidate offsets: multiples of `step` covering [-span, span]."""
+    """Symmetric candidate offsets: multiples of `step` covering [-span, span].
+
+    Raises ValueError unless step is finite and positive, span finite and
+    >= 0, and their ratio finite.
+    """
+    if not 0 < step < np.inf:
+        raise ValueError(f"grid step must be a finite positive number, got {step!r}")
+    if not 0 <= span < np.inf:
+        raise ValueError(f"grid span must be a finite number >= 0, got {span!r}")
+    if not span / step < np.inf:
+        raise ValueError(f"grid span {span!r} over step {step!r} has too many offsets")
     n = int(round(span / step))
     return [k * step for k in range(-n, n + 1)]
 
@@ -511,8 +521,11 @@ def find_offset(
     shifted back by the offset, so for b holding a's notes d seconds later
     it returns d.
     Count ties are broken by the smallest summed onset gap of the matching,
-    then by smallest |offset|. Returns (offset, match count).
+    then by smallest |offset|. Returns (offset, match count). Raises
+    ValueError unless tolerance is finite and >= 0.
     """
+    if not 0 <= tolerance < np.inf:
+        raise ValueError(f"sync tolerance must be a finite number >= 0, got {tolerance!r}")
     if grid is None:
         grid = offset_grid()
     grid = list(grid)

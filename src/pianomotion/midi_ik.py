@@ -1,16 +1,19 @@
 """Score-driven motion refinement: make a clip's key presses match its MIDI.
 
-Per frame, the keys pressed by the clip's fingertips are compared with the
-reference key matrix.  Keys pressed but silent in the score are "wrong
-presses": the deepest offending fingertip is targeted straight up to just
-above the key's rest surface.  Score keys no fingertip presses are
-"omitted": the fingertip closest to its projection onto the key surface is
-targeted onto the key at activation depth.  Targets demanding more than
-1 cm of fingertip travel are discarded.  The surviving targets drive one
-damped least-squares solve that edits only the joint rotations of the
-fingers holding a target; both wrists and every other finger keep their
-input values bit for bit.  A smoothness term ties each frame's edit to
-its neighbours' edits.
+Press errors are two (F, 88) masks over frames and keys.  A wrong press
+is a key that some fingertip holds at activation depth while the score
+leaves it silent: the deepest fingertip on it is targeted straight up to
+just above the key's rest surface.  An omission is a score key that no
+fingertip holds: the fingertip closest to its projection onto the key
+surface is targeted onto the key at activation depth.  Within a frame,
+wrong presses come first, and each omission, in key order, takes the
+nearest fingertip still free; the r-th omission of every frame is placed
+at once, so targeting loops once per omission rank, not once per error.
+Targets demanding more than 1 cm of fingertip travel are discarded.  The
+surviving targets drive one damped least-squares solve that edits only
+the joint rotations of the fingers holding a target; both wrists and
+every other finger keep their input values bit for bit.  A smoothness
+term ties each frame's edit to its neighbours' edits.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ DISPLACEMENT_ASSERT = 0.012        # m; optimizer slack over the 1 cm budget
 DEFAULT_EXIT_CLEARANCE = 0.001     # m above rest surface for wrong presses
 DEFAULT_PRESS_MARGIN = 0.001       # m beyond activation depth for omissions
 
-WRONG_PRESS = "wrong_press"
-OMITTED = "omitted"
-
 # Each finger's MCP, PIP and DIP rotation vectors in the pose vector, and
 # its 6 twist-free coordinates (two per joint) in `fk_jacobian`'s columns.
 _FINGER_COLS = 6 + 9 * np.arange(NUM_FINGERS)[:, None] + np.arange(9)
@@ -45,169 +45,127 @@ _FINGER_DIMS = 6 + 6 * np.arange(NUM_FINGERS)[:, None] + np.arange(6)
 _POSE_BLOCK = 256
 
 
-@dataclasses.dataclass(eq=False)
-class PressError:
-    """One frame-level disagreement between the clip and the score."""
+def detect_press_errors(geom: KeyboardGeometry, keys: np.ndarray,
+                        depths: np.ndarray, midi: KeyMatrix,
+                        activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH):
+    """Wrong and omitted presses of a clip against its score, as two
+    (F, 88) masks.
 
-    frame: int
-    key: int
-    kind: str                          # WRONG_PRESS or OMITTED
-    fingertip: int | None = None       # 1..10 once a subject is chosen
-    target: np.ndarray | None = None   # world point the fingertip should reach
-    valid: bool | None = None          # False when displacement > 1 cm
-
-    def to_json_obj(self) -> dict:
-        return {
-            "frame": self.frame,
-            "key": self.key,
-            "kind": self.kind,
-            "fingertip": self.fingertip,
-            "target": None if self.target is None
-                      else [float(v) for v in self.target],
-            "valid": self.valid,
-        }
-
-
-def detect_press_errors(clip: MotionClip, skeletons: SkeletonPair,
-                        geom: KeyboardGeometry, midi: KeyMatrix,
-                        activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH) -> list:
-    """All wrong-press and omitted-press disagreements, frame by frame."""
-    midi.check_clip(clip)
-    pressed = kb.pressed_keys(geom, clip_fingertips(clip, skeletons),
-                              activation_depth)
+    keys and depths (F, 10) are the clip's fingertips located by
+    `keyboard.locate_keys`.
+    """
+    pressed = kb.located_presses(geom, keys, depths, activation_depth)
     scored = midi.data.astype(bool)
-    # Frame by frame: wrong presses by key, then omissions by key.
-    frame, kind, key = np.nonzero(np.stack([pressed & ~scored,
-                                            scored & ~pressed], axis=1))
-    return [PressError(f, k + 1, (WRONG_PRESS, OMITTED)[c])
-            for f, c, k in zip(frame.tolist(), kind.tolist(), key.tolist())]
+    return pressed & ~scored, scored & ~pressed
 
 
-def _surface_target(geom: KeyboardGeometry, key: int, tip_local: np.ndarray,
-                    depth_below_rest: float) -> np.ndarray:
-    """Closest point to a fingertip on the key's pressable footprint, local.
+def _pressable_points(geom: KeyboardGeometry, keys: np.ndarray,
+                     local: np.ndarray, depth_below_rest: float) -> np.ndarray:
+    """Closest points to local points (n, m, 3) on the pressable footprints
+    of keys (n,) in 0..87, in local coordinates (n, m, 3).
 
     The z coordinate is the key's rest height minus depth_below_rest.  For
     white keys the rear section excludes the strips covered by neighboring
     black keys, so a press there cannot land on the wrong key; a hair of
-    margin keeps the point off shared footprint boundaries.
+    margin keeps the point off shared footprint boundaries.  Clamps keep
+    the local coordinate unless a bound passes it strictly, and the rear
+    point wins only when strictly nearer, so exact ties go to the front.
     """
     eps = 1e-6
-    x0, x1, y0, y1 = geom.boxes[key - 1]
-    z = geom.rest_heights[key - 1] - depth_below_rest
-    tx, ty = tip_local[0], tip_local[1]
-
-    def clamp(lo_x, hi_x, lo_y, hi_y):
-        return np.array([min(max(tx, lo_x + eps), hi_x - eps),
-                         min(max(ty, lo_y + eps), hi_y - eps), z])
-
-    if geom._black[key - 1]:
-        return clamp(x0, x1, y0, y1)
+    x0, x1, y0, y1 = geom.boxes[keys].T[..., None]
+    ex0, ex1 = geom.exposed[keys].T[..., None]
+    black = geom._black[keys, None]
     blen = geom.config.black_key_length
-    front = clamp(x0, x1, blen, y1)
-    ex0, ex1 = geom.exposed[key - 1]
-    if ex1 - ex0 <= 2 * eps:
-        return front
-    back = clamp(ex0, ex1, y0, blen)
-    d_front = np.hypot(front[0] - tx, front[1] - ty)
-    d_back = np.hypot(back[0] - tx, back[1] - ty)
-    return back if d_back < d_front else front
+    tx, ty = local[..., 0], local[..., 1]
+
+    def clamp(v, lo, hi):
+        v = np.where(lo + eps > v, lo + eps, v)
+        return np.where(hi - eps < v, hi - eps, v)
+
+    fx, fy = clamp(tx, x0, x1), clamp(ty, np.where(black, y0, blen), y1)
+    bx, by = clamp(tx, ex0, ex1), clamp(ty, y0, blen)
+    rear = (~black & (ex1 - ex0 > 2 * eps)
+            & (np.hypot(bx - tx, by - ty) < np.hypot(fx - tx, fy - ty)))
+    z = geom.rest_heights[keys, None] - depth_below_rest
+    return np.stack([np.where(rear, bx, fx), np.where(rear, by, fy),
+                     np.broadcast_to(z, tx.shape)], axis=-1)
 
 
 @dataclasses.dataclass(eq=False)
 class IkTargets:
     """Per-frame fingertip targets assembled from press errors.
 
-    targets is (F, 10, 3) world coordinates; mask is (F, 10), True where a
-    fingertip has a live target.  errors keeps every PressError with its
-    chosen subject, target and validity filled in.
+    targets is (F, 10, 3) world coordinates, NaN where mask (F, 10) is
+    False; mask is True where a fingertip has a live target.  n_invalidated
+    counts the press errors left without one: no subject, or a target
+    beyond the displacement budget.
     """
 
     targets: np.ndarray
     mask: np.ndarray
-    errors: list
+    n_invalidated: int
 
     @property
     def n_valid(self) -> int:
         return int(self.mask.sum())
 
-    @property
-    def n_invalidated(self) -> int:
-        return sum(1 for e in self.errors if e.valid is False)
 
-
-def ik_targets(errors, clip: MotionClip, skeletons: SkeletonPair,
-               geom: KeyboardGeometry,
+def ik_targets(wrong: np.ndarray, omitted: np.ndarray, tips: np.ndarray,
+               keys: np.ndarray, depths: np.ndarray, geom: KeyboardGeometry,
                activation_depth: float = kb.DEFAULT_ACTIVATION_DEPTH,
                exit_clearance: float = DEFAULT_EXIT_CLEARANCE,
                press_margin: float = DEFAULT_PRESS_MARGIN,
                max_displacement: float = DEFAULT_MAX_DISPLACEMENT) -> IkTargets:
     """Choose an IK subject fingertip and a 3D target for every press error.
 
-    Wrong presses are resolved first (deepest fingertip on the key, sent
-    straight up to the rest surface plus clearance); omissions then pick
-    the nearest still-unassigned fingertip and push it onto the key to
+    wrong and omitted are `detect_press_errors`' (F, 88) masks; tips
+    (F, 10, 3) are the clip's finite fingertips, and keys and depths
+    (F, 10) locate them.  Wrong presses are resolved first: the first
+    deepest fingertip on the key, sent straight up to the rest surface plus
+    clearance.  Omissions then go by key, each to the nearest fingertip
+    not yet holding a target (the lower on a tie), pushed onto the key to
     activation depth plus a small margin so the press registers cleanly.
-    Targets farther than max_displacement from the fingertip are marked
-    invalid and excluded from the mask.
+    Targets farther than max_displacement from the fingertip are dropped,
+    and their fingertip stays free.
     """
-    F = clip.n_frames
-    tips = clip_fingertips(clip, skeletons)
-    keys, depths = kb.locate_keys(geom, tips)
-    targets = np.full((F, 10, 3), np.nan)
-    mask = np.zeros((F, 10), dtype=bool)
+    targets = np.full(tips.shape, np.nan)
+    mask = np.zeros(tips.shape[:2], dtype=bool)
 
-    by_frame = {}
-    for e in errors:
-        by_frame.setdefault(e.frame, []).append(e)
+    def aim(f, i, goal):
+        """Set the targets goal (n, 3) of fingertips i of frames f that lie
+        within max_displacement; return how many did."""
+        d = tips[f, i] - goal
+        ok = np.sqrt(np.vecdot(d, d)) <= max_displacement
+        targets[f[ok], i[ok]] = goal[ok]
+        mask[f[ok], i[ok]] = True
+        return int(ok.sum())
 
-    for f, frame_errors in sorted(by_frame.items()):
-        taken = set()
-        ordered = ([e for e in frame_errors if e.kind == WRONG_PRESS]
-                   + [e for e in frame_errors if e.kind == OMITTED])
-        for e in ordered:
-            if e.kind == WRONG_PRESS:
-                on = np.flatnonzero(keys[f] == e.key)
-                if not on.size:
-                    # The offending fingertip moved out from over the key
-                    # (possible only if extraction and targeting disagree);
-                    # nothing to aim.
-                    e.valid = False
-                    continue
-                best_i = int(on[np.argmax(depths[f, on])])    # the first deepest
-                local = geom.to_local(tips[f, best_i])
-                tgt_local = np.array([local[0], local[1],
-                                      geom.rest_heights[e.key - 1]
-                                      + exit_clearance])
-                e.fingertip = best_i + 1
-                e.target = geom.to_world(tgt_local)
-            else:
-                best_i = None
-                best_d = np.inf
-                best_target = None
-                for i in range(10):
-                    if i in taken:
-                        continue
-                    local = geom.to_local(tips[f, i])
-                    tgt_local = _surface_target(
-                        geom, e.key, local, activation_depth + press_margin)
-                    d = float(np.linalg.norm(local - tgt_local))
-                    if d < best_d:
-                        best_d = d
-                        best_i = i
-                        best_target = geom.to_world(tgt_local)
-                if best_i is None:
-                    e.valid = False
-                    continue
-                e.fingertip = best_i + 1
-                e.target = best_target
-            disp = float(np.linalg.norm(tips[f, e.fingertip - 1] - e.target))
-            e.valid = disp <= max_displacement
-            if e.valid:
-                taken.add(e.fingertip - 1)
-                targets[f, e.fingertip - 1] = e.target
-                mask[f, e.fingertip - 1] = True
-    return IkTargets(targets, mask, list(errors))
+    f, k = np.nonzero(wrong)
+    on = keys[f] == k[:, None] + 1
+    i = np.argmax(np.where(on, depths[f], -np.inf), axis=1)
+    has = on.any(axis=1)
+    f, k, i = f[has], k[has], i[has]
+    local = geom.to_local(tips[f, i])
+    local[:, 2] = geom.rest_heights[k] + exit_clearance
+    placed = aim(f, i, geom.to_world(local))
+
+    f, k = np.nonzero(omitted)
+    local = geom.to_local(tips[f])
+    goal = _pressable_points(geom, k, local, activation_depth + press_margin)
+    d = local - goal
+    # sqrt(vecdot) is a 1-D np.linalg.norm's own arithmetic, to the bit.
+    dist = np.sqrt(np.vecdot(d, d))                   # (n, 10)
+    goal = geom.to_world(goal)
+    # The rank of each omission among its frame's, which come in key order.
+    rank = np.arange(len(f)) - np.searchsorted(f, f)
+    for r in range(rank.max() + 1 if len(f) else 0):
+        j = np.flatnonzero(rank == r)
+        free = np.where(mask[f[j]], np.inf, dist[j])
+        some = free.min(axis=1) < np.inf               # else all ten are taken
+        j, i = j[some], np.argmin(free[some], axis=1)
+        placed += aim(f[j], i, goal[j, i])
+    n_errors = int(np.count_nonzero(wrong) + np.count_nonzero(omitted))
+    return IkTargets(targets, mask, n_errors - placed)
 
 
 @dataclasses.dataclass(eq=False)
@@ -375,9 +333,9 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
                         targets.n_invalidated, iterations, stop)
 
 
-def _anchor_consistent_presses(targets: IkTargets, clip: MotionClip,
-                               skeletons: SkeletonPair,
-                               geom: KeyboardGeometry, midi: KeyMatrix,
+def _anchor_consistent_presses(targets: IkTargets, tips: np.ndarray,
+                               keys: np.ndarray, depths: np.ndarray,
+                               midi: KeyMatrix,
                                activation_depth: float) -> IkTargets:
     """Pin fingertips that already press a key the score asks for.
 
@@ -387,14 +345,12 @@ def _anchor_consistent_presses(targets: IkTargets, clip: MotionClip,
     required key is given a target at its own position, which holds the
     press in place while the error frames move.
     """
-    tips = clip_fingertips(clip, skeletons)
-    keys, depths = kb.locate_keys(geom, tips)
     # Off the keys the depth is -inf, so key index -1 there never counts.
     hold = (~targets.mask & (depths >= activation_depth)
-            & (midi.data[np.arange(clip.n_frames)[:, None], keys - 1] == 1))
+            & (midi.data[np.arange(len(keys))[:, None], keys - 1] == 1))
     tgts = targets.targets.copy()
     tgts[hold] = tips[hold]
-    return IkTargets(tgts, targets.mask | hold, targets.errors)
+    return IkTargets(tgts, targets.mask | hold, targets.n_invalidated)
 
 
 def refine_to_midi(clip: MotionClip, skeletons: SkeletonPair,
@@ -409,17 +365,21 @@ def refine_to_midi(clip: MotionClip, skeletons: SkeletonPair,
 
     Correct presses are anchored at their current positions whenever there
     is something to repair, so the smoothness coupling cannot undo them.
-    Returns (RefineResult, errors_before, errors_after) where the error
-    lists come from detection on the input and refined clips.
+    Returns (RefineResult, errors_before, errors_after), where each errors
+    value is the (wrong, omitted) masks of `detect_press_errors` on the
+    input and the refined clip.
     """
-    errors = detect_press_errors(clip, skeletons, geom, midi, activation_depth)
-    targets = ik_targets(errors, clip, skeletons, geom, activation_depth,
+    midi.check_clip(clip)
+    tips = clip_fingertips(clip, skeletons)
+    keys, depths = kb.locate_keys(geom, tips)
+    before = detect_press_errors(geom, keys, depths, midi, activation_depth)
+    targets = ik_targets(*before, tips, keys, depths, geom, activation_depth,
                          exit_clearance, press_margin, max_displacement)
     if targets.n_valid:
-        targets = _anchor_consistent_presses(targets, clip, skeletons, geom,
+        targets = _anchor_consistent_presses(targets, tips, keys, depths,
                                              midi, activation_depth)
-    problem = IkProblem(clip, targets, smoothness, epochs)
-    result = refine(problem, skeletons)
-    errors_after = detect_press_errors(result.clip, skeletons, geom, midi,
-                                       activation_depth)
-    return result, errors, errors_after
+    result = refine(IkProblem(clip, targets, smoothness, epochs), skeletons)
+    after = detect_press_errors(
+        geom, *kb.locate_keys(geom, clip_fingertips(result.clip, skeletons)),
+        midi, activation_depth)
+    return result, before, after

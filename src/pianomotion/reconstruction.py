@@ -501,10 +501,10 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
         polished[refit_ok], polish_iterations[done], polish_stop[done] = (
             _polish(refit[refit_ok], in_uv[refit_ok], in_P[refit_ok],
                     in_w[refit_ok]))
-        cands = np.concatenate([pair_points[rows], refit[:, None],
-                                polished[:, None]], axis=1)
-        ok = np.concatenate([pair_ok[rows], refit_ok[:, None],
-                             refit_ok[:, None]], axis=1)
+        # The polish starts at the refit and takes only steps that lower
+        # the weighted SSE, so the refit itself can never score lower.
+        cands = np.concatenate([pair_points[rows], polished[:, None]], axis=1)
+        ok = np.concatenate([pair_ok[rows], refit_ok[:, None]], axis=1)
         scores = np.where(ok, _weighted_sse(cands, in_uv[:, None],
                                             in_P[:, None], in_w[:, None]),
                           np.inf)
@@ -536,9 +536,10 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
     at the default 20); otherwise a seeded sample of pairs is drawn.  The
     best inlier set gets a confidence-weighted DLT refit plus a
     Levenberg-Marquardt polish (`_polish`, whose iterations and stop the
-    result reports), and the candidate with the lowest weighted
-    reprojection SSE on that set is returned, so the result is never worse
-    than any sampled pair's own solution there.  Leading batch axes on uv (and valid, conf)
+    result reports), and of the pair points and the polished refit the
+    one with the lowest weighted reprojection SSE on that set is returned,
+    so the result is never worse than any sampled pair's own solution
+    there.  Leading batch axes on uv (and valid, conf)
     triangulate a stack of points; each gives the same result as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)

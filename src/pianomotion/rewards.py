@@ -181,12 +181,6 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair,
 _exp = np.frompyfunc(math.exp, 1, 1)
 
 
-def _key_targets(geom: KeyboardGeometry) -> np.ndarray:
-    """(88, 3) press target of every key, in world coordinates."""
-    return np.array([kb.key_target_position(geom, k)
-                     for k in range(1, NUM_KEYS + 1)])
-
-
 def press_onsets(active) -> np.ndarray:
     """First frame of the active run through each frame of each key.
 
@@ -202,12 +196,13 @@ def press_onsets(active) -> np.ndarray:
 
 
 def fingering(midi: KeyMatrix, reference: MotionClip, skeletons: SkeletonPair,
-              geom: KeyboardGeometry) -> np.ndarray:
+              key_targets: np.ndarray) -> np.ndarray:
     """(F, 88) fingertip (1..10) assigned to each active key, 0 elsewhere.
 
-    A key's fingertip is the one nearest its press target in the reference
-    frame where its active run began, so a key held across segment
-    boundaries keeps it.  Fingertips are numbered 1..5 for the left hand
+    key_targets (88, 3) holds every key's press target
+    (`keyboard.key_target_position`).  A key's fingertip is the one nearest
+    its press target in the reference frame where its active run began, so
+    a key held across segment boundaries keeps it.  Fingertips are numbered 1..5 for the left hand
     thumb..pinky and 6..10 for the right.  Ties resolve to the lower index.
     There is no distance gate: a reference hovering far from the key still
     yields its nearest fingertip.
@@ -221,7 +216,7 @@ def fingering(midi: KeyMatrix, reference: MotionClip, skeletons: SkeletonPair,
                               clip_vectors(reference, frames))
     tips = p[:, :, TIP_JOINTS].reshape(-1, 10, 3)
     d = np.linalg.norm(tips[at_frame]
-                       - _key_targets(geom)[pairs % NUM_KEYS, None], axis=-1)
+                       - key_targets[pairs % NUM_KEYS, None], axis=-1)
     out = np.zeros(onsets.shape, dtype=np.int64)
     out[f, k] = np.argmin(d, axis=-1)[at_pair] + 1
     return out
@@ -345,12 +340,13 @@ def evaluate_rewards(clip: MotionClip, skeletons: SkeletonPair,
     r_energy = reward_energy(vel.wrist, vel.fingertips_local)
     targets = midi.data.astype(bool)
     f, k = np.nonzero(targets)
-    tip = fingering(midi, reference, skeletons, geom)[f, k] - 1
+    key_targets = kb.key_target_position(geom, np.arange(1, NUM_KEYS + 1))
+    tip = fingering(midi, reference, skeletons, key_targets)[f, k] - 1
     tips = clip_fingertips(clip, skeletons)           # (F, 10, 3)
     ratio = kb.key_depths(geom, tips) / geom.travels  # (F, 88)
     r_target = np.ones(targets.shape)
     r_target[f, k] = reward_target(tips[f, tip], ratio[f, k],
-                                   _key_targets(geom)[k])
+                                   key_targets[k])
     r_nontarget = np.where(targets, 0.0, reward_nontarget(ratio))
     sounding = ~targets | (ratio > kb.SOUNDING_RATIO)
     r_correct = np.all(sounding, axis=1).astype(np.float64)

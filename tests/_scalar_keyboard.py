@@ -18,6 +18,13 @@ def to_local(geom, point):
     )
 
 
+def to_world(geom, point):
+    p = np.asarray(point, dtype=np.float64)
+    return (np.array([geom._cos * p[0] - geom._sin * p[1],
+                      geom._sin * p[0] + geom._cos * p[1], p[2]])
+            + geom._origin)
+
+
 def key_for_point(geom, point):
     local = to_local(geom, point)
     x, y = local[0], local[1]

@@ -313,7 +313,7 @@ def test_refinement_repairs_injected_errors(geom, skeletons, rng):
 
         result, before, after = midi_ik.refine_to_midi(
             clip, skeletons, geom, matrix)
-        if not before:
+        if not np.any(before):
             problems.append("clip %d: no errors detected before refining" % c)
             continue
         tips_in = hand.clip_fingertips(clip, skeletons)
@@ -326,7 +326,7 @@ def test_refinement_repairs_injected_errors(geom, skeletons, rng):
         curve = result.loss_curve
         rising = [i for i in range(len(curve) - 1)
                   if curve[i + 1] > curve[i] + 1e-12]
-        if after or mismatch:
+        if np.any(after) or mismatch:
             problems.append("clip %d: frames %r still disagree" % (c, mismatch))
         elif rising:
             problems.append("clip %d: loss rises at epochs %r" % (c, rising[:3]))
@@ -354,8 +354,9 @@ def test_refinement_repairs_a_long_clip(geom, skeletons, rng):
     problems = []
     result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
                                                    matrix)
-    _check(problems, len(before) == 600, "%d errors before" % len(before))
-    _check(problems, after == [], "%d errors after" % len(after))
+    n_before, n_after = np.count_nonzero(before), np.count_nonzero(after)
+    _check(problems, n_before == 600, "%d errors before" % n_before)
+    _check(problems, n_after == 0, "%d errors after" % n_after)
     _check(problems, result.stop[1, 2] == "converged",
            "LM stopped %r" % result.stop[1, 2])
     tips_in = hand.clip_fingertips(clip, skeletons)
@@ -367,7 +368,7 @@ def test_refinement_repairs_a_long_clip(geom, skeletons, rng):
            "fingertip moved %.3g m" % moved.max())
     _finish("long-clip refinement", problems, t0, 30.0,
             "1200 frames, %d -> %d errors, %d LM iterations"
-            % (len(before), len(after), result.iterations.max()))
+            % (n_before, n_after, result.iterations.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,32 @@ def test_sync_recovers_offset(tmp_path, capsys):
     assert payload["notes_a"] == 3 and payload["notes_b"] == 3
 
 
+@pytest.mark.parametrize("flags,config,message", [
+    (["--step", 0], None, "grid step must be a finite positive number"),
+    (["--step", "nan"], None, "grid step must be a finite positive number"),
+    (["--span", "inf"], None, "grid span must be a finite number >= 0"),
+    (["--span", -1], None, "grid span must be a finite number >= 0"),
+    (["--span", 1e308, "--step", 1e-308], None, "grid span 1e+308 over step"),
+    (["--tolerance", -1], None, "sync tolerance must be a finite number >= 0"),
+    (["--tolerance", "nan"], None, "sync tolerance must be a finite number >= 0"),
+    ([], {"step": 0}, "grid step must be a finite positive number"),
+    ([], {"span": -0.5}, "grid span must be a finite number >= 0"),
+    ([], {"tolerance": -1}, "sync tolerance must be a finite number >= 0"),
+])
+def test_sync_refuses_bad_grid_or_tolerance(tmp_path, capsys, flags, config,
+                                            message):
+    a = tmp_path / "a.mid"
+    write_midi(a, [(40, 0, 2)])
+    argv = ["sync", "--a", a, "--b", a] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", cfg]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # Reconstruction chain
 

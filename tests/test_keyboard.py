@@ -112,6 +112,8 @@ def test_key_target_validates_range(geom):
         kb.key_target_position(geom, 0)
     with pytest.raises(ValueError):
         kb.key_target_position(geom, 89)
+    with pytest.raises(ValueError, match="1..88"):
+        kb.key_target_position(geom, np.array([1, 88, 89]))
 
 
 def test_extract_pressed_activation_is_inclusive(geom):

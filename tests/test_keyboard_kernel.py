@@ -82,6 +82,15 @@ def test_key_depths_and_presses_match_oracle_on_a_batch(case):
     assert pressed.any()
 
 
+def test_to_world_of_a_batch_matches_oracle(case):
+    geom, points = case
+    local = geom.to_local(points)
+    want = np.array([scalar.to_world(geom, p) for p in local])
+    assert geom.to_world(local).tobytes() == want.tobytes()
+    assert (geom.to_world(local.reshape(-1, 10, 3)).tobytes()
+            == want.tobytes())
+
+
 def test_single_point_queries_match_oracle(geom):
     point = kb.key_target_position(geom, 41) - [0.0, 0.0, 0.005]
     assert kb.key_depths(geom, point).tobytes() == scalar.key_depths(geom, point).tobytes()
@@ -98,29 +107,31 @@ def test_detect_press_errors_order(geom, skeletons):
                                    (parked, chord)])
     score = _synth.matrix_from_frames(
         [{41, 42, 45, 50}, {40}, {30, 40, 44}], fps=60.0)
-    errors = midi_ik.detect_press_errors(clip, skeletons, geom, score)
-    got = [(e.frame, e.key, e.kind) for e in errors]
-    assert got == scalar.press_errors(
-        geom, clip_fingertips(clip, skeletons), score.data,
-        kb.DEFAULT_ACTIVATION_DEPTH)
+    tips = clip_fingertips(clip, skeletons)
+    errors = midi_ik.detect_press_errors(geom, *kb.locate_keys(geom, tips),
+                                         score)
+    frame, kind, key = np.nonzero(np.stack(errors, axis=1))
+    got = [(int(f), int(k) + 1, ("wrong_press", "omitted")[c])
+           for f, c, k in zip(frame, kind, key)]
+    assert got == scalar.press_errors(geom, tips, score.data,
+                                      kb.DEFAULT_ACTIVATION_DEPTH)
     assert got == [(0, 40, "wrong_press"), (0, 44, "wrong_press"),
                    (0, 41, "omitted"), (0, 45, "omitted"), (0, 50, "omitted"),
                    (2, 42, "wrong_press"), (2, 30, "omitted")]
 
 
-def test_wrong_press_subject_is_the_first_deepest_tip(geom, skeletons,
-                                                      monkeypatch):
+def test_wrong_press_subject_is_the_first_deepest_tip(geom):
     target = kb.key_target_position(geom, 40)
     tips = np.tile(target + [0.0, 0.0, 0.1], (1, 10, 1))   # all above the key
     tips[0, [2, 5]] = target - [0.0, 0.0, 0.006]          # tied deepest
     tips[0, 7] = target - [0.0, 0.0, 0.005]
     tips[0, [0, 9]] = [-1.0, 0.0, -0.02]                  # off the keyboard
-    monkeypatch.setattr(midi_ik, "clip_fingertips", lambda clip, skel: tips)
-    parked = _synth.parked_pose(0)
-    clip = _synth.pose_clip(60.0, [(parked, parked)])
-    error = midi_ik.PressError(0, 40, midi_ik.WRONG_PRESS)
-    midi_ik.ik_targets([error], clip, skeletons, geom)
-    assert error.fingertip == scalar.deepest_tip(geom, tips[0], 40) + 1 == 3
+    wrong = np.zeros((1, 88), dtype=bool)
+    wrong[0, 39] = True
+    out = midi_ik.ik_targets(wrong, np.zeros_like(wrong), tips,
+                             *kb.locate_keys(geom, tips), geom)
+    assert out.mask.sum() == 1
+    assert np.argmax(out.mask[0]) == scalar.deepest_tip(geom, tips[0], 40) == 2
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -140,12 +151,18 @@ def test_exposed_intervals_match_the_black_key_scan(name):
     for fraction in (geom.config.target_length_fraction, 0.3):
         geom = kb.build_keyboard(dataclasses.replace(
             CONFIGS[name], target_length_fraction=fraction))
+        wants = []
         for key in range(1, 89):
             _, _, y0, y1 = geom.boxes[key - 1]
             y = y0 + fraction * (y1 - y0)
             x0, x1 = (geom.boxes[key - 1, :2] if geom._black[key - 1]
                       else scalar.exposed_interval(geom, key, y))
-            want = geom.to_world(np.array([(x0 + x1) / 2, y,
-                                           geom.rest_heights[key - 1]]))
+            want = scalar.to_world(geom, np.array([(x0 + x1) / 2, y,
+                                                   geom.rest_heights[key - 1]]))
             assert (kb.key_target_position(geom, key).tobytes()
                     == want.tobytes()), (fraction, key)
+            wants.append(want)
+        # All keys at once, and in any order.
+        keys = np.arange(1, 89)[::-1]
+        assert (kb.key_target_position(geom, keys).tobytes()
+                == np.array(wants)[keys - 1].tobytes())

@@ -8,7 +8,6 @@ import pytest
 
 import _synth
 from pianomotion import hand, keyboard as kb, midi, midi_ik
-from pianomotion.midi_ik import OMITTED, WRONG_PRESS, PressError
 
 
 def press_clip(geom, skeletons, n=2, **kw):
@@ -25,6 +24,31 @@ def touch_clip(geom, skeletons, n=1, lift={7: -0.002}, center=40):
     return _synth.pose_clip(60.0, [(parked, pose)] * n)
 
 
+def listed(errors):
+    """(frame, key, kind) of each error of (wrong, omitted) masks, frame by
+    frame: wrong presses by key, then omissions by key."""
+    f, kind, k = np.nonzero(np.stack(errors, axis=1))
+    return [(int(a), int(c) + 1, ("wrong", "omitted")[b])
+            for a, b, c in zip(f, kind, k)]
+
+
+def detect(clip, skeletons, geom, matrix):
+    tips = hand.clip_fingertips(clip, skeletons)
+    return midi_ik.detect_press_errors(geom, *kb.locate_keys(geom, tips),
+                                       matrix)
+
+
+def targets_for(clip, skeletons, geom, wrong=(), omitted=()):
+    """ik_targets of the (frame, key) errors listed in wrong and omitted."""
+    masks = np.zeros((2, clip.n_frames, 88), dtype=bool)
+    for kind, errors in enumerate((wrong, omitted)):
+        for f, k in errors:
+            masks[kind, f, k - 1] = True
+    tips = hand.clip_fingertips(clip, skeletons)
+    return midi_ik.ik_targets(*masks, tips, *kb.locate_keys(geom, tips),
+                              geom)
+
+
 # ---------------------------------------------------------------------------
 # Error detection
 
@@ -32,21 +56,21 @@ def touch_clip(geom, skeletons, n=1, lift={7: -0.002}, center=40):
 def test_detect_no_errors_when_consistent(geom, skeletons):
     clip = press_clip(geom, skeletons)
     matrix = _synth.matrix_from_frames([{40}, {40}], fps=60.0)
-    assert midi_ik.detect_press_errors(clip, skeletons, geom, matrix) == []
+    assert listed(detect(clip, skeletons, geom, matrix)) == []
 
 
 def test_detect_wrong_press(geom, skeletons):
     clip = press_clip(geom, skeletons)
     matrix = _synth.matrix_from_frames([set(), {40}], fps=60.0)
-    errors = midi_ik.detect_press_errors(clip, skeletons, geom, matrix)
-    assert [(e.frame, e.key, e.kind) for e in errors] == [(0, 40, WRONG_PRESS)]
+    wrong, omitted = detect(clip, skeletons, geom, matrix)
+    assert wrong.shape == omitted.shape == (2, 88)
+    assert listed((wrong, omitted)) == [(0, 40, "wrong")]
 
 
 def test_detect_omission(geom, skeletons):
     clip = touch_clip(geom, skeletons)
     matrix = _synth.matrix_from_frames([{40}], fps=60.0)
-    errors = midi_ik.detect_press_errors(clip, skeletons, geom, matrix)
-    assert [(e.frame, e.key, e.kind) for e in errors] == [(0, 40, OMITTED)]
+    assert listed(detect(clip, skeletons, geom, matrix)) == [(0, 40, "omitted")]
 
 
 def test_detect_mixed_frame_sorted(geom, skeletons):
@@ -54,29 +78,38 @@ def test_detect_mixed_frame_sorted(geom, skeletons):
                                 center_key=42)
     clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), pose)])
     matrix = _synth.matrix_from_frames([{40, 44}], fps=60.0)
-    errors = midi_ik.detect_press_errors(clip, skeletons, geom, matrix)
-    assert [(e.key, e.kind) for e in errors] == [(42, WRONG_PRESS),
-                                                (44, OMITTED)]
+    assert listed(detect(clip, skeletons, geom, matrix)) == [
+        (0, 42, "wrong"), (0, 44, "omitted")]
 
 
 def test_detect_validates_alignment(geom, skeletons):
     clip = press_clip(geom, skeletons)
     with pytest.raises(ValueError, match="frames"):
-        midi_ik.detect_press_errors(
+        midi_ik.refine_to_midi(
             clip, skeletons, geom, _synth.matrix_from_frames([{40}], fps=60.0))
     with pytest.raises(ValueError, match="fps"):
-        midi_ik.detect_press_errors(
+        midi_ik.refine_to_midi(
             clip, skeletons, geom,
             _synth.matrix_from_frames([{40}, {40}], fps=30.0))
+    with pytest.raises(ValueError, match="activation_depth"):
+        midi_ik.refine_to_midi(
+            clip, skeletons, geom,
+            _synth.matrix_from_frames([{40}, {40}], fps=60.0),
+            activation_depth=0.02)
 
 
 # ---------------------------------------------------------------------------
 # Surface targets
 
 
+def surface_target(geom, key, tip, depth):
+    return midi_ik._pressable_points(geom, np.array([key - 1]),
+                                    tip[None, None], depth)[0, 0]
+
+
 def test_surface_target_white_front(geom):
     tip = np.array([0.5539, 0.1275, 0.012])
-    out = midi_ik._surface_target(geom, 40, tip, 0.005)
+    out = surface_target(geom, 40, tip, 0.005)
     assert np.allclose(out[:2], tip[:2], atol=1e-9)
     assert out[2] == pytest.approx(-0.005, abs=1e-12)
     assert kb.key_for_point(geom, geom.to_world(out)) == 40
@@ -87,7 +120,7 @@ def test_surface_target_white_rear_avoids_black_neighbor(geom):
     # clamp into C4's exposed rear interval, not onto the black key.
     x_black = 0.5 * (geom.boxes[40, 0] + geom.boxes[40, 1])
     tip = np.array([x_black, 0.05, 0.012])
-    out = midi_ik._surface_target(geom, 40, tip, 0.005)
+    out = surface_target(geom, 40, tip, 0.005)
     assert kb.key_for_point(geom, geom.to_world(out)) == 40
     assert out[1] == pytest.approx(0.05, abs=1e-9)
 
@@ -95,7 +128,7 @@ def test_surface_target_white_rear_avoids_black_neighbor(geom):
 def test_surface_target_black_key(geom):
     x_black = 0.5 * (geom.boxes[40, 0] + geom.boxes[40, 1])
     tip = np.array([x_black + 0.05, 0.02, 0.02])
-    out = midi_ik._surface_target(geom, 41, tip, 0.005)
+    out = surface_target(geom, 41, tip, 0.005)
     assert kb.key_for_point(geom, geom.to_world(out)) == 41
     assert out[2] == pytest.approx(geom.rest_heights[40] - 0.005, abs=1e-12)
 
@@ -106,16 +139,15 @@ def test_surface_target_black_key(geom):
 
 def test_ik_targets_wrong_press_goes_straight_up(geom, skeletons):
     clip = press_clip(geom, skeletons, n=1)
-    errors = [PressError(0, 40, WRONG_PRESS)]
-    out = midi_ik.ik_targets(errors, clip, skeletons, geom)
-    e = out.errors[0]
-    assert e.valid and e.fingertip == 8
-    tip = hand.clip_fingertips(clip, skeletons)[0, 7]
-    assert np.allclose(e.target[:2], tip[:2], atol=1e-12)
-    local = geom.to_local(e.target)
-    assert local[2] == pytest.approx(geom.rest_heights[39] + 0.001, abs=1e-12)
+    out = targets_for(clip, skeletons, geom, wrong=[(0, 40)])
     assert out.n_valid == 1 and out.n_invalidated == 0
     assert out.mask[0, 7]
+    target = out.targets[0, 7]
+    tip = hand.clip_fingertips(clip, skeletons)[0, 7]
+    assert np.allclose(target[:2], tip[:2], atol=1e-12)
+    local = geom.to_local(target)
+    assert local[2] == pytest.approx(geom.rest_heights[39] + 0.001, abs=1e-12)
+    assert np.isnan(out.targets[~out.mask]).all()
 
 
 def test_ik_targets_wrong_press_picks_deepest_tip(geom, skeletons):
@@ -133,25 +165,22 @@ def test_ik_targets_wrong_press_picks_deepest_tip(geom, skeletons):
     assert kb.key_for_point(geom, tips[2]) == 40
     assert kb.key_for_point(geom, tips[3]) == 40
     clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), solved)])
-    out = midi_ik.ik_targets([PressError(0, 40, WRONG_PRESS)],
-                             clip, skeletons, geom)
-    assert out.errors[0].fingertip == 8
+    out = targets_for(clip, skeletons, geom, wrong=[(0, 40)])
+    assert np.flatnonzero(out.mask[0]).tolist() == [7]
 
 
 def test_ik_targets_omissions_use_distinct_fingertips(geom, skeletons):
     clip = touch_clip(geom, skeletons, lift={7: -0.002, 8: -0.001}, center=42)
     tips = hand.clip_fingertips(clip, skeletons)[0]
     assert kb.key_for_point(geom, tips[8]) == 40     # ring rests on key 40
-    errors = [PressError(0, 40, OMITTED), PressError(0, 42, OMITTED)]
-    out = midi_ik.ik_targets(errors, clip, skeletons, geom)
-    chosen = {e.key: e.fingertip for e in out.errors}
-    assert chosen == {40: 9, 42: 8}
-    assert all(e.valid for e in out.errors)
-    assert out.n_valid == 2
+    out = targets_for(clip, skeletons, geom, omitted=[(0, 40), (0, 42)])
+    assert out.n_valid == 2 and out.n_invalidated == 0
+    assert np.flatnonzero(out.mask[0]).tolist() == [7, 8]
     # Each target sits on its own key at activation + margin depth.
-    for e in out.errors:
-        assert kb.key_for_point(geom, e.target) == e.key
-        assert geom.to_local(e.target)[2] == pytest.approx(-0.005, abs=1e-9)
+    for i, key in ((8, 40), (7, 42)):
+        assert kb.key_for_point(geom, out.targets[0, i]) == key
+        assert geom.to_local(out.targets[0, i])[2] == pytest.approx(
+            -0.005, abs=1e-9)
 
 
 def test_ik_targets_displacement_gate(geom, skeletons):
@@ -159,33 +188,21 @@ def test_ik_targets_displacement_gate(geom, skeletons):
     # travel, over the 1 cm budget, so the omission is invalidated.
     hover = _synth.hover_pose(geom, 1, 44)
     clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), hover)])
-    errors = [PressError(0, 44, OMITTED)]
-    out = midi_ik.ik_targets(errors, clip, skeletons, geom)
-    assert out.errors[0].valid is False
+    out = targets_for(clip, skeletons, geom, omitted=[(0, 44)])
     assert out.n_valid == 0 and out.n_invalidated == 1
     assert not out.mask.any()
 
 
 def test_ik_targets_wrong_press_without_subject(geom, skeletons):
     clip = touch_clip(geom, skeletons)
-    out = midi_ik.ik_targets([PressError(0, 60, WRONG_PRESS)],
-                             clip, skeletons, geom)
-    assert out.errors[0].valid is False
-    assert out.errors[0].fingertip is None
-    assert out.n_invalidated == 1
-
-
-def test_press_error_json():
-    e = PressError(3, 40, OMITTED, fingertip=8,
-                   target=np.array([0.1, 0.2, 0.3]), valid=True)
-    obj = e.to_json_obj()
-    assert obj == {"frame": 3, "key": 40, "kind": "omitted", "fingertip": 8,
-                   "target": [0.1, 0.2, 0.3], "valid": True}
+    out = targets_for(clip, skeletons, geom, wrong=[(0, 60)])
+    assert out.n_valid == 0 and out.n_invalidated == 1
+    assert not out.mask.any()
 
 
 def test_ik_problem_validation(geom, skeletons):
     clip = press_clip(geom, skeletons, n=1)
-    targets = midi_ik.ik_targets([], clip, skeletons, geom)
+    targets = targets_for(clip, skeletons, geom)
     with pytest.raises(ValueError, match="smoothness"):
         midi_ik.IkProblem(clip, targets, smoothness=-1.0)
     with pytest.raises(ValueError, match="epochs"):
@@ -201,7 +218,7 @@ def test_ik_problem_validation(geom, skeletons):
 
 def test_refine_without_targets_returns_copy(geom, skeletons):
     clip = press_clip(geom, skeletons)
-    targets = midi_ik.ik_targets([], clip, skeletons, geom)
+    targets = targets_for(clip, skeletons, geom)
     result = midi_ik.refine(midi_ik.IkProblem(clip, targets), skeletons)
     assert result.loss_curve == []
     assert result.final_loss == 0.0 and result.n_targets == 0
@@ -222,8 +239,8 @@ def test_refine_fixes_omission_and_keeps_other_frames(geom, skeletons):
     matrix = _synth.matrix_from_frames([{40}] * 3, fps=60.0)
     result, before, after = midi_ik.refine_to_midi(
         clip, skeletons, geom, matrix, smoothness=0.0)
-    assert [(e.frame, e.kind) for e in before] == [(1, OMITTED)]
-    assert after == []
+    assert listed(before) == [(1, 40, "omitted")]
+    assert listed(after) == []
     assert result.final_loss <= result.initial_loss
     assert result.loss_curve[0] == result.initial_loss
     # Zero smoothness: frames without targets come back bit-identical.
@@ -238,9 +255,8 @@ def test_refine_fixes_wrong_press(geom, skeletons):
     matrix = _synth.matrix_from_frames([set(), set()], fps=60.0)
     result, before, after = midi_ik.refine_to_midi(
         clip, skeletons, geom, matrix, smoothness=0.0)
-    assert [(e.frame, e.kind) for e in before] == [(0, WRONG_PRESS),
-                                                   (1, WRONG_PRESS)]
-    assert after == []
+    assert listed(before) == [(0, 40, "wrong"), (1, 40, "wrong")]
+    assert listed(after) == []
     tips = hand.clip_fingertips(result.clip, skeletons)
     assert kb.extract_pressed(geom, tips[0], kb.DEFAULT_ACTIVATION_DEPTH) == set()
     assert kb.extract_pressed(geom, tips[1], kb.DEFAULT_ACTIVATION_DEPTH) == set()
@@ -256,7 +272,7 @@ def test_refine_with_smoothness_still_fixes(geom, skeletons):
     matrix = _synth.matrix_from_frames([{40}] * 3, fps=60.0)
     result, _, after = midi_ik.refine_to_midi(
         clip, skeletons, geom, matrix, smoothness=midi_ik.DEFAULT_SMOOTHNESS)
-    assert after == []
+    assert listed(after) == []
     assert result.final_loss <= result.initial_loss
 
 
@@ -302,7 +318,7 @@ def test_refine_keeps_parked_hand_at_half_turn(geom, skeletons):
     assert vecs[0, 0, 5] > 3.0 and vecs[1, 0, 5] < -3.0
     result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
                                                    matrix)
-    assert len(before) == 1 and after == []
+    assert len(listed(before)) == 1 and listed(after) == []
     for name in ("root_t", "root_q", "joint_rotations"):
         assert np.array_equal(getattr(result.clip, name)[:, 0],
                               getattr(clip, name)[:, 0])
@@ -314,7 +330,7 @@ def test_refine_edits_only_fingers_with_targets(geom, skeletons, smoothness):
     clip, matrix = omission_clip(geom, skeletons, [parked] * 3)
     result, _, after = midi_ik.refine_to_midi(clip, skeletons, geom, matrix,
                                               smoothness=smoothness)
-    assert after == []
+    assert listed(after) == []
     # Only the right middle finger (joints 6-8) holds a target.
     middle = np.zeros(15, dtype=bool)
     middle[6:9] = True

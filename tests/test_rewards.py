@@ -236,13 +236,17 @@ def test_pose_state_validation():
 # Fingering
 
 
+def key_targets(geom):
+    return kb.key_target_position(geom, np.arange(1, 89))
+
+
 def test_assign_fingering_picks_nearest_tip(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0), press)])
     matrix = _synth.matrix_from_frames([{40}], fps=60.0)
     # Fingertips number 1..5 left thumb..pinky, 6..10 right; the right
     # middle finger is 8.  Silent keys get 0.
-    got = rewards.fingering(matrix, clip, skeletons, geom)
+    got = rewards.fingering(matrix, clip, skeletons, key_targets(geom))
     assert got[0, 39] == 8
     assert np.count_nonzero(got) == 1
 
@@ -251,7 +255,7 @@ def test_assign_fingering_left_hand(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {2: 20}, hand_idx=0)
     clip = _synth.pose_clip(60.0, [(press, _synth.parked_pose(1, x=1.5))])
     matrix = _synth.matrix_from_frames([{20}], fps=60.0)
-    assert rewards.fingering(matrix, clip, skeletons, geom)[0, 19] == 3
+    assert rewards.fingering(matrix, clip, skeletons, key_targets(geom))[0, 19] == 3
 
 
 def test_assign_fingering_ties_go_to_the_lower_index(geom, skeletons):
@@ -264,7 +268,7 @@ def test_assign_fingering_ties_go_to_the_lower_index(geom, skeletons):
     tips = hand.clip_fingertips(clip, pair)[0]
     assert np.array_equal(tips[:5], tips[5:])
     matrix = _synth.matrix_from_frames([{40}], fps=60.0)
-    assert rewards.fingering(matrix, clip, pair, geom)[0, 39] == 3
+    assert rewards.fingering(matrix, clip, pair, key_targets(geom))[0, 39] == 3
 
 
 def test_key_press_onset_walks_back():
@@ -289,7 +293,7 @@ def test_segment_fingering_sticks_to_onset(geom, skeletons):
         60.0, [(parked, hover)] + [(parked, shifted)] * 3)
     rows = [{40}, {40}, {40, 42}, {40, 42}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
-    fingering = rewards.fingering(matrix, reference, skeletons, geom)
+    fingering = rewards.fingering(matrix, reference, skeletons, key_targets(geom))
     assert fingering[:, 39].tolist() == [8, 8, 8, 8]  # held: onset's choice
     assert fingering[:, 41].tolist() == [0, 0, 8, 8]  # middle after the shift
 
@@ -304,7 +308,7 @@ def test_segment_fingering_reassigns_after_release(geom, skeletons):
                (parked, shifted), (parked, shifted)])
     rows = [{40}, set(), {40}, {40}]
     matrix = _synth.matrix_from_frames(rows, fps=60.0)
-    fingering = rewards.fingering(matrix, reference, skeletons, geom)
+    fingering = rewards.fingering(matrix, reference, skeletons, key_targets(geom))
     # Re-pressed under the shifted hand.
     assert fingering[:, 39].tolist() == [8, 0, 9, 9]
 
