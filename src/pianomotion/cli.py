@@ -68,14 +68,6 @@ _CONFIG_KINDS = {
     type(None): ("a string or null", lambda v: v is None or type(v) is str)}
 
 
-class CliError(Exception):
-    """Validation failure; maps to exit code 1."""
-
-
-class CliIoError(Exception):
-    """Filesystem failure; maps to exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -88,7 +80,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliIoError("cannot read %s: %s" % (path, exc))
+        raise OSError("cannot read %s: %s" % (path, exc))
 
 
 def _read_text(path: str) -> str:
@@ -96,7 +88,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliIoError("cannot read %s: %s" % (path, exc))
+        raise OSError("cannot read %s: %s" % (path, exc))
 
 
 def _atomic_write(path: str, data) -> None:
@@ -114,12 +106,10 @@ def _atomic_write(path: str, data) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CliIoError("cannot write %s: %s" % (path, exc))
+        raise OSError("cannot write %s: %s" % (path, exc))
 
 
 def _emit(args, text: str) -> None:
-    if args.dry_run:
-        return
     if getattr(args, "output", None):
         _atomic_write(args.output, text)
     else:
@@ -133,19 +123,19 @@ def _load_config(args) -> dict:
         try:
             obj = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
-            raise CliError("config %s is not valid JSON: %s" % (path, exc))
+            raise ValueError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(obj, dict):
-            raise CliError("config %s must be a JSON object" % path)
+            raise ValueError("config %s must be a JSON object" % path)
         for key, value in obj.items():
             if key not in _DEFAULTS:
-                raise CliError("config %s: unknown field %r" % (path, key))
+                raise ValueError("config %s: unknown field %r" % (path, key))
             kind, ok = _CONFIG_KINDS[type(_DEFAULTS[key])]
             if not ok(value):
-                raise CliError("config %s: field %r must be %s"
-                               % (path, key, kind))
+                raise ValueError("config %s: field %r must be %s"
+                                 % (path, key, kind))
             if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
-                raise CliError("config %s: field %r must be one of %s"
-                               % (path, key, _CONFIG_CHOICES[key]))
+                raise ValueError("config %s: field %r must be one of %s"
+                                 % (path, key, _CONFIG_CHOICES[key]))
             cfg[key] = value
     return cfg
 
@@ -158,7 +148,8 @@ def _get(args, cfg: dict, key: str):
 def _get_fps(args, cfg: dict):
     fps = _get(args, cfg, "fps")          # _load_config checked its type
     if not 0 < fps < np.inf:
-        raise CliError("fps must be a finite positive number, got %r" % (fps,))
+        raise ValueError("fps must be a finite positive number, got %r"
+                         % (fps,))
     return fps
 
 
@@ -168,7 +159,7 @@ def _parse(what: str, path: str, parse):
     try:
         return parse(text)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("%s %s: %s" % (what, path, exc))
+        raise ValueError("%s %s: %s" % (what, path, exc))
 
 
 def _load_keyboard(args, cfg) -> keyboard.KeyboardGeometry:
@@ -195,7 +186,7 @@ def _load_notes(path: str, data: bytes | None = None) -> midi.NoteList:
     try:
         return midi.parse_midi(data, source=path)
     except midi.MidiParseError as exc:
-        raise CliError("%s: %s" % (path, exc))
+        raise ValueError("%s: %s" % (path, exc))
 
 
 def _load_key_matrix(path: str, fps: float) -> midi.KeyMatrix:
@@ -212,13 +203,13 @@ def _load_key_matrix(path: str, fps: float) -> midi.KeyMatrix:
     try:
         matrix = midi.matrix_from_json(data.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
-        raise CliError("%s: %s" % (path, exc))
+        raise ValueError("%s: %s" % (path, exc))
     if not isinstance(matrix, midi.KeyMatrix):
-        raise CliError("%s: need a binary key matrix, got a condition matrix"
-                       % path)
+        raise ValueError(
+            "%s: need a binary key matrix, got a condition matrix" % path)
     if abs(matrix.fps - fps) > 1e-9:
-        raise CliError("%s: matrix fps %g does not match clip fps %g"
-                       % (path, matrix.fps, fps))
+        raise ValueError("%s: matrix fps %g does not match clip fps %g"
+                         % (path, matrix.fps, fps))
     return matrix
 
 
@@ -351,7 +342,7 @@ def cmd_refine(args, cfg):
             max_displacement=_get(args, cfg, "max_displacement"))
     except (RuntimeError, FloatingPointError) as exc:
         # The displacement guard, and numpy errors where np.seterr raises.
-        raise CliError("refinement failed: %s" % exc)
+        raise ValueError("refinement failed: %s" % exc)
     _emit(args, result.clip.to_json() + "\n")
     if args.report:
         report = result.report_obj()
@@ -418,10 +409,10 @@ def cmd_retrieve(args, cfg):
     try:
         index = retrieval.WindowIndex.load(args.index)
     except (OSError, zipfile.BadZipFile) as exc:
-        raise CliIoError("cannot read index %s: %s" % (args.index, exc))
+        raise OSError("cannot read index %s: %s" % (args.index, exc))
     except (KeyError, ValueError) as exc:
-        raise CliError("index %s is not a frame index (%s); rebuild it with "
-                       "`pianomotion index`" % (args.index, exc))
+        raise ValueError("index %s is not a frame index (%s); rebuild it "
+                         "with `pianomotion index`" % (args.index, exc))
     query = _load_key_matrix(args.query, _get_fps(args, cfg))
     if args.dry_run:
         return 0
@@ -647,15 +638,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except CliIoError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -43,16 +43,6 @@ NUM_FINGER_JOINTS = 15
 NUM_FINGERS = 5
 PARAMS_PER_HAND = 51
 
-JOINT_NAMES = (
-    "wrist",
-    "thumb_mcp", "thumb_pip", "thumb_dip",
-    "index_mcp", "index_pip", "index_dip",
-    "middle_mcp", "middle_pip", "middle_dip",
-    "ring_mcp", "ring_pip", "ring_dip",
-    "pinky_mcp", "pinky_pip", "pinky_dip",
-    "thumb_tip", "index_tip", "middle_tip", "ring_tip", "pinky_tip",
-)
-
 # Parent of each joint; -1 marks the root.
 PARENTS = np.array(
     [-1,

@@ -158,10 +158,6 @@ class KeyboardGeometry:
         return np.stack([self._cos * x - self._sin * y, self._sin * x + self._cos * y, p[..., 2]],
                         axis=-1) + self._origin
 
-    def rest_height(self, key: int) -> float:
-        """Rest surface height in keyboard-local z."""
-        return float(self.rest_heights[key - 1])
-
 
 def build_keyboard(config: KeyboardConfig | None = None) -> KeyboardGeometry:
     """Lay out the 88 keys for a config; deterministic."""

@@ -497,16 +497,19 @@ def offset_grid(
     """Symmetric candidate offsets: multiples of `step` covering [-span, span].
 
     Raises ValueError unless step is finite and positive, span finite and
-    >= 0, and their ratio finite.
+    >= 0, and the grid small enough for numpy to allocate.
     """
     if not 0 < step < np.inf:
         raise ValueError(f"grid step must be a finite positive number, got {step!r}")
     if not 0 <= span < np.inf:
         raise ValueError(f"grid span must be a finite number >= 0, got {span!r}")
-    if not span / step < np.inf:
-        raise ValueError(f"grid span {span!r} over step {step!r} has too many offsets")
-    n = int(round(span / step))
-    return [k * step for k in range(-n, n + 1)]
+    # An infinite ratio fails the rounding, a grid numpy cannot allocate
+    # the arange.  k * step is Python's: every k below 2**53 is an exact float.
+    try:
+        n = int(round(span / step))
+        return (np.arange(-n, n + 1) * step).tolist()
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"grid span {span!r} over step {step!r} has too many offsets") from None
 
 
 def find_offset(

@@ -98,12 +98,14 @@ class IkTargets:
     targets is (F, 10, 3) world coordinates, NaN where mask (F, 10) is
     False; mask is True where a fingertip has a live target.  n_invalidated
     counts the press errors left without one: no subject, or a target
-    beyond the displacement budget.
+    beyond the displacement budget.  tips (F, 10, 3) are the fingertips
+    the targets were aimed from, which `refine` takes as its clip's.
     """
 
     targets: np.ndarray
     mask: np.ndarray
     n_invalidated: int
+    tips: np.ndarray
 
     @property
     def n_valid(self) -> int:
@@ -165,7 +167,7 @@ def ik_targets(wrong: np.ndarray, omitted: np.ndarray, tips: np.ndarray,
         j, i = j[some], np.argmin(free[some], axis=1)
         placed += aim(f[j], i, goal[j, i])
     n_errors = int(np.count_nonzero(wrong) + np.count_nonzero(omitted))
-    return IkTargets(targets, mask, n_errors - placed)
+    return IkTargets(targets, mask, n_errors - placed, tips)
 
 
 @dataclasses.dataclass(eq=False)
@@ -198,6 +200,7 @@ class RefineResult:
     n_invalidated: int
     iterations: np.ndarray         # (2, 5) LM iterations per hand and finger
     stop: np.ndarray               # (2, 5) stop reason, None where unedited
+    tips: np.ndarray               # (F, 10, 3) fingertips of the refined clip
 
     def report_obj(self) -> dict:
         return {
@@ -226,21 +229,22 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     equations block tridiagonal in time; all of them run in one
     `levenberg_marquardt` batch of at most `epochs` iterations.  With zero
     smoothness only frames holding targets enter, and other frames come
-    back bit-identical.
+    back bit-identical.  The clip's fingertips are taken from the targets
+    (`IkTargets.tips`), and the result carries the refined clip's.
     """
     clip = problem.clip
     N = clip.n_frames
     targets = problem.targets
     mask = targets.mask.reshape(N, 2, NUM_FINGERS)
     goal = targets.targets.reshape(N, 2, NUM_FINGERS, 3)
-    pre_tips = clip_fingertips(clip, skeletons)
-    missed = mask & np.any(pre_tips.reshape(goal.shape) != goal, axis=-1)
+    missed = mask & np.any(targets.tips.reshape(goal.shape) != goal, axis=-1)
     hands, fingers = np.nonzero(missed.any(axis=0))
     iterations = np.zeros((2, NUM_FINGERS), dtype=np.int64)
     stop = np.full((2, NUM_FINGERS), None, dtype=object)
     if not len(hands):
         return RefineResult(clip.copy(), [], 0.0, 0.0, targets.n_valid,
-                            targets.n_invalidated, iterations, stop)
+                            targets.n_invalidated, iterations, stop,
+                            targets.tips)
 
     # Problem p edits finger fingers[p] of hand hands[p] on frames[f] by
     # x[p, f] (6 twist-free coordinates); it has a target where aimed[p, f].
@@ -323,14 +327,15 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     out.joint_rotations[frames[f, None], hands[p, None],
                         3 * fingers[p, None] + np.arange(3)] = rows
 
-    moved = np.linalg.norm(clip_fingertips(out, skeletons) - pre_tips, axis=2)
+    out_tips = clip_fingertips(out, skeletons)
+    moved = np.linalg.norm(out_tips - targets.tips, axis=2)
     worst = float(moved[targets.mask].max())
     if worst > DISPLACEMENT_ASSERT:
         raise RuntimeError(
             "an IK subject fingertip moved %.4f m, over the %.3f m budget"
             % (worst, DISPLACEMENT_ASSERT))
     return RefineResult(out, curve, curve[0], curve[-1], targets.n_valid,
-                        targets.n_invalidated, iterations, stop)
+                        targets.n_invalidated, iterations, stop, out_tips)
 
 
 def _anchor_consistent_presses(targets: IkTargets, tips: np.ndarray,
@@ -350,7 +355,7 @@ def _anchor_consistent_presses(targets: IkTargets, tips: np.ndarray,
             & (midi.data[np.arange(len(keys))[:, None], keys - 1] == 1))
     tgts = targets.targets.copy()
     tgts[hold] = tips[hold]
-    return IkTargets(tgts, targets.mask | hold, targets.n_invalidated)
+    return IkTargets(tgts, targets.mask | hold, targets.n_invalidated, tips)
 
 
 def refine_to_midi(clip: MotionClip, skeletons: SkeletonPair,
@@ -379,7 +384,6 @@ def refine_to_midi(clip: MotionClip, skeletons: SkeletonPair,
         targets = _anchor_consistent_presses(targets, tips, keys, depths,
                                              midi, activation_depth)
     result = refine(IkProblem(clip, targets, smoothness, epochs), skeletons)
-    after = detect_press_errors(
-        geom, *kb.locate_keys(geom, clip_fingertips(result.clip, skeletons)),
-        midi, activation_depth)
+    after = detect_press_errors(geom, *kb.locate_keys(geom, result.tips),
+                                midi, activation_depth)
     return result, before, after

@@ -37,8 +37,9 @@ MAX_COORDINATE = 1e100             # m; bound on trajectory coordinates
 _FLAGS = (bool, float)
 
 # Points per batched RANSAC call in `triangulate_observations`.  It bounds
-# the stacked pair, reprojection and polish arrays (peak 12 MB with 5 views,
-# 25 MB with 8) without changing results.
+# the stacked pair, reprojection and polish arrays without changing results:
+# each point spans all of the rig's view pairs, and a block's numpy peak is
+# 8 MB with 5 views and 30 MB with 8.
 _POINT_BLOCK = 2048
 
 # Levenberg-Marquardt iterations of the polish of each triangulated point.
@@ -421,70 +422,53 @@ class RansacResult:
                             per_point(self.polish_stop))
 
 
-def _view_pairs(view_ids: np.ndarray, max_iters: int, seed: int) -> np.ndarray:
-    """(K, 2) view pairs to try: all of them, or a seeded sorted sample."""
-    # Upper-triangle order is itertools.combinations order.
-    all_pairs = view_ids[np.stack(np.triu_indices(len(view_ids), 1), axis=1)]
-    if len(all_pairs) <= max_iters:
-        return all_pairs
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(len(all_pairs), size=max_iters, replace=False)
-    return all_pairs[np.sort(picks)]
-
-
 def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
             seed) -> RansacResult:
-    """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V).
+    """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V),
+    projections (V, 3, 4).
 
-    Points that share a valid-view pattern share their view pairs, so the
-    closed-form pair stage runs once per pattern; the refit and polish run
-    once per inlier count, so every refit SVD sees the compact (2n, 4)
-    system of its point's n inlier views.
+    The closed-form pair stage runs once, over every view pair of the rig
+    in itertools.combinations order.  A point tries the pairs of its valid
+    views, or, when they number more than max_iters, a seeded sorted sample
+    of max_iters of them, which depends only on that number.  The refit and
+    polish run once per inlier count, so every refit SVD sees the compact
+    (2n, 4) system of its point's n inlier views.
     """
+    if max_iters < 1:
+        raise ValueError("RANSAC needs at least 1 iteration, got %r"
+                         % (max_iters,))
     N, V = valid.shape
     point = np.full((N, 3), np.nan)
-    inliers = np.zeros((N, V), dtype=bool)
-    ambiguous = np.zeros(N, dtype=bool)
     residual = np.full(N, np.inf)
     polish_iterations = np.zeros(N, dtype=np.int64)
     polish_stop = np.full(N, None, dtype=object)
-    patterns, group = np.unique(valid, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    pairs = [_view_pairs(np.flatnonzero(p), max_iters, seed)
-             if p.sum() >= 2 else np.zeros((0, 2), dtype=int)
-             for p in patterns]
-    # Every pair point is a final candidate, in pair order.
-    K = max((len(p) for p in pairs), default=0)
-    pair_points = np.full((N, K, 3), np.nan)
-    pair_ok = np.zeros((N, K), dtype=bool)
-    for g, pattern in enumerate(patterns):
-        if not len(pairs[g]):
-            continue
-        rows = np.flatnonzero(group == g)
-        view_ids = np.flatnonzero(pattern)
-        k = len(pairs[g])
-        group_uv = uv[rows]
-        pts = _pair_points(group_uv[:, view_ids], projections[view_ids],
-                           np.searchsorted(view_ids, pairs[g]))
-        ok = np.all(np.isfinite(pts), axis=-1)
-        errs = _reprojection_errors(pts, group_uv[:, None, view_ids],
-                                    projections[view_ids])
-        inl = errs <= reproj_threshold
-        count = np.where(ok, inl.sum(axis=-1), -1)
-        # The first pair with the most inliers wins; a later pair with as
-        # many but a different inlier set makes the point ambiguous.
-        m = np.arange(len(rows))
-        first = np.argmax(count, axis=1)
-        top = count[m, first]
-        best = inl[m, first]
-        tied = ((np.arange(k) > first[:, None]) & (count == top[:, None])
-                & np.any(inl != best[:, None], axis=-1))
-        good = top >= 2
-        rows, best = rows[good], best[good]
-        inliers[rows[:, None], view_ids] = best
-        ambiguous[rows] = tied[good].any(axis=1)
-        pair_points[rows, :k] = pts[good]
-        pair_ok[rows, :k] = ok[good]
+    # Invalid views may hold any pixels (inf or NaN included): zeroed, they
+    # keep the pair stage finite, and they never count as inliers.
+    uv = np.where(valid[..., None], uv, 0.0)
+    pairs = np.stack(np.triu_indices(V, 1), axis=1)
+    tries = valid[:, pairs[:, 0]] & valid[:, pairs[:, 1]]
+    n_pairs = tries.sum(axis=1)
+    for n in np.unique(n_pairs[n_pairs > max_iters]):
+        rows = np.flatnonzero(n_pairs == n)
+        picks = np.random.default_rng(seed).choice(n, max_iters, replace=False)
+        # Keep the valid pairs whose rank among the point's was drawn.
+        tries[rows] &= np.isin(np.cumsum(tries[rows], axis=1) - 1, picks)
+    # Every tried pair's point is a final candidate, in pair order.
+    pair_points = _pair_points(uv, projections, pairs)
+    pair_ok = tries & np.all(np.isfinite(pair_points), axis=-1)
+    errs = _reprojection_errors(pair_points, uv[:, None], projections)
+    inl = valid[:, None] & (errs <= reproj_threshold)
+    count = np.where(pair_ok, inl.sum(axis=-1), -1)
+    # The first pair with the most inliers wins; a later pair with as many
+    # but a different inlier set makes the point ambiguous.
+    m = np.arange(N)
+    first = np.argmax(count, axis=1)
+    top = count[m, first]
+    good = top >= 2
+    inliers = inl[m, first] & good[:, None]
+    ambiguous = good & np.any(
+        (np.arange(len(pairs)) > first[:, None]) & (count == top[:, None])
+        & np.any(inl != inliers[:, None], axis=-1), axis=1)
 
     counts = inliers.sum(axis=1)
     for n in np.unique(counts[counts >= 2]):
@@ -529,11 +513,14 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
                        seed: int = 0) -> RansacResult:
     """Triangulate one point while rejecting outlier views.
 
-    View pairs are triangulated in closed form (`_pair_points`; a pair
-    whose rays are parallel or coincide gives no point) and scored by how
-    many views reproject within reproj_threshold pixels.  All pairs are
-    tried when their count fits in max_iters (always true for <= 5 views
-    at the default 20); otherwise a seeded sample of pairs is drawn.  The
+    The pairs of the point's valid views are triangulated in closed form
+    (`_pair_points`; a pair whose rays are parallel or coincide gives no
+    point) and scored by how many valid views reproject within
+    reproj_threshold pixels.  All of them are tried when their count fits
+    in max_iters (always true for <= 5 views at the default 20);
+    otherwise a seeded sorted sample of max_iters of them is, the same
+    sample for every point with that many pairs.  max_iters must be at
+    least 1; invalid views may hold any pixels, NaN or inf included.  The
     best inlier set gets a confidence-weighted DLT refit plus a
     Levenberg-Marquardt polish (`_polish`, whose iterations and stop the
     result reports), and of the pair points and the polished refit the
@@ -646,14 +633,23 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
                              seed: int = 0) -> Triangulation:
     """RANSAC-triangulate every (frame, hand, joint) into a 3D trajectory.
 
-    The points go through the batched kernel _POINT_BLOCK at a time; every
-    point's result is the one `ransac_triangulate` gives it alone.  The
-    per-point RANSAC arrays come back with the trajectory.
+    Keypoint view v is camera v; cameras past the keypoints' views are
+    unobserved, and more views than cameras is an error.  The points go
+    through the batched kernel _POINT_BLOCK at a time; every point's result
+    is the one `ransac_triangulate` gives it alone.  The per-point RANSAC
+    arrays come back with the trajectory.
     """
-    F, V = obs.n_frames, obs.n_views
-    uv = obs.uv.transpose(0, 2, 3, 1, 4).reshape(-1, V, 2)
-    valid = obs.valid.transpose(0, 2, 3, 1).reshape(-1, V)
-    conf = obs.conf.transpose(0, 2, 3, 1).reshape(-1, V)
+    F, V = obs.n_frames, rig.n_views
+    if obs.n_views > V:
+        raise ValueError("keypoints have %d views, the rig only %d cameras"
+                         % (obs.n_views, V))
+
+    def per_point(a):
+        """(points, V, ...) of an (F, views, 2, 21, ...) keypoint array."""
+        a = np.pad(a, [(0, 0), (0, V - obs.n_views)] + [(0, 0)] * (a.ndim - 2))
+        return np.moveaxis(a, 1, 3).reshape((-1, V) + a.shape[4:])
+
+    uv, valid, conf = (per_point(a) for a in (obs.uv, obs.valid, obs.conf))
     blocks = [_ransac(uv[i:i + _POINT_BLOCK], rig.projections,
                       valid[i:i + _POINT_BLOCK], conf[i:i + _POINT_BLOCK],
                       reproj_threshold, max_iters, seed)

@@ -100,6 +100,9 @@ def test_sync_recovers_offset(tmp_path, capsys):
     ([], {"step": 0}, "grid step must be a finite positive number"),
     ([], {"span": -0.5}, "grid span must be a finite number >= 0"),
     ([], {"tolerance": -1}, "sync tolerance must be a finite number >= 0"),
+    # 2e18 offsets: numpy refuses the grid before allocating it.
+    (["--span", 1e9, "--step", 1e-9], None,
+     "grid span 1000000000.0 over step 1e-09 has too many offsets"),
 ])
 def test_sync_refuses_bad_grid_or_tolerance(tmp_path, capsys, flags, config,
                                             message):
@@ -289,6 +292,96 @@ def test_triangulate_report_counts_and_leaves_trajectory_bytes(
     assert "converged" in set(stop.flat) <= {"converged", "max_iter"}
     assert all(i == 10 for i, s in zip(iterations.flat, stop.flat)
                if s == "max_iter")
+
+
+def noisy_keypoints(geom, skeletons, rig):
+    """Two frames of keypoints with noise, outlier views and dropped views,
+    zero where dropped."""
+    rng = np.random.default_rng(23)
+    clip = _synth.pose_clip(60.0, [(_synth.parked_pose(0, x=-0.1),
+                                    _synth.hover_pose(geom, 1, k))
+                                   for k in (40, 42)])
+    uv, conf, valid, _ = _synth.project_clip(clip, skeletons, rig)
+    uv += rng.normal(0.0, 0.4, uv.shape)
+    uv[rng.random(valid.shape) < 0.15] += (70.0, -40.0)
+    valid &= rng.random(valid.shape) >= 0.2
+    uv = np.where(valid[..., None], np.clip(uv, 0.0, 2000.0), 0.0)
+    return uv, rng.uniform(0.2, 1.0, conf.shape), valid
+
+
+def triangulate_bytes(tmp_path, name, cameras, keypoints_text, *flags):
+    """(trajectory, report) bytes of `triangulate` on a rig and keypoints."""
+    cam, kp = tmp_path / (name + "_cameras.json"), tmp_path / (name + ".json")
+    cam.write_text(cameras.to_json())
+    kp.write_text(keypoints_text)
+    out, report = tmp_path / (name + "_out.json"), tmp_path / (name + ".rep")
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam, "--fps",
+                60, "--report", report, "-o", out, *flags]) == 0
+    return out.read_bytes(), report.read_bytes()
+
+
+def test_triangulate_takes_keypoint_view_v_as_camera_v(tmp_path, geom,
+                                                        skeletons):
+    """Keypoints with fewer views than the rig has cameras see the first
+    cameras: the same bytes as a rig of those cameras alone."""
+    rig = _synth.five_camera_rig()
+    uv, conf, valid = noisy_keypoints(geom, skeletons, rig)
+    text = reconstruction.KeypointObservations(
+        uv[:, :4], conf[:, :4], valid[:, :4]).to_json()
+    four = reconstruction.CameraRig(rig.projections[:4])
+    for flags in ([], ["--no-filter"]):
+        assert (triangulate_bytes(tmp_path, "five", rig, text, *flags)
+                == triangulate_bytes(tmp_path, "four", four, text, *flags))
+
+
+def test_triangulate_refuses_more_views_than_cameras(tmp_path, capsys, geom,
+                                                     skeletons):
+    rig = _synth.five_camera_rig()
+    uv, conf, valid = noisy_keypoints(geom, skeletons, rig)
+    cam, kp = tmp_path / "cameras.json", tmp_path / "keypoints.json"
+    cam.write_text(rig.to_json())
+    kp.write_text(reconstruction.KeypointObservations(
+        uv[:, [0, 1, 2, 3, 4, 0]], conf[:, [0, 1, 2, 3, 4, 0]],
+        valid[:, [0, 1, 2, 3, 4, 0]]).to_json())
+    out = tmp_path / "traj.json"
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam,
+                "--fps", 60, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: keypoints have 6 views, the rig only 5 cameras\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters", [0, -1])
+def test_triangulate_refuses_fewer_than_one_ransac_iteration(
+        tmp_path, capsys, geom, skeletons, iters):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    out = tmp_path / "traj.json"
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam,
+                "--fps", 60, "--ransac-iters", iters, "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: RANSAC needs at least 1 iteration, got %d\n"
+                   % iters)
+    assert not out.exists()
+
+
+def test_triangulate_invalid_views_may_hold_any_pixels(tmp_path, geom,
+                                                       skeletons):
+    """Infinity, NaN, integers too large for a float and the largest
+    floats in invalid views give the bytes that zeros give there, with no
+    floating-point warning (tier-1 runs with warnings as errors)."""
+    rig = _synth.five_camera_rig()
+    uv, conf, valid = noisy_keypoints(geom, skeletons, rig)
+    text = reconstruction.KeypointObservations(uv, conf, valid).to_json()
+    obj = json.loads(text)
+    junk = [float("inf"), float("-inf"), float("nan"), 10 ** 400, -10 ** 400,
+            1e308, -1e308]
+    for n, (f, v, h, j) in enumerate(zip(*np.nonzero(~valid))):
+        obj["uv"][f][v][h][j] = [junk[n % 7], junk[(n + 3) % 7]]
+    dirty = json.dumps(obj)
+    assert "Infinity" in dirty and "NaN" in dirty and "0" * 400 in dirty
+    for flags in ([], ["--no-filter"]):
+        assert (triangulate_bytes(tmp_path, "dirty", rig, dirty, *flags)
+                == triangulate_bytes(tmp_path, "zeros", rig, text, *flags))
 
 
 @pytest.mark.parametrize("field", ["uv", "conf"])

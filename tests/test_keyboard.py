@@ -22,9 +22,9 @@ def test_layout_counts_and_heights(geom):
     whites = [k for k in range(1, 89) if not kb.is_black_key(k)]
     assert len(whites) == 52
     for k in whites:
-        assert geom.rest_height(k) == 0.0
+        assert geom.rest_heights[k - 1] == 0.0
     for k in BLACK_KEYS:
-        assert geom.rest_height(k) == 0.012
+        assert geom.rest_heights[k - 1] == 0.012
     assert np.all(geom.travels == 0.010)
 
 

@@ -262,6 +262,29 @@ def test_refine_fixes_wrong_press(geom, skeletons):
     assert kb.extract_pressed(geom, tips[1], kb.DEFAULT_ACTIVATION_DEPTH) == set()
 
 
+@pytest.mark.parametrize("scored,calls", [({40}, 2), (set(), 1)])
+def test_refine_to_midi_computes_each_clips_fingertips_once(
+        geom, skeletons, monkeypatch, scored, calls):
+    """The input clip's fingertips serve detection, targeting and the
+    solve; the refined clip's serve the displacement guard and the
+    after-check.  Without a target the refined clip is the input's copy."""
+    clip = touch_clip(geom, skeletons, n=2)
+    matrix = _synth.matrix_from_frames([scored] * 2, fps=60.0)
+    seen = []
+
+    def counted(c, s):
+        seen.append(c)
+        return hand.clip_fingertips(c, s)
+
+    monkeypatch.setattr(midi_ik, "clip_fingertips", counted)
+    result, before, after = midi_ik.refine_to_midi(clip, skeletons, geom,
+                                                   matrix)
+    assert len(seen) == calls and seen[0] is clip
+    assert len(listed(before)) == (2 if scored else 0) and listed(after) == []
+    assert (result.tips.tobytes()
+            == hand.clip_fingertips(result.clip, skeletons).tobytes())
+
+
 def test_refine_with_smoothness_still_fixes(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,

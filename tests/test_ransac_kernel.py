@@ -3,6 +3,7 @@ bit, and against the former kernel (SVD pair DLTs, fixed polish) within
 stated bounds."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def sampled_pairs_scene(n_views):
     return uv, projections, valid, conf, {"max_iters": 6, "seed": n_views}
 
 
+def same_pair_counts_scene():
+    # Seven cameras and max_iters 6: every point with 5 valid views (10
+    # pairs) tries one seeded sample of 6 pairs, whichever 5 views it has,
+    # and every point with 6 valid views (15 pairs) another; a point with
+    # 4 valid views (6 pairs) tries them all.
+    rng = np.random.default_rng(29)
+    projections = arc_rig(7)
+    valid = np.array([np.isin(np.arange(7), views) for n in (4, 5, 6)
+                      for views in itertools.combinations(range(7), n)])
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2),
+                         (len(valid), 3))
+    uv, _ = corrupt(rng, project(projections, points), outliers=0.25)
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    return uv, projections, valid, conf, {"max_iters": 6, "seed": 4}
+
+
 def zero_confidence_scene():
     rng = np.random.default_rng(7)
     projections = arc_rig(5)
@@ -142,6 +159,16 @@ def test_kernel_matches_oracle_on_sampled_pairs(n_views):
     uv, projections, valid, conf, kw = sampled_pairs_scene(n_views)
     got = assert_matches_oracle(uv, projections, valid, conf, **kw)
     assert got.valid.any()
+
+
+def test_kernel_matches_oracle_on_same_pair_counts_from_other_views():
+    uv, projections, valid, conf, kw = same_pair_counts_scene()
+    counts = valid.sum(axis=1)
+    assert sorted(set(counts.tolist())) == [4, 5, 6]
+    got = assert_matches_oracle(uv, projections, valid, conf, **kw)
+    # Points of each valid-view count reach an inlier set, so every draw
+    # decides results.
+    assert all(got.valid[counts == n].sum() >= 5 for n in (4, 5, 6))
 
 
 def test_kernel_matches_oracle_with_zero_confidences():
