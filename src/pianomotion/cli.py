@@ -267,13 +267,14 @@ def cmd_triangulate(args, cfg):
         if args.keypoints.endswith(".csv")
         else reconstruction.KeypointObservations.from_json(text)))
     fps = _get_fps(args, cfg)
+    max_iters = _get(args, cfg, "ransac_iters")
+    reconstruction.check_triangulation(obs.n_views, rig, max_iters)
     if args.dry_run:
         return 0
     result = reconstruction.triangulate_observations(
         obs, rig, fps,
         reproj_threshold=_get(args, cfg, "reproj_threshold"),
-        max_iters=_get(args, cfg, "ransac_iters"),
-        seed=_get(args, cfg, "seed"))
+        max_iters=max_iters, seed=_get(args, cfg, "seed"))
     traj = result.trajectory
     if not args.no_filter:
         traj = reconstruction.smooth_trajectory(
@@ -311,12 +312,11 @@ def cmd_fit(args, cfg):
         soft_limit_weight=_get(args, cfg, "limit_weight"))
     _emit(args, result.clip.to_json() + "\n")
     if args.report:
-        rms = [[None if not np.isfinite(v) else v for v in row]
-               for row in result.residual_rms]
+        rms = result.residual_rms
         _atomic_write(args.report, _dump({
             "n_frames": result.clip.n_frames,
             "copied_frames": int(result.copied.sum()),
-            "residual_rms": rms,
+            "residual_rms": np.where(np.isfinite(rms), rms, None).tolist(),
             "iterations": np.where(result.copied, None,
                                    result.iterations).tolist(),
             "stop": result.stop.tolist(),

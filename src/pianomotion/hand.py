@@ -80,12 +80,12 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def _normalized(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.moveaxis(q, -1, 0)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return q / np.sqrt(x * x + y * y + z * z + w * w)[..., None]
 
 
 def _unit_quat_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.moveaxis(q, -1, 0)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     x2, y2, z2, w2 = x * x, y * y, z * z, w * w
     xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
     m = np.stack([x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw),
@@ -94,13 +94,12 @@ def _unit_quat_matrix(q: np.ndarray) -> np.ndarray:
     return m.reshape(q.shape[:-1] + (3, 3))
 
 
-def _unit_quat_rotvec(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    # Canonical sign: w > 0, ties broken by the first nonzero of x, y, z.
-    flip = (w < 0) | ((w == 0) & ((x < 0) | ((x == 0) & (
-        (y < 0) | ((y == 0) & (z < 0))))))
-    q = np.where(flip[..., None], -q, q)
-    w, x, y, z = np.moveaxis(q, -1, 0)
+def unit_quat_to_rotvec(q: np.ndarray) -> np.ndarray:
+    """`quat_to_rotvec` of quaternions already of unit norm."""
+    # Canonical sign: w > 0, ties broken by the first nonzero of x, y, z,
+    # the sign of the components' signs weighted 8, 4, 2, 1.
+    q = np.where((np.sign(q) @ (8.0, 4.0, 2.0, 1.0) < 0)[..., None], -q, q)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     angle = 2 * np.asarray(_atan2(np.sqrt(x * x + y * y + z * z), w),
                            dtype=np.float64)
     small = angle <= 1e-3
@@ -115,43 +114,41 @@ def quat_to_matrix(q_wxyz: np.ndarray) -> np.ndarray:
     return _unit_quat_matrix(_normalized(np.asarray(q_wxyz, dtype=np.float64)))
 
 
+# Shepperd's candidate quaternion for the largest of (m00, m11, m22,
+# trace), the first on ties, as indices into matrix_to_quat's values.
+_SHEPPERD = np.array([[0, 6, 5, 4], [1, 5, 7, 3], [2, 4, 3, 8], [9, 0, 1, 2]])
+
+
 def matrix_to_quat(mat: np.ndarray) -> np.ndarray:
     """(w, x, y, z) quaternions (..., 4), w >= 0, of rotation matrices."""
     m = np.asarray(mat, dtype=np.float64)
-    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    trace = m00 + m11 + m22
-    t = 1 - trace
-    d0 = m[..., 2, 1] - m[..., 1, 2]
-    d1 = m[..., 0, 2] - m[..., 2, 0]
-    d2 = m[..., 1, 0] - m[..., 0, 1]
-    s01 = m[..., 1, 0] + m[..., 0, 1]
-    s02 = m[..., 2, 0] + m[..., 0, 2]
-    s12 = m[..., 2, 1] + m[..., 1, 2]
-    # One candidate per largest of (m00, m11, m22, trace), the first on ties.
-    candidates = np.stack([np.stack([d0, t + 2 * m00, s01, s02], axis=-1),
-                           np.stack([d1, s01, t + 2 * m11, s12], axis=-1),
-                           np.stack([d2, s02, s12, t + 2 * m22], axis=-1),
-                           np.stack([1 + trace, d0, d1, d2], axis=-1)], axis=-2)
-    choice = np.argmax(np.stack([m00, m11, m22, trace], axis=-1), axis=-1)
-    q = np.take_along_axis(candidates, choice[..., None, None], axis=-2)[..., 0, :]
-    q = _normalized(q)
-    return np.where(q[..., :1] < 0, -q, q)
+    batch = m.shape[:-2]
+    m = m.reshape(-1, 9)
+    diag = m[:, ::4]
+    trace = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    a, b = m[:, [7, 2, 3]], m[:, [5, 6, 1]]   # (m21, m02, m10), transposes
+    # d0, d1, d2, s12, s02, s01, t + 2 m_ii (t = 1 - trace), 1 + trace.
+    values = np.concatenate([a - b, a + b, (1 - trace)[:, None] + 2 * diag,
+                             1 + trace[:, None]], axis=1)
+    choice = np.argmax(np.concatenate([diag, trace[:, None]], axis=1), axis=1)
+    q = _normalized(values[np.arange(len(m))[:, None], _SHEPPERD[choice]])
+    return np.where(q[:, :1] < 0, -q, q).reshape(batch + (4,))
 
 
 def matrix_to_rotvec(mat: np.ndarray) -> np.ndarray:
     """Rotation vectors (..., 3) of rotation matrices (..., 3, 3)."""
-    return _unit_quat_rotvec(matrix_to_quat(mat))
+    return unit_quat_to_rotvec(matrix_to_quat(mat))
 
 
 def quat_to_rotvec(q_wxyz: np.ndarray) -> np.ndarray:
     """Rotation vectors (..., 3), angle in [0, pi], of quaternions (..., 4)."""
-    return _unit_quat_rotvec(_normalized(np.asarray(q_wxyz, dtype=np.float64)))
+    return unit_quat_to_rotvec(_normalized(np.asarray(q_wxyz, dtype=np.float64)))
 
 
 def rotvec_to_quat(v: np.ndarray) -> np.ndarray:
     """(w, x, y, z) quaternions (..., 4), w >= 0, of rotation vectors."""
     v = np.asarray(v, dtype=np.float64)
-    x, y, z = np.moveaxis(v, -1, 0)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
     angle = np.sqrt(x * x + y * y + z * z)
     small = angle <= 1e-3
     a = np.where(small, angle, 0.0)   # a huge angle's a^4 would overflow
@@ -195,13 +192,9 @@ class HandSkeleton:
             raise ValueError("joint limit lower bounds must not exceed uppers")
 
     def to_json_obj(self) -> dict:
-        return {
-            "handedness": self.handedness,
-            "bone_offsets": [[float(v) for v in row]
-                             for row in self.bone_offsets[1:]],
-            "joint_limits": [[[float(b) for b in ax] for ax in jnt]
-                             for jnt in self.joint_limits],
-        }
+        return {"handedness": self.handedness,
+                "bone_offsets": self.bone_offsets[1:].tolist(),
+                "joint_limits": self.joint_limits.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj) -> "HandSkeleton":

@@ -622,10 +622,4 @@ def matrix_from_json(text: str) -> KeyMatrix | ConditionMatrix:
 
 def matrix_to_csv(matrix: KeyMatrix | ConditionMatrix) -> str:
     """Dense frames x 88 CSV for debugging."""
-    lines = []
-    for row in matrix.data:
-        if isinstance(matrix, KeyMatrix):
-            lines.append(",".join(str(int(v)) for v in row))
-        else:
-            lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in matrix.data.tolist()) + "\n"

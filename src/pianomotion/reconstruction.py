@@ -35,6 +35,8 @@ MAX_COORDINATE = 1e100             # m; bound on trajectory coordinates
 # JSON values a validity mask may hold: booleans, or 0/1 as written by
 # `to_json` (read as floats).
 _FLAGS = (bool, float)
+# The index columns of a keypoint CSV row and their exclusive bounds.
+_CSV_BOUNDS = {"frame": np.inf, "view": np.inf, "hand": 2, "joint": 21}
 
 # Points per batched RANSAC call in `triangulate_observations`.  It bounds
 # the stacked pair, reprojection and polish arrays without changing results:
@@ -194,14 +196,21 @@ class KeypointObservations:
         rows = list(csv.DictReader(io.StringIO(text)))
         if not rows:
             raise ValueError("no keypoint rows")
-        n_f = max(int(r["frame"]) for r in rows) + 1
-        n_v = max(int(r["view"]) for r in rows) + 1
-        uv = np.zeros((n_f, n_v, 2, 21, 2))
-        conf = np.zeros((n_f, n_v, 2, 21))
-        valid = np.zeros((n_f, n_v, 2, 21), dtype=bool)
-        for r in rows:
-            f, v = int(r["frame"]), int(r["view"])
-            h, j = int(r["hand"]), int(r["joint"])
+        cells = []
+        for n, r in enumerate(rows, 1):
+            cells.append(tuple(int(r[name]) for name in _CSV_BOUNDS))
+            for (name, size), i in zip(_CSV_BOUNDS.items(), cells[-1]):
+                if not 0 <= i < size:
+                    raise ValueError("keypoint row %d: %s %d is not in [0, %s)"
+                                     % (n, name, i, size))
+        shape = tuple(max(c[k] for c in cells) + 1 for k in (0, 1)) + (2, 21)
+        try:
+            uv, conf = np.zeros(shape + (2,)), np.zeros(shape)
+            valid = np.zeros(shape, dtype=bool)
+        except (ValueError, MemoryError):   # past numpy's index range, or RAM
+            raise ValueError("%d frames of %d views are too many keypoints to "
+                             "hold in memory" % shape[:2]) from None
+        for (f, v, h, j), r in zip(cells, rows):
             uv[f, v, h, j] = (float(r["u"]), float(r["v"]))
             conf[f, v, h, j] = float(r["conf"])
             valid[f, v, h, j] = bool(int(r["valid"]))
@@ -434,9 +443,6 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
     polish run once per inlier count, so every refit SVD sees the compact
     (2n, 4) system of its point's n inlier views.
     """
-    if max_iters < 1:
-        raise ValueError("RANSAC needs at least 1 iteration, got %r"
-                         % (max_iters,))
     N, V = valid.shape
     point = np.full((N, 3), np.nan)
     residual = np.full(N, np.inf)
@@ -530,6 +536,7 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
     triangulate a stack of points; each gives the same result as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)
+    check_triangulation(uv.shape[-2], rig, max_iters)
     shape = uv.shape[:-2] + (rig.n_views,)
     valid = np.broadcast_to(True if valid is None else
                             np.asarray(valid, dtype=bool), shape)
@@ -626,6 +633,16 @@ class Triangulation:
     ransac: RansacResult           # fields over (F, 2, 21[, ...])
 
 
+def check_triangulation(n_views: int, rig: CameraRig, max_iters: int) -> None:
+    """Refuse more keypoint views than cameras, or max_iters below 1."""
+    if n_views > rig.n_views:
+        raise ValueError("keypoints have %d views, the rig only %d cameras"
+                         % (n_views, rig.n_views))
+    if max_iters < 1:
+        raise ValueError("RANSAC needs at least 1 iteration, got %r"
+                         % (max_iters,))
+
+
 def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
                              fps: float,
                              reproj_threshold: float = DEFAULT_REPROJ_THRESHOLD,
@@ -639,10 +656,8 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
     is the one `ransac_triangulate` gives it alone.  The per-point RANSAC
     arrays come back with the trajectory.
     """
+    check_triangulation(obs.n_views, rig, max_iters)
     F, V = obs.n_frames, rig.n_views
-    if obs.n_views > V:
-        raise ValueError("keypoints have %d views, the rig only %d cameras"
-                         % (obs.n_views, V))
 
     def per_point(a):
         """(points, V, ...) of an (F, views, 2, 21, ...) keypoint array."""

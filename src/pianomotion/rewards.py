@@ -20,7 +20,7 @@ import numpy as np
 from . import keyboard as kb
 from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, MotionClip, SkeletonPair,
                    clip_fingertips, clip_vectors, finite_diff_velocities,
-                   forward_kinematics, matrix_to_quat, matrix_to_rotvec)
+                   forward_kinematics, matrix_to_quat, unit_quat_to_rotvec)
 from .keyboard import KeyboardGeometry
 from .midi import NUM_KEYS, KeyMatrix
 
@@ -154,22 +154,20 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair,
         raise ValueError("frame %d outside clip of %d frames"
                          % (current_frame, clip.n_frames))
 
-    # One FK over the frames involved: the two history frames and, for
-    # each, the frame pair of its velocity.
-    slots = np.array([current_frame - 1, current_frame])
-    before = np.where(slots >= 1, slots - 1, 0)
-    after = np.where(slots >= 1, slots, 1)
-    frames, at = np.unique(np.concatenate([slots, before, after]),
-                           return_inverse=True)
+    # One FK over the frames involved: the two history frames and the one
+    # before them.  Frame 1 has none before it, so both of its history
+    # frames take the velocity of the pair (0, 1).
+    lo = max(current_frame - 2, 0)
     p, G = forward_kinematics(skeletons.bone_offsets,
-                              clip_vectors(clip, frames))
+                              clip_vectors(clip, slice(lo, current_frame + 1)))
     p = p[:, :, :NUM_ROT_JOINTS]
-    at_slot, at_before, at_after = at[:2], at[2:4], at[4:]
-    lin = (p[at_after] - p[at_before]) * clip.fps
-    rel = G[at_after] @ np.swapaxes(G[at_before], -1, -2)
-    ang = matrix_to_rotvec(rel) * clip.fps
-    rows = np.concatenate([p[at_slot], matrix_to_quat(G[at_slot]), lin, ang],
-                          axis=-1)
+    before, after = [0, len(p) - 2], [1, len(p) - 1]
+    lin = (p[after] - p[before]) * clip.fps
+    rel = G[after] @ np.swapaxes(G[before], -1, -2)
+    # The history frames' orientations and the relative rotations in one go.
+    quats = matrix_to_quat(np.concatenate([G[-2:], rel]))
+    ang = unit_quat_to_rotvec(quats[2:]) * clip.fps
+    rows = np.concatenate([p[-2:], quats[:2], lin, ang], axis=-1)
     # (slot, hand, link, 13) -> (hand, slot, link * 13)
     return PoseState(np.swapaxes(rows, 0, 1).reshape(2, 2, -1))
 

@@ -364,6 +364,54 @@ def test_triangulate_refuses_fewer_than_one_ransac_iteration(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["views", "iters"])
+def test_triangulate_dry_run_refuses_what_the_run_refuses(
+        tmp_path, capsys, geom, skeletons, case):
+    cam, kp, _ = scene_files(tmp_path, geom, skeletons)
+    flags = ["--ransac-iters", 0]
+    if case == "views":
+        obs = reconstruction.KeypointObservations.from_json(kp.read_text())
+        six = [0, 1, 2, 3, 4, 0]
+        kp.write_text(reconstruction.KeypointObservations(
+            obs.uv[:, six], obs.conf[:, six], obs.valid[:, six]).to_json())
+        flags = []
+    out = tmp_path / "traj.json"
+    argv = ["triangulate", "--keypoints", kp, "--cameras", cam, "--fps", 60,
+            "-o", out] + flags
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert run(argv + ["--dry-run"]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+_CSV_HEADER = "frame,view,hand,joint,u,v,conf,valid\n"
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("0,0,0,-1", "keypoint row 2: joint -1 is not in [0, 21)"),
+    ("-1,0,0,0", "keypoint row 2: frame -1 is not in [0, inf)"),
+    ("0,-1,0,0", "keypoint row 2: view -1 is not in [0, inf)"),
+    ("0,0,2,0", "keypoint row 2: hand 2 is not in [0, 2)"),
+    ("0,0,0,21", "keypoint row 2: joint 21 is not in [0, 21)"),
+    # numpy refuses this shape before it allocates anything.
+    ("%d,0,0,0" % 2 ** 62, "%d frames of 1 views are too many keypoints "
+     "to hold in memory" % (2 ** 62 + 1)),
+], ids=["joint-1", "frame-1", "view-1", "hand2", "joint21", "frame2**62"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+def test_keypoint_csv_index_out_of_range_is_validation_error(
+        tmp_path, capsys, cell, message, dry_run):
+    cam, kp = tmp_path / "cameras.json", tmp_path / "keypoints.csv"
+    cam.write_text(_synth.five_camera_rig().to_json())
+    kp.write_text(_CSV_HEADER + "0,0,0,0,100,100,1,1\n" + cell
+                  + ",100,100,1,1\n")
+    out = tmp_path / "traj.json"
+    assert run(["triangulate", "--keypoints", kp, "--cameras", cam,
+                "--fps", 60, "-o", out] + dry_run) == 1
+    assert capsys.readouterr().err == "error: keypoints %s: %s\n" % (kp, message)
+    assert not out.exists()
+
+
 def test_triangulate_invalid_views_may_hold_any_pixels(tmp_path, geom,
                                                        skeletons):
     """Infinity, NaN, integers too large for a float and the largest

@@ -156,6 +156,89 @@ def test_rotation_maps_take_single_and_stacked_inputs(rng):
                           hand.matrix_to_rotvec(m)[1, 0, 3])
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal float64 bits, the sign of every zero included
+    (np.array_equal takes -0.0 for 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64),
+        np.ascontiguousarray(b).view(np.uint64))
+
+
+def _check_matrices(m):
+    """matrix_to_quat and matrix_to_rotvec equal scipy's bits on matrices
+    (..., 3, 3) of any batch shape."""
+    r = Rotation.from_matrix(m.reshape(-1, 3, 3))
+    batch = m.shape[:-2]
+    assert _same_bits(hand.matrix_to_quat(m),
+                      _scipy_quat(r.as_quat()).reshape(batch + (4,)))
+    assert _same_bits(hand.matrix_to_rotvec(m),
+                      r.as_rotvec().reshape(batch + (3,)))
+
+
+def _check_quats(q):
+    """quat_to_matrix and quat_to_rotvec equal scipy's bits on (w, x, y, z)
+    quaternions (..., 4) of any batch shape."""
+    flat = q.reshape(-1, 4)
+    r = Rotation.from_quat(np.concatenate([flat[:, 1:], flat[:, :1]], axis=1))
+    batch = q.shape[:-1]
+    assert _same_bits(hand.quat_to_matrix(q),
+                      r.as_matrix().reshape(batch + (3, 3)))
+    assert _same_bits(hand.quat_to_rotvec(q), r.as_rotvec().reshape(batch + (3,)))
+
+
+def _check_rotvecs(v):
+    """rotvec_to_quat equals scipy's bits on rotation vectors (..., 3)."""
+    r = Rotation.from_rotvec(v.reshape(-1, 3))
+    assert _same_bits(hand.rotvec_to_quat(v),
+                      _scipy_quat(r.as_quat()).reshape(v.shape[:-1] + (4,)))
+
+
+def test_matrix_to_quat_ties_and_half_turns_equal_scipy():
+    # A 120-degree turn about (1, 1, 1) permutes the axes cyclically: its
+    # diagonal and trace are all 0, so all four of Shepperd's candidates
+    # tie and the first must win.  A half turn about an axis ties the other
+    # two diagonal entries at -1.
+    cyclic = np.roll(np.eye(3), 1, axis=0)
+    half_turns = [np.diag(d) for d in ([1.0, -1, -1], [-1.0, 1, -1],
+                                       [-1.0, -1, 1])]
+    _check_matrices(np.stack([cyclic, cyclic.T] + half_turns))
+
+
+def test_rotation_maps_of_signed_zeros_equal_scipy():
+    # -0.0 components and w == 0, where the canonical sign falls to the
+    # first nonzero of x, y, z; the matrices of these quaternions hold
+    # -0.0 entries in turn.
+    z = -0.0
+    q = np.array([[0.0, z, 1, 0], [z, 0, -1, 0], [0.0, z, z, -1],
+                  [z, -0.6, 0.8, z], [1, z, z, z], [-1, z, 0, 0],
+                  [z, z, z, 1], [z, 1, z, z]])
+    _check_quats(q)
+    _check_matrices(hand.quat_to_matrix(q))
+    _check_rotvecs(np.array([[z, 0, 0], [z, z, z], [0, z, np.pi],
+                             [np.pi, z, 0]]))
+
+
+def test_rotation_maps_of_empty_batches():
+    assert hand.matrix_to_quat(np.zeros((0, 3, 3))).shape == (0, 4)
+    assert hand.matrix_to_rotvec(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert hand.quat_to_matrix(np.zeros((0, 4))).shape == (0, 3, 3)
+    assert hand.quat_to_rotvec(np.zeros((0, 4))).shape == (0, 3)
+    assert hand.rotvec_to_quat(np.zeros((0, 3))).shape == (0, 4)
+
+
+def test_rotation_maps_of_single_inputs_and_rank_3_batches_equal_scipy(rng):
+    v = _random_rotvecs(rng, 60)
+    q = _random_quats(rng, 54)                     # and 6 half turns
+    m = Rotation.from_rotvec(v).as_matrix() @ hand.quat_to_matrix(q)
+    _check_rotvecs(v[7])
+    _check_quats(q[3])
+    _check_matrices(m[5])
+    _check_rotvecs(v.reshape(3, 4, 5, 3))
+    _check_quats(q.reshape(3, 4, 5, 4))
+    _check_matrices(m.reshape(3, 4, 5, 3, 3))
+
+
 # ---------------------------------------------------------------------------
 # Forward kinematics
 

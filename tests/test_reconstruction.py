@@ -233,6 +233,16 @@ def test_ransac_sampled_pairs_deterministic():
     assert np.linalg.norm(first.point - X) < 1e-9
 
 
+def test_ransac_refuses_what_triangulation_refuses():
+    # The checks `triangulate --dry-run` shares with the run.
+    rig = simple_rig()
+    uv = project_all(rig, (0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="at least 1 iteration, got 0"):
+        rec.ransac_triangulate(uv, rig, max_iters=0)
+    with pytest.raises(ValueError, match="6 views, the rig only 5 cameras"):
+        rec.ransac_triangulate(uv[[0, 1, 2, 3, 4, 0]], rig)
+
+
 # ---------------------------------------------------------------------------
 # Filtering and gap interpolation
 

@@ -216,6 +216,44 @@ def test_pose_state_matches_per_link_reference(skeletons, rng):
                 assert np.array_equal(arr[h, slot], want)
 
 
+def _per_link_pose_state(clip, skeletons, t):
+    """The pose state at frame t built hand by hand and link by link from
+    single-pose FK and scipy's Rotation, as (2, 2, 16, 13)."""
+    from scipy.spatial.transform import Rotation
+
+    vecs = hand.clip_vectors(clip)
+
+    def fk(f, h):
+        p, G = hand.forward_kinematics(skeletons[h].bone_offsets, vecs[f, h])
+        return p[:16], G
+
+    want = np.empty((2, 2, 16, 13))
+    for slot, f in enumerate((t - 1, t)):
+        a, b = (f - 1, f) if f >= 1 else (0, 1)
+        for h in range(2):
+            (p, G), (pa, Ga), (pb, Gb) = fk(f, h), fk(a, h), fk(b, h)
+            want[h, slot, :, 0:3] = p
+            want[h, slot, :, 7:10] = (pb - pa) * clip.fps
+            for link in range(16):
+                x, y, z, w = Rotation.from_matrix(G[link]).as_quat()
+                q = np.array([w, x, y, z])
+                want[h, slot, link, 3:7] = -q if w < 0 else q
+                rel = Rotation.from_matrix(Gb[link] @ Ga[link].T)
+                want[h, slot, link, 10:13] = rel.as_rotvec() * clip.fps
+    return want
+
+
+def test_pose_state_matches_per_link_reference_on_a_longer_clip(skeletons,
+                                                                 rng):
+    # Frames 1 and 2 start the clip, where the frames FK sees are fewer or
+    # the history's first velocity is the forward one; 6 and 11 lie inside
+    # and at the end of a 12-frame clip.
+    clip = _synth.pose_clip(60.0, rng.normal(size=(12, 2, 51)) * 0.5)
+    for t in (1, 2, 6, 11):
+        arr = rewards.pose_state(clip, skeletons, t).array.reshape(2, 2, 16, 13)
+        assert np.array_equal(arr, _per_link_pose_state(clip, skeletons, t))
+
+
 def test_pose_state_frame_errors(skeletons):
     clip = linear_clip()
     with pytest.raises(ValueError, match=">= 1"):
