@@ -269,6 +269,9 @@ def cmd_triangulate(args, cfg):
     fps = _get_fps(args, cfg)
     max_iters = _get(args, cfg, "ransac_iters")
     reconstruction.check_triangulation(obs.n_views, rig, max_iters)
+    if not args.no_filter:
+        reconstruction.check_filter(_get(args, cfg, "cutoff"), fps,
+                                    _get(args, cfg, "order"))
     if args.dry_run:
         return 0
     result = reconstruction.triangulate_observations(
@@ -291,6 +294,7 @@ def cmd_triangulate(args, cfg):
             "valid_points": int(res.valid.sum()),
             "views_rejected": int(rejected[res.valid].sum()),
             "ambiguous": int(res.ambiguous.sum()),
+            "consensus_points": int(res.consensus.sum()),
             "residual_px": np.where(shown, res.residual, None).tolist(),
             "polish_iterations": np.where(res.polish_iterations > 0,
                                           res.polish_iterations, None).tolist(),

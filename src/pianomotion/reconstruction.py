@@ -412,6 +412,8 @@ class RansacResult:
     inliers: np.ndarray            # (..., V) bool over the rig's views
     valid: bool                    # bool, or a (...) bool array
     ambiguous: bool                # bool, or a (...) bool array
+    consensus: bool                # bool, or a (...) bool array: every
+                                   # valid view agreed, no pair stage ran
     residual: float                # weighted RMS px over the inlier views
     polish_iterations: int         # polish LM iterations, 0 if none ran
     polish_stop: str               # polish stop reason, None if none ran
@@ -426,31 +428,45 @@ class RansacResult:
         return RansacResult(self.point.reshape(shape + (3,)),
                             self.inliers.reshape(shape + (-1,)),
                             per_point(self.valid), per_point(self.ambiguous),
+                            per_point(self.consensus),
                             per_point(self.residual),
                             per_point(self.polish_iterations),
                             per_point(self.polish_stop))
 
 
-def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
-            seed) -> RansacResult:
-    """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V),
-    projections (V, 3, 4).
+def _weighted_systems(uv, projections, conf, views):
+    """The confidence-weighted DLT of each point over its chosen views.
 
-    The closed-form pair stage runs once, over every view pair of the rig
-    in itertools.combinations order.  A point tries the pairs of its valid
+    uv (N, V, 2), projections (V, 3, 4), conf and views (N, V).  Yields, for
+    each count n >= 2 of chosen views, the rows with that count, their
+    compact (M, n) pixels, projections and weights, and the `_dlt` points
+    and degenerate flags of those systems.  A point whose chosen views all
+    have conf <= 0 weighs them equally.
+    """
+    counts = views.sum(axis=1)
+    for n in np.unique(counts[counts >= 2]):
+        rows = np.flatnonzero(counts == n)
+        ids = np.nonzero(views[rows])[1].reshape(-1, n)
+        in_uv = uv[rows[:, None], ids]
+        in_P = projections[ids]
+        in_w = conf[rows[:, None], ids]
+        in_w = np.where(np.all(in_w <= 0, axis=1, keepdims=True), 1.0, in_w)
+        yield (rows, in_uv, in_P, in_w) + _dlt(in_uv, in_P, in_w)
+
+
+def _pair_stage(uv, projections, valid, reproj_threshold, max_iters, seed):
+    """Closed-form pair hypotheses of N points: uv (N, V, 2) with invalid
+    views zeroed, valid (N, V).
+
+    The pair stage runs once, over every view pair of the rig in
+    itertools.combinations order.  A point tries the pairs of its valid
     views, or, when they number more than max_iters, a seeded sorted sample
-    of max_iters of them, which depends only on that number.  The refit and
-    polish run once per inlier count, so every refit SVD sees the compact
-    (2n, 4) system of its point's n inlier views.
+    of max_iters of them, which depends only on that number.  Returns every
+    pair's point (N, K, 3), the tried pairs that gave one (N, K), the
+    inliers of the first pair with the most (N, V), none where that is
+    below two, and the ambiguity flags (N,).
     """
     N, V = valid.shape
-    point = np.full((N, 3), np.nan)
-    residual = np.full(N, np.inf)
-    polish_iterations = np.zeros(N, dtype=np.int64)
-    polish_stop = np.full(N, None, dtype=object)
-    # Invalid views may hold any pixels (inf or NaN included): zeroed, they
-    # keep the pair stage finite, and they never count as inliers.
-    uv = np.where(valid[..., None], uv, 0.0)
     pairs = np.stack(np.triu_indices(V, 1), axis=1)
     tries = valid[:, pairs[:, 0]] & valid[:, pairs[:, 1]]
     n_pairs = tries.sum(axis=1)
@@ -475,42 +491,92 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
     ambiguous = good & np.any(
         (np.arange(len(pairs)) > first[:, None]) & (count == top[:, None])
         & np.any(inl != inliers[:, None], axis=-1), axis=1)
+    return pair_points, pair_ok, inliers, ambiguous
 
-    counts = inliers.sum(axis=1)
-    for n in np.unique(counts[counts >= 2]):
-        rows = np.flatnonzero(counts == n)
-        views = np.nonzero(inliers[rows])[1].reshape(-1, n)
-        in_uv = uv[rows[:, None], views]
-        in_P = projections[views]
-        in_w = conf[rows[:, None], views]
-        in_w = np.where(np.all(in_w <= 0, axis=1, keepdims=True), 1.0, in_w)
-        refit, _ = _dlt(in_uv, in_P, in_w)
-        refit_ok = np.all(np.isfinite(refit), axis=-1)
-        polished = refit.copy()
-        done = rows[refit_ok]
-        polished[refit_ok], polish_iterations[done], polish_stop[done] = (
-            _polish(refit[refit_ok], in_uv[refit_ok], in_P[refit_ok],
-                    in_w[refit_ok]))
-        # The polish starts at the refit and takes only steps that lower
-        # the weighted SSE, so the refit itself can never score lower.
-        cands = np.concatenate([pair_points[rows], polished[:, None]], axis=1)
-        ok = np.concatenate([pair_ok[rows], refit_ok[:, None]], axis=1)
-        scores = np.where(ok, _weighted_sse(cands, in_uv[:, None],
-                                            in_P[:, None], in_w[:, None]),
-                          np.inf)
-        # np.argmin over the candidates in order: the first lowest score,
-        # or the first NaN; the residual takes Python's min, which keeps a
-        # leading NaN and skips later ones.
-        m = np.arange(len(rows))
-        first_ok = np.argmax(ok, axis=1)
-        pick = np.argmin(scores, axis=1)
-        pick = np.where(scores[m, pick] == np.inf, first_ok, pick)
-        lowest = np.where(np.isnan(scores[m, first_ok]), np.nan,
-                          np.fmin.reduce(scores, axis=1))
-        point[rows] = cands[m, pick]
-        residual[rows] = np.sqrt(lowest / np.sum(in_w, axis=1))
-    return RansacResult(point, inliers, counts >= 2, ambiguous, residual,
-                        polish_iterations, polish_stop)
+
+def _settle(res, rows, in_uv, in_P, in_w, refit, cands, cands_ok):
+    """Polish the refits of points `rows` and write their results to res.
+
+    in_uv, in_P, in_w and refit are the rows' `_weighted_systems` over their
+    inlier views; cands (M, K, 3) and cands_ok (M, K) are their pair
+    candidates, K = 0 for consensus points.  Of the candidates and the
+    polished refit, the one with the lowest weighted SSE on the inlier
+    views wins.
+    """
+    refit_ok = np.all(np.isfinite(refit), axis=-1)
+    polished = refit.copy()
+    done = rows[refit_ok]
+    if done.size:
+        (polished[refit_ok], res.polish_iterations[done],
+         res.polish_stop[done]) = _polish(refit[refit_ok], in_uv[refit_ok],
+                                          in_P[refit_ok], in_w[refit_ok])
+    # The polish starts at the refit and takes only steps that lower the
+    # weighted SSE, so the refit itself can never score lower.
+    cands = np.concatenate([cands, polished[:, None]], axis=1)
+    ok = np.concatenate([cands_ok, refit_ok[:, None]], axis=1)
+    scores = np.where(ok, _weighted_sse(cands, in_uv[:, None], in_P[:, None],
+                                        in_w[:, None]), np.inf)
+    # np.argmin over the candidates in order: the first lowest score, or the
+    # first NaN; the residual takes Python's min, which keeps a leading NaN
+    # and skips later ones.
+    m = np.arange(len(rows))
+    first_ok = np.argmax(ok, axis=1)
+    pick = np.argmin(scores, axis=1)
+    pick = np.where(scores[m, pick] == np.inf, first_ok, pick)
+    lowest = np.where(np.isnan(scores[m, first_ok]), np.nan,
+                      np.fmin.reduce(scores, axis=1))
+    res.point[rows] = cands[m, pick]
+    res.residual[rows] = np.sqrt(lowest / np.sum(in_w, axis=1))
+
+
+def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
+            seed) -> RansacResult:
+    """RANSAC triangulation of N points: uv (N, V, 2), valid, conf (N, V),
+    projections (V, 3, 4).
+
+    Consensus first (Chum, Matas and Kittler 2003): each point's weighted
+    DLT over all its valid views is tried before any pair.  Where it is
+    finite, not degenerate and reprojects within reproj_threshold in every
+    valid view, the valid views are the inliers and that DLT is the refit.
+    Only the other points run `_pair_stage`, whose best inlier set gets its
+    own refit.  Both groups share `_settle`'s polish and scoring, once per
+    inlier count, so every refit SVD sees the compact (2n, 4) system of its
+    point's n inlier views.
+    """
+    N, V = valid.shape
+    res = RansacResult(np.full((N, 3), np.nan), np.zeros((N, V), dtype=bool),
+                       np.zeros(N, dtype=bool), np.zeros(N, dtype=bool),
+                       np.zeros(N, dtype=bool), np.full(N, np.inf),
+                       np.zeros(N, dtype=np.int64),
+                       np.full(N, None, dtype=object))
+    # Invalid views may hold any pixels (inf or NaN included): zeroed, they
+    # keep the pair stage finite, and they never count as inliers.  A valid
+    # view that is not finite cannot agree, and the SVD refuses it.
+    uv = np.where(valid[..., None], uv, 0.0)
+    agreeable = valid & np.all(np.isfinite(uv), axis=(1, 2))[:, None]
+    for rows, in_uv, in_P, in_w, refit, degenerate in _weighted_systems(
+            uv, projections, conf, agreeable):
+        agree = ~degenerate & np.all(
+            _reprojection_errors(refit, in_uv, in_P) <= reproj_threshold,
+            axis=1)
+        rows = rows[agree]
+        res.consensus[rows] = True
+        _settle(res, rows, in_uv[agree], in_P[agree], in_w[agree],
+                refit[agree], np.empty((len(rows), 0, 3)),
+                np.empty((len(rows), 0), dtype=bool))
+    res.inliers[res.consensus] = valid[res.consensus]
+    rest = np.flatnonzero(~res.consensus & (valid.sum(axis=1) >= 2))
+    if rest.size:
+        pair_points, pair_ok, inliers, res.ambiguous[rest] = _pair_stage(
+            uv[rest], projections, valid[rest], reproj_threshold, max_iters,
+            seed)
+        res.inliers[rest] = inliers
+        for rows, in_uv, in_P, in_w, refit, _ in _weighted_systems(
+                uv[rest], projections, conf[rest], inliers):
+            _settle(res, rest[rows], in_uv, in_P, in_w, refit,
+                    pair_points[rows], pair_ok[rows])
+    res.valid = res.inliers.sum(axis=1) >= 2
+    return res
 
 
 def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
@@ -519,21 +585,27 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
                        seed: int = 0) -> RansacResult:
     """Triangulate one point while rejecting outlier views.
 
-    The pairs of the point's valid views are triangulated in closed form
-    (`_pair_points`; a pair whose rays are parallel or coincide gives no
-    point) and scored by how many valid views reproject within
-    reproj_threshold pixels.  All of them are tried when their count fits
-    in max_iters (always true for <= 5 views at the default 20);
-    otherwise a seeded sorted sample of max_iters of them is, the same
-    sample for every point with that many pairs.  max_iters must be at
-    least 1; invalid views may hold any pixels, NaN or inf included.  The
-    best inlier set gets a confidence-weighted DLT refit plus a
-    Levenberg-Marquardt polish (`_polish`, whose iterations and stop the
-    result reports), and of the pair points and the polished refit the
-    one with the lowest weighted reprojection SSE on that set is returned,
-    so the result is never worse than any sampled pair's own solution
-    there.  Leading batch axes on uv (and valid, conf)
-    triangulate a stack of points; each gives the same result as alone.
+    Consensus first: the confidence-weighted DLT over all the point's valid
+    views is tried.  If it is finite, not degenerate, and every valid view
+    reprojects within reproj_threshold pixels of it, the valid views are
+    the inliers, the point is not ambiguous (`consensus` reports it) and
+    the pair stage does not run.  Otherwise the pairs of the point's valid
+    views are triangulated in closed form (`_pair_points`; a pair whose
+    rays are parallel or coincide gives no point) and scored by how many
+    valid views reproject within reproj_threshold.  All of them are tried
+    when their count fits in max_iters (always true for <= 5 views at the
+    default 20); otherwise a seeded sorted sample of max_iters of them is,
+    the same sample for every point with that many pairs.  max_iters must
+    be at least 1; invalid views may hold any pixels, NaN or inf included.
+    The inlier set gets a confidence-weighted DLT refit (for a consensus
+    point, the DLT already made) plus a Levenberg-Marquardt polish
+    (`_polish`, whose iterations and stop the result reports).  A consensus
+    point returns the polished refit.  A point that went through the pair
+    stage returns, of its pair points and the polished refit, the one with
+    the lowest weighted reprojection SSE on the inlier set, so it is never
+    worse than any sampled pair's own solution there.  Leading batch axes
+    on uv (and valid, conf) triangulate a stack of points; each gives the
+    same result as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)
     check_triangulation(uv.shape[-2], rig, max_iters)
@@ -549,6 +621,15 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
     return res.reshape(shape[:-1])
 
 
+def check_filter(cutoff_hz: float, fps: float, order: int) -> None:
+    """Refuse a filter order that is odd or below 2, or a cutoff outside
+    (0, fps/2)."""
+    if order < 2 or order % 2 != 0:
+        raise ValueError("filter order must be even and >= 2")
+    if not (0 < cutoff_hz < fps / 2.0):
+        raise ValueError("cutoff must lie in (0, fps/2)")
+
+
 def butterworth_filter(series, cutoff_hz: float, fps: float,
                        order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
     """Zero-phase low-pass along axis 0 with reflective edge padding.
@@ -559,10 +640,7 @@ def butterworth_filter(series, cutoff_hz: float, fps: float,
     warning.
     """
     series = np.asarray(series, dtype=np.float64)
-    if order < 2 or order % 2 != 0:
-        raise ValueError("filter order must be even and >= 2")
-    if not (0 < cutoff_hz < fps / 2.0):
-        raise ValueError("cutoff must lie in (0, fps/2)")
+    check_filter(cutoff_hz, fps, order)
     n = series.shape[0]
     if n < 3 * order:
         warnings.warn("series of length %d too short for order-%d filtering; "

@@ -1,11 +1,14 @@
 """Per-point scalar RANSAC triangulation: the oracle for the batched kernel.
 
 This is the batched kernel in `pianomotion.reconstruction` written one
-point and one view at a time: closed-form pair points (`pair_point`) and a
-polish under `lsq.levenberg_marquardt`'s damping and stop rules (`polish`).
-Tests compare the kernel against it bit for bit.  The SVD pair DLT and the
-fixed ten-iteration polish the kernel used before (`legacy=True`) stay as
-the reference for how far the kernel moved from them.
+point and one view at a time: the consensus test of each point's weighted
+DLT over all its valid views, closed-form pair points (`pair_point`) for
+the points that fail it, and a polish under `lsq.levenberg_marquardt`'s
+damping and stop rules (`polish`).  Tests compare the kernel against it
+bit for bit.  The rule that ran the pair stage on every point
+(`pair_first=True`), and on top of it the SVD pair DLT and the fixed
+ten-iteration polish (`legacy=True`), stay as the references for how far
+the kernel moved from them.
 """
 
 import itertools
@@ -172,55 +175,70 @@ def gauss_newton_polish(point, uv, projections, weights, iters=10):
 
 
 def ransac_triangulate(uv, projections, valid, conf, reproj_threshold,
-                       max_iters, seed, legacy=False):
-    """(point, inliers, valid, ambiguous, residual, polish iterations,
-    polish stop) of one point; `legacy` takes the SVD pair DLT and the
-    former polish, whose iterations and stop read None."""
+                       max_iters, seed, pair_first=False, legacy=False):
+    """(point, inliers, valid, ambiguous, consensus, residual, polish
+    iterations, polish stop) of one point.  `pair_first` skips the
+    consensus test; `legacy` also takes the SVD pair DLT and the former
+    polish, whose iterations and stop read None."""
     n = projections.shape[0]
     view_ids = np.nonzero(valid)[0]
     invalid = (np.full(3, np.nan), np.zeros(n, dtype=bool), False, False,
-               np.inf, 0, None)
+               False, np.inf, 0, None)
     if len(view_ids) < 2:
         return invalid
-    all_pairs = list(itertools.combinations(view_ids.tolist(), 2))
-    if len(all_pairs) <= max_iters:
-        pairs = all_pairs
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(all_pairs), size=max_iters, replace=False)
-        pairs = [all_pairs[i] for i in sorted(picks)]
 
-    best_count = 0
-    best_inliers = None
+    def weights(views):
+        w = conf[views]
+        return np.ones_like(w) if np.all(w <= 0) else w
+
+    consensus = False
+    if not (pair_first or legacy) and np.all(np.isfinite(uv[view_ids])):
+        point, degenerate = triangulate_point(
+            uv[view_ids], projections[view_ids], weights(view_ids))
+        consensus = bool(
+            not degenerate and np.all(np.isfinite(point))
+            and np.all(reprojection_errors(point, uv[view_ids],
+                                           projections[view_ids])
+                       <= reproj_threshold))
+    best_inliers = np.ones(len(view_ids), dtype=bool)
     ambiguous = False
     pair_solutions = []
-    for a, b in pairs:
-        if legacy:
-            point, _ = triangulate_point(uv[[a, b]], projections[[a, b]])
+    if not consensus:
+        all_pairs = list(itertools.combinations(view_ids.tolist(), 2))
+        if len(all_pairs) <= max_iters:
+            pairs = all_pairs
         else:
-            point = pair_point(uv[[a, b]], projections[[a, b]])
-        if not np.all(np.isfinite(point)):
-            continue
-        errs = reprojection_errors(point, uv[view_ids], projections[view_ids])
-        inl = errs <= reproj_threshold
-        pair_solutions.append(point)
-        count = int(inl.sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = inl
-            ambiguous = False
-        elif count == best_count and best_inliers is not None:
-            if not np.array_equal(inl, best_inliers):
-                ambiguous = True
-    if best_count < 2:
-        return invalid
+            rng = np.random.default_rng(seed)
+            picks = rng.choice(len(all_pairs), size=max_iters, replace=False)
+            pairs = [all_pairs[i] for i in sorted(picks)]
+        best_count = 0
+        best_inliers = None
+        for a, b in pairs:
+            if legacy:
+                point, _ = triangulate_point(uv[[a, b]], projections[[a, b]])
+            else:
+                point = pair_point(uv[[a, b]], projections[[a, b]])
+            if not np.all(np.isfinite(point)):
+                continue
+            errs = reprojection_errors(point, uv[view_ids],
+                                       projections[view_ids])
+            inl = errs <= reproj_threshold
+            pair_solutions.append(point)
+            count = int(inl.sum())
+            if count > best_count:
+                best_count = count
+                best_inliers = inl
+                ambiguous = False
+            elif count == best_count and best_inliers is not None:
+                if not np.array_equal(inl, best_inliers):
+                    ambiguous = True
+        if best_count < 2:
+            return invalid
 
     inlier_views = view_ids[best_inliers]
     in_uv = uv[inlier_views]
     in_P = projections[inlier_views]
-    in_w = conf[inlier_views]
-    if np.all(in_w <= 0):
-        in_w = np.ones_like(in_w)
+    in_w = weights(inlier_views)
 
     candidates = list(pair_solutions)
     refit, _ = triangulate_point(in_uv, in_P, weights=in_w)
@@ -238,5 +256,5 @@ def ransac_triangulate(uv, projections, valid, conf, reproj_threshold,
     inliers_full = np.zeros(n, dtype=bool)
     inliers_full[inlier_views] = True
     rms = float(np.sqrt(min(scores) / np.sum(in_w)))
-    return (np.array(best), inliers_full, True, ambiguous, rms, iterations,
-            stop)
+    return (np.array(best), inliers_full, True, ambiguous, consensus, rms,
+            iterations, stop)

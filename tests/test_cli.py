@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -32,6 +33,9 @@ def write_clip(path, clip):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +280,9 @@ def test_triangulate_report_counts_and_leaves_trajectory_bytes(
     assert report["valid_points"] == 2 * 42 - 1
     assert report["views_rejected"] == 1
     assert report["ambiguous"] == 0
+    # Every valid point agrees in all its views but the one with the
+    # outlier view, which takes the pair stage.
+    assert report["consensus_points"] == 2 * 42 - 2
     residual = report["residual_px"]
     assert np.shape(residual) == (2, 2, 21)
     assert residual[0][0][5] is None
@@ -292,6 +299,12 @@ def test_triangulate_report_counts_and_leaves_trajectory_bytes(
     assert "converged" in set(stop.flat) <= {"converged", "max_iter"}
     assert all(i == 10 for i, s in zip(iterations.flat, stop.flat)
                if s == "max_iter")
+    # The golden fixture's exact views all agree.
+    assert run(["triangulate", "--keypoints", GOLDEN / "keypoints.json",
+                "--cameras", GOLDEN / "cameras.json", "--fps", 60,
+                "-o", plain, "--report", report_path]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["consensus_points"] == report["valid_points"] == 3 * 42
 
 
 def noisy_keypoints(geom, skeletons, rig):
@@ -383,6 +396,28 @@ def test_triangulate_dry_run_refuses_what_the_run_refuses(
     assert run(argv + ["--dry-run"]) == 1
     assert capsys.readouterr().err == err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--cutoff", 1000], "cutoff must lie in (0, fps/2)"),
+    (["--order", 3], "filter order must be even and >= 2"),
+    (["--order", 0], "filter order must be even and >= 2"),
+], ids=["cutoff1000", "order3", "order0"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+def test_triangulate_checks_filter_arguments_up_front(tmp_path, capsys, flags,
+                                                      message, dry_run):
+    """The golden fixture's 3 frames are too short to reach the filter, so
+    only the up-front check refuses these; --no-filter skips it."""
+    out = tmp_path / "traj.json"
+    argv = ["triangulate", "--keypoints", GOLDEN / "keypoints.json",
+            "--cameras", GOLDEN / "cameras.json", "--fps", 60,
+            "-o", out] + flags + dry_run
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
+    assert run(argv + ["--no-filter"]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.exists() != bool(dry_run)
 
 
 _CSV_HEADER = "frame,view,hand,joint,u,v,conf,valid\n"

@@ -1,6 +1,6 @@
 """The batched RANSAC kernel against the per-point scalar oracle, bit for
-bit, and against the former kernel (SVD pair DLTs, fixed polish) within
-stated bounds."""
+bit, and against the pair-first rule and the former kernel (SVD pair DLTs,
+fixed polish) within stated bounds."""
 
 import functools
 import itertools
@@ -51,7 +51,7 @@ def assert_matches_oracle(uv, projections, valid, conf, threshold=8.0,
                                      max_iters=max_iters, seed=seed)
     for i in range(len(uv)):
         with np.errstate(all="ignore"):
-            (point, inliers, ok, ambiguous, residual, iterations,
+            (point, inliers, ok, ambiguous, consensus, residual, iterations,
              stop) = scalar.ransac_triangulate(uv[i], projections, valid[i],
                                                conf[i], threshold, max_iters,
                                                seed)
@@ -59,6 +59,7 @@ def assert_matches_oracle(uv, projections, valid, conf, threshold=8.0,
         assert np.array_equal(got.inliers[i], inliers), i
         assert bool(got.valid[i]) == ok, i
         assert bool(got.ambiguous[i]) == ambiguous, i
+        assert bool(got.consensus[i]) == consensus, i
         assert bits(got.residual[i]) == bits(residual), i
         assert got.polish_iterations[i] == iterations, i
         assert got.polish_stop[i] == stop, i
@@ -147,6 +148,18 @@ def ambiguous_scene():
     return uv, projections, valid, conf, {}
 
 
+def exact_views_scene():
+    # Exact projections, a few views dropped: every point with two or more
+    # valid views agrees, and its polished refit and its pair points all
+    # sit at the rounding floor, where the rules differ by the last bits.
+    rng = np.random.default_rng(37)
+    projections = arc_rig(5)
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (60, 3))
+    valid = rng.random((60, 5)) >= 0.15
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    return project(projections, points), projections, valid, conf, {}
+
+
 def test_kernel_matches_oracle_on_noisy_hands():
     uv, projections, valid, conf, _ = noisy_hands_scene()
     got = assert_matches_oracle(uv, projections, valid, conf)
@@ -193,7 +206,40 @@ ORACLE_SCENES = {
     "zero confidences": zero_confidence_scene,
     "duplicated views": duplicated_views_scene,
     "ambiguous splits": ambiguous_scene,
+    "exact views": exact_views_scene,
 }
+
+
+def test_kernel_matches_oracle_on_exact_views():
+    uv, projections, valid, conf, _ = exact_views_scene()
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert np.array_equal(got.consensus, valid.sum(axis=1) >= 2)
+    assert np.array_equal(got.inliers[got.valid], valid[got.valid])
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_consensus_first_agrees_with_pair_first(name):
+    """Against the rule that ran the pair stage on every point: the same
+    inlier sets, valid points and ambiguity everywhere, and points within
+    1e-12 m.  Consensus points lose their pair candidates, which win only
+    by rounding on exact views."""
+    uv, projections, valid, conf, kw = ORACLE_SCENES[name]()
+    rig = rec.CameraRig(projections)
+    with np.errstate(all="ignore"):
+        got = rec.ransac_triangulate(uv, rig, valid=valid, conf=conf, **kw)
+        old = [scalar.ransac_triangulate(
+            uv[i], projections, valid[i], conf[i], 8.0,
+            kw.get("max_iters", 20), kw.get("seed", 0), pair_first=True)
+            for i in range(len(uv))]
+    point, inliers, ok, ambiguous = (np.array([o[k] for o in old])
+                                     for k in range(4))
+    assert np.array_equal(got.inliers, inliers)
+    assert np.array_equal(got.valid, ok)
+    assert np.array_equal(got.ambiguous, ambiguous)
+    assert not (got.ambiguous & got.consensus).any()
+    assert np.max(np.abs(got.point[ok] - point[ok])) <= 1e-12
+    moved = np.any(got.point[ok] != point[ok], axis=-1)
+    assert moved.any() == (name == "exact views")
 
 
 @pytest.mark.parametrize("name", ORACLE_SCENES)
@@ -219,6 +265,155 @@ def test_kernel_agrees_with_svd_pairs_and_fixed_polish(name):
     changed = np.flatnonzero(got.ambiguous != ambiguous).tolist()
     assert changed == ([14] if name == "duplicated views" else [])
     assert np.max(np.abs(got.point[ok] - point[ok])) <= 1e-8
+
+
+def noisy_points(rng, projections, n, noise=0.4):
+    points = rng.uniform((-0.1, -0.05, -0.05), (0.6, 0.3, 0.2), (n, 3))
+    return project(projections, points) + rng.normal(0.0, noise, (n, len(projections), 2))
+
+
+def test_same_centre_views_are_degenerate_not_consensus():
+    """Two valid views from one camera centre: every point on the ray
+    reprojects exactly, so only `_dlt`'s degenerate flag keeps the point
+    from agreeing.  It stays invalid, as under the pair-first rule."""
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        eye = np.asarray((0.25, 0.1, 1.5)) + rng.uniform(-0.5, 0.5, 3)
+        projections = np.stack([
+            _synth.look_at_camera(eye, (0.25, 0.1, 0.0)),
+            _synth.look_at_camera(eye, (0.25, 0.1, 0.0)
+                                  + rng.uniform(-0.3, 0.3, 3))])
+        uv = project(projections, rng.normal((0.25, 0.1, 0.0), 0.05, (1, 3)))
+        point, degenerate = rec._dlt(uv, projections, np.ones((1, 2)))
+        assert degenerate[0]
+        assert (rec._reprojection_errors(point, uv, projections) < 1e-6).all()
+        got = assert_matches_oracle(uv, projections, np.ones((1, 2), bool),
+                                    np.ones((1, 2)))
+        assert not got.consensus[0] and not got.valid[0]
+        assert scalar.ransac_triangulate(uv[0], projections, [True, True],
+                                         np.ones(2), 8.0, 20, 0,
+                                         pair_first=True)[2] is False
+
+
+def test_one_outlier_view_takes_the_pair_stage():
+    rng = np.random.default_rng(43)
+    projections = arc_rig(5)
+    uv = noisy_points(rng, projections, 30)
+    bad = rng.integers(0, 5, 30)
+    uv[np.arange(30), bad] += rng.choice([-1.0, 1.0], (30, 2)) * 60.0
+    valid = np.ones((30, 5), dtype=bool)
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert not got.consensus.any() and got.valid.all()
+    assert np.array_equal(got.inliers, np.arange(5) != bad[:, None])
+    for i in range(30):
+        old = scalar.ransac_triangulate(uv[i], projections, valid[i], conf[i],
+                                        8.0, 20, 0, pair_first=True)
+        assert np.array_equal(got.inliers[i], old[1]), i
+
+
+def test_two_valid_views():
+    """Two agreeing views are a consensus.  Pushed apart off their epipolar
+    lines, two views can still meet within the threshold at the weighted
+    DLT (a consensus), only at the pair point (which makes its own inlier
+    set, as under the pair-first rule), or nowhere (invalid)."""
+    rng = np.random.default_rng(47)
+    projections = arc_rig(5)
+    uv = noisy_points(rng, projections, 40)
+    valid = np.zeros((40, 5), dtype=bool)
+    for i in range(40):
+        valid[i, rng.choice(5, 2, replace=False)] = True
+    first = np.argmax(valid, axis=1)
+    uv[np.arange(20, 40), first[20:]] += (90.0, -70.0)
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    assert got.consensus[:20].all()
+    assert np.array_equal(got.inliers[:20], valid[:20])
+    for i in range(20, 40):
+        old = scalar.ransac_triangulate(uv[i], projections, valid[i], conf[i],
+                                        8.0, 20, 0, pair_first=True)
+        assert np.array_equal(got.inliers[i], old[1]), i
+        assert got.valid[i] == old[2], i
+    pushed = got.consensus[20:], got.valid[20:]
+    assert pushed[0].any() and (pushed[1] & ~pushed[0]).any()
+    assert (~pushed[1]).any()
+
+
+def test_invalid_views_with_non_finite_pixels():
+    """NaN and inf in invalid views give the results zeros give there; a
+    valid view that is not finite cannot agree and takes the pair stage,
+    which drops it."""
+    rng = np.random.default_rng(53)
+    projections = arc_rig(5)
+    uv = noisy_points(rng, projections, 30)
+    valid = rng.random((30, 5)) >= 0.3
+    valid[:, :2] = True
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    zeroed = np.where(valid[..., None], uv, 0.0)
+    junk = np.where(valid[..., None], uv,
+                    rng.choice([np.nan, np.inf, -np.inf], uv.shape))
+    want = assert_matches_oracle(zeroed, projections, valid, conf)
+    got = assert_matches_oracle(junk, projections, valid, conf)
+    assert got.consensus.all()
+    for field in ("point", "inliers", "consensus", "residual"):
+        assert (getattr(got, field).tobytes()
+                == getattr(want, field).tobytes()), field
+    junk[:10, 0] = (np.nan, 1.0)
+    junk[10:20, 0] = (np.inf, 1.0)
+    got = assert_matches_oracle(junk, projections, valid, conf)
+    assert not got.consensus[:20].any() and got.consensus[20:].all()
+    assert got.valid[:20].sum() >= 10
+    assert np.array_equal(got.inliers[:20], (valid[:20] & (np.arange(5) > 0)
+                                             & got.valid[:20, None]))
+
+
+def test_all_non_positive_confidences_weigh_views_equally():
+    rng = np.random.default_rng(59)
+    projections = arc_rig(5)
+    uv = noisy_points(rng, projections, 20)
+    valid = np.ones((20, 5), dtype=bool)
+    conf = -rng.uniform(0.0, 1.0, valid.shape)
+    conf[:10, 0] = 0.0
+    got = assert_matches_oracle(uv, projections, valid, conf)
+    want = assert_matches_oracle(uv, projections, valid, np.ones((20, 5)))
+    assert got.consensus.all()
+    assert bits(got.point) == bits(want.point)
+    assert bits(got.residual) == bits(want.residual)
+
+
+def test_consensus_ignores_the_pair_sample():
+    """Eight views give 28 pairs, more than 20 iterations: the pair stage
+    draws a sample by seed, but a consensus point never reaches it."""
+    rng = np.random.default_rng(61)
+    projections = arc_rig(8)
+    uv = noisy_points(rng, projections, 20)
+    valid = np.ones((20, 8), dtype=bool)
+    valid[10:, 3] = False
+    conf = rng.uniform(0.2, 1.0, valid.shape)
+    results = [assert_matches_oracle(uv, projections, valid, conf, seed=seed)
+               for seed in range(4)]
+    for got in results:
+        assert got.consensus.all()
+        assert np.array_equal(got.inliers, valid)
+        assert bits(got.point) == bits(results[0].point)
+
+
+def test_mixed_batch_gives_each_point_its_own_result():
+    uv, projections, valid, conf, _ = noisy_hands_scene()
+    rig = rec.CameraRig(projections)
+    with np.errstate(all="ignore"):
+        batch = rec.ransac_triangulate(uv, rig, valid=valid, conf=conf)
+        assert batch.consensus.any() and (batch.valid & ~batch.consensus).any()
+        for i in range(len(uv)):
+            one = rec.ransac_triangulate(uv[i], rig, valid=valid[i],
+                                         conf=conf[i])
+            assert bits(one.point) == bits(batch.point[i]), i
+            assert np.array_equal(one.inliers, batch.inliers[i]), i
+            assert (one.valid, one.ambiguous, one.consensus) == (
+                batch.valid[i], batch.ambiguous[i], batch.consensus[i]), i
+            assert bits(one.residual) == bits(batch.residual[i]), i
+            assert (one.polish_iterations, one.polish_stop) == (
+                batch.polish_iterations[i], batch.polish_stop[i]), i
 
 
 def translated_pair(rng):
@@ -278,6 +473,7 @@ def test_single_point_call_returns_scalars():
                                   np.ones((1, 5)))
     one = rec.ransac_triangulate(uv[0], rec.CameraRig(projections))
     assert type(one.valid) is bool and type(one.ambiguous) is bool
+    assert type(one.consensus) is bool and one.consensus
     assert type(one.residual) is float
     assert bits(one.point) == bits(batch.point[0])
     assert bits(one.residual) == bits(batch.residual[0])
