@@ -333,6 +333,7 @@ def cmd_refine(args, cfg):
     skeletons = _load_skeletons(args, cfg)
     geom = _load_keyboard(args, cfg)
     matrix = _load_key_matrix(args.midi, clip.fps)
+    matrix.check_clip(clip)
     if args.dry_run:
         return 0
     try:
@@ -373,6 +374,7 @@ def cmd_eval(args, cfg):
     skeletons = _load_skeletons(args, cfg)
     geom = _load_keyboard(args, cfg)
     matrix = _load_key_matrix(args.midi, clip.fps)
+    matrix.check_clip(clip)
     if args.dry_run:
         return 0
     report = metrics.clip_metrics(
@@ -473,6 +475,9 @@ def cmd_reward(args, cfg):
     geom = _load_keyboard(args, cfg)
     matrix = _load_key_matrix(args.midi, clip.fps)
     reference = _load_clip(args.reference) if args.reference else None
+    matrix.check_clip(clip)
+    if reference is not None:
+        matrix.check_clip(reference, "reference")
     if args.dry_run:
         return 0
     r = rewards.evaluate_rewards(

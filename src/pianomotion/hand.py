@@ -15,8 +15,9 @@ The canonical rest frame has the palm facing down (-z), fingers along +y and
 the thumb toward -x for a right hand (+x for a left hand).
 
 A pose is a root translation, a root orientation quaternion stored (w, x, y,
-z), and 15 local axis-angle rotation vectors.  The flattened parameter vector
-used by the fitting and refinement optimizers is
+z), and 15 local axis-angle rotation vectors.  FK takes the root translation
+and each link's local rotation as a unit quaternion, so a clip's root_q goes
+in as it is.  The flattened parameter vector of the skeleton fit is
 
     [root_t (3), root rotvec (3), joint rotvecs (45)]        -> 51 per hand
 
@@ -24,8 +25,9 @@ Anatomically a hand has 27 degrees of freedom (wrist 6, thumb mcp 3, other
 mcps 2, pips and dips 1 each).  `fk_jacobian` differentiates FK in 36
 twist-free coordinates: the root's 6 and, for each finger joint, 2 in the
 plane perpendicular to its rest child bone (`twist_free_basis`).  The fit
-steps in all 36 and refine in the 6 of one finger, so each finger twist
-about its bone, which no joint position observes, keeps its start value.
+steps in all 36.  Refine steps in the 6 of one finger, whose chain
+`tip_jacobian` walks from the finger's base.  So each finger twist about its
+bone, which no joint position observes, keeps its start value.
 """
 
 from __future__ import annotations
@@ -56,14 +58,12 @@ PARENTS = np.array(
 )
 
 TIP_JOINTS = np.arange(16, 21)
-# The tree below the wrist by level, each level a slice of the joints with
-# its parents' slice: the MCPs hang from the wrist, the PIPs, DIPs and tips
-# from the level above.  Column f of LEVELS is finger f's chain.
-_LEVEL_SLICES = ((slice(1, 16, 3), slice(0, 1)),
-                 (slice(2, 16, 3), slice(1, 16, 3)),
-                 (slice(3, 16, 3), slice(2, 16, 3)),
-                 (slice(16, 21), slice(3, 16, 3)))
-LEVELS = np.array([np.arange(NUM_JOINTS)[level] for level, _ in _LEVEL_SLICES])
+# The tree below the wrist by level, each level a slice of the joints: the
+# MCPs hang from the wrist, the PIPs, DIPs and tips from the level above.
+# Column f of LEVELS is finger f's chain.
+_LEVEL_SLICES = (slice(1, 16, 3), slice(2, 16, 3), slice(3, 16, 3),
+                 slice(16, 21))
+LEVELS = np.array([np.arange(NUM_JOINTS)[level] for level in _LEVEL_SLICES])
 # Each finger joint's child: the next joint, or the tip after a DIP.
 _CHILD = LEVELS[1:].T.ravel()
 TWIST_FREE_DIMS = 6 + 2 * NUM_FINGER_JOINTS
@@ -249,33 +249,66 @@ class SkeletonPair:
                    HandSkeleton.from_json_obj(obj["right"]))
 
 
-def forward_kinematics(bone_offsets: np.ndarray, vecs: np.ndarray):
-    """Joint positions and global joint rotations of pose vectors.
+def _walk(p, G, locals_, offsets):
+    """The level walk down finger chains from given bases.
 
-    vecs is (..., 51) in the pose vector layout, and bone_offsets
-    (..., 21, 3) broadcasts against its batch axes: one hand's offsets, a
-    SkeletonPair's (2, 21, 3) when the second-to-last axis of vecs is the
-    hand (left, right), or one set per pose.  Returns (positions
-    (..., 21, 3), global rotations (..., 16, 3, 3)).  The walk takes the
-    tree by level, all five fingers at once, and every product per pose in
-    a fixed order, so a batch gives the same bits as one call per pose.
+    p (..., 3) are the chains' MCP positions and G (..., 3, 3) the global
+    rotations their MCPs hang from; locals_ holds the MCP, PIP and DIP
+    local rotations (..., 3, 3), and offsets the PIP, DIP and tip bone
+    offsets (..., 3, 1), all broadcasting against each other.  Returns the
+    lists of positions [MCP, PIP, DIP, tip] and global rotations [MCP, PIP,
+    DIP].  Every product per chain runs in a fixed order, so a batch gives
+    the same bits as one call per chain.
     """
-    vecs = np.asarray(vecs, dtype=np.float64)
-    batch = vecs.shape[:-1]
+    ps, Gs = [p], []
+    for R, offset in zip(locals_, offsets):
+        G = G @ R
+        p = p + (G @ offset)[..., 0]
+        ps.append(p)
+        Gs.append(G)
+    return ps, Gs
+
+
+def forward_kinematics(bone_offsets: np.ndarray, root_t: np.ndarray,
+                       quats: np.ndarray):
+    """Joint positions and global joint rotations of poses.
+
+    A pose is its root translation root_t (..., 3) and the local rotations
+    of its 16 links as unit (w, x, y, z) quaternions quats (..., 16, 4):
+    the wrist's orientation, then the 15 finger joints'.  bone_offsets
+    (..., 21, 3) broadcasts against the batch axes: one hand's offsets, a
+    SkeletonPair's (2, 21, 3) when the last batch axis is the hand (left,
+    right), or one set per pose.  Returns (positions (..., 21, 3), global
+    rotations (..., 16, 3, 3)).  The wrist places the five MCPs, and
+    `_walk` takes the fingers from there, all five at once.
+    """
+    root_t = np.asarray(root_t, dtype=np.float64)
+    locals_ = _unit_quat_matrix(np.asarray(quats, dtype=np.float64))
+    batch = locals_.shape[:-3]
     offsets = bone_offsets[..., None]
-    locals_ = _unit_quat_matrix(rotvec_to_quat(
-        vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))))
+    root = locals_[..., :1, :, :]
+    mcps = (root_t[..., None, :]
+            + (root @ offsets[..., _LEVEL_SLICES[0], :, :])[..., 0])
+    ps, Gs = _walk(mcps, root,
+                   [locals_[..., j, :, :] for j in _LEVEL_SLICES[:3]],
+                   [offsets[..., j, :, :] for j in _LEVEL_SLICES[1:]])
     p = np.empty(batch + (NUM_JOINTS, 3))
     G = np.empty(batch + (NUM_ROT_JOINTS, 3, 3))
-    p[..., 0, :] = vecs[..., :3]
-    G[..., 0, :, :] = locals_[..., 0, :, :]
-    for level, par in _LEVEL_SLICES:
-        Gp = G[..., par, :, :]
-        p[..., level, :] = (p[..., par, :]
-                            + (Gp @ offsets[..., level, :, :])[..., 0])
-        if level.start < NUM_ROT_JOINTS:
-            np.matmul(Gp, locals_[..., level, :, :], out=G[..., level, :, :])
+    p[..., 0, :] = root_t
+    G[..., 0, :, :] = root[..., 0, :, :]
+    for j, pj in zip(_LEVEL_SLICES, ps):
+        p[..., j, :] = pj
+    for j, Gj in zip(_LEVEL_SLICES, Gs):
+        G[..., j, :, :] = Gj
     return p, G
+
+
+def vector_pose(vecs: np.ndarray):
+    """The root translations (..., 3) and link quaternions (..., 16, 4) of
+    pose vectors (..., 51), as `forward_kinematics` takes them."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    return vecs[..., :3], rotvec_to_quat(
+        vecs[..., 3:].reshape(vecs.shape[:-1] + (NUM_ROT_JOINTS, 3)))
 
 
 def twist_free_basis(bone_offsets: np.ndarray) -> np.ndarray:
@@ -343,7 +376,7 @@ def fk_jacobian(bone_offsets: np.ndarray, planes: np.ndarray,
     """
     vecs = np.asarray(vecs, dtype=np.float64)
     batch = vecs.shape[:-1]
-    p, G = forward_kinematics(bone_offsets, vecs)
+    p, G = forward_kinematics(bone_offsets, *vector_pose(vecs))
     w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
     root = _left_jacobian_times(w[..., 0, :], np.eye(3))
     # Finger joint rates as rows (..., 15, 2, 3), then by finger, pair,
@@ -360,6 +393,46 @@ def fk_jacobian(bone_offsets: np.ndarray, planes: np.ndarray,
     J.reshape(batch + (-1,))[..., _FINGER_ENTRIES] = _cross(
         fingers, arms[..., None, :]).reshape(batch + (-1,))
     return p, J
+
+
+def _chain(base_p, base_G, offsets, w):
+    """`_walk` down finger chains of MCP, PIP and DIP rotation vectors w
+    (..., 3, 3)."""
+    locals_ = _unit_quat_matrix(rotvec_to_quat(w))
+    return _walk(base_p, base_G, [locals_[..., k, :, :] for k in range(3)],
+                 [offsets[..., k, :, None] for k in range(3)])
+
+
+def chain_tips(base_p: np.ndarray, base_G: np.ndarray, offsets: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """Tip positions (..., 3) of finger chains.
+
+    A chain hangs from its base: its MCP position base_p (..., 3) and the
+    global rotation base_G (..., 3, 3) of the wrist above it.  offsets
+    (..., 3, 3) are its PIP, DIP and tip bone offsets, and w (..., 3, 3)
+    its MCP, PIP and DIP rotation vectors.  With the base of a pose's FK,
+    the tips are that FK's.
+    """
+    return _chain(base_p, base_G, offsets, w)[0][-1]
+
+
+def tip_jacobian(base_p: np.ndarray, base_G: np.ndarray, offsets: np.ndarray,
+                 planes: np.ndarray, w: np.ndarray):
+    """Tip positions (..., 3) of finger chains, as `chain_tips` takes them,
+    and their Jacobian (..., 3, 6) in the chains' twist-free coordinates:
+    two per joint, MCP first, along its plane of planes (..., 3, 3, 2).
+
+    These are `fk_jacobian`'s tip rows and the finger's columns, by the
+    same arithmetic.
+    """
+    ps, Gs = _chain(base_p, base_G, offsets, w)
+    parents = np.stack([np.broadcast_to(base_G, Gs[0].shape), Gs[0], Gs[1]],
+                       axis=-3)
+    rows = (_left_jacobian_times(w, np.swapaxes(planes, -1, -2))
+            @ np.swapaxes(parents, -1, -2))               # (..., 3, 2, 3)
+    arms = ps[3][..., None, :] - np.stack(ps[:3], axis=-2)
+    J = _cross(rows, arms[..., None, :])
+    return ps[3], np.swapaxes(J.reshape(J.shape[:-3] + (6, 3)), -1, -2)
 
 
 # The arrays of a pose and their shapes.
@@ -492,9 +565,22 @@ def clip_from_vectors(fps: float, vecs: np.ndarray) -> MotionClip:
                       vecs[..., 6:].reshape(-1, 2, NUM_FINGER_JOINTS, 3))
 
 
+def clip_kinematics(clip: MotionClip, skeletons: SkeletonPair,
+                    frames=slice(None)):
+    """FK of `frames` (a slice or an index array; every frame by default)
+    and both hands: joint positions (n, 2, 21, 3) and global link rotations
+    (n, 2, 16, 3, 3).  Each root's rotation is `quat_to_matrix` of its
+    root_q, which is normalized first."""
+    quats = np.concatenate([_normalized(clip.root_q[frames])[..., None, :],
+                            rotvec_to_quat(clip.joint_rotations[frames])],
+                           axis=-2)
+    return forward_kinematics(skeletons.bone_offsets, clip.root_t[frames],
+                              quats)
+
+
 def clip_positions(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:
     """FK joint positions for every frame and hand, shape (F, 2, 21, 3)."""
-    return forward_kinematics(skeletons.bone_offsets, clip_vectors(clip))[0]
+    return clip_kinematics(clip, skeletons)[0]
 
 
 def clip_fingertips(clip: MotionClip, skeletons: SkeletonPair) -> np.ndarray:
@@ -530,22 +616,21 @@ class ClipVelocities:
     fingertips_local: np.ndarray   # (F, 2, 5, 3), wrist-frame tip coordinates
 
 
-def finite_diff_velocities(clip: MotionClip,
-                           skeletons: SkeletonPair) -> ClipVelocities:
-    """Wrist and fingertip velocities for every frame of a clip.
+def finite_diff_velocities(fps: float, positions: np.ndarray,
+                           rotations: np.ndarray) -> ClipVelocities:
+    """Wrist and fingertip velocities for every frame of a clip at `fps`,
+    from its `clip_kinematics` positions (F, 2, 21, 3) and rotations
+    (F, 2, 16, 3, 3).
 
     The local variant expresses fingertip positions in the wrist frame
     before differencing, so pure rigid translation of a hand produces zero
     local fingertip velocity.
     """
-    pos = clip_positions(clip, skeletons)
-    wrist_p = pos[:, :, 0, :]
-    tips_w = pos[:, :, TIP_JOINTS, :]
-    tips_l = ((tips_w - wrist_p[:, :, None, :])
-              @ quat_to_matrix(clip.root_q))
+    wrist_p = positions[:, :, 0, :]
+    tips_w = positions[:, :, TIP_JOINTS, :]
+    tips_l = (tips_w - wrist_p[:, :, None, :]) @ rotations[:, :, 0, :, :]
     return ClipVelocities(
-        wrist=_finite_diff(wrist_p, clip.fps),
-        fingertips_world=_finite_diff(tips_w, clip.fps),
-        fingertips_local=_finite_diff(tips_l, clip.fps),
+        wrist=_finite_diff(wrist_p, fps),
+        fingertips_world=_finite_diff(tips_w, fps),
+        fingertips_local=_finite_diff(tips_l, fps),
     )
-

@@ -23,9 +23,9 @@ import dataclasses
 import numpy as np
 
 from . import keyboard as kb
-from .hand import (MotionClip, NUM_FINGERS, SkeletonPair, TIP_JOINTS,
-                   clip_fingertips, clip_vectors, fk_jacobian,
-                   forward_kinematics, twist_free_basis)
+from .hand import (LEVELS, MotionClip, NUM_FINGERS, SkeletonPair, chain_tips,
+                   clip_fingertips, clip_kinematics, tip_jacobian,
+                   twist_free_basis)
 from .keyboard import KeyboardGeometry
 from .lsq import block_tridiagonal_solve, levenberg_marquardt
 from .midi import KeyMatrix
@@ -36,13 +36,6 @@ DEFAULT_MAX_DISPLACEMENT = 0.01    # m; targets farther than this are dropped
 DISPLACEMENT_ASSERT = 0.012        # m; optimizer slack over the 1 cm budget
 DEFAULT_EXIT_CLEARANCE = 0.001     # m above rest surface for wrong presses
 DEFAULT_PRESS_MARGIN = 0.001       # m beyond activation depth for omissions
-
-# Each finger's MCP, PIP and DIP rotation vectors in the pose vector, and
-# its 6 twist-free coordinates (two per joint) in `fk_jacobian`'s columns.
-_FINGER_COLS = 6 + 9 * np.arange(NUM_FINGERS)[:, None] + np.arange(9)
-_FINGER_DIMS = 6 + 6 * np.arange(NUM_FINGERS)[:, None] + np.arange(6)
-# Target poses per fk_jacobian call; it bounds the stacked Jacobians.
-_POSE_BLOCK = 256
 
 
 def detect_press_errors(geom: KeyboardGeometry, keys: np.ndarray,
@@ -227,10 +220,14 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     (`twist_free_basis`); wrists, twists and all other fingers keep their
     input bits.  Each such (hand, finger) is its own problem, with normal
     equations block tridiagonal in time; all of them run in one
-    `levenberg_marquardt` batch of at most `epochs` iterations.  With zero
-    smoothness only frames holding targets enter, and other frames come
-    back bit-identical.  The clip's fingertips are taken from the targets
-    (`IkTargets.tips`), and the result carries the refined clip's.
+    `levenberg_marquardt` batch of at most `epochs` iterations.  A problem
+    reads one fingertip, so its objective and 3x6 Jacobian walk only the
+    finger's chain (`hand.chain_tips`, `hand.tip_jacobian`) from its base,
+    the wrist rotation and MCP position that one FK of the input clip
+    gives and no edit moves.  With zero smoothness only frames holding
+    targets enter, and other frames come back bit-identical.  The clip's
+    fingertips are taken from the targets (`IkTargets.tips`), and the
+    result carries the refined clip's.
     """
     clip = problem.clip
     N = clip.n_frames
@@ -253,13 +250,19 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
               else np.flatnonzero(aimed.any(axis=0)))
     aimed = aimed[:, frames]
     goal = goal[frames][:, hands, fingers].swapaxes(0, 1)
-    theta0 = clip_vectors(clip, frames)[:, hands].swapaxes(0, 1)
-    cols = _FINGER_COLS[fingers]
+    # Problem p's finger joints (P, 3), their input rotation vectors
+    # (P, n, 3, 3) and the planes (P, 3, 3, 2) that x[p, f] moves them
+    # along.  No edit moves a chain's base, the wrist rotation and the MCP
+    # position, nor its bone offsets (P, 3, 3): the PIP, DIP and tip's.
+    chain = 3 * fingers[:, None] + np.arange(3)
+    theta0 = clip.joint_rotations[frames][:, hands[:, None], chain]
+    theta0 = theta0.swapaxes(0, 1)
     offsets = skeletons.bone_offsets
-    planes = twist_free_basis(offsets)
-    # Problem p's joint planes (P, 3, 3, 2), which x[p, f] moves along.
-    E = planes[hands[:, None], 3 * fingers[:, None] + np.arange(3)]
-    tips = TIP_JOINTS[fingers]
+    E = twist_free_basis(offsets)[hands[:, None], chain]
+    bones = offsets[hands[:, None], LEVELS[1:, fingers].T]
+    pos, G = clip_kinematics(clip, skeletons, frames)
+    base_p = pos[:, hands, LEVELS[0, fingers]].swapaxes(0, 1)
+    base_G = G[:, hands, 0].swapaxes(0, 1)
     weight = 1.0 / (N * np.maximum(targets.mask.sum(axis=1), 1)[frames])
     c = problem.smoothness / (N - 1) if N > 1 else 0.0
     P, n = aimed.shape
@@ -272,39 +275,32 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     upper = lower.copy()
     lower[:, 0] = upper[:, -1] = 0.0
 
-    def poses(i, x):
-        """Edited pose vectors at the target pairs (p, f) of problems i."""
+    def chains(i, x):
+        """The target pairs (p, f) of problems i, their problems q, and the
+        edited chains' rotation vectors (len(p), 3, 3) there."""
         p, f = np.nonzero(aimed[i])
-        th = theta0[i[p], f]
-        th[np.arange(len(p))[:, None], cols[i[p]]] += (
-            E[i[p]] @ x[p, f].reshape(-1, 3, 2, 1)).reshape(-1, 9)
-        return p, f, th
+        q = i[p]
+        return p, f, q, (theta0[q, f]
+                         + (E[q] @ x[p, f].reshape(-1, 3, 2, 1))[..., 0])
 
     def objective(i, x):
-        p, f, th = poses(i, x)
-        pos, _ = forward_kinematics(offsets[hands[i[p]]], th)
-        r = pos[np.arange(len(p)), tips[i[p]]] - goal[i[p], f]
+        p, f, q, w = chains(i, x)
+        r = chain_tips(base_p[q, f], base_G[q, f], bones[q], w) - goal[q, f]
         d = x[:, 1:] - x[:, :-1]
         return (np.bincount(p, weights=weight[f] * np.sum(r * r, axis=1),
                             minlength=len(i))
                 + c * np.sum(d * d, axis=(1, 2)))
 
     def normal_equations(i, x):
-        p, f, th = poses(i, x)
+        p, f, q, w = chains(i, x)
+        tip, J = tip_jacobian(base_p[q, f], base_G[q, f], bones[q], E[q], w)
+        JtW = weight[f, None, None] * np.swapaxes(J, 1, 2)
         A = np.zeros(x.shape + (6,))
+        A[p, f] = JtW @ J
         g = c * degree[:, None] * x
         g[:, 1:] -= c * x[:, :-1]
         g[:, :-1] -= c * x[:, 1:]
-        for s in range(0, len(p), _POSE_BLOCK):
-            b = slice(s, s + _POSE_BLOCK)
-            q, k = i[p[b]], np.arange(len(p[b]))
-            pos, J = fk_jacobian(offsets[hands[q]], planes[hands[q]], th[b])
-            Jt = np.take_along_axis(J[k, tips[q]],
-                                    _FINGER_DIMS[fingers[q], None], axis=2)
-            JtW = weight[f[b], None, None] * np.swapaxes(Jt, 1, 2)
-            A[p[b], f[b]] = JtW @ Jt
-            g[p[b], f[b]] += (JtW @ (pos[k, tips[q]]
-                                     - goal[q, f[b]])[..., None])[..., 0]
+        g[p, f] += (JtW @ (tip - goal[q, f])[..., None])[..., 0]
         return A + c * degree[:, None, None] * np.eye(6), g
 
     def solve(i, system, damping):
@@ -322,10 +318,8 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
 
     out = clip.copy()
     p, f = np.nonzero(np.any(x != 0.0, axis=-1))
-    rows = (theta0[p[:, None], f[:, None], cols[p]].reshape(-1, 3, 3)
-            + (E[p] @ x[p, f].reshape(-1, 3, 2, 1))[..., 0])
-    out.joint_rotations[frames[f, None], hands[p, None],
-                        3 * fingers[p, None] + np.arange(3)] = rows
+    out.joint_rotations[frames[f, None], hands[p, None], chain[p]] = (
+        theta0[p, f] + (E[p] @ x[p, f].reshape(-1, 3, 2, 1))[..., 0])
 
     out_tips = clip_fingertips(out, skeletons)
     moved = np.linalg.norm(out_tips - targets.tips, axis=2)

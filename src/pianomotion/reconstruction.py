@@ -19,8 +19,9 @@ import numpy as np
 
 from .hand import (LEVELS, PARAMS_PER_HAND, PARENTS, TWIST_FREE_DIMS,
                    MotionClip, SkeletonPair, clip_from_vectors, clip_vectors,
-                   fk_jacobian, forward_kinematics, json_array,
-                   matrix_to_rotvec, twist_free_basis, twist_free_step)
+                   _atan2, fk_jacobian, forward_kinematics, json_array,
+                   matrix_to_rotvec, twist_free_basis, twist_free_step,
+                   vector_pose)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -567,12 +568,17 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
     res.inliers[res.consensus] = valid[res.consensus]
     rest = np.flatnonzero(~res.consensus & (valid.sum(axis=1) >= 2))
     if rest.size:
+        # A valid view's inf takes NaN's path, which the pair stage's
+        # arithmetic passes without an invalid operation; neither is ever
+        # an inlier.
+        rest_uv = uv[rest]
+        rest_uv[np.isinf(rest_uv)] = np.nan
         pair_points, pair_ok, inliers, res.ambiguous[rest] = _pair_stage(
-            uv[rest], projections, valid[rest], reproj_threshold, max_iters,
+            rest_uv, projections, valid[rest], reproj_threshold, max_iters,
             seed)
         res.inliers[rest] = inliers
         for rows, in_uv, in_P, in_w, refit, _ in _weighted_systems(
-                uv[rest], projections, conf[rest], inliers):
+                rest_uv, projections, conf[rest], inliers):
             _settle(res, rest[rows], in_uv, in_P, in_w, refit,
                     pair_points[rows], pair_ok[rows])
     res.valid = res.inliers.sum(axis=1) >= 2
@@ -781,7 +787,7 @@ def _swing_init(bones: np.ndarray, y: np.ndarray,
     Minimal rotations have no twist about the bone.
     """
     x = np.zeros((len(y), PARAMS_PER_HAND))
-    rest, _ = forward_kinematics(bones, x)
+    rest, _ = forward_kinematics(bones, *vector_pose(x))
     w = np.zeros_like(mask)
     w[:, _PALM] = mask[:, _PALM]
     w = np.where((w.sum(axis=1) >= 3)[:, None], w, mask)[..., None]
@@ -794,14 +800,15 @@ def _swing_init(bones: np.ndarray, y: np.ndarray,
     x[:, :3] = obs_c - (R @ rest_c[..., None])[..., 0]
     x[:, 3:6] = matrix_to_rotvec(R)
     for joints, children in zip(LEVELS[:3], LEVELS[1:]):
-        _, G = forward_kinematics(bones, x)
+        _, G = forward_kinematics(bones, *vector_pose(x))
         seen = (y[:, children] - y[:, joints])[..., None]
         target = (np.swapaxes(G[:, PARENTS[joints]], -1, -2) @ seen)[..., 0]
         bone = bones[:, children]
         axis = np.cross(bone, target)
         sin = np.sqrt(np.vecdot(axis, axis))
         ok = mask[:, joints] & mask[:, children] & (sin > 0)
-        angle = np.arctan2(sin, np.vecdot(bone, target))
+        angle = np.asarray(_atan2(sin, np.vecdot(bone, target)),
+                           dtype=np.float64)
         x[:, 3 + 3 * joints[:, None] + np.arange(3)] = np.where(
             ok[..., None], axis * (angle / np.where(ok, sin, 1.0))[..., None],
             0.0)
@@ -833,7 +840,7 @@ def _lm_fit(bones: np.ndarray, planes, y, weight, x0, lo, hi,
         return r
 
     def objective(i, x):
-        p, _ = forward_kinematics(bones[i], x)
+        p, _ = forward_kinematics(bones[i], *vector_pose(x))
         r = residuals(i, x, p)
         return np.sum(r * r, axis=1)
 
@@ -916,7 +923,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
             bones, planes[h], y, mask / np.sqrt(n)[:, None],
             _swing_init(bones, y, mask) if init is None else starts[f, h],
             limits[h, :, 0], limits[h, :, 1], soft_limit_weight, max_iter)
-        p, _ = forward_kinematics(bones, vecs[f, h])
+        p, _ = forward_kinematics(bones, *vector_pose(vecs[f, h]))
         d2 = np.where(mask, np.vecdot(p - y, p - y), 0.0)
         rms[f, h] = np.sqrt(np.sum(d2, axis=1) / n)
 

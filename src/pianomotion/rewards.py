@@ -19,8 +19,8 @@ import numpy as np
 
 from . import keyboard as kb
 from .hand import (NUM_ROT_JOINTS, TIP_JOINTS, MotionClip, SkeletonPair,
-                   clip_fingertips, clip_vectors, finite_diff_velocities,
-                   forward_kinematics, matrix_to_quat, unit_quat_to_rotvec)
+                   clip_kinematics, finite_diff_velocities, matrix_to_quat,
+                   unit_quat_to_rotvec)
 from .keyboard import KeyboardGeometry
 from .midi import NUM_KEYS, KeyMatrix
 
@@ -158,8 +158,7 @@ def pose_state(clip: MotionClip, skeletons: SkeletonPair,
     # before them.  Frame 1 has none before it, so both of its history
     # frames take the velocity of the pair (0, 1).
     lo = max(current_frame - 2, 0)
-    p, G = forward_kinematics(skeletons.bone_offsets,
-                              clip_vectors(clip, slice(lo, current_frame + 1)))
+    p, G = clip_kinematics(clip, skeletons, slice(lo, current_frame + 1))
     p = p[:, :, :NUM_ROT_JOINTS]
     before, after = [0, len(p) - 2], [1, len(p) - 1]
     lin = (p[after] - p[before]) * clip.fps
@@ -210,8 +209,7 @@ def fingering(midi: KeyMatrix, reference: MotionClip, skeletons: SkeletonPair,
     # One FK over the distinct onset frames, one distance per (onset, key).
     pairs, at_pair = np.unique(onsets[f, k] * NUM_KEYS + k, return_inverse=True)
     frames, at_frame = np.unique(pairs // NUM_KEYS, return_inverse=True)
-    p, _ = forward_kinematics(skeletons.bone_offsets,
-                              clip_vectors(reference, frames))
+    p, _ = clip_kinematics(reference, skeletons, frames)
     tips = p[:, :, TIP_JOINTS].reshape(-1, 10, 3)
     d = np.linalg.norm(tips[at_frame]
                        - key_targets[pairs % NUM_KEYS, None], axis=-1)
@@ -334,13 +332,14 @@ def evaluate_rewards(clip: MotionClip, skeletons: SkeletonPair,
     reference = reference or clip
     midi.check_clip(reference, "reference")
 
-    vel = finite_diff_velocities(clip, skeletons)
+    p, G = clip_kinematics(clip, skeletons)
+    vel = finite_diff_velocities(clip.fps, p, G)
     r_energy = reward_energy(vel.wrist, vel.fingertips_local)
     targets = midi.data.astype(bool)
     f, k = np.nonzero(targets)
     key_targets = kb.key_target_position(geom, np.arange(1, NUM_KEYS + 1))
     tip = fingering(midi, reference, skeletons, key_targets)[f, k] - 1
-    tips = clip_fingertips(clip, skeletons)           # (F, 10, 3)
+    tips = p[:, :, TIP_JOINTS].reshape(-1, 10, 3)
     ratio = kb.key_depths(geom, tips) / geom.travels  # (F, 88)
     r_target = np.ones(targets.shape)
     r_target[f, k] = reward_target(tips[f, tip], ratio[f, k],

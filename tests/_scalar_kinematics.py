@@ -1,5 +1,5 @@
 """Per-joint forward kinematics and the 51-column Jacobian: the oracle for
-`hand.forward_kinematics` and `hand.fk_jacobian`.
+`hand.forward_kinematics`, `hand.clip_kinematics` and `hand.fk_jacobian`.
 
 This is the code the level walk and the geometric twist-free Jacobian
 replaced: FK one joint at a time, and the Jacobian wrt the whole 51-dim
@@ -12,7 +12,7 @@ import numpy as np
 
 from pianomotion.hand import (NUM_JOINTS, NUM_ROT_JOINTS, PARAMS_PER_HAND,
                               PARENTS, TWIST_FREE_DIMS, _unit_quat_matrix,
-                              rotvec_to_quat)
+                              quat_to_matrix, rotvec_to_quat)
 
 # affected[i, j] is True when rotating joint i moves joint j.
 _AFFECTED = np.zeros((NUM_ROT_JOINTS, NUM_JOINTS), dtype=bool)
@@ -32,13 +32,19 @@ _GENERATORS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
 def _fk(bone_offsets, vecs):
     """forward_kinematics of float64 vecs, plus the local rotations
     (..., 16, 3, 3) it composes."""
-    batch = vecs.shape[:-1]
-    offsets = bone_offsets[..., None]
     locals_ = _unit_quat_matrix(rotvec_to_quat(
-        vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))))
+        vecs[..., 3:].reshape(vecs.shape[:-1] + (NUM_ROT_JOINTS, 3))))
+    return _walk(bone_offsets, vecs[..., :3], locals_)
+
+
+def _walk(bone_offsets, root_t, locals_):
+    """Positions and global rotations of a root translation (..., 3) and
+    local rotations (..., 16, 3, 3), one joint at a time, plus locals_."""
+    batch = locals_.shape[:-3]
+    offsets = bone_offsets[..., None]
     p = np.empty(batch + (NUM_JOINTS, 3))
     G = np.empty(batch + (NUM_ROT_JOINTS, 3, 3))
-    p[..., 0, :] = vecs[..., :3]
+    p[..., 0, :] = root_t
     G[..., 0, :, :] = locals_[..., 0, :, :]
     for j in range(1, NUM_JOINTS):
         par = PARENTS[j]
@@ -52,6 +58,17 @@ def _fk(bone_offsets, vecs):
 def forward_kinematics(bone_offsets, vecs):
     """Joint positions (..., 21, 3) and global rotations (..., 16, 3, 3)."""
     p, G, _ = _fk(bone_offsets, np.asarray(vecs, dtype=np.float64))
+    return p, G
+
+
+def clip_forward_kinematics(bone_offsets, clip, f, h):
+    """Joint positions (21, 3) and global rotations (16, 3, 3) of hand h at
+    frame f of a clip: the root's rotation is `quat_to_matrix` of its root_q,
+    each finger joint's the matrix of its rotation vector's quaternion."""
+    locals_ = np.concatenate([
+        quat_to_matrix(clip.root_q[f, h])[None],
+        _unit_quat_matrix(rotvec_to_quat(clip.joint_rotations[f, h]))])
+    p, G, _ = _walk(bone_offsets, clip.root_t[f, h], locals_)
     return p, G
 
 

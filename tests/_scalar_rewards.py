@@ -13,9 +13,10 @@ import math
 
 import numpy as np
 
+from _scalar_kinematics import clip_forward_kinematics
 from pianomotion import keyboard as kb
-from pianomotion.hand import (TIP_JOINTS, clip_fingertips, clip_vectors,
-                              finite_diff_velocities, forward_kinematics)
+from pianomotion.hand import (TIP_JOINTS, clip_fingertips, clip_kinematics,
+                              finite_diff_velocities)
 from pianomotion.midi import NUM_KEYS
 from pianomotion.rewards import (CORRECT_WEIGHT, ENERGY_SCALE, ENERGY_WEIGHT,
                                  FINGER_SPEED_WEIGHT, GOAL_SLOTS,
@@ -99,9 +100,9 @@ def key_state_from_depth(geom, key, depth):
 
 
 def assign_fingering(reference, skeletons, geom, key, frame):
-    p, _ = forward_kinematics(skeletons.bone_offsets,
-                              clip_vectors(reference, [frame])[0])
-    tips = p[:, TIP_JOINTS].reshape(10, 3)
+    tips = np.concatenate([
+        clip_forward_kinematics(skeletons[h].bone_offsets, reference, frame,
+                                h)[0][TIP_JOINTS] for h in (0, 1)])
     target = kb.key_target_position(geom, key)
     d = np.linalg.norm(tips - target, axis=1)
     return int(np.argmin(d)) + 1
@@ -210,7 +211,8 @@ def evaluate_rewards(clip, skeletons, geom, midi, reference=None,
                              [seg.length for seg in segments])
 
     tips = clip_fingertips(clip, skeletons)
-    vel = finite_diff_velocities(clip, skeletons)
+    vel = finite_diff_velocities(clip.fps,
+                                 *clip_kinematics(clip, skeletons))
     targets_xyz = {k: kb.key_target_position(geom, k)
                    for k in range(1, NUM_KEYS + 1)}
 

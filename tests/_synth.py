@@ -51,7 +51,8 @@ def pose_vector(root_t=(0.0, 0.0, 0.0), root_q=(1.0, 0.0, 0.0, 0.0),
 
 def fingertips(offsets, vec):
     """Fingertip positions (5, 3) of one pose vector, thumb first."""
-    return hand.forward_kinematics(offsets, vec)[0][hand.TIP_JOINTS]
+    return hand.forward_kinematics(offsets, *hand.vector_pose(vec))[0][
+        hand.TIP_JOINTS]
 
 
 def hover_pose(geom, hand_idx, center_key, hover=HOVER_HEIGHT):

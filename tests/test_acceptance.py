@@ -222,16 +222,17 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
     for i in range(50):
         h = i % 2
         skel = skeletons[h]
-        target, _ = hand.forward_kinematics(skel.bone_offsets,
-                                            _random_pose(skel, rng))
+        target, _ = hand.forward_kinematics(
+            skel.bone_offsets, *hand.vector_pose(_random_pose(skel, rng)))
         positions = np.zeros((1, 2, 21, 3))
         valid = np.zeros((1, 2, 21), dtype=bool)
         positions[0, h] = target
         valid[0, h] = True
         traj = rec.JointTrajectory(60.0, positions, valid)
         fit = rec.fit_skeleton(traj, skeletons, max_iter=100)
-        refit, _ = hand.forward_kinematics(skel.bone_offsets,
-                                           hand.clip_vectors(fit.clip)[0, h])
+        refit, _ = hand.forward_kinematics(
+            skel.bone_offsets,
+            *hand.vector_pose(hand.clip_vectors(fit.clip)[0, h]))
         err = float(np.max(np.linalg.norm(refit - target, axis=1)))
         worst_fit = max(worst_fit, err)
         if err > 1e-4 and len(problems) < 3:
@@ -250,11 +251,10 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
             J_fd = np.zeros_like(J)
             for k, column in enumerate(hand.twist_free_step(
                     planes, np.eye(hand.TWIST_FREE_DIMS))):
-                fd = (hand.forward_kinematics(skel.bone_offsets,
-                                              vec + step * column)[0]
-                      - hand.forward_kinematics(skel.bone_offsets,
-                                                vec - step * column)[0])
-                J_fd[:, :, k] = fd / (2.0 * step)
+                up, down = (hand.forward_kinematics(
+                    skel.bone_offsets, *hand.vector_pose(v))[0]
+                    for v in (vec + step * column, vec - step * column))
+                J_fd[:, :, k] = (up - down) / (2.0 * step)
             rel = (np.linalg.norm((J - J_fd).ravel())
                    / max(1.0, np.linalg.norm(J.ravel())))
             worst_jac = max(worst_jac, float(rel))

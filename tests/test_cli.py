@@ -1258,3 +1258,28 @@ def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("case", ["eval", "reward", "reward-reference",
+                                  "refine"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+def test_clip_and_matrix_of_other_lengths_refused_with_and_without_dry_run(
+        tmp_path, capsys, case, dry_run):
+    """A 2-frame clip against the golden 3-frame score: one error line, no
+    traceback and no output, with --dry-run too."""
+    fitted = GOLDEN / "expected" / "fitted.json"
+    short = tmp_path / "short.json"
+    write_clip(short, MotionClip.from_json(fitted.read_text())[:2])
+    out = tmp_path / "out.json"
+    name = "reference" if case == "reward-reference" else "clip"
+    argv = {"eval": ["eval", "--clip", short],
+            "reward": ["reward", "--clip", short],
+            "reward-reference": ["reward", "--clip", fitted,
+                                 "--reference", short],
+            "refine": ["refine", "--clip", short]}[case]
+    assert run(argv + ["--midi", GOLDEN / "score.json", "-o", out]
+               + dry_run) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: %s has 2 frames at 60 fps, matrix 3 at 60\n"
+                   % name)
+    assert not out.exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import _scalar_kinematics as scalar
 import _synth
 from pianomotion import hand, rewards
 from pianomotion.hand import HandSkeleton, MotionClip, SkeletonPair
@@ -13,7 +14,8 @@ from pianomotion.hand import HandSkeleton, MotionClip, SkeletonPair
 
 def fk(skeleton, vec):
     """Joint positions (21, 3) of one hand's pose vector."""
-    return hand.forward_kinematics(skeleton.bone_offsets, vec)[0]
+    return hand.forward_kinematics(skeleton.bone_offsets,
+                                   *hand.vector_pose(vec))[0]
 
 
 def random_pose(rng, scale=0.4):
@@ -50,11 +52,10 @@ def test_levels_follow_the_parents():
                                       [7, 8, 9, 18], [10, 11, 12, 19],
                                       [13, 14, 15, 20]]
     joints = np.arange(21)
-    for (level, par), row, above in zip(hand._LEVEL_SLICES, hand.LEVELS,
-                                        [[0] * 5] + hand.LEVELS.tolist()):
+    for level, row, above in zip(hand._LEVEL_SLICES, hand.LEVELS,
+                                 [[0] * 5] + hand.LEVELS.tolist()):
         assert joints[level].tolist() == row.tolist()
         assert hand.PARENTS[row].tolist() == above
-        assert np.broadcast_to(joints[par], (5,)).tolist() == above
     assert hand._CHILD.tolist() == [2, 3, 16, 5, 6, 17, 8, 9, 18, 11, 12, 19,
                                    14, 15, 20]
 
@@ -291,7 +292,8 @@ def test_fk_single_joint_quarter_turn(skeletons):
 
 
 def test_fk_with_orientations_identity(skeletons):
-    _, G = hand.forward_kinematics(skeletons.right.bone_offsets, np.zeros(51))
+    _, G = hand.forward_kinematics(skeletons.right.bone_offsets,
+                                   *hand.vector_pose(np.zeros(51)))
     assert G.shape == (16, 3, 3)
     assert np.allclose(G, np.eye(3)[None], atol=1e-15)
 
@@ -300,7 +302,8 @@ def test_fingertips_are_tip_rows(skeletons, rng):
     pose = random_pose(rng)
     clip = _synth.pose_clip(60.0, [(np.zeros(51), pose)])
     tips = hand.clip_fingertips(clip, skeletons)[0, 5:]
-    want = fk(skeletons.right, hand.clip_vectors(clip)[0, 1])[hand.TIP_JOINTS]
+    want = scalar.clip_forward_kinematics(skeletons.right.bone_offsets, clip,
+                                          0, 1)[0][hand.TIP_JOINTS]
     assert np.array_equal(tips, want)
 
 
@@ -313,7 +316,8 @@ def test_fk_batch_equals_per_pose_calls(skeletons, rng):
     vecs[:4, :, 3:] = 0.0
     vecs[4:8, :, 9:15] = 0.0
     planes = hand.twist_free_basis(skeletons.bone_offsets)
-    p, G = hand.forward_kinematics(skeletons.bone_offsets, vecs)
+    p, G = hand.forward_kinematics(skeletons.bone_offsets,
+                                   *hand.vector_pose(vecs))
     pj, J = hand.fk_jacobian(skeletons.bone_offsets, planes, vecs)
     assert p.shape == (40, 2, 21, 3) and G.shape == (40, 2, 16, 3, 3)
     assert J.shape == (40, 2, 21, 3, 36)
@@ -321,7 +325,8 @@ def test_fk_batch_equals_per_pose_calls(skeletons, rng):
     for f in range(40):
         for h in range(2):
             offsets = skeletons[h].bone_offsets
-            p1, G1 = hand.forward_kinematics(offsets, vecs[f, h])
+            p1, G1 = hand.forward_kinematics(
+                offsets, *hand.vector_pose(vecs[f, h]))
             p2, J1 = hand.fk_jacobian(offsets, planes[h], vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(G1, G[f, h])
             assert np.array_equal(p2, p[f, h]) and np.array_equal(J1, J[f, h])
@@ -594,23 +599,29 @@ def test_clip_fingertips_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=2)
     tips = hand.clip_fingertips(clip, skeletons)
     assert tips.shape == (2, 10, 3)
-    vecs = hand.clip_vectors(clip)
-    left = fk(skeletons.left, vecs[0, 0])[hand.TIP_JOINTS]
-    right = fk(skeletons.right, vecs[0, 1])[hand.TIP_JOINTS]
-    assert np.allclose(tips[0, :5], left, atol=0)
-    assert np.allclose(tips[0, 5:], right, atol=0)
+    left, right = (scalar.clip_forward_kinematics(skeletons[h].bone_offsets,
+                                                  clip, 0, h)[0][hand.TIP_JOINTS]
+                   for h in (0, 1))
+    assert np.array_equal(tips[0, :5], left)
+    assert np.array_equal(tips[0, 5:], right)
 
 
 def test_clip_positions_layout(skeletons, rng):
     clip = make_clip(rng, n_frames=3)
     p = hand.clip_positions(clip, skeletons)
     assert p.shape == (3, 2, 21, 3)
-    want = fk(skeletons.right, hand.clip_vectors(clip)[1, 1])
-    assert np.allclose(p[1, 1], want, atol=0)
+    want, _ = scalar.clip_forward_kinematics(skeletons.right.bone_offsets,
+                                             clip, 1, 1)
+    assert np.array_equal(p[1, 1], want)
 
 
 # ---------------------------------------------------------------------------
 # Velocities and link states
+
+
+def velocities(clip, skeletons):
+    return hand.finite_diff_velocities(
+        clip.fps, *hand.clip_kinematics(clip, skeletons))
 
 
 def test_velocities_linear_translation_is_exact(skeletons):
@@ -621,7 +632,7 @@ def test_velocities_linear_translation_is_exact(skeletons):
     for f in range(5):
         frames.append((_synth.pose_vector((0.0, 0.3, 0.0)),
                        _synth.pose_vector((0.6 * f / fps, 0.0, 0.0))))
-    vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
+    vel = velocities(_synth.pose_clip(fps, frames), skeletons)
     assert vel.wrist.shape == (5, 2, 3)
     assert np.allclose(vel.wrist[:, 1], [[0.6, 0.0, 0.0]] * 5, atol=1e-9)
     assert np.allclose(vel.wrist[:, 0], 0.0, atol=1e-9)
@@ -638,7 +649,7 @@ def test_velocities_quadratic_translation_is_exact_interior(skeletons):
         t = f / fps
         frames.append((_synth.pose_vector((t * t, 0.0, 0.0)),
                        _synth.pose_vector((0.0, 0.2, 0.0))))
-    vel = hand.finite_diff_velocities(_synth.pose_clip(fps, frames), skeletons)
+    vel = velocities(_synth.pose_clip(fps, frames), skeletons)
     times = np.arange(6) / fps
     assert np.allclose(vel.wrist[1:-1, 0, 0], 2.0 * times[1:-1], atol=1e-9)
 
@@ -655,8 +666,8 @@ def test_velocities_rotation_spins_tips(skeletons):
         frames.append((_synth.pose_vector((0.0, 0.4, 0.0)),
                        _synth.pose_vector(root_q=q)))
     clip = _synth.pose_clip(fps, frames)
-    vel = hand.finite_diff_velocities(clip, skeletons)
-    tips = fk(skeletons.right, hand.clip_vectors(clip)[3, 1])[hand.TIP_JOINTS]
+    vel = velocities(clip, skeletons)
+    tips = hand.clip_fingertips(clip, skeletons)[3, 5:]
     expect = np.cross([0.0, 0.0, omega], tips)
     assert np.allclose(vel.fingertips_world[3, 1], expect, atol=1e-3)
     assert np.allclose(vel.fingertips_local[3, 1], 0.0, atol=1e-3)

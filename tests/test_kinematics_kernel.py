@@ -1,6 +1,8 @@
 """Level-walk FK and the geometric twist-free Jacobian against the per-joint
 oracle: FK bit for bit, the Jacobian against the oracle's 51-column
-Jacobian times the twist-free basis and against central differences."""
+Jacobian times the twist-free basis and against central differences.  Clip
+FK against the per-pose oracle, and finger chains against the full FK and
+Jacobian, bit for bit."""
 
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ def columns(planes):
 def central_differences(offsets, planes, vec, eps=1e-6):
     """(21, 3, 36) central differences of FK along the twist-free columns."""
     dirs = columns(planes)
-    up, _ = hand.forward_kinematics(offsets, vec + eps * dirs)
-    down, _ = hand.forward_kinematics(offsets, vec - eps * dirs)
+    up, down = (hand.forward_kinematics(offsets, *hand.vector_pose(v))[0]
+                for v in (vec + eps * dirs, vec - eps * dirs))
     return np.moveaxis((up - down) / (2 * eps), 0, -1)
 
 
@@ -78,7 +80,7 @@ def test_fk_equals_per_joint_oracle_bit_for_bit(skeletons, rng, shape):
                else skeletons.right.bone_offsets)
     vecs = random_vecs(rng, shape)
     vecs.reshape(-1, hand.PARAMS_PER_HAND)[:1, 9:15] = 0.0
-    p, G = hand.forward_kinematics(offsets, vecs)
+    p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
     p_want, G_want = scalar.forward_kinematics(offsets, vecs)
     assert np.array_equal(p, p_want) and np.array_equal(G, G_want)
     pj, _ = hand.fk_jacobian(offsets, hand.twist_free_basis(offsets), vecs)
@@ -88,7 +90,7 @@ def test_fk_equals_per_joint_oracle_bit_for_bit(skeletons, rng, shape):
 def test_fk_with_per_pose_offsets_equals_oracle(skeletons, rng):
     offsets = per_pose_offsets(rng, skeletons.left, 30)
     vecs = random_vecs(rng, (30,))
-    p, G = hand.forward_kinematics(offsets, vecs)
+    p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
     p_want, G_want = scalar.forward_kinematics(offsets, vecs)
     assert np.array_equal(p, p_want) and np.array_equal(G, G_want)
 
@@ -148,3 +150,76 @@ def test_jacobian_batch_equals_per_pose_calls(skeletons, rng):
         for h in range(2):
             p1, J1 = hand.fk_jacobian(offsets[h], planes[h], vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(J1, J[f, h])
+
+
+def random_clip(rng, n_frames):
+    """A clip with random roots, rotations of every scale (zero included)
+    and root quaternions whose norms are off 1 by up to 5e-10."""
+    q = rng.normal(size=(n_frames, 2, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(n_frames, 2, 1))
+    rot = rng.normal(size=(n_frames, 2, 15, 3)) * rng.choice(
+        [0.0, 1e-9, 1e-3, 0.5, 1.5], size=(n_frames, 2, 15, 1))
+    return hand.MotionClip(60.0, rng.normal(size=(n_frames, 2, 3)) * 0.1, q,
+                           rot)
+
+
+@pytest.mark.parametrize("frames", [slice(None), slice(2, 5),
+                                    np.array([4, 0, 4])],
+                         ids=["all", "slice", "index"])
+def test_clip_kinematics_equals_per_pose_oracle_bit_for_bit(skeletons, rng,
+                                                            frames):
+    # Each root enters FK by its quaternion; the wrist's global rotation is
+    # `quat_to_matrix` of root_q, to the bit, so the wrist frame of
+    # `finite_diff_velocities` can come from it.
+    clip = random_clip(rng, 7)
+    p, G = hand.clip_kinematics(clip, skeletons, frames)
+    for k, f in enumerate(np.arange(7)[frames]):
+        for h in (0, 1):
+            p_want, G_want = scalar.clip_forward_kinematics(
+                skeletons[h].bone_offsets, clip, f, h)
+            assert np.array_equal(p[k, h], p_want), (f, h)
+            assert np.array_equal(G[k, h], G_want), (f, h)
+    assert np.array_equal(G[:, :, 0], hand.quat_to_matrix(clip.root_q[frames]))
+    assert np.array_equal(hand.clip_positions(clip, skeletons)[frames], p)
+
+
+def chain_problems(offsets, planes, vecs, f):
+    """The bases, bone offsets, planes and rotation vectors of finger f's
+    chains in poses vecs (..., 51), from the poses' FK."""
+    p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
+    chain = 3 * f + np.arange(3)
+    w = vecs[..., 6:].reshape(vecs.shape[:-1] + (15, 3))[..., chain, :]
+    return (p[..., hand.LEVELS[0, f], :], G[..., 0, :, :],
+            offsets[..., hand.LEVELS[1:, f], :], planes[..., chain, :, :], w)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-3, 0.5, 1.5])
+def test_tip_jacobian_equals_fk_jacobian_tip_rows_bit_for_bit(skeletons, rng,
+                                                              scale):
+    # A finger chain started from its pose's wrist rotation and MCP gives
+    # the full FK's tip and the full Jacobian's tip rows in the finger's
+    # six columns, to the bit: one level walk serves both.
+    offsets = skeletons.bone_offsets
+    planes = hand.twist_free_basis(offsets)
+    vecs = random_vecs(rng, (40, 2), scale)
+    p, J = hand.fk_jacobian(offsets, planes, vecs)
+    for f in range(hand.NUM_FINGERS):
+        base_p, base_G, bones, E, w = chain_problems(offsets, planes, vecs, f)
+        tip, Jt = hand.tip_jacobian(base_p, base_G, bones, E, w)
+        assert Jt.shape == (40, 2, 3, 6)
+        assert np.array_equal(tip, p[:, :, hand.TIP_JOINTS[f]])
+        assert np.array_equal(hand.chain_tips(base_p, base_G, bones, w), tip)
+        assert np.array_equal(
+            Jt, J[:, :, hand.TIP_JOINTS[f], :, 6 + 6 * f:12 + 6 * f])
+
+
+def test_tip_jacobian_batch_equals_per_chain_calls(skeletons, rng):
+    offsets = skeletons.right.bone_offsets
+    planes = hand.twist_free_basis(offsets)
+    vecs = random_vecs(rng, (12,))
+    base_p, base_G, bones, E, w = chain_problems(offsets, planes, vecs, 2)
+    tip, J = hand.tip_jacobian(base_p, base_G, bones, E, w)
+    for b in range(12):
+        tip1, J1 = hand.tip_jacobian(base_p[b], base_G[b], bones, E, w[b])
+        assert np.array_equal(tip1, tip[b]) and np.array_equal(J1, J[b])

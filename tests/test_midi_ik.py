@@ -285,6 +285,39 @@ def test_refine_to_midi_computes_each_clips_fingertips_once(
             == hand.clip_fingertips(result.clip, skeletons).tobytes())
 
 
+def test_refine_walks_finger_chains_not_whole_hands(geom, skeletons,
+                                                   monkeypatch):
+    """The LM reads one fingertip per target: every objective and Jacobian
+    walks the finger's chain from a base that one FK of the input clip
+    gave, so refine runs full-hand FK twice (that base and the refined
+    clip's fingertips) and never a full-hand Jacobian."""
+    clip = touch_clip(geom, skeletons, n=3)
+    matrix = _synth.matrix_from_frames([{40}] * 3, fps=60.0)
+    tips = hand.clip_fingertips(clip, skeletons)
+    keys, depths = kb.locate_keys(geom, tips)
+    targets = midi_ik.ik_targets(
+        *midi_ik.detect_press_errors(geom, keys, depths, matrix), tips, keys,
+        depths, geom)
+    fk_calls, chain_calls = [], []
+
+    def count(calls, fn):
+        return lambda *args: calls.append(1) or fn(*args)
+
+    def refuse(*args):
+        raise AssertionError("refine built a full-hand Jacobian")
+
+    fk = count(fk_calls, hand.forward_kinematics)
+    for module in (hand, midi_ik):
+        monkeypatch.setattr(module, "forward_kinematics", fk, raising=False)
+        monkeypatch.setattr(module, "fk_jacobian", refuse, raising=False)
+    for name in ("chain_tips", "tip_jacobian"):
+        monkeypatch.setattr(midi_ik, name,
+                            count(chain_calls, getattr(midi_ik, name)))
+    result = midi_ik.refine(midi_ik.IkProblem(clip, targets), skeletons)
+    assert len(fk_calls) == 2
+    assert len(chain_calls) >= len(result.loss_curve) > 2
+
+
 def test_refine_with_smoothness_still_fixes(geom, skeletons):
     press = _synth.pressing_pose(geom, skeletons, {7: 40})
     touch = _synth.pressing_pose(geom, skeletons, {}, center_key=40,

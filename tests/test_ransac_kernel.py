@@ -4,6 +4,7 @@ fixed polish) within stated bounds."""
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,26 @@ def test_invalid_views_with_non_finite_pixels():
     assert got.valid[:20].sum() >= 10
     assert np.array_equal(got.inliers[:20], (valid[:20] & (np.arange(5) > 0)
                                              & got.valid[:20, None]))
+
+
+@pytest.mark.parametrize("bad", [(np.inf, 1.0), (-np.inf, 1.0),
+                                 (1.0, np.inf), (np.inf, -np.inf)])
+def test_inf_in_a_valid_view_gives_nans_result_without_warnings(bad):
+    """An inf pixel in a valid view takes a NaN's path: the same result,
+    and no floating-point warning on the way, even with warnings as
+    errors."""
+    projections = arc_rig(5)
+    uv = project(projections, np.array([[0.25, 0.1, 0.02]] * 2))
+    uv[0, 0], uv[1, 0] = bad, (np.nan, 1.0)
+    rig = rec.CameraRig(projections)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = (rec.ransac_triangulate(uv[i], rig) for i in (0, 1))
+    for field in ("point", "inliers", "valid", "ambiguous", "consensus",
+                  "residual", "polish_iterations"):
+        assert bits(getattr(got, field)) == bits(getattr(want, field)), field
+    assert got.polish_stop == want.polish_stop
+    assert got.valid and got.inliers.tolist() == [False] + [True] * 4
 
 
 def test_all_non_positive_confidences_weigh_views_equally():

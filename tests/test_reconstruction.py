@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -698,7 +699,8 @@ def test_fit_skeleton_round_trip_of_twist_free_poses_is_exact(skeletons):
     rot = rng.uniform(-0.6, 0.6, size=(20, 2, 15, 3))
     rot -= np.sum(rot * axes, axis=-1, keepdims=True) * axes
     vecs[..., 6:] = rot.reshape(20, 2, 45)
-    joints, _ = hand.forward_kinematics(skeletons.bone_offsets, vecs)
+    joints, _ = hand.forward_kinematics(skeletons.bone_offsets,
+                                        *hand.vector_pose(vecs))
     traj = rec.JointTrajectory(60.0, joints, np.ones((20, 2, 21), dtype=bool))
     result = rec.fit_skeleton(traj, skeletons)
     refit = hand.clip_positions(result.clip, skeletons)
@@ -727,3 +729,38 @@ def test_fit_skeleton_round_trip_with_unobserved_children(geom, skeletons):
         assert not vecs[:, 1, 3 + 3 * j:6 + 3 * j].any()
     for j in (10, 11, 12):
         assert not vecs[1, 0, 3 + 3 * j:6 + 3 * j].any()
+
+
+def test_swing_init_angles_are_libm_atan2(skeletons):
+    # The swing init's finger angles are libm's atan2, one element at a
+    # time: numpy's SIMD arctan2 differs from it in the last bit on some
+    # inputs, and the fit's bytes would follow the CPU's SIMD path.  The
+    # oracle is the same closed form, level by level, from the init's root.
+    rng = np.random.default_rng(11)
+    B = 200
+    h = rng.integers(0, 2, B)
+    bones = skeletons.bone_offsets[h]
+    vecs = rng.normal(size=(B, 51)) * 0.5
+    y, _ = hand.forward_kinematics(bones, *hand.vector_pose(vecs))
+    y = y + rng.normal(0.0, 2e-3, y.shape)
+    mask = rng.random((B, 21)) >= 0.1
+    x = rec._swing_init(bones, y, mask)
+    want = np.zeros_like(x)
+    want[:, :6] = x[:, :6]
+    for joints, children in zip(hand.LEVELS[:3], hand.LEVELS[1:]):
+        _, G = hand.forward_kinematics(bones, *hand.vector_pose(want))
+        seen = (y[:, children] - y[:, joints])[..., None]
+        target = (np.swapaxes(G[:, hand.PARENTS[joints]], -1, -2)
+                  @ seen)[..., 0]
+        bone = bones[:, children]
+        axis = np.cross(bone, target)
+        sin = np.sqrt(np.vecdot(axis, axis))
+        cos = np.vecdot(bone, target)
+        angle = np.array([math.atan2(s, c) for s, c in
+                          zip(sin.ravel().tolist(), cos.ravel().tolist())]
+                         ).reshape(sin.shape)
+        ok = mask[:, joints] & mask[:, children] & (sin > 0)
+        want[:, 3 + 3 * joints[:, None] + np.arange(3)] = np.where(
+            ok[..., None], axis * (angle / np.where(ok, sin, 1.0))[..., None],
+            0.0)
+    assert want.tobytes() == x.tobytes()

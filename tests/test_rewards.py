@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import _scalar_kinematics as kinematics
 import _scalar_rewards as scalar
 import _synth
 from pianomotion import cli, hand, keyboard as kb, midi, rewards
@@ -192,10 +193,9 @@ def test_pose_state_matches_per_link_reference(skeletons, rng):
     from scipy.spatial.transform import Rotation
 
     clip = _synth.pose_clip(60.0, rng.normal(size=(4, 2, 51)) * 0.5)
-    vecs = hand.clip_vectors(clip)
-
     def fk(f, h):
-        p, G = hand.forward_kinematics(skeletons[h].bone_offsets, vecs[f, h])
+        p, G = kinematics.clip_forward_kinematics(skeletons[h].bone_offsets,
+                                                  clip, f, h)
         return p[:16], G
 
     for t in (1, 2, 3):
@@ -221,10 +221,9 @@ def _per_link_pose_state(clip, skeletons, t):
     single-pose FK and scipy's Rotation, as (2, 2, 16, 13)."""
     from scipy.spatial.transform import Rotation
 
-    vecs = hand.clip_vectors(clip)
-
     def fk(f, h):
-        p, G = hand.forward_kinematics(skeletons[h].bone_offsets, vecs[f, h])
+        p, G = kinematics.clip_forward_kinematics(skeletons[h].bone_offsets,
+                                                  clip, f, h)
         return p[:16], G
 
     want = np.empty((2, 2, 16, 13))
