@@ -296,9 +296,6 @@ def cmd_triangulate(args, cfg):
             "ambiguous": int(res.ambiguous.sum()),
             "consensus_points": int(res.consensus.sum()),
             "residual_px": np.where(shown, res.residual, None).tolist(),
-            "polish_iterations": np.where(res.polish_iterations > 0,
-                                          res.polish_iterations, None).tolist(),
-            "polish_stop": res.polish_stop.tolist(),
         }))
     return 0
 
@@ -308,6 +305,8 @@ def cmd_fit(args, cfg):
                   reconstruction.JointTrajectory.from_json)
     skeletons = _load_skeletons(args, cfg)
     init = _load_clip(args.init) if args.init else None
+    reconstruction.check_fit(traj.n_frames, init,
+                             _get(args, cfg, "limit_weight"))
     if args.dry_run:
         return 0
     result = reconstruction.fit_skeleton(
@@ -334,6 +333,9 @@ def cmd_refine(args, cfg):
     geom = _load_keyboard(args, cfg)
     matrix = _load_key_matrix(args.midi, clip.fps)
     matrix.check_clip(clip)
+    keyboard.check_activation_depth(geom, _get(args, cfg, "activation_depth"))
+    midi_ik.check_refine(_get(args, cfg, "smoothness"),
+                         _get(args, cfg, "epochs"))
     if args.dry_run:
         return 0
     try:
@@ -341,7 +343,7 @@ def cmd_refine(args, cfg):
             clip, skeletons, geom, matrix,
             activation_depth=_get(args, cfg, "activation_depth"),
             smoothness=_get(args, cfg, "smoothness"),
-            epochs=int(_get(args, cfg, "epochs")),
+            epochs=_get(args, cfg, "epochs"),
             exit_clearance=_get(args, cfg, "exit_clearance"),
             press_margin=_get(args, cfg, "press_margin"),
             max_displacement=_get(args, cfg, "max_displacement"))
@@ -361,6 +363,7 @@ def cmd_extract_press(args, cfg):
     clip = _load_clip(args.clip)
     skeletons = _load_skeletons(args, cfg)
     geom = _load_keyboard(args, cfg)
+    keyboard.check_activation_depth(geom, _get(args, cfg, "activation_depth"))
     if args.dry_run:
         return 0
     pressed = metrics.extracted_presses(
@@ -375,6 +378,7 @@ def cmd_eval(args, cfg):
     geom = _load_keyboard(args, cfg)
     matrix = _load_key_matrix(args.midi, clip.fps)
     matrix.check_clip(clip)
+    keyboard.check_activation_depth(geom, _get(args, cfg, "activation_depth"))
     if args.dry_run:
         return 0
     report = metrics.clip_metrics(
@@ -440,15 +444,13 @@ def cmd_retrieve(args, cfg):
 def cmd_goalstate(args, cfg):
     fps = _get_fps(args, cfg)
     matrix = _load_key_matrix(args.midi, fps)
+    if args.frame is not None and not 0 <= args.frame < matrix.n_frames:
+        raise ValueError("frame %d outside the segment range" % args.frame)
     if args.dry_run:
         return 0
     segments = rewards.merged_goals(matrix)
-    if args.frame is None:
-        first, last = 0, matrix.n_frames
-    elif 0 <= args.frame < matrix.n_frames:
-        first, last = args.frame, args.frame + 1
-    else:
-        raise ValueError("frame %d outside the segment range" % args.frame)
+    first, last = ((0, matrix.n_frames) if args.frame is None
+                   else (args.frame, args.frame + 1))
     # Slot s of a frame in segment i shows segment i + s, or zeros past
     # the last one: each segment's key cells are formatted once.
     cells = [",".join("1" if k in seg.keys else "0"

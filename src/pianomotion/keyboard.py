@@ -220,6 +220,14 @@ def pressed_keys(geom: KeyboardGeometry, fingertips, activation_depth: float) ->
     return located_presses(geom, keys, depths, activation_depth)
 
 
+def check_activation_depth(geom: KeyboardGeometry, activation_depth: float) -> None:
+    """Refuse an activation depth outside (0, the keyboard's least travel]."""
+    if not 0 < activation_depth <= float(np.min(np.asarray(geom.travels))):
+        raise ValueError(
+            f"activation_depth must be in (0, min travel], got {activation_depth}"
+        )
+
+
 def located_presses(geom: KeyboardGeometry, keys, depths, activation_depth: float) -> np.ndarray:
     """`pressed_keys` of points already located: keys and depths (..., n)
     from `locate_keys` give (..., 88) flags.
@@ -228,10 +236,7 @@ def located_presses(geom: KeyboardGeometry, keys, depths, activation_depth: floa
     lower a depth below activation_depth, since that may not exceed the
     travel.
     """
-    if not 0 < activation_depth <= float(np.min(np.asarray(geom.travels))):
-        raise ValueError(
-            f"activation_depth must be in (0, min travel], got {activation_depth}"
-        )
+    check_activation_depth(geom, activation_depth)
     out = np.zeros(keys.shape[:-1] + (NUM_KEYS + 1,), dtype=bool)
     hit = depths >= activation_depth                    # -inf off the keys
     out[np.nonzero(hit)[:-1] + (keys[hit],)] = True

@@ -163,6 +163,14 @@ def ik_targets(wrong: np.ndarray, omitted: np.ndarray, tips: np.ndarray,
     return IkTargets(targets, mask, n_errors - placed, tips)
 
 
+def check_refine(smoothness: float, epochs: int) -> None:
+    """Refuse a negative smoothness weight or fewer than one epoch."""
+    if smoothness < 0:
+        raise ValueError("smoothness weight must be >= 0")
+    if epochs < 1:
+        raise ValueError("epochs must be >= 1")
+
+
 @dataclasses.dataclass(eq=False)
 class IkProblem:
     """A clip, its fingertip targets, and the optimization knobs."""
@@ -173,10 +181,7 @@ class IkProblem:
     epochs: int = DEFAULT_EPOCHS
 
     def __post_init__(self) -> None:
-        if self.smoothness < 0:
-            raise ValueError("smoothness weight must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_refine(self.smoothness, self.epochs)
         if self.targets.targets.shape[0] != self.clip.n_frames:
             raise ValueError("targets cover %d frames, clip has %d"
                              % (self.targets.targets.shape[0],

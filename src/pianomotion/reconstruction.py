@@ -1,16 +1,18 @@
 """Multi-view keypoint reconstruction and skeleton fitting.
 
-Pipeline: per-joint DLT triangulation with RANSAC view rejection, linear
-interpolation across short invalid gaps, zero-phase low-pass filtering of
-the joint tracks, then a batched, twist-pinned fit of the articulated hand
-skeleton to the 3D joints of every hand-frame by damped least-squares
-(Levenberg-Marquardt) minimization of the mean squared error.
+Pipeline: per-joint closed-form linear triangulation with RANSAC view
+rejection, linear interpolation across short invalid gaps, zero-phase
+low-pass filtering of the joint tracks, then a batched, twist-pinned fit
+of the articulated hand skeleton to the 3D joints of every hand-frame by
+damped least-squares (Levenberg-Marquardt) minimization of the mean
+squared error.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import warnings
@@ -40,13 +42,11 @@ _FLAGS = (bool, float)
 _CSV_BOUNDS = {"frame": np.inf, "view": np.inf, "hand": 2, "joint": 21}
 
 # Points per batched RANSAC call in `triangulate_observations`.  It bounds
-# the stacked pair, reprojection and polish arrays without changing results:
-# each point spans all of the rig's view pairs, and a block's numpy peak is
-# 8 MB with 5 views and 30 MB with 8.
+# the stacked pair and reprojection arrays without changing results: each
+# point spans all of the rig's view pairs, and every sum over views runs
+# view by view, so no point's bits depend on its block.
 _POINT_BLOCK = 2048
 
-# Levenberg-Marquardt iterations of the polish of each triangulated point.
-_POLISH_ITERS = 10
 # Row and column of each upper-triangle entry of a symmetric 3x3 matrix.
 _UPPER_I = np.array([0, 0, 0, 1, 1, 2])
 _UPPER_J = np.array([0, 1, 2, 1, 2, 2])
@@ -267,30 +267,67 @@ class JointTrajectory:
                               bool))
 
 
-def _dlt(uv, projections, weights=None):
-    """Homogeneous DLT of stacked points.
+def _view_sum(a, axis=-1):
+    """Sum over the view axis, view by view in order: adding a zero is
+    exact, so a point's bits follow neither its zero-weight views nor its
+    batch."""
+    return functools.reduce(np.add, np.moveaxis(a, axis, 0))
 
-    Each view adds the rows u*P[2] - P[0] and v*P[2] - P[1], scaled by its
-    weight, and the point is the right singular vector of the smallest
-    singular value.  uv is (..., n, 2), projections (..., n, 3, 4) and
-    weights (..., n).
-    Returns the points (..., 3), NaN where the solution lies at infinity,
-    and the degenerate flags (...).
+
+def _linear_points(uv, projections, weights):
+    """Weighted linear least-squares triangulation in closed form.
+
+    uv (..., n, 2), projections (..., n, 3, 4), weights (..., n).  Each view
+    adds its weight times its DLT rows' share (rows u P[2] - P[0] and
+    v P[2] - P[1]) to the 3x3 normal equations of the inhomogeneous least
+    squares A[:, :3] X = -A[:, 3], which Cramer's rule solves (Hartley and
+    Sturm 1997, "Linear-LS"); a view of zero weight adds nothing, whatever
+    its pixels.  Returns the points (..., 3) and the degenerate flags
+    (...): NaN points where the normal matrix is singular to working
+    precision (fewer than two weighted views, parallel or coincident rays),
+    or the point is not finite or lies beyond 1e12.
     """
     A = uv[..., None] * projections[..., 2:3, :] - projections[..., :2, :]
-    if weights is not None:
-        A = A * weights[..., None, None]
-    _, s, vt = np.linalg.svd(A.reshape(A.shape[:-3] + (-1, 4)))
-    x = vt[..., -1, :]
-    # sqrt(vecdot) is np.linalg.norm's own arithmetic, to the bit.
-    at_infinity = np.abs(x[..., 3]) < 1e-12 * np.sqrt(
-        np.vecdot(x[..., :3], x[..., :3]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        point = x[..., :3] / x[..., 3:]
-    point[at_infinity] = np.nan
-    # Rank deficiency beyond the expected 1D nullspace means the views do
-    # not pin down a unique point.
-    return point, (s[..., 2] <= 1e-9 * s[..., 0]) | at_infinity
+    a, c = A[..., :3], A[..., 3:]            # (..., n, 2, 3), (..., n, 2, 1)
+    w = weights[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Each view's share of the normal matrix (its upper triangle m00,
+        # m01, m02, m11, m12, m22) and of the right-hand side.
+        m = np.where(w != 0, w * (a[..., 0, _UPPER_I] * a[..., 0, _UPPER_J]
+                                  + a[..., 1, _UPPER_I] * a[..., 1, _UPPER_J]),
+                     0.0)
+        g = np.where(w != 0, w * -(a[..., 0, :] * c[..., 0, :]
+                                   + a[..., 1, :] * c[..., 1, :]), 0.0)
+        m00, m01, m02, m11, m12, m22 = np.moveaxis(_view_sum(m, -2), -1, 0)
+        g0, g1, g2 = np.moveaxis(_view_sum(g, -2), -1, 0)
+        # The adjugate of the symmetric normal matrix.
+        c00 = m11 * m22 - m12 * m12
+        c01 = m02 * m12 - m01 * m22
+        c02 = m01 * m12 - m02 * m11
+        c11 = m00 * m22 - m02 * m02
+        c12 = m01 * m02 - m00 * m12
+        c22 = m00 * m11 - m01 * m01
+        det = m00 * c00 + m01 * c01 + m02 * c02
+        x = (c00 * g0 + c01 * g1 + c02 * g2) / det
+        y = (c01 * g0 + c11 * g1 + c12 * g2) / det
+        z = (c02 * g0 + c12 * g1 + c22 * g2) / det
+        # The normal matrix is positive semidefinite, so its determinant
+        # lies in [0, m00 m11 m22]; a singular one keeps only rounding,
+        # about 1e-16 of that bound.  The norm test also fails non-finite
+        # points.
+        degenerate = ~((det > 1e-12 * (m00 * m11 * m22))
+                       & (np.sqrt(x * x + y * y + z * z) <= 1e12))
+    point = np.stack([x, y, z], axis=-1)
+    point[degenerate] = np.nan
+    return point, degenerate
+
+
+def _project(points, projections):
+    """Homogeneous pixels (..., n, 3) of points (..., 3) in the views
+    (..., n, 3, 4), as explicit multiply-adds in a fixed order."""
+    x = points[..., None, None, :]
+    return (projections[..., 0] * x[..., 0] + projections[..., 1] * x[..., 1]
+            + projections[..., 2] * x[..., 2] + projections[..., 3])
 
 
 def _reprojection_errors(points, uv, projections) -> np.ndarray:
@@ -299,112 +336,27 @@ def _reprojection_errors(points, uv, projections) -> np.ndarray:
     points (..., 3), uv (..., n, 2), projections (..., n, 3, 4) -> (..., n),
     inf where the point lies in a camera's focal plane.
     """
-    xh = np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
-    # A stack of (3, 4) @ (4, 1) products: the same BLAS call, and so the
-    # same bits, as projecting one point.
-    ph = (projections @ xh[..., None, :, None])[..., 0]
+    ph = _project(points, projections)
     depth = ph[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = ph[..., :2] / depth[..., None] - uv
-    err = np.sqrt(np.vecdot(d, d))
+        du = ph[..., 0] / depth - uv[..., 0]
+        dv = ph[..., 1] / depth - uv[..., 1]
+    err = np.sqrt(du * du + dv * dv)
     err[np.abs(depth) < 1e-12] = np.inf
     return err
 
 
-def _weighted_sse(points, uv, projections, weights) -> np.ndarray:
-    err = _reprojection_errors(points, uv, projections)
-    # Summed along the contiguous view axis: the same pairwise sum, and so
-    # the same bits, as one point's 1-D sum.
-    return np.sum(weights * err ** 2, axis=-1)
-
-
-def _pair_points(uv, projections, pairs):
-    """Closed-form two-view triangulation of N points on K view pairs.
-
-    uv (N, V, 2), projections (V, 3, 4), pairs (K, 2) view ids.  Each pair
-    solves the inhomogeneous least squares A[:, :3] X = -A[:, 3] of its four
-    DLT rows through the 3x3 normal equations, by Cramer's rule (Hartley and
-    Sturm 1997, "Linear-LS").  Returns the points (N, K, 3), NaN where the
-    pair gives no point: where its normal matrix is singular to working
-    precision (parallel or coincident rays, whose point lies at infinity or
-    anywhere on the ray), or the point is not finite or lies beyond 1e12,
-    the DLT's at-infinity test.
-    """
-    A = uv[..., None] * projections[:, 2:3, :] - projections[:, :2, :]
-    a, c = A[..., :3], A[..., 3:]                  # (N, V, 2, 3), (N, V, 2, 1)
-    # Each view's share of the normal matrix (its upper triangle m00, m01,
-    # m02, m11, m12, m22) and of the right-hand side.
-    m = (a[..., 0, _UPPER_I] * a[..., 0, _UPPER_J]
-         + a[..., 1, _UPPER_I] * a[..., 1, _UPPER_J])
-    g = -(a[..., 0, :] * c[..., 0, :] + a[..., 1, :] * c[..., 1, :])
-    m00, m01, m02, m11, m12, m22 = np.moveaxis(
-        m[:, pairs[:, 0]] + m[:, pairs[:, 1]], -1, 0)
-    g0, g1, g2 = np.moveaxis(g[:, pairs[:, 0]] + g[:, pairs[:, 1]], -1, 0)
-    # The adjugate of the symmetric normal matrix.
-    c00 = m11 * m22 - m12 * m12
-    c01 = m02 * m12 - m01 * m22
-    c02 = m01 * m12 - m02 * m11
-    c11 = m00 * m22 - m02 * m02
-    c12 = m01 * m02 - m00 * m12
-    c22 = m00 * m11 - m01 * m01
-    det = m00 * c00 + m01 * c01 + m02 * c02
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        point = np.stack([c00 * g0 + c01 * g1 + c02 * g2,
-                          c01 * g0 + c11 * g1 + c12 * g2,
-                          c02 * g0 + c12 * g1 + c22 * g2],
-                         axis=-1) / det[..., None]
-    # The normal matrix is positive semidefinite, so its determinant lies
-    # in [0, m00 m11 m22]; a singular one keeps only rounding, about 1e-16
-    # of that bound.  The norm test also fails non-finite points.
-    ok = ((det > 1e-12 * (m00 * m11 * m22))
-          & (np.sqrt(np.vecdot(point, point)) <= 1e12))
-    point[~ok] = np.nan
-    return point
-
-
-def _polish(points, uv, projections, weights):
-    """Refine triangulated points by `levenberg_marquardt` on reprojection.
-
-    points (M, 3), uv (M, n, 2), projections (M, n, 3, 4), weights (M, n).
-    Each point minimizes its weighted reprojection SSE by Gauss-Newton steps
-    under the shared damping and stop rules, for at most
-    _POLISH_ITERS iterations.  A point that some camera sees at zero depth
-    has no linearisation: it stops "stalled" at its start.  Returns the
-    points, the iterations run and the stop reasons.
-    """
-    sqrt_w = np.sqrt(weights)
-
-    def objective(i, x):
-        return _weighted_sse(x, uv[i], projections[i], weights[i])
-
-    def normal_equations(i, x):
-        """J^T J and J^T r of points i at x, and their zero-depth flags."""
-        P, sw = projections[i], sqrt_w[i]
-        xh = np.concatenate([x, np.ones((len(x), 1))], axis=-1)
-        ph = (P @ xh[:, None, :, None])[..., 0]
-        flat = np.abs(ph[..., 2]) < 1e-12
-        depth = np.where(flat, 1.0, ph[..., 2])
-        proj = ph[..., :2] / depth[..., None]
-        r = (sw[..., None] * (proj - uv[i])).reshape(len(i), -1)
-        # d(proj)/dx = (P[:2, :3] - proj x P[2, :3]) / depth
-        Ji = (P[..., :2, :3] - proj[..., :, None] * P[..., None, 2, :3]
-              ) / depth[..., None, None]
-        J = (sw[..., None, None] * Ji).reshape(len(i), -1, 3)
-        Jt = J.swapaxes(-1, -2)
-        return Jt @ J, Jt @ r[..., None], flat.any(axis=1)
-
-    def solve(i, system, lam):
-        JtJ, Jtr, flat = system
-        step, singular = solve_stacked(
-            JtJ + lam[:, None, None] * np.eye(3), Jtr)
-        return step[..., 0], singular | flat
-
-    # A zero-depth start has an infinite (or, at zero weight, NaN) SSE,
-    # which the stop rule's gain test subtracts from itself.
-    with np.errstate(invalid="ignore"):
-        x, iterations, stop, _ = levenberg_marquardt(
-            points, objective, normal_equations, solve, _POLISH_ITERS)
-    return x, iterations, stop
+def _reweighted_points(refit, uv, projections, weights):
+    """One `_linear_points` solve from the refit (..., 3) with each view's
+    weight w over its squared depth there, so that the linear residuals
+    approximate the weighted pixel errors (Hartley and Sturm 1997,
+    "Iterative-LS").  Where it gives no point, as where a weighted view
+    sees the refit at zero depth, the refit stays."""
+    depth = _project(refit, projections)[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.where(weights != 0, weights / (depth * depth), 0.0)
+    point, degenerate = _linear_points(uv, projections, weights)
+    return np.where(degenerate[..., None], refit, point)
 
 
 @dataclasses.dataclass(eq=False)
@@ -416,8 +368,6 @@ class RansacResult:
     consensus: bool                # bool, or a (...) bool array: every
                                    # valid view agreed, no pair stage ran
     residual: float                # weighted RMS px over the inlier views
-    polish_iterations: int         # polish LM iterations, 0 if none ran
-    polish_stop: str               # polish stop reason, None if none ran
 
     def reshape(self, shape: tuple) -> "RansacResult":
         """The result with its point axis reshaped; () gives Python scalars
@@ -430,29 +380,15 @@ class RansacResult:
                             self.inliers.reshape(shape + (-1,)),
                             per_point(self.valid), per_point(self.ambiguous),
                             per_point(self.consensus),
-                            per_point(self.residual),
-                            per_point(self.polish_iterations),
-                            per_point(self.polish_stop))
+                            per_point(self.residual))
 
 
-def _weighted_systems(uv, projections, conf, views):
-    """The confidence-weighted DLT of each point over its chosen views.
-
-    uv (N, V, 2), projections (V, 3, 4), conf and views (N, V).  Yields, for
-    each count n >= 2 of chosen views, the rows with that count, their
-    compact (M, n) pixels, projections and weights, and the `_dlt` points
-    and degenerate flags of those systems.  A point whose chosen views all
-    have conf <= 0 weighs them equally.
-    """
-    counts = views.sum(axis=1)
-    for n in np.unique(counts[counts >= 2]):
-        rows = np.flatnonzero(counts == n)
-        ids = np.nonzero(views[rows])[1].reshape(-1, n)
-        in_uv = uv[rows[:, None], ids]
-        in_P = projections[ids]
-        in_w = conf[rows[:, None], ids]
-        in_w = np.where(np.all(in_w <= 0, axis=1, keepdims=True), 1.0, in_w)
-        yield (rows, in_uv, in_P, in_w) + _dlt(in_uv, in_P, in_w)
+def _weights(conf, views):
+    """The confidence weights (N, V) of each point's chosen views, zero on
+    the others.  A point whose chosen views all have conf <= 0 weighs them
+    equally."""
+    w = np.where(views, conf, 0.0)
+    return np.where(views & np.all(w <= 0, axis=1, keepdims=True), 1.0, w)
 
 
 def _pair_stage(uv, projections, valid, reproj_threshold, max_iters, seed):
@@ -477,7 +413,8 @@ def _pair_stage(uv, projections, valid, reproj_threshold, max_iters, seed):
         # Keep the valid pairs whose rank among the point's was drawn.
         tries[rows] &= np.isin(np.cumsum(tries[rows], axis=1) - 1, picks)
     # Every tried pair's point is a final candidate, in pair order.
-    pair_points = _pair_points(uv, projections, pairs)
+    pair_points = _linear_points(uv[:, pairs], projections[pairs],
+                                 np.ones(2))[0]
     pair_ok = tries & np.all(np.isfinite(pair_points), axis=-1)
     errs = _reprojection_errors(pair_points, uv[:, None], projections)
     inl = valid[:, None] & (errs <= reproj_threshold)
@@ -495,28 +432,25 @@ def _pair_stage(uv, projections, valid, reproj_threshold, max_iters, seed):
     return pair_points, pair_ok, inliers, ambiguous
 
 
-def _settle(res, rows, in_uv, in_P, in_w, refit, cands, cands_ok):
-    """Polish the refits of points `rows` and write their results to res.
+def _settle(res, rows, uv, projections, weights, refit, cands, cands_ok):
+    """Score the candidates of points `rows` and write their results to res.
 
-    in_uv, in_P, in_w and refit are the rows' `_weighted_systems` over their
-    inlier views; cands (M, K, 3) and cands_ok (M, K) are their pair
-    candidates, K = 0 for consensus points.  Of the candidates and the
-    polished refit, the one with the lowest weighted SSE on the inlier
-    views wins.
+    uv (M, V, 2) and weights (M, V) are the rows' pixels and `_weights` over
+    their inlier views, and refit their `_linear_points` there; cands
+    (M, K, 3) and cands_ok (M, K) are their pair candidates, K = 0 for
+    consensus points.  Of the candidates and the refit's depth-reweighted
+    solve (`_reweighted_points`), the one with the lowest weighted SSE on
+    the inlier views wins.
     """
-    refit_ok = np.all(np.isfinite(refit), axis=-1)
-    polished = refit.copy()
-    done = rows[refit_ok]
-    if done.size:
-        (polished[refit_ok], res.polish_iterations[done],
-         res.polish_stop[done]) = _polish(refit[refit_ok], in_uv[refit_ok],
-                                          in_P[refit_ok], in_w[refit_ok])
-    # The polish starts at the refit and takes only steps that lower the
-    # weighted SSE, so the refit itself can never score lower.
-    cands = np.concatenate([cands, polished[:, None]], axis=1)
-    ok = np.concatenate([cands_ok, refit_ok[:, None]], axis=1)
-    scores = np.where(ok, _weighted_sse(cands, in_uv[:, None], in_P[:, None],
-                                        in_w[:, None]), np.inf)
+    cands = np.concatenate(
+        [cands, _reweighted_points(refit, uv, projections, weights)[:, None]],
+        axis=1)
+    ok = np.concatenate(
+        [cands_ok, np.all(np.isfinite(refit), axis=-1)[:, None]], axis=1)
+    w = weights[:, None]
+    err = np.where(w != 0, _reprojection_errors(cands, uv[:, None],
+                                                projections), 0.0)
+    scores = np.where(ok, _view_sum(w * (err * err)), np.inf)
     # np.argmin over the candidates in order: the first lowest score, or the
     # first NaN; the residual takes Python's min, which keeps a leading NaN
     # and skips later ones.
@@ -527,7 +461,7 @@ def _settle(res, rows, in_uv, in_P, in_w, refit, cands, cands_ok):
     lowest = np.where(np.isnan(scores[m, first_ok]), np.nan,
                       np.fmin.reduce(scores, axis=1))
     res.point[rows] = cands[m, pick]
-    res.residual[rows] = np.sqrt(lowest / np.sum(in_w, axis=1))
+    res.residual[rows] = np.sqrt(lowest / _view_sum(weights))
 
 
 def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
@@ -536,51 +470,45 @@ def _ransac(uv, projections, valid, conf, reproj_threshold, max_iters,
     projections (V, 3, 4).
 
     Consensus first (Chum, Matas and Kittler 2003): each point's weighted
-    DLT over all its valid views is tried before any pair.  Where it is
-    finite, not degenerate and reprojects within reproj_threshold in every
-    valid view, the valid views are the inliers and that DLT is the refit.
-    Only the other points run `_pair_stage`, whose best inlier set gets its
-    own refit.  Both groups share `_settle`'s polish and scoring, once per
-    inlier count, so every refit SVD sees the compact (2n, 4) system of its
-    point's n inlier views.
+    `_linear_points` over all its valid views is tried before any pair.
+    Where it is not degenerate and reprojects within reproj_threshold in
+    every valid view, the valid views are the inliers and that solve is the
+    refit.  Only the other points run `_pair_stage`, whose best inlier set
+    gets its own refit.  Both groups share `_settle`'s reweighted solve and
+    scoring.  Every solve spans all the rig's views, zero-weighted off the
+    point's chosen ones, so it needs no grouping by view count.
     """
     N, V = valid.shape
     res = RansacResult(np.full((N, 3), np.nan), np.zeros((N, V), dtype=bool),
                        np.zeros(N, dtype=bool), np.zeros(N, dtype=bool),
-                       np.zeros(N, dtype=bool), np.full(N, np.inf),
-                       np.zeros(N, dtype=np.int64),
-                       np.full(N, None, dtype=object))
+                       np.zeros(N, dtype=bool), np.full(N, np.inf))
     # Invalid views may hold any pixels (inf or NaN included): zeroed, they
-    # keep the pair stage finite, and they never count as inliers.  A valid
-    # view that is not finite cannot agree, and the SVD refuses it.
+    # keep the arithmetic finite, and they never count as inliers.  A valid
+    # view's inf takes NaN's path, which the arithmetic passes without an
+    # invalid operation; such a view cannot agree, nor be an inlier.
     uv = np.where(valid[..., None], uv, 0.0)
+    uv[np.isinf(uv)] = np.nan
     agreeable = valid & np.all(np.isfinite(uv), axis=(1, 2))[:, None]
-    for rows, in_uv, in_P, in_w, refit, degenerate in _weighted_systems(
-            uv, projections, conf, agreeable):
-        agree = ~degenerate & np.all(
-            _reprojection_errors(refit, in_uv, in_P) <= reproj_threshold,
-            axis=1)
-        rows = rows[agree]
-        res.consensus[rows] = True
-        _settle(res, rows, in_uv[agree], in_P[agree], in_w[agree],
-                refit[agree], np.empty((len(rows), 0, 3)),
-                np.empty((len(rows), 0), dtype=bool))
-    res.inliers[res.consensus] = valid[res.consensus]
+    w = _weights(conf, agreeable)
+    refit, degenerate = _linear_points(uv, projections, w * w)
+    errs = _reprojection_errors(refit, uv, projections)
+    rows = np.flatnonzero((agreeable.sum(axis=1) >= 2) & ~degenerate & np.all(
+        ~agreeable | (errs <= reproj_threshold), axis=1))
+    res.consensus[rows] = True
+    res.inliers[rows] = valid[rows]
+    _settle(res, rows, uv[rows], projections, w[rows], refit[rows],
+            np.empty((len(rows), 0, 3)), np.empty((len(rows), 0), dtype=bool))
     rest = np.flatnonzero(~res.consensus & (valid.sum(axis=1) >= 2))
     if rest.size:
-        # A valid view's inf takes NaN's path, which the pair stage's
-        # arithmetic passes without an invalid operation; neither is ever
-        # an inlier.
-        rest_uv = uv[rest]
-        rest_uv[np.isinf(rest_uv)] = np.nan
         pair_points, pair_ok, inliers, res.ambiguous[rest] = _pair_stage(
-            rest_uv, projections, valid[rest], reproj_threshold, max_iters,
+            uv[rest], projections, valid[rest], reproj_threshold, max_iters,
             seed)
         res.inliers[rest] = inliers
-        for rows, in_uv, in_P, in_w, refit, _ in _weighted_systems(
-                rest_uv, projections, conf[rest], inliers):
-            _settle(res, rest[rows], in_uv, in_P, in_w, refit,
-                    pair_points[rows], pair_ok[rows])
+        found = inliers.any(axis=1)
+        rows, w = rest[found], _weights(conf[rest[found]], inliers[found])
+        refit, _ = _linear_points(uv[rows], projections, w * w)
+        _settle(res, rows, uv[rows], projections, w, refit,
+                pair_points[found], pair_ok[found])
     res.valid = res.inliers.sum(axis=1) >= 2
     return res
 
@@ -591,27 +519,29 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
                        seed: int = 0) -> RansacResult:
     """Triangulate one point while rejecting outlier views.
 
-    Consensus first: the confidence-weighted DLT over all the point's valid
-    views is tried.  If it is finite, not degenerate, and every valid view
-    reprojects within reproj_threshold pixels of it, the valid views are
-    the inliers, the point is not ambiguous (`consensus` reports it) and
-    the pair stage does not run.  Otherwise the pairs of the point's valid
-    views are triangulated in closed form (`_pair_points`; a pair whose
-    rays are parallel or coincide gives no point) and scored by how many
-    valid views reproject within reproj_threshold.  All of them are tried
-    when their count fits in max_iters (always true for <= 5 views at the
-    default 20); otherwise a seeded sorted sample of max_iters of them is,
-    the same sample for every point with that many pairs.  max_iters must
-    be at least 1; invalid views may hold any pixels, NaN or inf included.
-    The inlier set gets a confidence-weighted DLT refit (for a consensus
-    point, the DLT already made) plus a Levenberg-Marquardt polish
-    (`_polish`, whose iterations and stop the result reports).  A consensus
-    point returns the polished refit.  A point that went through the pair
-    stage returns, of its pair points and the polished refit, the one with
-    the lowest weighted reprojection SSE on the inlier set, so it is never
-    worse than any sampled pair's own solution there.  Leading batch axes
-    on uv (and valid, conf) triangulate a stack of points; each gives the
-    same result as alone.
+    Consensus first: the confidence-weighted linear least squares
+    (`_linear_points`) over all the point's valid views is tried.  If it is
+    not degenerate and every valid view reprojects within reproj_threshold
+    pixels of it, the valid views are the inliers, the point is not
+    ambiguous (`consensus` reports it) and the pair stage does not run.
+    Otherwise the pairs of the point's valid views are triangulated by the
+    same solve, unweighted (a pair whose rays are parallel or coincide
+    gives no point) and scored by how many valid views reproject within
+    reproj_threshold.  All of them are tried when their count fits in
+    max_iters (always true for <= 5 views at the default 20); otherwise a
+    seeded sorted sample of max_iters of them is, the same sample for every
+    point with that many pairs.  max_iters must be at least 1; invalid
+    views may hold any pixels, NaN or inf included.  The inlier set gets a
+    confidence-weighted linear refit (for a consensus point, the solve
+    already made), then one depth-reweighted linear solve from it
+    (`_reweighted_points`), which stays at the refit where it gives no
+    point.  A consensus point returns the reweighted point.  A point that
+    went through the pair stage returns, of its pair points and the
+    reweighted point, the one with the lowest weighted reprojection SSE on
+    the inlier set, so it is never worse than any sampled pair's own
+    solution there.  No step calls LAPACK, BLAS or an iterative solver.
+    Leading batch axes on uv (and valid, conf) triangulate a stack of
+    points; each gives the same result, to the bit, as alone.
     """
     uv = np.asarray(uv, dtype=np.float64)
     check_triangulation(uv.shape[-2], rig, max_iters)
@@ -867,6 +797,20 @@ def _lm_fit(bones: np.ndarray, planes, y, weight, x0, lo, hi,
     return x, iterations, stop
 
 
+def check_fit(n_frames: int, init: MotionClip | None,
+              soft_limit_weight: float) -> None:
+    """Refuse an empty trajectory, a negative soft-limit weight, or an init
+    clip of another length."""
+    if n_frames == 0:
+        raise ValueError("empty trajectory")
+    if not soft_limit_weight >= 0.0:
+        raise ValueError("soft limit weight must be >= 0, got %r"
+                         % (soft_limit_weight,))
+    if init is not None and init.n_frames != n_frames:
+        raise ValueError("init clip has %d frames, the trajectory %d"
+                         % (init.n_frames, n_frames))
+
+
 def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
                  init: MotionClip | None = None,
                  max_iter: int = DEFAULT_FIT_ITERS,
@@ -894,14 +838,7 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     depends on neither the block nor the other frames.
     """
     F = traj.n_frames
-    if F == 0:
-        raise ValueError("empty trajectory")
-    if not soft_limit_weight >= 0.0:
-        raise ValueError("soft limit weight must be >= 0, got %r"
-                         % (soft_limit_weight,))
-    if init is not None and init.n_frames != F:
-        raise ValueError("init clip has %d frames, the trajectory %d"
-                         % (init.n_frames, F))
+    check_fit(F, init, soft_limit_weight)
     solved = traj.valid.any(axis=2)
     frame, side = np.nonzero(solved)
     positions = np.where(traj.valid[..., None], traj.positions, 0.0)

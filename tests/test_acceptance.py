@@ -27,6 +27,11 @@ from pianomotion import hand, keyboard as kb, metrics, midi, midi_ik
 from pianomotion import reconstruction as rec
 from pianomotion import retrieval, rewards
 
+# The benchmark's synthetic scenes.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "perfbench"))
+import scenes  # noqa: E402
+
 
 def _finish(name, problems, t0, budget, detail=""):
     elapsed = time.monotonic() - t0
@@ -138,7 +143,8 @@ def test_triangulation_noiseless_and_corrupted_view(rng):
         for v in range(rig.n_views):
             uv_clean[i, v] = rig.project(v, x)
 
-    dlt, degenerate = rec._dlt(uv_clean, rig.projections)
+    dlt, degenerate = rec._linear_points(uv_clean, rig.projections,
+                                         np.ones(rig.n_views))
     worst = float(np.linalg.norm(dlt - points, axis=1).max())
     _check(problems, not degenerate.any(), "a noiseless point is degenerate")
     _check(problems, worst <= 1e-9,
@@ -612,3 +618,51 @@ def test_pipeline_output_bytes_are_reproducible(tmp_path):
                                 % (threads, name))
     _finish("pipeline byte determinism", problems, t0, 120.0,
             "3 runs x %d files" % len(STAGE_FILES))
+
+
+# ---------------------------------------------------------------------------
+# 10. Triangulation bytes that do not follow the CPU.
+
+
+# The child environments: the host's default OpenBLAS kernel, the AVX2
+# kernels, numpy's AVX-512 dispatch off, and no numpy dispatch setting.
+CPU_SETTINGS = {
+    "default BLAS kernel": ({}, ["OPENBLAS_CORETYPE"]),
+    "Haswell BLAS kernel": ({"OPENBLAS_CORETYPE": "Haswell"}, []),
+    "no AVX-512 dispatch": ({"NPY_DISABLE_CPU_FEATURES":
+                             "X86_V4 AVX512_ICL AVX512_SPR"}, []),
+    "default dispatch": ({}, ["NPY_DISABLE_CPU_FEATURES"]),
+}
+
+
+def test_triangulate_bytes_do_not_follow_the_cpu(tmp_path):
+    """`triangulate --no-filter` on the capture scenes of seeds 1-3 at 240
+    frames writes the same bytes under every CPU setting: triangulation
+    calls no BLAS or LAPACK routine, and numpy's elementwise arithmetic is
+    correctly rounded whichever SIMD kernel runs it."""
+    t0 = time.monotonic()
+    problems = []
+    outputs = {}
+    for seed in (1, 2, 3):
+        scene = scenes.capture_scene(seed, str(tmp_path), n_frames=240)
+        for name, (add, drop) in CPU_SETTINGS.items():
+            env = {k: v for k, v in os.environ.items() if k not in drop}
+            env.update(add)
+            out = tmp_path / ("seed%d %s.json" % (seed, name))
+            proc = subprocess.run(
+                [sys.executable, "-m", "pianomotion", "triangulate",
+                 "--keypoints", scene["paths"]["keypoints.json"],
+                 "--cameras", scene["paths"]["cameras.json"], "--fps", "60",
+                 "--no-filter", "-o", str(out)],
+                env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                problems.append("seed %d, %s: exit %d: %s" % (
+                    seed, name, proc.returncode, proc.stderr.strip()[:200]))
+                continue
+            outputs.setdefault(seed, {})[name] = out.read_bytes()
+    for seed, by_setting in outputs.items():
+        first = by_setting["default BLAS kernel"]
+        problems += ["seed %d: %s differs from the default" % (seed, name)
+                     for name, got in by_setting.items() if got != first]
+    _finish("triangulate bytes across CPU settings", problems, t0, 120.0,
+            "3 seeds x %d settings" % len(CPU_SETTINGS))

@@ -288,17 +288,9 @@ def test_triangulate_report_counts_and_leaves_trajectory_bytes(
     assert residual[0][0][5] is None
     assert max(r for frame in residual for row in frame for r in row
                if r is not None) < 1e-6
-    # Exact views: a polish converges, or starts at the rounding floor of
-    # the SSE, where every step is rejected until the iteration cap.
-    iterations = np.array(report["polish_iterations"], dtype=object)
-    stop = np.array(report["polish_stop"], dtype=object)
-    assert iterations.shape == stop.shape == (2, 2, 21)
-    assert iterations[0, 0, 5] is None and stop[0, 0, 5] is None
-    iterations[0, 0, 5], stop[0, 0, 5] = 1, "converged"
-    assert all(1 <= i <= 10 for i in iterations.flat)
-    assert "converged" in set(stop.flat) <= {"converged", "max_iter"}
-    assert all(i == 10 for i, s in zip(iterations.flat, stop.flat)
-               if s == "max_iter")
+    # Closed-form triangulation runs no iterations to report.
+    assert sorted(report) == ["ambiguous", "consensus_points", "n_frames",
+                              "residual_px", "valid_points", "views_rejected"]
     # The golden fixture's exact views all agree.
     assert run(["triangulate", "--keypoints", GOLDEN / "keypoints.json",
                 "--cameras", GOLDEN / "cameras.json", "--fps", 60,
@@ -1282,4 +1274,32 @@ def test_clip_and_matrix_of_other_lengths_refused_with_and_without_dry_run(
     err = capsys.readouterr().err
     assert err == ("error: %s has 2 frames at 60 fps, matrix 3 at 60\n"
                    % name)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--trajectory", GOLDEN / "expected" / "trajectory.json",
+      "--limit-weight", -1], "soft limit weight must be >= 0, got -1.0"),
+    (["refine", "--clip", GOLDEN / "expected" / "fitted.json", "--midi",
+      GOLDEN / "score.json", "--epochs", 0], "epochs must be >= 1"),
+    (["refine", "--clip", GOLDEN / "expected" / "fitted.json", "--midi",
+      GOLDEN / "score.json", "--smoothness", -1],
+     "smoothness weight must be >= 0"),
+    (["extract-press", "--clip", GOLDEN / "expected" / "fitted.json",
+      "--activation-depth", -1],
+     "activation_depth must be in (0, min travel], got -1.0"),
+    (["goalstate", "--midi", GOLDEN / "score.json", "--fps", 60,
+      "--frame", 99], "frame 99 outside the segment range"),
+], ids=["fit-limit-weight", "refine-epochs", "refine-smoothness",
+        "extract-press-depth", "goalstate-frame"])
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
+def test_dry_run_refuses_what_the_run_refuses(tmp_path, capsys, argv,
+                                              message, dry_run):
+    """An argument the run refuses is refused up front: exit 1 and one
+    error line, with --dry-run too, and no output."""
+    out = tmp_path / "out"
+    assert run(argv + ["-o", out] + dry_run) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
     assert not out.exists()

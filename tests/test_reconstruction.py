@@ -144,7 +144,8 @@ def test_triangulate_point_exact():
     rig = simple_rig()
     X = np.array([0.31, 0.12, 0.02])
     uv = project_all(rig, X)
-    point, degenerate = rec._dlt(uv[:2], rig.projections[:2])
+    point, degenerate = rec._linear_points(uv[:2], rig.projections[:2],
+                                           np.ones(2))
     assert not degenerate
     assert np.linalg.norm(point - X) < 1e-9
 
@@ -154,7 +155,8 @@ def test_triangulate_point_weights_silence_a_view():
     X = np.array([0.2, 0.05, 0.01])
     uv = project_all(rig, X)[:3]
     uv[2] += 300.0
-    point, _ = rec._dlt(uv, rig.projections[:3], np.array([1.0, 1.0, 0.0]))
+    point, _ = rec._linear_points(uv, rig.projections[:3],
+                                  np.array([1.0, 1.0, 0.0]))
     assert np.linalg.norm(point - X) < 1e-9
 
 
@@ -162,7 +164,8 @@ def test_triangulate_point_degenerate_duplicate_view():
     rig = simple_rig()
     X = np.array([0.25, 0.1, 0.0])
     uv = project_all(rig, X)
-    _, degenerate = rec._dlt(uv[[0, 0]], rig.projections[[0, 0]])
+    _, degenerate = rec._linear_points(uv[[0, 0]], rig.projections[[0, 0]],
+                                       np.ones(2))
     assert degenerate
 
 
