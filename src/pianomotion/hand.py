@@ -22,12 +22,12 @@ in as it is.  The flattened parameter vector of the skeleton fit is
     [root_t (3), root rotvec (3), joint rotvecs (45)]        -> 51 per hand
 
 Anatomically a hand has 27 degrees of freedom (wrist 6, thumb mcp 3, other
-mcps 2, pips and dips 1 each).  `fk_jacobian` differentiates FK in 36
-twist-free coordinates: the root's 6 and, for each finger joint, 2 in the
-plane perpendicular to its rest child bone (`twist_free_basis`).  The fit
-steps in all 36.  Refine steps in the 6 of one finger, whose chain
-`tip_jacobian` walks from the finger's base.  So each finger twist about its
-bone, which no joint position observes, keeps its start value.
+mcps 2, pips and dips 1 each).  The fit steps in 36 twist-free coordinates:
+the root's 6 and, for each finger joint, 2 in the plane perpendicular to its
+rest child bone (`twist_free_basis`).  Refine steps in the 6 of one finger.
+`chain_jacobian` differentiates a finger's PIP, DIP and tip in its 6.  So
+each finger twist about its bone, which no joint position observes, keeps
+its start value.
 """
 
 from __future__ import annotations
@@ -311,11 +311,27 @@ def vector_pose(vecs: np.ndarray):
         vecs[..., 3:].reshape(vecs.shape[:-1] + (NUM_ROT_JOINTS, 3)))
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross of (..., 3) vectors, without its axis handling."""
+    u0, u1, u2, v0, v1, v2 = (a[..., k] for a in (u, v) for k in range(3))
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
+                    axis=-1)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """(..., 3) vectors divided by their norms, summed x, y, z."""
+    return v / np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+                       + v[..., 2] * v[..., 2])[..., None]
+
+
 def twist_free_basis(bone_offsets: np.ndarray) -> np.ndarray:
     """(..., 15, 3, 2) orthonormal bases of the planes perpendicular to the
-    finger joints' rest child bones, of bone offsets (..., 21, 3)."""
-    _, _, vt = np.linalg.svd(bone_offsets[..., _CHILD, None, :])
-    return np.swapaxes(vt[..., 1:, :], -1, -2)
+    finger joints' rest child bones u (unit), of bone offsets (..., 21, 3):
+    e1 = u x e_k normalized, e_k the axis least aligned with u, e2 = u x e1.
+    """
+    u = _unit(bone_offsets[..., _CHILD, :])
+    e1 = _unit(_cross(u, np.eye(3)[np.argmin(np.abs(u), axis=-1)]))
+    return np.stack([e1, _cross(u, e1)], axis=-1)
 
 
 def twist_free_step(planes: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -326,13 +342,6 @@ def twist_free_step(planes: np.ndarray, d: np.ndarray) -> np.ndarray:
     batch = joints.shape[:-3]
     return np.concatenate([np.broadcast_to(d[..., :6], batch + (6,)),
                            joints.reshape(batch + (-1,))], axis=-1)
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """np.cross of (..., 3) vectors, without its axis handling."""
-    u0, u1, u2, v0, v1, v2 = (a[..., k] for a in (u, v) for k in range(3))
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0],
-                    axis=-1)
 
 
 def _left_jacobian_times(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -351,48 +360,6 @@ def _left_jacobian_times(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
     wa = _cross(w[..., None, :], axes)
     return (axes + c1[..., None, None] * wa
             + c2[..., None, None] * _cross(w[..., None, :], wa))
-
-
-# Finger joints move the points of their chain at the levels below them:
-# the six (level above, level below) pairs, and the entries of their
-# columns in a flattened (21, 3, 36) Jacobian as [finger, pair, column, xyz].
-_ABOVE, _BELOW = np.triu_indices(4, 1)
-_FINGER_ENTRIES = (
-    (LEVELS[_BELOW].T[:, :, None, None] * 3 + np.arange(3)) * TWIST_FREE_DIMS
-    + 6 + 6 * np.arange(NUM_FINGERS)[:, None, None, None]
-    + 2 * _ABOVE[:, None, None] + np.arange(2)[:, None]).ravel()
-
-
-def fk_jacobian(bone_offsets: np.ndarray, planes: np.ndarray,
-                vecs: np.ndarray):
-    """FK positions (..., 21, 3) and their Jacobian J (..., 21, 3, 36) in
-    the twist-free coordinates of `twist_free_step`.
-
-    Takes forward_kinematics' arguments and the hands' `twist_free_basis`
-    planes (..., 15, 3, 2), which broadcast like the offsets.  Each
-    rotation column is geometric: moving joint i's rotation vector w_i
-    along a turns the points q below i at omega = G_parent(i) J_l(w_i) a,
-    so column (q, a) is omega x (p_q - p_i).
-    """
-    vecs = np.asarray(vecs, dtype=np.float64)
-    batch = vecs.shape[:-1]
-    p, G = forward_kinematics(bone_offsets, *vector_pose(vecs))
-    w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
-    root = _left_jacobian_times(w[..., 0, :], np.eye(3))
-    # Finger joint rates as rows (..., 15, 2, 3), then by finger, pair,
-    # plane column.
-    fingers = (_left_jacobian_times(w[..., 1:, :], planes.swapaxes(-1, -2))
-               @ np.swapaxes(G[..., PARENTS[1:NUM_ROT_JOINTS], :, :], -1, -2))
-    fingers = fingers.reshape(batch + (NUM_FINGERS, 3, 2, 3))[..., _ABOVE, :, :]
-    arms = p[..., LEVELS[_BELOW].T, :] - p[..., LEVELS[_ABOVE].T, :]
-    J = np.zeros(batch + (NUM_JOINTS, 3, TWIST_FREE_DIMS))
-    J[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    J[..., 3:6] = np.swapaxes(_cross(root[..., None, :, :],
-                                     (p - p[..., :1, :])[..., None, :]),
-                              -1, -2)
-    J.reshape(batch + (-1,))[..., _FINGER_ENTRIES] = _cross(
-        fingers, arms[..., None, :]).reshape(batch + (-1,))
-    return p, J
 
 
 def _chain(base_p, base_G, offsets, w):
@@ -416,23 +383,26 @@ def chain_tips(base_p: np.ndarray, base_G: np.ndarray, offsets: np.ndarray,
     return _chain(base_p, base_G, offsets, w)[0][-1]
 
 
-def tip_jacobian(base_p: np.ndarray, base_G: np.ndarray, offsets: np.ndarray,
-                 planes: np.ndarray, w: np.ndarray):
-    """Tip positions (..., 3) of finger chains, as `chain_tips` takes them,
-    and their Jacobian (..., 3, 6) in the chains' twist-free coordinates:
-    two per joint, MCP first, along its plane of planes (..., 3, 3, 2).
-
-    These are `fk_jacobian`'s tip rows and the finger's columns, by the
-    same arithmetic.
+def chain_jacobian(base_p: np.ndarray, base_G: np.ndarray,
+                   offsets: np.ndarray, planes: np.ndarray, w: np.ndarray):
+    """PIP, DIP and tip positions (..., 3, 3) of finger chains, as
+    `chain_tips` takes them, and their Jacobian (..., 3, 3, 6) in the
+    chains' twist-free coordinates: two per joint, MCP first, along its
+    plane of planes (..., 3, 3, 2).  Moving joint j's rotation vector w_j
+    along a turns the points below j at omega = G_parent(j) J_l(w_j) a, so
+    point k's rows of column (j, a) are omega x (p_k - p_j) for j <= k (the
+    MCP is joint 0, the PIP point 0) and zero otherwise.
     """
     ps, Gs = _chain(base_p, base_G, offsets, w)
     parents = np.stack([np.broadcast_to(base_G, Gs[0].shape), Gs[0], Gs[1]],
                        axis=-3)
     rows = (_left_jacobian_times(w, np.swapaxes(planes, -1, -2))
             @ np.swapaxes(parents, -1, -2))               # (..., 3, 2, 3)
-    arms = ps[3][..., None, :] - np.stack(ps[:3], axis=-2)
-    J = _cross(rows, arms[..., None, :])
-    return ps[3], np.swapaxes(J.reshape(J.shape[:-3] + (6, 3)), -1, -2)
+    points = np.stack(ps[1:], axis=-2)
+    arms = points[..., :, None, :] - np.stack(ps[:3], axis=-2)[..., None, :, :]
+    J = np.where(np.tri(3, dtype=bool)[:, :, None, None],
+                 _cross(rows[..., None, :, :, :], arms[..., None, :]), 0.0)
+    return points, np.swapaxes(J.reshape(J.shape[:-4] + (3, 6, 3)), -1, -2)
 
 
 # The arrays of a pose and their shapes.

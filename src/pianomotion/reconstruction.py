@@ -19,11 +19,11 @@ import warnings
 
 import numpy as np
 
-from .hand import (LEVELS, PARAMS_PER_HAND, PARENTS, TWIST_FREE_DIMS,
+from .hand import (LEVELS, NUM_FINGERS, PARAMS_PER_HAND, PARENTS,
                    MotionClip, SkeletonPair, clip_from_vectors, clip_vectors,
-                   _atan2, fk_jacobian, forward_kinematics, json_array,
-                   matrix_to_rotvec, twist_free_basis, twist_free_step,
-                   vector_pose)
+                   _atan2, _cross, _left_jacobian_times, chain_jacobian,
+                   forward_kinematics, json_array, matrix_to_rotvec,
+                   twist_free_basis, twist_free_step, vector_pose)
 from .lsq import levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
@@ -692,6 +692,8 @@ def triangulate_observations(obs: KeypointObservations, rig: CameraRig,
 
 # Root joints that move rigidly with the wrist: the wrist and the five MCPs.
 _PALM = np.concatenate([[0], LEVELS[0]])
+# Each finger's chain below its MCP (5, 3): PIP, DIP and tip.
+_CHAINS = LEVELS[1:].T
 
 
 @dataclasses.dataclass(eq=False)
@@ -745,52 +747,78 @@ def _swing_init(bones: np.ndarray, y: np.ndarray,
     return x
 
 
+def _root_jacobian(x, p):
+    """The root's FK Jacobian columns (..., 21, 3, 6) at poses x (..., 51)
+    and joints p: the identity, then J_l(w) e_k x (p - p_wrist), w = x[3:6]."""
+    rates = _left_jacobian_times(x[..., 3:6], np.eye(3))
+    cols = _cross(rates[..., None, :, :], (p - p[..., :1, :])[..., None, :])
+    return np.concatenate([np.broadcast_to(np.eye(3), p.shape + (3,)),
+                           np.swapaxes(cols, -1, -2)], axis=-1)
+
+
 def _lm_fit(bones: np.ndarray, planes, y, weight, x0, lo, hi,
             limit_weight: float, max_iter: int):
     """Fit B hand-frame problems of bone offsets bones (B, 21, 3) and
     twist-free planes (B, 15, 3, 2) by `levenberg_marquardt`.
 
     Problem b minimizes |weight_b (FK(x) - y_b)|^2 plus the soft-limit
-    penalty, stepping x -= twist_free_step(planes_b, d).  Trial steps are
-    scored by FK alone; only accepted ones get a new Jacobian.  Returns the
-    poses (B, 51), the iterations run and the stop reasons.
+    penalty, stepping x -= twist_free_step(planes_b, d).  A finger's
+    columns move only its chain (`chain_jacobian`) and its soft-limit rows,
+    so J^T J is an arrow of 6x6 blocks, solved by a Schur complement on the
+    root.  Trial steps are scored by FK alone; only accepted ones get a new
+    Jacobian.  Returns the poses (B, 51), the iterations and the stops.
     """
     sqrt_lw = np.sqrt(limit_weight)
-    if limit_weight > 0.0:    # d(joint rotation vectors)/d(coordinates)
-        dth = np.swapaxes(twist_free_step(planes[:, None],
-                                          np.eye(TWIST_FREE_DIMS)), 1, 2)[:, 6:]
+    # Each finger's soft-limit rows (B, 5, 9, 6): its joints' planes.
+    diagonal = (planes.reshape(-1, NUM_FINGERS, 3, 3, 1, 2)
+                * np.eye(3)[:, None, :, None]).reshape(-1, NUM_FINGERS, 9, 6)
 
-    def residuals(i, x, p):
-        r = (weight[i, :, None] * (p - y[i])).reshape(len(i), -1)
-        if limit_weight > 0.0:
-            th = x[:, 6:]
-            r = np.concatenate([r, sqrt_lw * (np.minimum(th - lo[i], 0.0)
-                                              + np.maximum(th - hi[i], 0.0))],
-                               axis=1)
-        return r
+    def violation(i, x):
+        th = x[:, 6:]
+        return np.minimum(th - lo[i], 0.0) + np.maximum(th - hi[i], 0.0)
 
     def objective(i, x):
         p, _ = forward_kinematics(bones[i], *vector_pose(x))
-        r = residuals(i, x, p)
+        r = (weight[i, :, None] * (p - y[i])).reshape(len(i), -1)
+        if limit_weight > 0.0:
+            r = np.concatenate([r, sqrt_lw * violation(i, x)], axis=1)
         return np.sum(r * r, axis=1)
 
     def normal_equations(i, x):
-        """J^T J and J^T r of problems i at x, in their twist-free bases."""
-        p, J = fk_jacobian(bones[i], planes[i], x)
-        Jr = (weight[i, :, None, None] * J).reshape(len(i), -1,
-                                                    TWIST_FREE_DIMS)
+        """J^T J's root, finger and coupling blocks, then J^T r's parts."""
+        n = len(i)
+        p, G = forward_kinematics(bones[i], *vector_pose(x))
+        r = weight[i, :, None] * (p - y[i])
+        Jr = weight[i, :, None, None] * _root_jacobian(x, p)
+        _, Jf = chain_jacobian(
+            p[:, LEVELS[0]], G[:, :1], bones[i][:, _CHAINS],
+            planes[i].reshape(n, NUM_FINGERS, 3, 3, 2),
+            x[:, 6:].reshape(n, NUM_FINGERS, 3, 3))
+        Jf = (weight[i][:, _CHAINS, None, None] * Jf).reshape(n, -1, 9, 6)
+        C = np.swapaxes(Jr[:, _CHAINS].reshape(Jf.shape), -1, -2) @ Jf
+        rf = r[:, _CHAINS].reshape(n, NUM_FINGERS, 9, 1)
         if limit_weight > 0.0:
-            active = (x[:, 6:] < lo[i]) | (x[:, 6:] > hi[i])
-            Jr = np.concatenate(
-                [Jr, sqrt_lw * active[..., None] * dth[i]], axis=1)
-        Jt = np.swapaxes(Jr, 1, 2)
-        return Jt @ Jr, Jt @ residuals(i, x, p)[..., None]
+            v = violation(i, x).reshape(rf.shape)
+            Jf = np.concatenate([Jf, sqrt_lw * (v != 0.0) * diagonal[i]], 2)
+            rf = np.concatenate([rf, sqrt_lw * v], axis=2)
+        Jr, JfT = Jr.reshape(n, -1, 6), np.swapaxes(Jf, -1, -2)
+        JrT = np.swapaxes(Jr, 1, 2)
+        return JrT @ Jr, JfT @ Jf, C, JrT @ r.reshape(n, -1, 1), JfT @ rf
 
     def solve(i, system, lam):
-        A, g = system
-        step, singular = solve_stacked(
-            A + lam[:, None, None] * np.eye(TWIST_FREE_DIMS), g)
-        return twist_free_step(planes[i], step[..., 0]), singular
+        # Schur complement on the root (Featherstone, Rigid Body Dynamics
+        # Algorithms, 2008): X_f = (A_ff + lam I)^-1 [C_f^T | g_f], the root
+        # from S = A_rr + lam I - sum_f C_f X_f, each finger from the root.
+        A_rr, A_ff, C, g_r, g_f = system
+        damping = lam[:, None, None] * np.eye(6)
+        X, bad = solve_stacked(A_ff + damping[:, None], np.concatenate(
+            [np.swapaxes(C, -1, -2), g_f], axis=-1))
+        CX = np.sum(C @ X, axis=1)
+        d_r, singular = solve_stacked(A_rr + damping - CX[..., :6],
+                                      g_r - CX[..., 6:])
+        d_f = X[..., 6:] - X[..., :6] @ d_r[:, None]
+        d = np.concatenate([d_r[..., 0], d_f.reshape(len(i), -1)], axis=1)
+        return twist_free_step(planes[i], d), bad | singular
 
     x, iterations, stop, _ = levenberg_marquardt(
         x0, objective, normal_equations, solve, max_iter)
@@ -821,8 +849,9 @@ def fit_skeleton(traj: JointTrajectory, skeletons: SkeletonPair,
     distance between FK joints and its observed joints over the root
     transform and 15 joint rotations, by at most `max_iter` guarded
     Levenberg-Marquardt iterations (`_lm_fit`; the fitted MSE never exceeds
-    the start's).  The start is `init`'s pose at that frame, or else a
-    closed-form swing init (`_swing_init`): a Kabsch fit of the palm for
+    the start's), each step solved by a Schur complement on the root, as no
+    two fingers couple.  The start is `init`'s pose at that frame, or else
+    a closed-form swing init (`_swing_init`): a Kabsch fit of the palm for
     the root, then for each finger joint the minimal rotation onto the
     observed bone, and zero where either end of that bone is unobserved.
     Steps are confined to the plane perpendicular to each finger joint's

@@ -1,17 +1,22 @@
-"""Per-joint forward kinematics and the 51-column Jacobian: the oracle for
-`hand.forward_kinematics`, `hand.clip_kinematics` and `hand.fk_jacobian`.
+"""Per-joint forward kinematics and the whole-hand Jacobians: the oracles
+for `hand.forward_kinematics`, `hand.clip_kinematics`, `hand.chain_jacobian`
+and the fit's normal equations.
 
-This is the code the level walk and the geometric twist-free Jacobian
-replaced: FK one joint at a time, and the Jacobian wrt the whole 51-dim
-pose vector, one rotational joint at a time, from the closed-form
-derivative of each local rotation matrix.  Tests compare FK bit for bit and
-the Jacobian, through `basis51`, to a stated tolerance.
+`forward_kinematics` and `fk_jacobian` are the code the level walk and the
+geometric twist-free Jacobian replaced: FK one joint at a time, and the
+Jacobian wrt the whole 51-dim pose vector, one rotational joint at a time,
+from the closed-form derivative of each local rotation matrix.  Tests
+compare FK bit for bit and the Jacobian, through `basis51`, to a stated
+tolerance.  `twist_free_jacobian` is the dense (21, 3, 36) twist-free
+Jacobian the fit solved with before it moved to finger chains; the chain
+rows and the fit's root columns equal its entries bit for bit.
 """
 
 import numpy as np
 
-from pianomotion.hand import (NUM_JOINTS, NUM_ROT_JOINTS, PARAMS_PER_HAND,
-                              PARENTS, TWIST_FREE_DIMS, _unit_quat_matrix,
+from pianomotion.hand import (LEVELS, NUM_FINGERS, NUM_JOINTS, NUM_ROT_JOINTS,
+                              PARAMS_PER_HAND, PARENTS, TWIST_FREE_DIMS,
+                              _cross, _left_jacobian_times, _unit_quat_matrix,
                               quat_to_matrix, rotvec_to_quat)
 
 # affected[i, j] is True when rotating joint i moves joint j.
@@ -120,3 +125,44 @@ def basis51(planes):
     k = np.arange(planes.shape[-3])[:, None, None]
     E[..., 6 + 3 * k + np.arange(3)[:, None], 6 + 2 * k + np.arange(2)] = planes
     return E
+
+
+# Finger joints move the points of their chain at the levels below them:
+# the six (level above, level below) pairs, and the entries of their
+# columns in a flattened (21, 3, 36) Jacobian as [finger, pair, column, xyz].
+_ABOVE, _BELOW = np.triu_indices(4, 1)
+_FINGER_ENTRIES = (
+    (LEVELS[_BELOW].T[:, :, None, None] * 3 + np.arange(3)) * TWIST_FREE_DIMS
+    + 6 + 6 * np.arange(NUM_FINGERS)[:, None, None, None]
+    + 2 * _ABOVE[:, None, None] + np.arange(2)[:, None]).ravel()
+
+
+def twist_free_jacobian(bone_offsets, planes, vecs):
+    """FK positions (..., 21, 3) and their Jacobian J (..., 21, 3, 36) in
+    the twist-free coordinates of `hand.twist_free_step`.
+
+    Takes the offsets, the hands' `twist_free_basis` planes (..., 15, 3, 2),
+    which broadcast like the offsets, and pose vectors.  Each rotation
+    column is geometric: moving joint i's rotation vector w_i along a turns
+    the points q below i at omega = G_parent(i) J_l(w_i) a, so column (q, a)
+    is omega x (p_q - p_i).
+    """
+    vecs = np.asarray(vecs, dtype=np.float64)
+    batch = vecs.shape[:-1]
+    p, G = forward_kinematics(bone_offsets, vecs)
+    w = vecs[..., 3:].reshape(batch + (NUM_ROT_JOINTS, 3))
+    root = _left_jacobian_times(w[..., 0, :], np.eye(3))
+    # Finger joint rates as rows (..., 15, 2, 3), then by finger, pair,
+    # plane column.
+    fingers = (_left_jacobian_times(w[..., 1:, :], planes.swapaxes(-1, -2))
+               @ np.swapaxes(G[..., PARENTS[1:NUM_ROT_JOINTS], :, :], -1, -2))
+    fingers = fingers.reshape(batch + (NUM_FINGERS, 3, 2, 3))[..., _ABOVE, :, :]
+    arms = p[..., LEVELS[_BELOW].T, :] - p[..., LEVELS[_ABOVE].T, :]
+    J = np.zeros(batch + (NUM_JOINTS, 3, TWIST_FREE_DIMS))
+    J[..., [0, 1, 2], [0, 1, 2]] = 1.0
+    J[..., 3:6] = np.swapaxes(_cross(root[..., None, :, :],
+                                     (p - p[..., :1, :])[..., None, :]),
+                              -1, -2)
+    J.reshape(batch + (-1,))[..., _FINGER_ENTRIES] = _cross(
+        fingers, arms[..., None, :]).reshape(batch + (-1,))
+    return p, J

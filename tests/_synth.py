@@ -10,7 +10,7 @@ before handing the fixture to a test.
 import numpy as np
 
 import _scalar_kinematics
-from pianomotion import hand, keyboard as kb, midi
+from pianomotion import hand, keyboard as kb, midi, reconstruction
 
 HOVER_HEIGHT = 0.012      # resting fingertip height; keeps press excursions
                           # inside the finger workspace with the wrist fixed
@@ -53,6 +53,31 @@ def fingertips(offsets, vec):
     """Fingertip positions (5, 3) of one pose vector, thumb first."""
     return hand.forward_kinematics(offsets, *hand.vector_pose(vec))[0][
         hand.TIP_JOINTS]
+
+
+def finger_chains(offsets, planes, vecs, f):
+    """The bases, bone offsets, planes and rotation vectors of finger f's
+    chains in poses vecs (..., 51), from the poses' FK, as
+    `hand.chain_jacobian` takes them."""
+    p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
+    chain = 3 * f + np.arange(3)
+    w = vecs[..., 6:].reshape(vecs.shape[:-1] + (15, 3))[..., chain, :]
+    return (p[..., hand.LEVELS[0, f], :], G[..., 0, :, :],
+            offsets[..., hand.LEVELS[1:, f], :], planes[..., chain, :, :], w)
+
+
+def fit_jacobian(offsets, planes, vecs):
+    """FK positions (..., 21, 3) and the (..., 21, 3, 36) twist-free
+    Jacobian that the fit's normal equations hold: the root's closed-form
+    columns and each finger's `hand.chain_jacobian` rows, zero elsewhere."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    p, _ = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
+    J = np.zeros(p.shape + (hand.TWIST_FREE_DIMS,))
+    J[..., :6] = reconstruction._root_jacobian(vecs, p)
+    for f in range(hand.NUM_FINGERS):
+        _, J[..., hand.LEVELS[1:, f], :, 6 + 6 * f:12 + 6 * f] = (
+            hand.chain_jacobian(*finger_chains(offsets, planes, vecs, f)))
+    return p, J
 
 
 def hover_pose(geom, hand_idx, center_key, hover=HOVER_HEIGHT):

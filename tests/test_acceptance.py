@@ -253,7 +253,7 @@ def test_fit_round_trip_and_jacobian(skeletons, rng):
         for _ in range(3):
             vec = _random_pose(skel, rng)
             planes = hand.twist_free_basis(skel.bone_offsets)
-            _, J = hand.fk_jacobian(skel.bone_offsets, planes, vec)
+            _, J = _synth.fit_jacobian(skel.bone_offsets, planes, vec)
             J_fd = np.zeros_like(J)
             for k, column in enumerate(hand.twist_free_step(
                     planes, np.eye(hand.TWIST_FREE_DIMS))):

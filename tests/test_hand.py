@@ -310,7 +310,8 @@ def test_fingertips_are_tip_rows(skeletons, rng):
 def test_fk_batch_equals_per_pose_calls(skeletons, rng):
     # An (F, 2, 51) batch with a SkeletonPair's offsets gives, bit for bit,
     # what one call per pose gives; zero rotation vectors take the Jacobian's
-    # small-angle branch.
+    # small-angle branch.  The Jacobian is the fit's: the root's closed-form
+    # columns and the finger chains' rows.
     vecs = rng.normal(size=(40, 2, 51)) * rng.choice(
         [1e-9, 1e-3, 0.4, 1.5], size=(40, 2, 1))
     vecs[:4, :, 3:] = 0.0
@@ -318,7 +319,7 @@ def test_fk_batch_equals_per_pose_calls(skeletons, rng):
     planes = hand.twist_free_basis(skeletons.bone_offsets)
     p, G = hand.forward_kinematics(skeletons.bone_offsets,
                                    *hand.vector_pose(vecs))
-    pj, J = hand.fk_jacobian(skeletons.bone_offsets, planes, vecs)
+    pj, J = _synth.fit_jacobian(skeletons.bone_offsets, planes, vecs)
     assert p.shape == (40, 2, 21, 3) and G.shape == (40, 2, 16, 3, 3)
     assert J.shape == (40, 2, 21, 3, 36)
     assert np.array_equal(pj, p)
@@ -327,7 +328,7 @@ def test_fk_batch_equals_per_pose_calls(skeletons, rng):
             offsets = skeletons[h].bone_offsets
             p1, G1 = hand.forward_kinematics(
                 offsets, *hand.vector_pose(vecs[f, h]))
-            p2, J1 = hand.fk_jacobian(offsets, planes[h], vecs[f, h])
+            p2, J1 = _synth.fit_jacobian(offsets, planes[h], vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(G1, G[f, h])
             assert np.array_equal(p2, p[f, h]) and np.array_equal(J1, J[f, h])
 
@@ -354,8 +355,10 @@ def finite_diff_jacobian(skeleton, vec, eps=1e-6):
 
 
 def jacobian(skeleton, vec):
-    return hand.fk_jacobian(skeleton.bone_offsets,
-                            hand.twist_free_basis(skeleton.bone_offsets), vec)
+    """FK positions and the fit's Jacobian (21, 3, 36) of one pose."""
+    return _synth.fit_jacobian(skeleton.bone_offsets,
+                               hand.twist_free_basis(skeleton.bone_offsets),
+                               vec)
 
 
 def test_fk_jacobian_matches_finite_differences(skeletons, rng):

@@ -1,13 +1,15 @@
 """Level-walk FK and the geometric twist-free Jacobian against the per-joint
-oracle: FK bit for bit, the Jacobian against the oracle's 51-column
-Jacobian times the twist-free basis and against central differences.  Clip
-FK against the per-pose oracle, and finger chains against the full FK and
-Jacobian, bit for bit."""
+oracle: FK bit for bit, the fit's Jacobian (the root's closed-form columns
+and the finger chains' rows) against the oracle's 51-column Jacobian times
+the twist-free basis and against central differences.  Clip FK against the
+per-pose oracle, and finger chains against the full FK and the dense
+twist-free reference Jacobian, bit for bit."""
 
 import numpy as np
 import pytest
 
 import _scalar_kinematics as scalar
+import _synth
 from pianomotion import hand
 
 
@@ -83,8 +85,6 @@ def test_fk_equals_per_joint_oracle_bit_for_bit(skeletons, rng, shape):
     p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
     p_want, G_want = scalar.forward_kinematics(offsets, vecs)
     assert np.array_equal(p, p_want) and np.array_equal(G, G_want)
-    pj, _ = hand.fk_jacobian(offsets, hand.twist_free_basis(offsets), vecs)
-    assert np.array_equal(pj, p_want)
 
 
 def test_fk_with_per_pose_offsets_equals_oracle(skeletons, rng):
@@ -95,11 +95,34 @@ def test_fk_with_per_pose_offsets_equals_oracle(skeletons, rng):
     assert np.array_equal(p, p_want) and np.array_equal(G, G_want)
 
 
+def test_twist_free_basis_spans_the_svd_planes(skeletons, rng):
+    # Built from the unit bone with no SVD, each basis is orthonormal, at
+    # right angles to its rest child bone, and spans the plane the SVD's
+    # null space spans, on the default bones (which lie along axes or in
+    # the xy plane) and on bones of random direction.
+    random_bones = rng.normal(size=(30, 21, 3))
+    random_bones[:, 0] = 0.0
+    for offsets in (skeletons.bone_offsets, random_bones):
+        planes = hand.twist_free_basis(offsets)
+        bones = offsets[..., hand.LEVELS[1:].T.ravel(), :]
+        u = bones / np.linalg.norm(bones, axis=-1, keepdims=True)
+        gram = np.swapaxes(planes, -1, -2) @ planes
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(u[..., None, :] @ planes)) <= 4e-16
+        _, _, vt = np.linalg.svd(bones[..., None, :])
+        svd = np.swapaxes(vt[..., 1:, :], -1, -2)
+        assert np.max(np.abs(planes @ np.swapaxes(planes, -1, -2)
+                             - svd @ np.swapaxes(svd, -1, -2))) <= 2e-15
+        for b in np.ndindex(offsets.shape[:-2]):
+            assert np.array_equal(hand.twist_free_basis(offsets[b]),
+                                  planes[b])
+
+
 def test_jacobian_equals_oracle_in_twist_free_basis(skeletons, rng):
     offsets = skeletons.bone_offsets
     planes = hand.twist_free_basis(offsets)
     vecs = random_vecs(rng, (50, 2))
-    _, J = hand.fk_jacobian(offsets, planes, vecs)
+    _, J = _synth.fit_jacobian(offsets, planes, vecs)
     assert J.shape == (50, 2, 21, 3, 36)
     assert np.max(np.abs(J - oracle_jacobian(offsets, planes, vecs))) < 1e-12
 
@@ -108,12 +131,12 @@ def test_jacobian_with_per_pose_offsets(skeletons, rng):
     offsets = per_pose_offsets(rng, skeletons.right, 20)
     planes = hand.twist_free_basis(offsets)
     vecs = random_vecs(rng, (20,))
-    _, J = hand.fk_jacobian(offsets, planes, vecs)
+    _, J = _synth.fit_jacobian(offsets, planes, vecs)
     assert np.max(np.abs(J - oracle_jacobian(offsets, planes, vecs))) < 1e-12
     for b in range(0, 20, 5):
         J_fd = central_differences(offsets[b], planes[b], vecs[b])
         assert np.max(np.abs(J[b] - J_fd)) < 1e-7
-        _, J1 = hand.fk_jacobian(offsets[b], planes[b], vecs[b])
+        _, J1 = _synth.fit_jacobian(offsets[b], planes[b], vecs[b])
         assert np.array_equal(J1, J[b])
 
 
@@ -128,7 +151,7 @@ def test_jacobian_near_zero_rotation(skeletons, rng):
     for _ in range(3):
         vec = random_vecs(rng, (), 1e-6)
         vec[:3] = rng.normal(size=3)
-        _, J = hand.fk_jacobian(offsets, planes, vec)
+        _, J = _synth.fit_jacobian(offsets, planes, vec)
         want = oracle_jacobian(offsets, planes, vec)
         assert np.max(np.abs(J - want)) < 1e-10
         assert np.max(np.abs(J - central_differences(offsets, planes,
@@ -145,10 +168,10 @@ def test_jacobian_batch_equals_per_pose_calls(skeletons, rng):
     planes = hand.twist_free_basis(offsets)
     vecs = random_vecs(rng, (6, 2)) * rng.choice([0.0, 1e-9, 1e-3, 1.0],
                                                 size=(6, 2, 1))
-    p, J = hand.fk_jacobian(offsets, planes, vecs)
+    p, J = _synth.fit_jacobian(offsets, planes, vecs)
     for f in range(6):
         for h in range(2):
-            p1, J1 = hand.fk_jacobian(offsets[h], planes[h], vecs[f, h])
+            p1, J1 = _synth.fit_jacobian(offsets[h], planes[h], vecs[f, h])
             assert np.array_equal(p1, p[f, h]) and np.array_equal(J1, J[f, h])
 
 
@@ -184,42 +207,39 @@ def test_clip_kinematics_equals_per_pose_oracle_bit_for_bit(skeletons, rng,
     assert np.array_equal(hand.clip_positions(clip, skeletons)[frames], p)
 
 
-def chain_problems(offsets, planes, vecs, f):
-    """The bases, bone offsets, planes and rotation vectors of finger f's
-    chains in poses vecs (..., 51), from the poses' FK."""
-    p, G = hand.forward_kinematics(offsets, *hand.vector_pose(vecs))
-    chain = 3 * f + np.arange(3)
-    w = vecs[..., 6:].reshape(vecs.shape[:-1] + (15, 3))[..., chain, :]
-    return (p[..., hand.LEVELS[0, f], :], G[..., 0, :, :],
-            offsets[..., hand.LEVELS[1:, f], :], planes[..., chain, :, :], w)
-
-
 @pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-3, 0.5, 1.5])
-def test_tip_jacobian_equals_fk_jacobian_tip_rows_bit_for_bit(skeletons, rng,
-                                                              scale):
+def test_chain_jacobian_equals_reference_rows_bit_for_bit(skeletons, rng,
+                                                          scale):
     # A finger chain started from its pose's wrist rotation and MCP gives
-    # the full FK's tip and the full Jacobian's tip rows in the finger's
-    # six columns, to the bit: one level walk serves both.
+    # the full FK's PIP, DIP and tip, and the dense reference Jacobian's
+    # rows of those three points in the finger's six columns, to the bit:
+    # one level walk serves the fit and refine.  The root's closed-form
+    # columns equal the reference's first six, to the bit too.
     offsets = skeletons.bone_offsets
     planes = hand.twist_free_basis(offsets)
     vecs = random_vecs(rng, (40, 2), scale)
-    p, J = hand.fk_jacobian(offsets, planes, vecs)
+    p, J = scalar.twist_free_jacobian(offsets, planes, vecs)
     for f in range(hand.NUM_FINGERS):
-        base_p, base_G, bones, E, w = chain_problems(offsets, planes, vecs, f)
-        tip, Jt = hand.tip_jacobian(base_p, base_G, bones, E, w)
-        assert Jt.shape == (40, 2, 3, 6)
-        assert np.array_equal(tip, p[:, :, hand.TIP_JOINTS[f]])
-        assert np.array_equal(hand.chain_tips(base_p, base_G, bones, w), tip)
+        chains = _synth.finger_chains(offsets, planes, vecs, f)
+        points, Jc = hand.chain_jacobian(*chains)
+        assert points.shape == (40, 2, 3, 3) and Jc.shape == (40, 2, 3, 3, 6)
+        assert np.array_equal(points, p[:, :, hand.LEVELS[1:, f]])
+        assert np.array_equal(hand.chain_tips(*chains[:3], chains[4]),
+                              points[:, :, 2])
         assert np.array_equal(
-            Jt, J[:, :, hand.TIP_JOINTS[f], :, 6 + 6 * f:12 + 6 * f])
+            Jc, J[:, :, hand.LEVELS[1:, f], :, 6 + 6 * f:12 + 6 * f])
+    _, J_fit = _synth.fit_jacobian(offsets, planes, vecs)
+    assert np.array_equal(J_fit, J)
 
 
-def test_tip_jacobian_batch_equals_per_chain_calls(skeletons, rng):
+def test_chain_jacobian_batch_equals_per_chain_calls(skeletons, rng):
     offsets = skeletons.right.bone_offsets
     planes = hand.twist_free_basis(offsets)
     vecs = random_vecs(rng, (12,))
-    base_p, base_G, bones, E, w = chain_problems(offsets, planes, vecs, 2)
-    tip, J = hand.tip_jacobian(base_p, base_G, bones, E, w)
+    base_p, base_G, bones, E, w = _synth.finger_chains(offsets, planes, vecs,
+                                                       2)
+    points, J = hand.chain_jacobian(base_p, base_G, bones, E, w)
     for b in range(12):
-        tip1, J1 = hand.tip_jacobian(base_p[b], base_G[b], bones, E, w[b])
-        assert np.array_equal(tip1, tip[b]) and np.array_equal(J1, J[b])
+        points1, J1 = hand.chain_jacobian(base_p[b], base_G[b], bones, E,
+                                          w[b])
+        assert np.array_equal(points1, points[b]) and np.array_equal(J1, J[b])

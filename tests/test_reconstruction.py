@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import _scalar_kinematics as scalar_kinematics
 import _scalar_smooth as scalar_smooth
 import _synth
 from pianomotion import hand, reconstruction as rec
@@ -679,6 +680,68 @@ def test_fit_skeleton_stops_where_noisy_data_converges(geom, skeletons,
     moved = (hand.clip_positions(result.clip, skeletons)
              - hand.clip_positions(full.clip, skeletons))
     assert np.linalg.norm(moved, axis=-1)[traj.valid].max() <= 1e-7
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("limit_weight", [0.0, 1.0])
+def test_arrow_step_equals_dense_reference_step(skeletons, monkeypatch,
+                                                limit_weight, lam):
+    # The fit's Schur step on its arrow blocks solves the same damped
+    # system as a dense 36x36 solve on the reference Jacobian and dense
+    # soft-limit rows: within 1e-11 of the step's norm at every damping, on
+    # random poses with about half the limit components active.  The finger
+    # with no observed joint has a zero block and steps by exactly zero in
+    # both.
+    rng = np.random.default_rng(3)
+    B = 40
+    h = rng.integers(0, 2, B)
+    bones = skeletons.bone_offsets[h]
+    planes = hand.twist_free_basis(skeletons.bone_offsets)[h]
+    limits = np.stack([skeletons.left.joint_limits.reshape(-1, 2),
+                       skeletons.right.joint_limits.reshape(-1, 2)])[h]
+    lo, hi = limits[..., 0].copy(), limits[..., 1].copy()
+    lo[0, 18:27], hi[0, 18:27] = -10.0, 10.0
+    x = rng.normal(size=(B, 51)) * 0.5
+    y = (hand.forward_kinematics(
+        bones, *hand.vector_pose(rng.normal(size=(B, 51)) * 0.5))[0]
+        + rng.normal(size=(B, 21, 3)) * 1e-3)
+    mask = np.ones((B, 21), dtype=bool)
+    mask[0, hand.LEVELS[1:, 2]] = False
+    weight = mask / np.sqrt(mask.sum(axis=1))[:, None]
+    th = x[:, 6:]
+    violation = np.minimum(th - lo, 0.0) + np.maximum(th - hi, 0.0)
+    assert 0.3 < np.mean(violation != 0.0) < 0.7
+
+    p, J = scalar_kinematics.twist_free_jacobian(bones, planes, x)
+    J = (weight[..., None, None] * J).reshape(B, -1, 36)
+    r = (weight[..., None] * (p - y)).reshape(B, -1)
+    if limit_weight > 0.0:
+        dth = np.swapaxes(hand.twist_free_step(planes[:, None], np.eye(36)),
+                          1, 2)[:, 6:]
+        J = np.concatenate([J, np.sqrt(limit_weight)
+                            * (violation != 0.0)[..., None] * dth], axis=1)
+        r = np.concatenate([r, np.sqrt(limit_weight) * violation], axis=1)
+    Jt = np.swapaxes(J, 1, 2)
+    dense, dense_singular = rec.solve_stacked(Jt @ J + lam * np.eye(36),
+                                              Jt @ r[..., None])
+    dense = hand.twist_free_step(planes, dense[..., 0])
+
+    # The fit's own normal equations and step, taken from its LM call.
+    calls = {}
+
+    def capture(x0, objective, normal_equations, solve, max_iter):
+        calls.update(normal_equations=normal_equations, solve=solve)
+        return x0, None, None, None
+
+    monkeypatch.setattr(rec, "levenberg_marquardt", capture)
+    rec._lm_fit(bones, planes, y, weight, x, lo, hi, limit_weight, 1)
+    i = np.arange(B)
+    step, singular = calls["solve"](i, calls["normal_equations"](i, x),
+                                    np.full(B, lam))
+    assert not singular.any() and not dense_singular.any()
+    assert np.all(np.linalg.norm(step - dense, axis=1)
+                  <= 1e-11 * np.linalg.norm(dense, axis=1))
+    assert not step[0, 24:33].any() and not dense[0, 24:33].any()
 
 
 def test_fit_skeleton_frames_do_not_depend_on_each_other(geom, skeletons):
