@@ -25,7 +25,8 @@ Anatomically a hand has 27 degrees of freedom (wrist 6, thumb mcp 3, other
 mcps 2, pips and dips 1 each).  The fit steps in 36 twist-free coordinates:
 the root's 6 and, for each finger joint, 2 in the plane perpendicular to its
 rest child bone (`twist_free_basis`).  Refine steps in the 6 of one finger.
-`chain_jacobian` differentiates a finger's PIP, DIP and tip in its 6.  So
+`chain_jacobian` differentiates a finger's PIP, DIP and tip in its 6, and
+`tip_jacobian` its tip alone.  So
 each finger twist about its bone, which no joint position observes, keeps
 its start value.
 """
@@ -383,6 +384,27 @@ def chain_tips(base_p: np.ndarray, base_G: np.ndarray, offsets: np.ndarray,
     return _chain(base_p, base_G, offsets, w)[0][-1]
 
 
+def _chain_rows(base_p, base_G, offsets, planes, w):
+    """The MCP, PIP, DIP and tip positions of finger chains and the turn
+    rates (..., 3, 2, 3) of their MCP, PIP and DIP twist-free coordinates:
+    omega = G_parent(j) J_l(w_j) a for joint j's plane axis a."""
+    ps, Gs = _chain(base_p, base_G, offsets, w)
+    parents = np.stack([np.broadcast_to(base_G, Gs[0].shape), Gs[0], Gs[1]],
+                       axis=-3)
+    rows = (_left_jacobian_times(w, np.swapaxes(planes, -1, -2))
+            @ np.swapaxes(parents, -1, -2))
+    return ps, rows
+
+
+def _point_jacobian(ps, rows, k):
+    """Chain point k's (PIP 0, DIP 1, tip 2) Jacobian rows (..., 3, 2k + 2)
+    in the columns of the joints j <= k above it: omega x (p_k - p_j), as
+    the transposed view of the (..., 2k + 2, 3) crosses."""
+    arms = ps[k + 1][..., None, :] - np.stack(ps[:k + 1], axis=-2)
+    J = _cross(rows[..., :k + 1, :, :], arms[..., None, :])
+    return np.swapaxes(J.reshape(J.shape[:-3] + (2 * k + 2, 3)), -1, -2)
+
+
 def chain_jacobian(base_p: np.ndarray, base_G: np.ndarray,
                    offsets: np.ndarray, planes: np.ndarray, w: np.ndarray):
     """PIP, DIP and tip positions (..., 3, 3) of finger chains, as
@@ -393,16 +415,23 @@ def chain_jacobian(base_p: np.ndarray, base_G: np.ndarray,
     point k's rows of column (j, a) are omega x (p_k - p_j) for j <= k (the
     MCP is joint 0, the PIP point 0) and zero otherwise.
     """
-    ps, Gs = _chain(base_p, base_G, offsets, w)
-    parents = np.stack([np.broadcast_to(base_G, Gs[0].shape), Gs[0], Gs[1]],
-                       axis=-3)
-    rows = (_left_jacobian_times(w, np.swapaxes(planes, -1, -2))
-            @ np.swapaxes(parents, -1, -2))               # (..., 3, 2, 3)
+    ps, rows = _chain_rows(base_p, base_G, offsets, planes, w)
     points = np.stack(ps[1:], axis=-2)
-    arms = points[..., :, None, :] - np.stack(ps[:3], axis=-2)[..., None, :, :]
-    J = np.where(np.tri(3, dtype=bool)[:, :, None, None],
-                 _cross(rows[..., None, :, :, :], arms[..., None, :]), 0.0)
-    return points, np.swapaxes(J.reshape(J.shape[:-4] + (3, 6, 3)), -1, -2)
+    J = np.zeros(points.shape + (6,))
+    for k in range(3):
+        J[..., k, :, :2 * k + 2] = _point_jacobian(ps, rows, k)
+    return points, J
+
+
+def tip_jacobian(base_p: np.ndarray, base_G: np.ndarray,
+                 offsets: np.ndarray, planes: np.ndarray, w: np.ndarray):
+    """The tip positions (..., 3) and Jacobian rows (..., 3, 6) of finger
+    chains: `chain_jacobian`'s last point, to the bit, without the PIP and
+    DIP rows.  The rows come as the transposed view of the crosses they are
+    computed as: numpy's matmul rounds refine's products of a contiguous
+    copy differently, which moves refine's output bits."""
+    ps, rows = _chain_rows(base_p, base_G, offsets, planes, w)
+    return ps[3], _point_jacobian(ps, rows, 2)
 
 
 # The arrays of a pose and their shapes.

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import keyboard as kb
 from .hand import (LEVELS, MotionClip, NUM_FINGERS, SkeletonPair,
-                   chain_jacobian, chain_tips, clip_fingertips,
-                   clip_kinematics, twist_free_basis)
+                   chain_tips, clip_fingertips, clip_kinematics,
+                   tip_jacobian, twist_free_basis)
 from .keyboard import KeyboardGeometry
 from .lsq import block_tridiagonal_solve, levenberg_marquardt
 from .midi import KeyMatrix
@@ -227,7 +227,7 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
     equations block tridiagonal in time; all of them run in one
     `levenberg_marquardt` batch of at most `epochs` iterations.  A problem
     reads one fingertip, so its objective and 3x6 Jacobian walk only the
-    finger's chain (`hand.chain_tips`, `hand.chain_jacobian`) from its base,
+    finger's chain (`hand.chain_tips`, `hand.tip_jacobian`) from its base,
     the wrist rotation and MCP position that one FK of the input clip
     gives and no edit moves.  With zero smoothness only frames holding
     targets enter, and other frames come back bit-identical.  The clip's
@@ -298,14 +298,14 @@ def refine(problem: IkProblem, skeletons: SkeletonPair) -> RefineResult:
 
     def normal_equations(i, x):
         p, f, q, w = chains(i, x)
-        pts, J = chain_jacobian(base_p[q, f], base_G[q, f], bones[q], E[q], w)
-        JtW = weight[f, None, None] * np.swapaxes(J[:, 2], 1, 2)
+        tip, J = tip_jacobian(base_p[q, f], base_G[q, f], bones[q], E[q], w)
+        JtW = weight[f, None, None] * np.swapaxes(J, 1, 2)
         A = np.zeros(x.shape + (6,))
-        A[p, f] = JtW @ J[:, 2]
+        A[p, f] = JtW @ J
         g = c * degree[:, None] * x
         g[:, 1:] -= c * x[:, :-1]
         g[:, :-1] -= c * x[:, 1:]
-        g[p, f] += (JtW @ (pts[:, 2] - goal[q, f])[..., None])[..., 0]
+        g[p, f] += (JtW @ (tip - goal[q, f])[..., None])[..., 0]
         return A + c * degree[:, None, None] * np.eye(6), g
 
     def solve(i, system, damping):

@@ -2,10 +2,12 @@
 
 Pipeline: per-joint closed-form linear triangulation with RANSAC view
 rejection, linear interpolation across short invalid gaps, zero-phase
-low-pass filtering of the joint tracks, then a batched, twist-pinned fit
-of the articulated hand skeleton to the 3D joints of every hand-frame by
-damped least-squares (Levenberg-Marquardt) minimization of the mean
-squared error.
+low-pass smoothing of the joint tracks by a Whittaker smoother (Whittaker
+1923; Eilers, "A perfect smoother", Anal. Chem. 75(14), 2003) solved as
+one block-tridiagonal system, then a batched, twist-pinned fit of the
+articulated hand skeleton to the 3D joints of every hand-frame by damped
+least-squares (Levenberg-Marquardt) minimization of the mean squared
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import dataclasses
 import functools
 import io
 import json
-import warnings
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .hand import (LEVELS, NUM_FINGERS, PARAMS_PER_HAND, PARENTS,
                    _atan2, _cross, _left_jacobian_times, chain_jacobian,
                    forward_kinematics, json_array, matrix_to_rotvec,
                    twist_free_basis, twist_free_step, vector_pose)
-from .lsq import levenberg_marquardt, solve_stacked
+from .lsq import block_tridiagonal_solve, levenberg_marquardt, solve_stacked
 
 DEFAULT_IMAGE_SIZE = (3840, 2160)
 DEFAULT_REPROJ_THRESHOLD = 8.0     # px
@@ -34,6 +35,10 @@ DEFAULT_CUTOFF_HZ = 10.0
 DEFAULT_FILTER_ORDER = 4
 DEFAULT_FIT_ITERS = 200
 MAX_COORDINATE = 1e100             # m; bound on trajectory coordinates
+
+# The largest accepted condition number, about lam * 4^order, of the track
+# smoother's normal matrix; its solves' error grows in step with it.
+_MAX_CONDITION = 1e11
 
 # JSON values a validity mask may hold: booleans, or 0/1 as written by
 # `to_json` (read as floats).
@@ -557,38 +562,27 @@ def ransac_triangulate(uv, rig: CameraRig, valid=None, conf=None,
     return res.reshape(shape[:-1])
 
 
+def _smoothing_weight(cutoff_hz: float, fps: float, order: int) -> float:
+    """The Whittaker penalty weight lam = (2 sin(pi cutoff / fps))^(-2 order),
+    whose gain 1 / (1 + lam (2 sin(w / 2))^(2 order)) is 1/2 at the cutoff."""
+    return (2.0 * np.sin(np.pi * cutoff_hz / fps)) ** (-2 * order)
+
+
 def check_filter(cutoff_hz: float, fps: float, order: int) -> None:
-    """Refuse a filter order that is odd or below 2, or a cutoff outside
-    (0, fps/2)."""
+    """Refuse a filter order that is odd or below 2, a cutoff outside
+    (0, fps/2), or a cutoff so low for its order that the smoother's normal
+    matrix, of condition number about lam * 4^order, passes
+    _MAX_CONDITION."""
     if order < 2 or order % 2 != 0:
         raise ValueError("filter order must be even and >= 2")
     if not (0 < cutoff_hz < fps / 2.0):
         raise ValueError("cutoff must lie in (0, fps/2)")
-
-
-def butterworth_filter(series, cutoff_hz: float, fps: float,
-                       order: int = DEFAULT_FILTER_ORDER) -> np.ndarray:
-    """Zero-phase low-pass along axis 0 with reflective edge padding.
-
-    The filter is designed at the given order and applied forward and
-    backward, so the magnitude response is squared and the phase is zero.
-    Series shorter than 3x the order are returned unfiltered with a
-    warning.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    check_filter(cutoff_hz, fps, order)
-    n = series.shape[0]
-    if n < 3 * order:
-        warnings.warn("series of length %d too short for order-%d filtering; "
-                      "returned unfiltered" % (n, order))
-        return series.copy()
-    # Imported here: scipy.signal roughly doubles the package import time.
-    import scipy.signal
-
-    b, a = scipy.signal.butter(order, cutoff_hz / (fps / 2.0))
-    padlen = min(3 * (order + 1), n - 1)
-    return scipy.signal.filtfilt(b, a, series, axis=0, padtype="even",
-                                 padlen=padlen)
+    # lam * 4^order = sin(pi cutoff / fps)^(-2 order).
+    if _smoothing_weight(cutoff_hz, fps, order) * 4 ** order > _MAX_CONDITION:
+        lowest = fps / np.pi * np.arcsin(_MAX_CONDITION ** (-0.5 / order))
+        raise ValueError("cutoff %g Hz is below %.3g Hz, the lowest an "
+                         "order-%d smoother solves accurately at %g fps"
+                         % (cutoff_hz, lowest, order, fps))
 
 
 def interpolate_gaps(traj: JointTrajectory,
@@ -613,32 +607,69 @@ def interpolate_gaps(traj: JointTrajectory,
     return JointTrajectory(traj.fps, pos, val | fill)
 
 
+def _all_of(mask: np.ndarray, k: int) -> np.ndarray:
+    """Whether each k consecutive entries of mask along axis 0 all hold:
+    (len(mask) - k + 1, ...)."""
+    c = np.cumsum(np.pad(mask, [(1, 0)] + [(0, 0)] * (mask.ndim - 1)), axis=0)
+    return c[k:] - c[:-k] == k
+
+
 def smooth_trajectory(traj: JointTrajectory,
                       cutoff_hz: float = DEFAULT_CUTOFF_HZ,
                       order: int = DEFAULT_FILTER_ORDER,
                       max_gap: int = DEFAULT_MAX_GAP) -> JointTrajectory:
-    """Gap-interpolate then low-pass every joint track.
+    """Gap-interpolate then low-pass every joint track by a Whittaker
+    smoother.
 
-    Each maximal run of valid frames is filtered independently; runs too
-    short for the filter pass through unchanged.  Runs of one length go
-    through the filter together, each as its own columns.
+    Each maximal run of at least 3x order valid frames takes the z that
+    minimises |z - y|^2 + lam |D z|^2, D the order-th differences inside
+    the run and lam `_smoothing_weight`: a zero-phase low-pass of gain
+    1 / (1 + (sin(w / 2) / sin(pi cutoff / fps))^(2 order)), 1/2 at the
+    cutoff.  Shorter runs and invalid frames pass through unchanged.  In
+    blocks of `order` frames the normal matrix is block tridiagonal, so
+    every track's x, y and z go through one `block_tridiagonal_solve`.
     """
     traj = interpolate_gaps(traj, max_gap)
-    pos = traj.positions.copy()
-    tracks = pos.reshape(traj.n_frames, 42, 3)          # a view of pos
-    # Every run's track and [start, end) frames, track by track.
-    edges = np.diff(np.pad(traj.valid.reshape(traj.n_frames, 42).T,
-                           ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    track, start = np.nonzero(edges == 1)
-    end = np.nonzero(edges == -1)[1]
-    for length in np.unique(end - start):
-        if length < 3 * order:
-            continue
-        runs = end - start == length
-        rows = start[runs] + np.arange(length)[:, None]
-        tracks[rows, track[runs]] = butterworth_filter(
-            tracks[rows, track[runs]], cutoff_hz, traj.fps, order)
-    return JointTrajectory(traj.fps, pos, traj.valid.copy())
+    n, d = traj.n_frames, order
+    if n < 3 * d:
+        return traj
+    check_filter(cutoff_hz, traj.fps, d)
+    # The frames that some 3d valid frames in a row cover, those of runs of
+    # 3d or more, on the T tracks that have any; then the difference rows
+    # (row r spans frames r..r+d) that lie inside one such run.
+    starts = np.pad(_all_of(traj.valid.reshape(n, 42), 3 * d),
+                    ((3 * d - 1, 3 * d - 1), (0, 0)))
+    inside = ~_all_of(~starts, 3 * d)
+    tracks = np.flatnonzero(inside.any(axis=0))
+    if not len(tracks):
+        return traj
+    inside = inside[:, tracks]                                # (n, T)
+    T, nb = len(tracks), -(-n // d)
+    rows = np.pad(_all_of(inside, d + 1), ((0, nb * d - n), (0, 0)))
+    # Row group i (rows id..id+d-1) reaches frame blocks i and i+1 through
+    # [P Q], the order-d differences of 2d frames.  Its masked normal
+    # product, a sum of its kept rows' outer products, is exact: their
+    # coefficients are integers.
+    PQ = np.diff(np.eye(2 * d), d, axis=0)                    # (d, 2d)
+    outer = (PQ[:, :, None] * PQ[:, None, :]).reshape(d, -1)
+    G = _smoothing_weight(cutoff_hz, traj.fps, d) * (
+        rows.T.reshape(T, nb - 1, d) @ outer).reshape(T, nb - 1, 2 * d, 2 * d)
+    D = np.broadcast_to(np.eye(d), (T, nb, d, d)).copy()
+    D[:, :-1] += G[..., :d, :d]
+    D[:, 1:] += G[..., d:, d:]
+    U = np.zeros_like(D)
+    U[:, :-1] = G[..., :d, d:]
+    L = np.zeros_like(D)
+    L[:, 1:] = np.swapaxes(U[:, :-1], -1, -2)
+    y = traj.positions.reshape(n, 42, 3)[:, tracks]
+    b = np.pad(np.where(inside[..., None], y, 0.0),
+               ((0, nb * d - n), (0, 0), (0, 0)))
+    z, _ = block_tridiagonal_solve(
+        D, L, U, np.swapaxes(b, 0, 1).reshape(T, nb, d, 3))
+    z = np.swapaxes(z.reshape(T, nb * d, 3)[:, :n], 0, 1)
+    pos = traj.positions.reshape(n, 42, 3)       # interpolate_gaps' own copy
+    pos[:, tracks] = np.where(inside[..., None], z, y)
+    return JointTrajectory(traj.fps, traj.positions, traj.valid)
 
 
 @dataclasses.dataclass(eq=False)

@@ -178,28 +178,33 @@ def test_triangulation_noiseless_and_corrupted_view(rng):
 
 
 def test_lowpass_filter_dc_stopband_and_phase():
+    # One trajectory carries the three test signals, as every track's x
+    # (DC), y (25 Hz) and z (1 Hz) coordinates.
     t0 = time.monotonic()
     problems = []
     fps = 59.94
     t = np.arange(int(20 * fps)) / fps
-
     const = np.full(t.shape, 2.5)
-    out = rec.butterworth_filter(const, 10.0, fps, order=4)
-    dc_err = float(np.max(np.abs(out - 2.5)))
+    tone = np.sin(2.0 * np.pi * 25.0 * t)
+    slow = np.sin(2.0 * np.pi * 1.0 * t)
+    signals = np.stack([const, tone, slow], axis=-1)
+    traj = rec.JointTrajectory(
+        fps, np.broadcast_to(signals[:, None, None], (len(t), 2, 21, 3)),
+        np.ones((len(t), 2, 21), dtype=bool))
+    out = rec.smooth_trajectory(traj, 10.0, 4).positions[:, 1, 20]
+
+    dc_err = float(np.max(np.abs(out[:, 0] - 2.5)))
     _check(problems, dc_err <= 1e-9, "DC error %.3g > 1e-9" % dc_err)
 
-    tone = np.sin(2.0 * np.pi * 25.0 * t)
-    out = rec.butterworth_filter(tone, 10.0, fps, order=4)
     core = slice(120, -120)
-    gain = (np.sqrt(np.mean(out[core] ** 2))
+    gain = (np.sqrt(np.mean(out[core, 1] ** 2))
             / np.sqrt(np.mean(tone[core] ** 2)))
     atten_db = -20.0 * math.log10(gain)
     _check(problems, atten_db >= 20.0,
            "25 Hz attenuation %.1f dB < 20 dB" % atten_db)
 
-    slow = np.sin(2.0 * np.pi * 1.0 * t)
-    out = rec.butterworth_filter(slow, 10.0, fps, order=4)
-    xc = np.correlate(out - out.mean(), slow - slow.mean(), mode="full")
+    xc = np.correlate(out[:, 2] - out[:, 2].mean(), slow - slow.mean(),
+                      mode="full")
     lag = int(np.argmax(xc)) - (len(slow) - 1)
     _check(problems, lag == 0, "peak cross-correlation at lag %d" % lag)
     _finish("zero-phase low-pass response", problems, t0, 5.0,

@@ -394,7 +394,9 @@ def test_triangulate_dry_run_refuses_what_the_run_refuses(
     (["--cutoff", 1000], "cutoff must lie in (0, fps/2)"),
     (["--order", 3], "filter order must be even and >= 2"),
     (["--order", 0], "filter order must be even and >= 2"),
-], ids=["cutoff1000", "order3", "order0"])
+    (["--cutoff", 0.5], "cutoff 0.5 Hz is below 0.806 Hz, the lowest an "
+                        "order-4 smoother solves accurately at 60 fps"),
+], ids=["cutoff1000", "order3", "order0", "cutoff0.5"])
 @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry"])
 def test_triangulate_checks_filter_arguments_up_front(tmp_path, capsys, flags,
                                                       message, dry_run):
@@ -1232,18 +1234,40 @@ def test_dry_run_writes_nothing(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy is only needed by the trajectory filter (scipy.signal), which
-    # roughly doubles the start-up time of every subcommand.
+    # The package runs on numpy alone; scipy.signal by itself would roughly
+    # double the start-up time of every subcommand.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, pianomotion.cli; print([m for m in ('scipy.signal', "
-         "'scipy.spatial', 'scipy.optimize') if m in sys.modules])"],
+         "import sys, pianomotion.cli; print([m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'])"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_filtered_triangulate_runs_without_scipy(tmp_path, geom, skeletons):
+    # With every scipy import failing, a clip long enough for the smoother
+    # (12 frames, 3x the default order) still triangulates and smooths.
+    cam, kp, joints = scene_files(tmp_path, geom, skeletons, n_frames=12)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "traj.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; "
+         "from pianomotion import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "triangulate", "--keypoints", str(kp), "--cameras", str(cam),
+         "--fps", "60", "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traj = reconstruction.JointTrajectory.from_json(out.read_text())
+    assert traj.valid.all() and np.isfinite(traj.positions).all()
+    assert np.abs(traj.positions - joints).max() < 1e-6
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -232,6 +232,21 @@ def test_chain_jacobian_equals_reference_rows_bit_for_bit(skeletons, rng,
     assert np.array_equal(J_fit, J)
 
 
+def test_tip_jacobian_is_the_chain_jacobians_tip_bit_for_bit(skeletons,
+                                                             rng):
+    # Refine reads only the tip rows; they are the chain Jacobian's own.
+    offsets = skeletons.bone_offsets
+    planes = hand.twist_free_basis(offsets)
+    for scale in (0.0, 1e-9, 0.5, 1.5):
+        vecs = random_vecs(rng, (30, 2), scale)
+        for f in range(hand.NUM_FINGERS):
+            chains = _synth.finger_chains(offsets, planes, vecs, f)
+            points, J = hand.chain_jacobian(*chains)
+            tip, Jt = hand.tip_jacobian(*chains)
+            assert tip.tobytes() == points[:, :, 2].tobytes()
+            assert Jt.tobytes() == J[:, :, 2].tobytes()
+
+
 def test_chain_jacobian_batch_equals_per_chain_calls(skeletons, rng):
     offsets = skeletons.right.bone_offsets
     planes = hand.twist_free_basis(offsets)

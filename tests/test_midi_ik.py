@@ -306,7 +306,7 @@ def test_refine_walks_finger_chains_not_whole_hands(geom, skeletons,
     fk = count(fk_calls, hand.forward_kinematics)
     for module in (hand, midi_ik):
         monkeypatch.setattr(module, "forward_kinematics", fk, raising=False)
-    for name in ("chain_tips", "chain_jacobian"):
+    for name in ("chain_tips", "tip_jacobian"):
         monkeypatch.setattr(midi_ik, name,
                             count(chain_calls, getattr(midi_ik, name)))
     result = midi_ik.refine(midi_ik.IkProblem(clip, targets), skeletons)

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -252,30 +253,81 @@ def test_ransac_refuses_what_triangulation_refuses():
 # Filtering and gap interpolation
 
 
+# The smoother's gain, 1 / (1 + (sin(w/2) / sin(w_c/2))^(2 order)), is the
+# sine form of a Butterworth filtfilt's (whose ratio is of tangents), so the
+# Butterworth checks below hold `smooth_trajectory` to the same response.
+
+
+def track_traj(series, fps):
+    """A trajectory whose every valid track holds series (n, 3)."""
+    series = np.asarray(series, dtype=np.float64)
+    pos = np.broadcast_to(series[:, None, None, :], (len(series), 2, 21, 3))
+    return rec.JointTrajectory(fps, pos.copy(),
+                               np.ones((len(series), 2, 21), dtype=bool))
+
+
+def smooth_series(series, cutoff_hz, fps, order=4):
+    """The smoothed series (n,) of `track_traj`'s x coordinate."""
+    x = np.stack([series, np.zeros(len(series)), np.zeros(len(series))], -1)
+    return rec.smooth_trajectory(track_traj(x, fps), cutoff_hz,
+                                 order).positions[:, 0, 0, 0]
+
+
 def test_butterworth_validation():
-    x = np.zeros(100)
-    with pytest.raises(ValueError, match="order"):
-        rec.butterworth_filter(x, 10.0, 60.0, order=3)
-    with pytest.raises(ValueError, match="order"):
-        rec.butterworth_filter(x, 10.0, 60.0, order=0)
-    with pytest.raises(ValueError, match="cutoff"):
-        rec.butterworth_filter(x, 30.0, 60.0)
-    with pytest.raises(ValueError, match="cutoff"):
-        rec.butterworth_filter(x, 0.0, 60.0)
+    traj = track_traj(np.zeros((100, 3)), 60.0)
+    for cutoff, order, message in [
+            (10.0, 3, "order"), (10.0, 0, "order"), (30.0, 4, "cutoff"),
+            (0.0, 4, "cutoff"),
+            (0.5, 4, "below 0.806 Hz, the lowest an order-4 smoother")]:
+        with pytest.raises(ValueError, match=message):
+            rec.smooth_trajectory(traj, cutoff, order)
 
 
-def test_butterworth_short_series_warns_and_passes_through():
-    x = np.arange(10.0)
-    with pytest.warns(UserWarning, match="too short"):
-        y = rec.butterworth_filter(x, 10.0, 60.0)
-    assert np.array_equal(y, x)
-    assert y is not x
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_smoothing_is_accurate_down_to_the_lowest_accepted_cutoff(order):
+    # The normal matrix's condition number is sin(pi cutoff / fps)^(-2d),
+    # and the solve's error follows it; check_filter refuses it past 1e11.
+    # At the lowest cutoff it accepts, 0.1 m tracks still meet the dense
+    # least-squares oracle within 50 um (measured: 0.16 um at order 2,
+    # 14 um at order 8).
+    fps = 59.94
+    lowest = fps / np.pi * np.arcsin(1e11 ** (-0.5 / order))
+    rec.check_filter(lowest * 1.001, fps, order)
+    with pytest.raises(ValueError, match="lowest an order-%d" % order):
+        rec.check_filter(lowest * 0.999, fps, order)
+    rng = np.random.default_rng(order)
+    pos = rng.normal(0.0, 0.1, (300, 2, 21, 3))
+    val = np.zeros((300, 2, 21), dtype=bool)
+    val[:, 0, 0] = val[20:, 1, 7] = True
+    traj = rec.JointTrajectory(fps, pos, val)
+    got = rec.smooth_trajectory(traj, lowest * 1.001, order, 0)
+    want = scalar_smooth.smooth_trajectory(traj, lowest * 1.001, order, 0)
+    assert np.abs(got.positions - want.positions).max() < 5e-5
+
+
+def test_smoothing_short_runs_pass_through_silently():
+    # A valid run under 3x the order passes through bit for bit and without
+    # a warning, beside a longer run of its track that is smoothed.
+    rng = np.random.default_rng(2)
+    pos = rng.normal(0.0, 0.1, (40, 2, 21, 3))
+    val = np.ones((40, 2, 21), dtype=bool)
+    val[10:20] = False
+    traj = rec.JointTrajectory(60.0, pos, val)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = rec.smooth_trajectory(traj)
+    assert np.array_equal(out.positions[:10], pos[:10])
+    assert not np.any(out.positions[20:] == pos[20:])
 
 
 def test_butterworth_preserves_constant():
-    x = np.full(200, 3.25)
-    y = rec.butterworth_filter(x, 10.0, 100.0)
+    y = smooth_series(np.full(200, 3.25), 10.0, 100.0)
     assert np.allclose(y, 3.25, atol=1e-9)
+
+
+def whittaker_gain(f_hz, cutoff_hz, fps, order=4):
+    return 1.0 / (1.0 + (np.sin(np.pi * f_hz / fps)
+                         / np.sin(np.pi * cutoff_hz / fps)) ** (2 * order))
 
 
 def test_butterworth_passband_and_stopband():
@@ -283,27 +335,36 @@ def test_butterworth_passband_and_stopband():
     t = np.arange(400) / fps
     low = np.sin(2 * np.pi * 1.0 * t)
     high = np.sin(2 * np.pi * 40.0 * t)
-    y = rec.butterworth_filter(low + high, 10.0, fps)
+    y = smooth_series(low + high, 10.0, fps)
     mid = slice(100, 300)
-    # The 1 Hz component survives; the 40 Hz component drops by orders
-    # of magnitude (the forward-backward pass squares the response).
+    # The 1 Hz component survives; away from the ends the 40 Hz component
+    # is scaled by the gain, about 1.2e-4.
     assert np.max(np.abs(y[mid] - low[mid])) < 1e-3
-    z = rec.butterworth_filter(high, 10.0, fps)
-    assert np.max(np.abs(z[mid])) < 1e-6
+    z = smooth_series(high, 10.0, fps)
+    gain = whittaker_gain(40.0, 10.0, fps)
+    assert 1e-4 < gain < 2e-4
+    assert np.max(np.abs(z[mid] - gain * high[mid])) < 1e-9
+    assert whittaker_gain(10.0, 10.0, fps) == pytest.approx(0.5)
 
 
 def test_butterworth_zero_phase():
-    # A filtered unit pulse stays symmetric about the pulse position.
+    # A smoothed unit pulse stays symmetric about the pulse position.
     x = np.zeros(201)
     x[100] = 1.0
-    y = rec.butterworth_filter(x, 10.0, 100.0)
+    y = smooth_series(x, 10.0, 100.0)
     assert np.allclose(y, y[::-1], atol=1e-12)
 
 
 def test_butterworth_multichannel_shape():
-    x = np.random.default_rng(3).normal(size=(80, 2, 3))
-    y = rec.butterworth_filter(x, 10.0, 60.0)
-    assert y.shape == (80, 2, 3)
+    # Every coordinate of every track is its own channel: each gives what
+    # it gives smoothed alone in the x coordinate of every track.
+    x = np.random.default_rng(3).normal(size=(80, 2, 21, 3))
+    traj = rec.JointTrajectory(60.0, x, np.ones((80, 2, 21), dtype=bool))
+    y = rec.smooth_trajectory(traj).positions
+    assert y.shape == (80, 2, 21, 3)
+    for h, j, k in [(0, 0, 0), (0, 5, 1), (1, 20, 2)]:
+        assert np.allclose(smooth_series(x[:, h, j, k], 10.0, 60.0),
+                           y[:, h, j, k], rtol=0.0, atol=1e-14)
 
 
 def linear_track_traj(n=8, invalid=(), fps=60.0):
@@ -392,16 +453,35 @@ def gappy_tracks(rng, n=90, max_gap=5):
 @pytest.mark.parametrize("max_gap", [0, 2, 5])
 def test_gap_filling_and_smoothing_match_the_track_loops(seed, max_gap):
     traj = gappy_tracks(np.random.default_rng(seed), max_gap=max_gap)
-    for got, want in ((rec.interpolate_gaps(traj, max_gap),
-                       scalar_smooth.interpolate_gaps(traj, max_gap)),
-                      (rec.smooth_trajectory(traj, 10.0, 4, max_gap),
-                       scalar_smooth.smooth_trajectory(traj, 10.0, 4, max_gap))):
-        assert got.positions.tobytes() == want.positions.tobytes()
-        assert np.array_equal(got.valid, want.valid)
+    # Gap filling matches bit for bit, smoothing to 1e-13 m: the oracle
+    # solves each run alone by dense least squares.
+    got = rec.interpolate_gaps(traj, max_gap)
+    want = scalar_smooth.interpolate_gaps(traj, max_gap)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert np.array_equal(got.valid, want.valid)
+    got = rec.smooth_trajectory(traj, 10.0, 4, max_gap)
+    want = scalar_smooth.smooth_trajectory(traj, 10.0, 4, max_gap)
+    assert np.abs(got.positions - want.positions).max() < 1e-13
+    assert np.array_equal(got.valid, want.valid)
     filled = rec.interpolate_gaps(traj, max_gap)
     assert filled.valid[10:10 + max_gap, 0, 0].all()
     assert not filled.valid[30:31 + max_gap, 0, 0].any()
     assert not filled.valid[:4, 0, 1].any() and not filled.valid[-3:, 0, 1].any()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_smoothing_a_track_alone_gives_its_batch_bits(seed):
+    # The tracks share one block-tridiagonal solve; each track's bits must
+    # not depend on which or how many others share it.
+    traj = gappy_tracks(np.random.default_rng(seed), n=200)
+    batch = rec.smooth_trajectory(traj).positions
+    for h in range(2):
+        for j in range(21):
+            val = np.zeros_like(traj.valid)
+            val[:, h, j] = traj.valid[:, h, j]
+            alone = rec.smooth_trajectory(
+                rec.JointTrajectory(60.0, traj.positions, val)).positions
+            assert alone[:, h, j].tobytes() == batch[:, h, j].tobytes(), (h, j)
 
 
 def test_smoothing_an_empty_trajectory():
